@@ -33,7 +33,9 @@ from typing import Callable, Hashable
 
 from .compositions import (
     Composition,
-    coarsenings,
+    block_product,
+    coarsening_splits,
+    coarsenings,  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
     compositions_of,
     deconcatenations,
     extend_over_refinement,
@@ -186,10 +188,10 @@ def f_to_g(f: CharacterData, max_degree: int | None = None) -> InfinitesimalData
         if alpha.length == 1:
             return 1 / diag
         total = Fraction(0)
-        for beta in coarsenings(alpha):
+        for beta, blocks in coarsening_splits(alpha):
             if beta == alpha:
                 continue
-            total += f.pair(alpha, beta) * g(beta)
+            total += block_product(f, blocks) * g(beta)
         return -total / diag
 
     label = f"g[{f.name}]" if f.name else None
@@ -210,10 +212,10 @@ def g_to_f(g: InfinitesimalData, max_degree: int | None = None) -> CharacterData
         if alpha.length == 1:
             return 1 / diag
         total = Fraction(0)
-        for beta in coarsenings(alpha):
+        for beta, blocks in coarsening_splits(alpha):
             if beta == alpha:
                 continue
-            total += g.pair(alpha, beta) * f(beta)
+            total += block_product(g, blocks) * f(beta)
         return -total / diag
 
     label = f"f[{g.name}]" if g.name else None
@@ -228,15 +230,17 @@ def g_to_f(g: InfinitesimalData, max_degree: int | None = None) -> CharacterData
 def basis_expand(f: CharacterData, alpha) -> GradedElement:
     """X_alpha in the monomial basis: coarsenings weighted by f(alpha, .)."""
     alpha = Composition(alpha)
-    return GradedElement(MONOMIAL, {beta: f.pair(alpha, beta) for beta in coarsenings(alpha)})
+    return GradedElement(
+        MONOMIAL, {beta: block_product(f, blocks) for beta, blocks in coarsening_splits(alpha)}
+    )
 
 
 def basis_contract(g: InfinitesimalData, alpha) -> dict[Composition, Fraction]:
     """Coordinates of M_alpha over the X basis: coarsenings weighted by g(alpha, .)."""
     alpha = Composition(alpha)
     out = {}
-    for beta in coarsenings(alpha):
-        coef = g.pair(alpha, beta)
+    for beta, blocks in coarsening_splits(alpha):
+        coef = block_product(g, blocks)
         if coef != 0:
             out[beta] = coef
     return out
@@ -560,8 +564,8 @@ def check_integral_nonneg(
             break
         for alpha in compositions_of(n):
             aut = stats(alpha).aut_count
-            for beta in coarsenings(alpha):
-                value = aut * f.pair(alpha, beta)
+            for beta, blocks in coarsening_splits(alpha):
+                value = aut * block_product(f, blocks)
                 if not is_nonneg_integer(value):
                     witness = IntegralityWitness(alpha, beta, value)
                     break

@@ -30,15 +30,15 @@ from .characters import (
     resolve_basis,
     verify_qps,
 )
-from .compositions import Composition, compositions_of, compositions_up_to, stats
+from .compositions import Composition, compositions_of, compositions_up_to, deconcatenations, stats
 from .elements import (
     GradedElement,
     MONOMIAL,
     WORD,
+    accumulate_product,
     antipode_by_recursion,
     antipode_word,
     format_element,
-    product,
 )
 from .errors import EngineError
 from .functionals import exp_functional, log_functional
@@ -67,8 +67,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _add_common(sub, *, basis=False, comp=False, degree=None, kind=False, elem=False):
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_common(
+    sub, *, basis=False, comp=False, degree=None, kind=False, elem=False, formats=("text", "json", "csv")
+):
+    sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
     if basis:
         sub.add_argument("--basis", default=None, help="basis registry name")
@@ -99,7 +101,7 @@ def build_parser() -> _Parser:
     _add_common(s, basis=True, degree="required", kind=True)
 
     s = sub.add_parser("verify", help="run a verification suite")
-    _add_common(s, basis=True, degree=6)
+    _add_common(s, basis=True, degree=6, formats=("text",))
     s.add_argument("--suite", choices=SUITES, required=True)
 
     s = sub.add_parser("theta", help="apply the canonical projection theta")
@@ -125,11 +127,11 @@ def build_parser() -> _Parser:
     s.add_argument("--input", required=True, help="graph/poset literal or composition text")
 
     s = sub.add_parser("demo-graph", help="chromatic two-way check for one graph")
-    _add_common(s, basis=True)
+    _add_common(s, basis=True, formats=("text",))
     s.add_argument("--input", required=True, help="graph literal, e.g. '3; 1-2,2-3'")
 
     s = sub.add_parser("demo-poset", help="ideal-flag check for one poset")
-    _add_common(s)
+    _add_common(s, formats=("text",))
     s.add_argument("--input", required=True, help="poset literal, e.g. '3; 1<2,1<3'")
 
     return parser
@@ -141,6 +143,16 @@ def _check_degree(degree: int) -> int:
     if not (1 <= degree <= MAX_DEGREE):
         raise CliUsageError(f"--degree must be between 1 and {MAX_DEGREE}, got {degree}")
     return degree
+
+
+def _check_size(comp: Composition, what: str) -> Composition:
+    if comp.size > MAX_DEGREE:
+        raise CliUsageError(f"{what} has size {comp.size}; sizes are capped at {MAX_DEGREE}")
+    return comp
+
+
+def _parse_comp(text: str, flag: str) -> Composition:
+    return _check_size(Composition.from_text(text), flag)
 
 
 def _need(value, flag: str):
@@ -197,17 +209,20 @@ def _resolve_functional(name: str):
 def _parse_element(args) -> GradedElement:
     if getattr(args, "elem", None):
         try:
-            return GradedElement.from_json(args.elem)
+            elem = GradedElement.from_json(args.elem)
         except (ValueError, KeyError, TypeError) as exc:
             raise CliUsageError(f"bad element JSON: {exc}")
+        for comp in elem.terms:
+            _check_size(comp, "a term of --elem")
+        return elem
     if getattr(args, "comp", None) is not None:
-        return GradedElement.basis_element(MONOMIAL, Composition.from_text(args.comp))
+        return GradedElement.basis_element(MONOMIAL, _parse_comp(args.comp, "--comp"))
     raise CliUsageError("provide --comp or --elem")
 
 
 def _cmd_expand(args) -> int:
     f = resolve_basis(_need(args.basis, "--basis"))
-    alpha = Composition.from_text(_need(args.comp, "--comp"))
+    alpha = _parse_comp(_need(args.comp, "--comp"), "--comp")
     elem = qps_expand(f, alpha) if args.kind == "qps" else basis_expand(f, alpha)
     _emit(_element_payload(elem, args.format), args.out)
     return 0
@@ -215,7 +230,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_convert(args) -> int:
     f = resolve_basis(_need(args.basis, "--basis"))
-    alpha = Composition.from_text(_need(args.comp, "--comp"))
+    alpha = _parse_comp(_need(args.comp, "--comp"), "--comp")
     g = f_to_g(f)
     coords = basis_contract(g, alpha)
     if args.kind == "qps":
@@ -288,13 +303,14 @@ def _verify_antipode(degree: int) -> VerifyReport:
         witness = None
         for comp in compositions_up_to(degree):
             target = GradedElement.unit(basis) if not comp else GradedElement.zero(basis)
-            acc = GradedElement.zero(basis)
-            for i in range(len(comp) + 1):
-                acc = acc + product(
-                    antipode_by_recursion(basis, comp[:i]),
-                    GradedElement.basis_element(basis, comp[i:]),
+            acc = {}
+            for left, right in deconcatenations(comp):
+                accumulate_product(
+                    acc,
+                    antipode_by_recursion(basis, left),
+                    GradedElement.basis_element(basis, right),
                 )
-            if acc != target:
+            if GradedElement(basis, acc) != target:
                 witness = f"alpha={comp}"
                 break
         report.add(f"antipode axiom in basis {basis} through degree {degree}", witness is None, witness)
@@ -364,7 +380,7 @@ def _cmd_phi(args) -> int:
         char_name = args.char or "zetaQ"
         if char_name not in CANONICAL_NAMES:
             raise CliUsageError(f"--char must be one of {', '.join(CANONICAL_NAMES)}")
-        h = Composition.from_text(args.input)
+        h = _parse_comp(args.input, "--input")
         elem = universal_to_qsym(qsym_provider(), canonical(char_name), h)
     _emit(_element_payload(elem, args.format), args.out)
     return 0
@@ -379,12 +395,12 @@ def _cmd_psi(args) -> int:
         p = demos.SmallPoset.from_cover_text(args.input)
         elem = universal_to_sh(demos.poset_provider(), demos.xi_unique_min, p)
     elif args.hopf == "sh":
-        h = Composition.from_text(args.input)
+        h = _parse_comp(args.input, "--input")
         elem = universal_to_sh(sh_provider(), canonical("xiS"), h)
     else:
         f = resolve_basis(args.basis or "type2")
         xi = f_to_g(f).as_functional()
-        h = Composition.from_text(args.input)
+        h = _parse_comp(args.input, "--input")
         elem = universal_to_sh(qsym_provider(), xi, h)
     _emit(_element_payload(elem, args.format), args.out)
     return 0

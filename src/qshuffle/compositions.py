@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 from math import comb, factorial
 
@@ -29,16 +29,23 @@ class Composition(tuple):
     Behaves as a tuple (hashable, sliceable, comparable) so it can key
     sparse term dictionaries directly.  ``Composition()`` is the empty
     composition, written ``-`` in the text format.
+
+    The constructor is where outside parts enter, so it accepts only real
+    ``int`` parts >= 1 (no ``bool``, ``float`` or ``str``) and returns a
+    ``Composition`` argument unchanged.  Compositions derived from valid
+    ones inside this module skip the check through ``_trusted``.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        self = super().__new__(cls, tuple(int(p) for p in parts))
-        for p in self:
-            if p < 1:
-                raise ValueError(f"composition parts must be positive, got {p}")
-        return self
+        if type(parts) is cls:
+            return parts
+        parts = tuple(parts)
+        for p in parts:
+            if type(p) is not int or p < 1:
+                raise ValueError(f"composition parts must be positive ints, got {p!r}")
+        return tuple.__new__(cls, parts)
 
     @property
     def size(self) -> int:
@@ -50,17 +57,17 @@ class Composition(tuple):
 
     def __add__(self, other) -> "Composition":
         # concatenation, like tuples, but staying in the class
-        return Composition(tuple(self) + tuple(other))
+        return _trusted(tuple.__add__(self, Composition(other)))
 
     def __radd__(self, other) -> "Composition":
-        return Composition(tuple(other) + tuple(self))
+        return _trusted(tuple.__add__(Composition(other), self))
 
     def reverse(self) -> "Composition":
-        return Composition(reversed(self))
+        return _trusted(self[::-1])
 
     def sorted_partition(self) -> "Composition":
         """The weakly decreasing rearrangement of the parts."""
-        return Composition(sorted(self, reverse=True))
+        return _trusted(sorted(self, reverse=True))
 
     def to_text(self) -> str:
         return ",".join(str(p) for p in self) if self else "-"
@@ -85,6 +92,10 @@ class Composition(tuple):
     __str__ = __repr__
 
 
+# builds a Composition from parts already known to be ints >= 1, unchecked;
+# only for compositions derived from valid ones
+_trusted = partial(tuple.__new__, Composition)
+
 EMPTY = Composition()
 
 
@@ -103,7 +114,7 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
     out = []
     for first in range(1, n + 1):
         for rest in compositions_of(n - first):
-            out.append(Composition((first,) + tuple(rest)))
+            out.append(_trusted((first, *rest)))
     return tuple(out)
 
 
@@ -124,7 +135,7 @@ def partitions_of(n: int) -> tuple[Composition, ...]:
 def rearrangements(comp: Composition) -> list[Composition]:
     """All distinct compositions with the same multiset of parts."""
     seen = sorted(set(permutations(comp)))
-    return [Composition(p) for p in seen]
+    return [_trusted(p) for p in seen]
 
 
 @dataclass(frozen=True)
@@ -187,19 +198,23 @@ def coarsenings(comp: Composition) -> list[Composition]:
     order; there are 2^(length-1) of them (1 for the empty composition).
     Canonical order.
     """
+    return [coarse for coarse, _ in coarsening_splits(comp)]
+
+
+def coarsening_splits(comp: Composition) -> list[tuple[Composition, tuple[Composition, ...]]]:
+    """Each coarsening of comp, paired with the blocks of comp that sum to its parts.
+
+    A split of comp into consecutive blocks is a subset of its cut points
+    (Gessel's subset encoding), and summing the blocks gives the coarsening,
+    so each pair comes from one subset and the blocks are what
+    ``refinement_split(comp, coarse)`` would find.  Canonical order of the
+    coarsenings.
+    """
     comp = Composition(comp)
     if not comp:
-        return [EMPTY]
-    out = set()
-    for mask in range(1 << (comp.length - 1)):
-        merged = [comp[0]]
-        for i in range(1, comp.length):
-            if mask >> (i - 1) & 1:
-                merged[-1] += comp[i]
-            else:
-                merged.append(comp[i])
-        out.add(Composition(merged))
-    return sorted(out, key=canonical_key)
+        return [(EMPTY, ())]
+    pairs = [(_trusted([sum(block) for block in blocks]), blocks) for blocks in nonempty_splits(comp)]
+    return sorted(pairs, key=lambda pair: canonical_key(pair[0]))
 
 
 def refinement_split(fine: Composition, coarse: Composition) -> tuple[Composition, ...]:
@@ -221,7 +236,7 @@ def refinement_split(fine: Composition, coarse: Composition) -> tuple[Compositio
             i += 1
         if total != target:
             raise NotARefinement(f"{fine} does not refine {coarse}")
-        blocks.append(Composition(fine[start:i]))
+        blocks.append(_trusted(fine[start:i]))
     if i != len(fine):
         raise NotARefinement(f"{fine} does not refine {coarse}")
     return tuple(blocks)
@@ -242,8 +257,15 @@ def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> Fracti
     compositions; it is 1 on the empty pair and multiplicative under
     concatenation of refinement pairs.
     """
-    value = Fraction(1)
-    for block in refinement_split(fine, coarse):
+    return block_product(fn, refinement_split(fine, coarse))
+
+
+def block_product(fn, blocks: tuple[Composition, ...]) -> Fraction:
+    """Product of fn over blocks; 1 for none."""
+    if not blocks:
+        return Fraction(1)
+    value = fn(blocks[0])
+    for block in blocks[1:]:
         value *= fn(block)
     return value
 
@@ -251,7 +273,7 @@ def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> Fracti
 def deconcatenations(comp: Composition) -> list[tuple[Composition, Composition]]:
     """All splittings comp = prefix + suffix, including the empty ends."""
     comp = Composition(comp)
-    return [(Composition(comp[:i]), Composition(comp[i:])) for i in range(comp.length + 1)]
+    return [(_trusted(comp[:i]), _trusted(comp[i:])) for i in range(comp.length + 1)]
 
 
 def nonempty_splits(comp: Composition):
@@ -268,9 +290,9 @@ def nonempty_splits(comp: Composition):
         start = 0
         for i in range(1, comp.length):
             if mask >> (i - 1) & 1:
-                blocks.append(Composition(comp[start:i]))
+                blocks.append(_trusted(comp[start:i]))
                 start = i
-        blocks.append(Composition(comp[start:]))
+        blocks.append(_trusted(comp[start:]))
         yield tuple(blocks)
 
 
@@ -281,11 +303,11 @@ def _shuffle_pairs(a: Composition, b: Composition) -> tuple[tuple[Composition, i
     if not b:
         return ((a, 1),)
     acc: dict[Composition, int] = {}
-    for word, m in _shuffle_pairs(Composition(a[1:]), b):
-        key = Composition((a[0],) + tuple(word))
+    for word, m in _shuffle_pairs(_trusted(a[1:]), b):
+        key = _trusted((a[0], *word))
         acc[key] = acc.get(key, 0) + m
-    for word, m in _shuffle_pairs(a, Composition(b[1:])):
-        key = Composition((b[0],) + tuple(word))
+    for word, m in _shuffle_pairs(a, _trusted(b[1:])):
+        key = _trusted((b[0], *word))
         acc[key] = acc.get(key, 0) + m
     return tuple(sorted(acc.items(), key=lambda kv: canonical_key(kv[0])))
 
@@ -305,15 +327,15 @@ def _quasi_shuffle_pairs(a: Composition, b: Composition) -> tuple[tuple[Composit
     if not b:
         return ((a, 1),)
     acc: dict[Composition, int] = {}
-    rest_a, rest_b = Composition(a[1:]), Composition(b[1:])
+    rest_a, rest_b = _trusted(a[1:]), _trusted(b[1:])
     for word, m in _quasi_shuffle_pairs(rest_a, b):
-        key = Composition((a[0],) + tuple(word))
+        key = _trusted((a[0], *word))
         acc[key] = acc.get(key, 0) + m
     for word, m in _quasi_shuffle_pairs(a, rest_b):
-        key = Composition((b[0],) + tuple(word))
+        key = _trusted((b[0], *word))
         acc[key] = acc.get(key, 0) + m
     for word, m in _quasi_shuffle_pairs(rest_a, rest_b):
-        key = Composition((a[0] + b[0],) + tuple(word))
+        key = _trusted((a[0] + b[0], *word))
         acc[key] = acc.get(key, 0) + m
     return tuple(sorted(acc.items(), key=lambda kv: canonical_key(kv[0])))
 

@@ -59,8 +59,10 @@ class GradedElement:
             coef = _as_fraction(coef)
             if coef == 0:
                 continue
-            comp = Composition(comp)
-            cleaned[comp] = cleaned.get(comp, Fraction(0)) + coef
+            if type(comp) is not Composition:
+                comp = Composition(comp)
+            prev = cleaned.get(comp)
+            cleaned[comp] = coef if prev is None else prev + coef
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", {c: v for c, v in cleaned.items() if v != 0})
 
@@ -184,18 +186,30 @@ def format_element(elem: GradedElement) -> str:
     return " ".join(chunks)
 
 
-def product(a: GradedElement, b: GradedElement) -> GradedElement:
+def accumulate_product(
+    acc: dict[Composition, Fraction], a: GradedElement, b: GradedElement
+) -> dict[Composition, Fraction]:
+    """Add the terms of a * b into the term dict acc, in place; returns acc.
+
+    Summing several products into one dict builds one element at the end
+    instead of one per intermediate sum.
+    """
     a._require_same_basis(b)
     rule = _PRODUCT_RULES.get(a.basis)
     if rule is None:
         raise BasisMismatch(f"no product rule for basis {a.basis!r}")
-    acc: dict[Composition, Fraction] = {}
     for ca, va in a.terms.items():
         for cb, vb in b.terms.items():
             coef = va * vb
             for word, mult in rule(ca, cb).items():
-                acc[word] = acc.get(word, Fraction(0)) + coef * mult
-    return GradedElement(a.basis, acc)
+                term = coef if mult == 1 else coef * mult
+                prev = acc.get(word)
+                acc[word] = term if prev is None else prev + term
+    return acc
+
+
+def product(a: GradedElement, b: GradedElement) -> GradedElement:
+    return GradedElement(a.basis, accumulate_product({}, a, b))
 
 
 class TensorElement:
@@ -209,8 +223,14 @@ class TensorElement:
             coef = _as_fraction(coef)
             if coef == 0:
                 continue
-            key = (Composition(pair[0]), Composition(pair[1]))
-            cleaned[key] = cleaned.get(key, Fraction(0)) + coef
+            left, right = pair
+            if type(left) is not Composition:
+                left = Composition(left)
+            if type(right) is not Composition:
+                right = Composition(right)
+            key = (left, right)
+            prev = cleaned.get(key)
+            cleaned[key] = coef if prev is None else prev + coef
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", {k: v for k, v in cleaned.items() if v != 0})
 
@@ -369,11 +389,13 @@ def antipode_by_recursion(basis: str, comp) -> GradedElement:
     if not comp:
         result = GradedElement.unit(basis)
     else:
-        result = -GradedElement.basis_element(basis, comp)
-        for i in range(1, comp.length):
-            left = Composition(comp[:i])
-            right = GradedElement.basis_element(basis, comp[i:])
-            result = result - product(antipode_by_recursion(basis, left), right)
+        # b + sum S(b') b'' over the proper splits, summed in one dict, negated once
+        acc = {comp: Fraction(1)}
+        for left, right in deconcatenations(comp)[1:-1]:
+            accumulate_product(
+                acc, antipode_by_recursion(basis, left), GradedElement.basis_element(basis, right)
+            )
+        result = GradedElement(basis, {c: -v for c, v in acc.items()})
     _antipode_cache[key] = result
     return result
 

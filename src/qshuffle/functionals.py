@@ -22,6 +22,7 @@ from .compositions import (
     Composition,
     compositions_of,
     compositions_up_to,
+    deconcatenations,
     nonempty_splits,
 )
 from .elements import GradedElement, product
@@ -67,8 +68,8 @@ def counit_functional() -> Functional:
 def convolve(phi: Functional, psi: Functional) -> Functional:
     def value(comp: Composition) -> Fraction:
         total = Fraction(0)
-        for i in range(comp.length + 1):
-            total += phi(comp[:i]) * psi(comp[i:])
+        for left, right in deconcatenations(comp):
+            total += phi(left) * psi(right)
         return total
 
     return Functional(phi.value_at_empty * psi.value_at_empty, value)
@@ -87,8 +88,8 @@ def functional_inverse(phi: Functional) -> Functional:
 
     def value(comp: Composition) -> Fraction:
         total = Fraction(0)
-        for i in range(comp.length):
-            total += inv(comp[:i]) * phi(comp[i:])
+        for left, right in deconcatenations(comp)[:-1]:
+            total += inv(left) * phi(right)
         return -at_empty * total
 
     inv = Functional(at_empty, value)

@@ -32,7 +32,7 @@ from .characters import (
     even_odd_character,
     f_to_g,
 )
-from .compositions import Composition, EMPTY, compositions_of, nonempty_splits, stats
+from .compositions import Composition, EMPTY, compositions_of, deconcatenations, nonempty_splits, stats
 from .elements import GradedElement, MONOMIAL, WORD
 from .errors import BasisMismatch, DegreeMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional, convolve, counit_functional, functional_inverse
@@ -61,8 +61,7 @@ class HopfProvider:
 
 def _deconcatenation_provider(name: str) -> HopfProvider:
     def coproduct(label: Label) -> dict[tuple[Composition, Composition], Fraction]:
-        comp = Composition(label)
-        return {(Composition(comp[:i]), Composition(comp[i:])): Fraction(1) for i in range(len(comp) + 1)}
+        return {pair: Fraction(1) for pair in deconcatenations(label)}
 
     return HopfProvider(
         name=name,
@@ -261,10 +260,13 @@ def theta(h: GradedElement) -> GradedElement:
     """
     if h.basis != MONOMIAL:
         raise BasisMismatch(f"theta acts on the {MONOMIAL!r} basis, got {h.basis!r}")
-    out = GradedElement.zero(MONOMIAL)
+    acc: dict[Composition, Fraction] = {}
     for comp, coef in h.terms.items():
-        out = out + _theta_of_monomial(comp).scaled(coef)
-    return out
+        for image, value in _theta_of_monomial(comp).terms.items():
+            term = coef * value
+            prev = acc.get(image)
+            acc[image] = term if prev is None else prev + term
+    return GradedElement(MONOMIAL, acc)
 
 
 def theta_eigencheck(f_even: CharacterData | None, max_degree: int) -> VerifyReport:

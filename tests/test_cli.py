@@ -308,6 +308,64 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "parts, shown",
+    [("[1.9, true]", "1.9"), ("[2.0]", "2.0"), ("[true, 1]", "True"), ('["1", "1"]', "'1'")],
+    ids=("float-and-bool", "float", "bool", "str"),
+)
+def test_theta_elem_rejects_non_int_parts(capsys, parts, shown):
+    elem = '{"basis":"M","terms":[{"comp":%s,"coef":"1"}]}' % parts
+    code, out, err = invoke(capsys, "theta", "--elem", elem)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and shown in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--basis", "type2", "--comp", ",".join(["1"] * 22)),
+        ("expand", "--basis", "type1", "--comp", "11"),
+        ("convert", "--basis", "type2", "--comp", ",".join(["1"] * 11)),
+        ("theta", "--comp", "5,6"),
+        ("theta", "--elem", '{"basis":"M","terms":[{"comp":[1],"coef":"1"},{"comp":[4,7],"coef":"2"}]}'),
+        ("psi", "--hopf", "qsym", "--input", "5,6"),
+        ("phi", "--hopf", "qsym", "--input", "11"),
+    ],
+)
+def test_compositions_above_the_cap_are_rejected(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"sizes are capped at {MAX_DEGREE}" in err
+
+
+def test_compositions_at_the_cap_are_accepted(capsys):
+    code, out, _ = invoke(capsys, "expand", "--basis", "type2", "--comp", "10")
+    assert (code, out) == (0, "M[10]\n")
+    code, out, _ = invoke(capsys, "theta", "--elem", '{"basis":"M","terms":[{"comp":[4,6],"coef":"1"}]}')
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "antipode", "--degree", "2"),
+        ("demo-graph", "--input", "2; 1-2"),
+        ("demo-poset", "--input", "2; 1<2"),
+    ],
+)
+def test_text_only_commands_reject_other_formats(capsys, argv):
+    code, text_out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert invoke(capsys, *argv, "--format", "text")[:2] == (0, text_out)
+    for fmt in ("json", "csv"):
+        code, out, err = invoke(capsys, *argv, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert "--format" in err
+
+
 def test_console_script_entry():
     # Run the [project.scripts] target the way the installed wrapper does, so
     # the test needs no install and still fails if the entry is broken.

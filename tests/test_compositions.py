@@ -78,6 +78,26 @@ def test_composition_validation_and_text():
         assert C.from_text(comp.to_text()) == comp
 
 
+@pytest.mark.parametrize(
+    "parts",
+    [(1.9, 1), (2.0,), (True, 1), (False,), ("1",), ("2", "1"), (1, None)],
+)
+def test_composition_rejects_non_int_parts(parts):
+    # parts enter the program here, so nothing is coerced with int()
+    with pytest.raises(ValueError, match="positive ints"):
+        C(parts)
+    with pytest.raises(ValueError):
+        C((1,)) + list(parts)
+
+
+def test_composition_argument_passes_through_unchanged():
+    comp = C((2, 1))
+    assert C(comp) is comp
+    assert C([2, 1]) == comp and type(C([2, 1])) is C
+    assert type(comp + (3,)) is C and comp + (3,) == C((2, 1, 3))
+    assert type((3,) + comp) is C and (3,) + comp == C((3, 2, 1))
+
+
 def test_stats_examples():
     st = stats(C((2, 1, 2)))
     assert (st.aut_count, st.part_product, st.z_value) == (2, 4, 8)
