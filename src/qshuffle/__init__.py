@@ -19,7 +19,6 @@ from .compositions import (
     quasi_shuffle,
     rearrangements,
     refinement_split,
-    refines,
     shuffle,
     stats,
 )
@@ -33,8 +32,6 @@ from .elements import (
     antipode_word,
     coproduct,
     counit,
-    delta_alpha,
-    expand_polynomial,
     format_element,
     power_sum,
     product,
@@ -53,8 +50,6 @@ from .functionals import (
 )
 from .characters import (
     BUILTIN_NAMES,
-    CharacterData,
-    InfinitesimalData,
     OrderedPartitionSpec,
     basis_contract,
     basis_expand,
@@ -101,8 +96,6 @@ from .demos import (
     graph_infchar_two_ways,
     graph_provider,
     kp_generating_function,
-    phi_on_graph,
-    phi_on_poset,
     poset_provider,
     xi_unique_min,
     zeta_no_edges,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import groupby
 from typing import Callable, Hashable
 
@@ -38,13 +39,12 @@ from .compositions import (
     coarsenings,  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
     compositions_of,
     deconcatenations,
-    extend_over_refinement,
     partitions_of,
     rearrangements,
     shuffle,
     stats,
 )
-from .elements import GradedElement, MONOMIAL, coproduct, power_sum, product, tensor_outer
+from .elements import GradedElement, MONOMIAL, coproduct, parse_rational, power_sum, product, tensor_outer
 from .errors import (
     EvenSizeUnsupported,
     NotNormalized,
@@ -56,56 +56,7 @@ from .functionals import Functional, Violation
 from .report import VerifyReport
 
 
-class CharacterData:
-    """A memoized rational function on compositions with value 1 at empty."""
-
-    __slots__ = ("name", "_fn", "_memo")
-
-    def __init__(self, fn: Callable[[Composition], Fraction], name: str | None = None):
-        self._fn = fn
-        self._memo: dict[Composition, Fraction] = {}
-        self.name = name
-
-    def __call__(self, comp) -> Fraction:
-        comp = Composition(comp)
-        if not comp:
-            return Fraction(1)
-        value = self._memo.get(comp)
-        if value is None:
-            value = Fraction(self._fn(comp))
-            self._memo[comp] = value
-        return value
-
-    def pair(self, fine, coarse) -> Fraction:
-        """f(alpha, beta): product of f over the refinement blocks."""
-        return extend_over_refinement(self, fine, coarse)
-
-    def as_functional(self) -> Functional:
-        """The induced shuffle-algebra functional (value 1 at empty)."""
-        return Functional(1, self, name=self.name)
-
-
-class InfinitesimalData(CharacterData):
-    """Like CharacterData but with value 0 at empty (infinitesimal side)."""
-
-    __slots__ = ()
-
-    def __call__(self, comp) -> Fraction:
-        comp = Composition(comp)
-        if not comp:
-            return Fraction(0)
-        value = self._memo.get(comp)
-        if value is None:
-            value = Fraction(self._fn(comp))
-            self._memo[comp] = value
-        return value
-
-    def as_functional(self) -> Functional:
-        """The induced monomial-basis functional (value 0 at empty)."""
-        return Functional(0, self, name=self.name)
-
-
-def is_shuffle_character(f: CharacterData, max_degree: int) -> tuple[bool, Violation | None]:
+def is_shuffle_character(f: Functional, max_degree: int) -> tuple[bool, Violation | None]:
     """Exhaustive check of f(alpha) f(beta) = sum of f over shuffles.
 
     Sweeps nonempty pairs in canonical order with |alpha| + |beta| up to
@@ -128,7 +79,7 @@ def single(n: int) -> Composition:
     return Composition((n,))
 
 
-def normalize(f: CharacterData, max_degree: int | None = None) -> CharacterData:
+def normalize(f: Functional, max_degree: int | None = None) -> Functional:
     """Rescale so every single part gets value 1.
 
     The rescaled character multiplies f(alpha) by 1/f((a_i)) for each part;
@@ -137,33 +88,26 @@ def normalize(f: CharacterData, max_degree: int | None = None) -> CharacterData:
     """
 
     def value(comp: Composition) -> Fraction:
-        out = f(comp)
-        for p in comp:
-            fp = f(single(p))
-            if fp == 0:
-                raise SingularCharacter(f"f(({p})) = 0")
-            out /= fp
-        return out
+        return f(comp) / _diagonal(f, comp)
 
     if max_degree is not None:
         for n in range(1, max_degree + 1):
-            if f(single(n)) == 0:
-                raise SingularCharacter(f"f(({n})) = 0")
+            _diagonal(f, single(n))
     label = f"normalized {f.name}" if f.name else None
-    return CharacterData(value, name=label)
+    return Functional(1, value, name=label)
 
 
-def is_normalized(f: CharacterData, max_degree: int) -> bool:
+def is_normalized(f: Functional, max_degree: int) -> bool:
     return all(f(single(n)) == 1 for n in range(1, max_degree + 1))
 
 
-def _require_normalized(f: CharacterData, max_degree: int) -> None:
+def _require_normalized(f: Functional, max_degree: int) -> None:
     for n in range(1, max_degree + 1):
         if f(single(n)) != 1:
             raise NotNormalized(f"f(({n})) = {f(single(n))}, expected 1")
 
 
-def _diagonal(f: CharacterData, comp: Composition) -> Fraction:
+def _diagonal(f: Functional, comp: Composition) -> Fraction:
     """f(alpha, alpha) = product of single-part values; SingularCharacter on zero."""
     out = Fraction(1)
     for p in comp:
@@ -174,69 +118,48 @@ def _diagonal(f: CharacterData, comp: Composition) -> Fraction:
     return out
 
 
-def f_to_g(f: CharacterData, max_degree: int | None = None) -> InfinitesimalData:
-    """Solve the triangular system for g given f.
+def _triangular_dual(h: Functional, value_at_empty: int, letter: str, max_degree: int | None) -> Functional:
+    """Solve sum over coarsenings beta of h(alpha, beta) k(beta) = [length(alpha) = 1] for k.
 
-    g((n)) = 1/f((n)); longer compositions come from the strictly coarser
-    ones, which have shorter length, so the recursion terminates.  Values
-    are lazy and memoized; a max_degree materializes everything up to it.
+    Symmetric in f and g: h = f gives g (value 0 at empty), h = g gives f
+    (value 1).  k((n)) = 1/h((n)); longer compositions come from strictly
+    coarser, shorter ones.  Lazy and memoized; a max_degree materializes
+    everything up to it.
     """
-    g: InfinitesimalData | None = None
+    k: Functional | None = None
 
     def value(alpha: Composition) -> Fraction:
-        diag = _diagonal(f, alpha)
+        diag = _diagonal(h, alpha)
         if alpha.length == 1:
             return 1 / diag
         total = Fraction(0)
         for beta, blocks in coarsening_splits(alpha):
             if beta == alpha:
                 continue
-            total += block_product(f, blocks) * g(beta)
+            total += block_product(h, blocks) * k(beta)
         return -total / diag
 
-    label = f"g[{f.name}]" if f.name else None
-    g = InfinitesimalData(value, name=label)
+    label = f"{letter}[{h.name}]" if h.name else None
+    k = Functional(value_at_empty, value, name=label)
     if max_degree is not None:
         for n in range(1, max_degree + 1):
             for alpha in compositions_of(n):
-                g(alpha)
-    return g
+                k(alpha)
+    return k
 
 
-def g_to_f(g: InfinitesimalData, max_degree: int | None = None) -> CharacterData:
-    """Solve the same triangular system with the roles of f and g switched."""
-    f: CharacterData | None = None
-
-    def value(alpha: Composition) -> Fraction:
-        diag = _diagonal(g, alpha)
-        if alpha.length == 1:
-            return 1 / diag
-        total = Fraction(0)
-        for beta, blocks in coarsening_splits(alpha):
-            if beta == alpha:
-                continue
-            total += block_product(g, blocks) * f(beta)
-        return -total / diag
-
-    label = f"f[{g.name}]" if g.name else None
-    f = CharacterData(value, name=label)
-    if max_degree is not None:
-        for n in range(1, max_degree + 1):
-            for alpha in compositions_of(n):
-                f(alpha)
-    return f
+def f_to_g(f: Functional, max_degree: int | None = None) -> Functional:
+    """The dual g of a shuffle character f: an infinitesimal character (value 0 at empty)."""
+    return _triangular_dual(f, 0, "g", max_degree)
 
 
-def basis_expand(f: CharacterData, alpha) -> GradedElement:
-    """X_alpha in the monomial basis: coarsenings weighted by f(alpha, .)."""
-    alpha = Composition(alpha)
-    return GradedElement(
-        MONOMIAL, {beta: block_product(f, blocks) for beta, blocks in coarsening_splits(alpha)}
-    )
+def g_to_f(g: Functional, max_degree: int | None = None) -> Functional:
+    """The character f whose dual is g: the same triangular system, roles switched."""
+    return _triangular_dual(g, 1, "f", max_degree)
 
 
-def basis_contract(g: InfinitesimalData, alpha) -> dict[Composition, Fraction]:
-    """Coordinates of M_alpha over the X basis: coarsenings weighted by g(alpha, .)."""
+def basis_contract(g: Functional, alpha) -> dict[Composition, Fraction]:
+    """Coordinates of M_alpha over the X basis: coarsenings weighted by g(alpha, .), zeros left out."""
     alpha = Composition(alpha)
     out = {}
     for beta, blocks in coarsening_splits(alpha):
@@ -246,7 +169,12 @@ def basis_contract(g: InfinitesimalData, alpha) -> dict[Composition, Fraction]:
     return out
 
 
-def qps_expand(f: CharacterData, alpha) -> GradedElement:
+def basis_expand(f: Functional, alpha) -> GradedElement:
+    """X_alpha in the monomial basis: coarsenings weighted by f(alpha, .)."""
+    return GradedElement(MONOMIAL, basis_contract(f, alpha))
+
+
+def qps_expand(f: Functional, alpha) -> GradedElement:
     """The quasisymmetric power sum P_alpha = aut(alpha) X_alpha, monomial basis.
 
     Requires f normalized on single parts up to |alpha|.
@@ -257,7 +185,7 @@ def qps_expand(f: CharacterData, alpha) -> GradedElement:
 
 
 def verify_qps(
-    f: CharacterData, max_degree: int, partition_degree: int | None = None
+    f: Functional, max_degree: int, partition_degree: int | None = None
 ) -> VerifyReport:
     """Check the three power sum axioms exhaustively.
 
@@ -270,6 +198,8 @@ def verify_qps(
         partition_degree = max_degree
     label = f.name or "f"
     report = VerifyReport(f"qps axioms for {label}")
+    # P_alpha for each composition once; the memo goes when the sweep ends
+    qps = lru_cache(maxsize=None)(partial(qps_expand, f))
 
     witness = None
     for total in range(2, max_degree + 1):
@@ -281,15 +211,18 @@ def verify_qps(
             for alpha in compositions_of(a):
                 if witness:
                     break
-                p_alpha = qps_expand(f, alpha)
+                p_alpha = qps(alpha)
                 z_alpha = stats(alpha).z_value
                 for beta in compositions_of(total - a):
-                    lhs = product(p_alpha, qps_expand(f, beta))
+                    lhs = product(p_alpha, qps(beta))
                     scale = Fraction(z_alpha * stats(beta).z_value, stats(alpha + beta).z_value)
-                    rhs = GradedElement.zero(MONOMIAL)
+                    rhs: dict[Composition, Fraction] = {}
                     for gamma, mult in shuffle(alpha, beta).items():
-                        rhs = rhs + qps_expand(f, gamma).scaled(mult)
-                    if lhs != rhs.scaled(scale):
+                        for comp, coef in qps(gamma).terms.items():
+                            term = coef * mult
+                            prev = rhs.get(comp)
+                            rhs[comp] = term if prev is None else prev + term
+                    if lhs != GradedElement(MONOMIAL, rhs).scaled(scale):
                         witness = f"alpha={alpha}, beta={beta}"
                         break
     report.add(f"product rule through degree {max_degree}", witness is None, witness)
@@ -300,11 +233,11 @@ def verify_qps(
             break
         for alpha in compositions_of(n):
             z_alpha = stats(alpha).z_value
-            lhs = coproduct(qps_expand(f, alpha))
+            lhs = coproduct(qps(alpha))
             rhs = None
             for left, right in deconcatenations(alpha):
                 scale = Fraction(z_alpha, stats(left).z_value * stats(right).z_value)
-                piece = tensor_outer(qps_expand(f, left), qps_expand(f, right)).scaled(scale)
+                piece = tensor_outer(qps(left), qps(right)).scaled(scale)
                 rhs = piece if rhs is None else rhs + piece
             if lhs != rhs:
                 witness = f"alpha={alpha}"
@@ -318,7 +251,7 @@ def verify_qps(
         for lam in partitions_of(n):
             total = GradedElement.zero(MONOMIAL)
             for alpha in rearrangements(lam):
-                total = total + qps_expand(f, alpha)
+                total = total + qps(alpha)
             if total != power_sum(lam):
                 witness = f"lambda={lam}"
                 break
@@ -330,7 +263,7 @@ def verify_qps(
 # constructions
 
 
-def prefix_sum_character(tau: Callable[[int], Fraction], name: str | None = None) -> CharacterData:
+def prefix_sum_character(tau: Callable[[int], Fraction], name: str | None = None) -> Functional:
     """f(alpha) = product over i of 1/(tau(a_1) + ... + tau(a_i)).
 
     Raises ZeroPrefixSum if a prefix sum vanishes at evaluation time.
@@ -346,7 +279,7 @@ def prefix_sum_character(tau: Callable[[int], Fraction], name: str | None = None
             out /= running
         return out
 
-    return CharacterData(value, name=name)
+    return Functional(1, value, name=name)
 
 
 @dataclass(frozen=True)
@@ -362,11 +295,11 @@ class OrderedPartitionSpec:
 
     classify: Callable[[int], Hashable]
     class_key: Callable[[Hashable], object]
-    character_for: Callable[[Hashable], CharacterData]
+    character_for: Callable[[Hashable], Functional]
     max_part: int | None = None
 
 
-def ordered_partition_character(spec: OrderedPartitionSpec, name: str | None = None) -> CharacterData:
+def ordered_partition_character(spec: OrderedPartitionSpec, name: str | None = None) -> Functional:
     """f that vanishes off class-respecting compositions and factors per class.
 
     A composition respects the ordered partition when its class sequence is
@@ -392,14 +325,14 @@ def ordered_partition_character(spec: OrderedPartitionSpec, name: str | None = N
             out *= spec.character_for(cls)(block)
         return out
 
-    return CharacterData(value, name=name)
+    return Functional(1, value, name=name)
 
 
-def _factorial_character() -> CharacterData:
+def _factorial_character() -> Functional:
     return prefix_sum_character(lambda n: Fraction(1), name="type2")
 
 
-def even_odd_character(f_even: CharacterData | None = None, name: str | None = None) -> CharacterData:
+def even_odd_character(f_even: Functional | None = None, name: str | None = None) -> Functional:
     """Evens before odds; 1/length! on the odd block, f_even on the even block.
 
     The stock even-odd basis takes f_even = 1/length! as well, giving
@@ -418,7 +351,7 @@ def even_odd_character(f_even: CharacterData | None = None, name: str | None = N
     return ordered_partition_character(spec, name=name or "even-odd")
 
 
-def _singleton_order_character(key: Callable[[int], object], name: str, max_part: int | None = None) -> CharacterData:
+def _singleton_order_character(key: Callable[[int], object], name: str, max_part: int | None = None) -> Functional:
     factorial_f = _factorial_character()
     spec = OrderedPartitionSpec(
         classify=lambda p: p,
@@ -429,7 +362,7 @@ def _singleton_order_character(key: Callable[[int], object], name: str, max_part
     return ordered_partition_character(spec, name=name)
 
 
-def order_basis_character(order) -> CharacterData:
+def order_basis_character(order) -> Functional:
     """1/aut on compositions weakly increasing under the listed order, else 0.
 
     ``order`` lists the integers 1..k smallest-first under the intended
@@ -448,10 +381,10 @@ def order_basis_character(order) -> CharacterData:
 
 
 BUILTIN_NAMES = ("type1", "type2", "even-odd", "combinatorial", "reverse-combinatorial")
-_builtin_cache: dict[str, CharacterData] = {}
+_builtin_cache: dict[str, Functional] = {}
 
 
-def builtin(name: str) -> CharacterData:
+def builtin(name: str) -> Functional:
     """The five stock shuffle characters, by their registry names."""
     cached = _builtin_cache.get(name)
     if cached is not None:
@@ -473,7 +406,7 @@ def builtin(name: str) -> CharacterData:
     return f
 
 
-def resolve_basis(spec_text: str) -> CharacterData:
+def resolve_basis(spec_text: str) -> Functional:
     """Registry lookup for CLI basis names.
 
     Accepts the five stock names, ``prefix-sum:<tau values>`` with a comma
@@ -484,7 +417,7 @@ def resolve_basis(spec_text: str) -> CharacterData:
         return builtin(spec_text)
     if spec_text.startswith("prefix-sum:"):
         body = spec_text[len("prefix-sum:") :]
-        values = [Fraction(chunk.strip()) for chunk in body.split(",") if chunk.strip()]
+        values = [parse_rational(chunk.strip()) for chunk in body.split(",") if chunk.strip()]
         if not values:
             raise ValueError("prefix-sum: needs at least one tau value")
 
@@ -544,7 +477,7 @@ class IntegralityWitness:
 
 
 def check_integral_nonneg(
-    f: CharacterData, max_degree: int
+    f: Functional, max_degree: int
 ) -> tuple[bool, IntegralityWitness | None]:
     """Do all monomial coefficients of the P_alpha lie in the nonnegative integers?
 

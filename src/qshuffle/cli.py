@@ -198,9 +198,9 @@ def _resolve_functional(name: str):
         side = WORD if name == "xiS" else MONOMIAL
         return side, canonical(name)
     if name.startswith("f:"):
-        return WORD, resolve_basis(name[2:]).as_functional()
+        return WORD, resolve_basis(name[2:])
     if name.startswith("g:"):
-        return MONOMIAL, f_to_g(resolve_basis(name[2:])).as_functional()
+        return MONOMIAL, f_to_g(resolve_basis(name[2:]))
     raise CliUsageError(
         f"unknown functional {name!r}; known: {', '.join(CANONICAL_NAMES)}, f:<basis>, g:<basis>"
     )
@@ -249,8 +249,8 @@ def _cmd_table(args) -> int:
     comps = list(compositions_of(degree))
     rows = []
     for alpha in comps:
-        elem = qps_expand(f, alpha) if args.kind == "qps" else basis_expand(f, alpha)
-        rows.append([str(elem.coefficient(beta)) for beta in comps])
+        terms = (qps_expand(f, alpha) if args.kind == "qps" else basis_expand(f, alpha)).terms
+        rows.append([str(terms[beta]) if beta in terms else "0" for beta in comps])
     labels = [c.to_text() for c in comps]
     if args.format == "json":
         payload = json.dumps(
@@ -399,9 +399,8 @@ def _cmd_psi(args) -> int:
         elem = universal_to_sh(sh_provider(), canonical("xiS"), h)
     else:
         f = resolve_basis(args.basis or "type2")
-        xi = f_to_g(f).as_functional()
         h = _parse_comp(args.input, "--input")
-        elem = universal_to_sh(qsym_provider(), xi, h)
+        elem = universal_to_sh(qsym_provider(), f_to_g(f), h)
     _emit(_element_payload(elem, args.format), args.out)
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 
 from .errors import NotARefinement
 
@@ -242,14 +242,6 @@ def refinement_split(fine: Composition, coarse: Composition) -> tuple[Compositio
     return tuple(blocks)
 
 
-def refines(fine: Composition, coarse: Composition) -> bool:
-    try:
-        refinement_split(fine, coarse)
-    except NotARefinement:
-        return False
-    return True
-
-
 def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> Fraction:
     """Product of fn over the blocks of ``fine`` refined into ``coarse``.
 
@@ -347,8 +339,3 @@ def quasi_shuffle(a: Composition, b: Composition) -> dict[Composition, int]:
     their sum; these are the structure constants of the monomial basis.
     """
     return dict(_quasi_shuffle_pairs(Composition(a), Composition(b)))
-
-
-def shuffle_multiplicity_total(a: Composition, b: Composition) -> int:
-    """What the shuffle multiplicities must add up to."""
-    return comb(len(a) + len(b), len(a))

@@ -28,9 +28,8 @@ from .universal import (
     HopfProvider,
     canonical,
     char_to_infchar,
-    universal_to_qsym,
 )
-from .characters import CharacterData
+from .functionals import Functional
 
 
 class SmallGraph(tuple):
@@ -231,19 +230,13 @@ def format_polynomial(coeffs: list[int], var: str = "k") -> str:
     return " ".join(bits) if bits else "0"
 
 
-_graph_infchar_fns: dict[CharacterData, object] = {}
-
-
-def graph_infchar(f: CharacterData):
+@lru_cache(maxsize=None)
+def graph_infchar(f: Functional):
     """The infinitesimal character induced from the no-edges character by f."""
-    fn = _graph_infchar_fns.get(f)
-    if fn is None:
-        fn = char_to_infchar(zeta_no_edges, f, _GRAPH_PROVIDER)
-        _graph_infchar_fns[f] = fn
-    return fn
+    return char_to_infchar(zeta_no_edges, f, _GRAPH_PROVIDER)
 
 
-def graph_infchar_two_ways(g: SmallGraph, f: CharacterData) -> tuple[Fraction, Fraction]:
+def graph_infchar_two_ways(g: SmallGraph, f: Functional) -> tuple[Fraction, Fraction]:
     """The linear chromatic coefficient, twice.
 
     First from the chromatic polynomial, then as the induced infinitesimal
@@ -448,37 +441,3 @@ _eta = canonical("eta")
 def eta_check(p: SmallPoset) -> tuple[Fraction, Fraction]:
     """Pair the flag generating function with eta, against the unique-minimal indicator."""
     return _eta.of_element(kp_generating_function(p)), xi_unique_min(p)
-
-
-def phi_on_graph(g: SmallGraph) -> GradedElement:
-    """Alias for the chromatic symmetric function (universal image)."""
-    return chromatic_symmetric(g)
-
-
-def phi_on_poset(p: SmallPoset) -> GradedElement:
-    """Alias for the ideal-flag generating function (universal image)."""
-    return kp_generating_function(p)
-
-
-def check_provider_multiplicativity(max_degree: int) -> bool:
-    """The stated functionals respect disjoint unions (degree-capped sweep)."""
-    for na in range(1, max_degree):
-        for nb in range(1, max_degree - na + 1):
-            for ga in all_graphs(na):
-                for gb in all_graphs(nb):
-                    union = ga.disjoint_union(gb)
-                    if zeta_no_edges(union) != zeta_no_edges(ga) * zeta_no_edges(gb):
-                        return False
-            for pa in all_posets(na):
-                for pb in all_posets(nb):
-                    union = pa.disjoint_union(pb)
-                    if zeta_ones(union) != zeta_ones(pa) * zeta_ones(pb):
-                        return False
-                    if xi_unique_min(union) != 0:
-                        return False
-    return True
-
-
-def _universal_phi_graph(g: SmallGraph) -> GradedElement:
-    """The same morphism computed through the generic entry point (for tests)."""
-    return universal_to_qsym(_GRAPH_PROVIDER, zeta_no_edges, g)

@@ -19,8 +19,8 @@ equality of elements is equality of the term dictionaries.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from itertools import combinations
 
 from .compositions import (
     EMPTY,
@@ -28,10 +28,9 @@ from .compositions import (
     canonical_key,
     deconcatenations,
     quasi_shuffle,
-    refinement_split,
     shuffle,
 )
-from .errors import BasisMismatch, DegreeMismatch, NotAPartition, NotARefinement
+from .errors import BasisMismatch, NotAPartition
 
 MONOMIAL = "M"
 WORD = "X"
@@ -46,6 +45,23 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+_RATIONAL_TEXT = re.compile(r"-?\d+(/\d+|\.\d+)?", re.ASCII)
+
+
+def parse_rational(value) -> Fraction:
+    """An exact rational from outside: an int (not a bool) or text like ``-3``, ``2/5`` or ``1.25``.
+
+    Anything else (a float, an exponent, a zero denominator) raises ValueError.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
+        den = value.partition("/")[2]
+        if not den or int(den):
+            return Fraction(value)
+    raise ValueError(f"not an exact rational (an int, or text like -2/3 or 1.5): {value!r}")
 
 
 class GradedElement:
@@ -159,7 +175,7 @@ class GradedElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedElement":
-        return cls(data["basis"], {Composition(t["comp"]): Fraction(t["coef"]) for t in data["terms"]})
+        return cls(data["basis"], {Composition(t["comp"]): parse_rational(t["coef"]) for t in data["terms"]})
 
     @classmethod
     def from_json(cls, text: str) -> "GradedElement":
@@ -328,35 +344,6 @@ def counit(h: GradedElement) -> Fraction:
     return h.coefficient(EMPTY)
 
 
-def delta_alpha(h: GradedElement, alpha) -> list[tuple[tuple[Composition, ...], Fraction]]:
-    """The iterated coproduct of h projected onto multidegree alpha.
-
-    h must be homogeneous of degree |alpha|.  For a deconcatenation basis
-    this is a sum over splits of each index into consecutive blocks of sizes
-    alpha_1, ..., alpha_l; such a split is unique when it exists, and it
-    exists exactly when the index refines alpha.
-    """
-    if h.basis not in _PRODUCT_RULES:
-        raise BasisMismatch(f"no coproduct for basis {h.basis!r}")
-    alpha = Composition(alpha)
-    if h.homogeneous_degree() != alpha.size and not h.is_zero():
-        raise DegreeMismatch(f"element of degrees {h.degrees()} vs multidegree {alpha}")
-    acc: dict[tuple[Composition, ...], Fraction] = {}
-    for comp, coef in h.terms.items():
-        if not alpha:
-            acc[()] = acc.get((), Fraction(0)) + coef
-            continue
-        try:
-            blocks = refinement_split(comp, alpha)
-        except NotARefinement:
-            continue
-        acc[blocks] = acc.get(blocks, Fraction(0)) + coef
-    return sorted(
-        ((blocks, v) for blocks, v in acc.items() if v != 0),
-        key=lambda kv: tuple(canonical_key(b) for b in kv[0]),
-    )
-
-
 def antipode_word(h: GradedElement) -> GradedElement:
     """Antipode on the shuffle algebra: X[a1..al] -> (-1)^l X[al..a1]."""
     if h.basis != WORD:
@@ -408,40 +395,6 @@ def antipode_monomial(h: GradedElement) -> GradedElement:
     for comp, coef in h.terms.items():
         out = out + antipode_by_recursion(MONOMIAL, comp).scaled(coef)
     return out
-
-
-def expand_polynomial(h: GradedElement, num_vars: int) -> dict[tuple[int, ...], Fraction]:
-    """Truncate a monomial-basis element to a polynomial in num_vars variables.
-
-    M[a1..al] becomes the sum of x_{i1}^{a1} ... x_{il}^{al} over strictly
-    increasing index tuples i1 < ... < il <= num_vars.  Returned as a map
-    from exponent vectors (length num_vars) to coefficients.
-    """
-    if h.basis != MONOMIAL:
-        raise BasisMismatch(f"polynomial expansion needs basis {MONOMIAL!r}, got {h.basis!r}")
-    if num_vars < 0:
-        raise ValueError("num_vars must be >= 0")
-    poly: dict[tuple[int, ...], Fraction] = {}
-    for comp, coef in h.terms.items():
-        for idx in combinations(range(num_vars), comp.length):
-            expo = [0] * num_vars
-            for pos, power in zip(idx, comp):
-                expo[pos] = power
-            key = tuple(expo)
-            poly[key] = poly.get(key, Fraction(0)) + coef
-    return {k: v for k, v in poly.items() if v != 0}
-
-
-def polynomial_product(
-    p: dict[tuple[int, ...], Fraction], q: dict[tuple[int, ...], Fraction]
-) -> dict[tuple[int, ...], Fraction]:
-    """Multiply two exponent-vector polynomials over the same variable count."""
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for ea, va in p.items():
-        for eb, vb in q.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            acc[key] = acc.get(key, Fraction(0)) + va * vb
-    return {k: v for k, v in acc.items() if v != 0}
 
 
 def power_sum(partition) -> GradedElement:

@@ -2,7 +2,9 @@
 
 A functional is determined by its value on the empty composition plus a
 function on nonempty compositions; values are memoized, so functionals stay
-lazy and degree bounds can grow without recomputation.  Convolution is
+lazy and degree bounds can grow without recomputation.  Characters (value
+1 at empty) and infinitesimal characters (value 0) are both Functionals.
+Convolution is
 
     (phi * psi)(b_gamma) = sum over gamma = alpha beta of phi(b_alpha) psi(b_beta)
 
@@ -23,6 +25,7 @@ from .compositions import (
     compositions_of,
     compositions_up_to,
     deconcatenations,
+    extend_over_refinement,
     nonempty_splits,
 )
 from .elements import GradedElement, product
@@ -49,6 +52,10 @@ class Functional:
             value = Fraction(self._fn(comp))
             self._memo[comp] = value
         return value
+
+    def pair(self, fine, coarse) -> Fraction:
+        """f(alpha, beta): product of the functional over the refinement blocks."""
+        return extend_over_refinement(self, fine, coarse)
 
     def of_element(self, elem: GradedElement) -> Fraction:
         total = Fraction(0)
@@ -96,57 +103,45 @@ def functional_inverse(phi: Functional) -> Functional:
     return inv
 
 
-def exp_functional(xi: Functional, max_degree: int | None = None) -> Functional:
-    """exp under convolution: sum of xi^{*m} / m!.
+def _split_series(phi: Functional, weight, value_at_empty: int, max_degree: int | None) -> Functional:
+    """Sum over m >= 1 of weight(m) phi^{*m}, one term per split into m nonempty blocks.
 
-    Requires xi to vanish on the empty composition, which makes the series
-    finite on every composition (at most length-many terms), so values are
-    exact at all degrees.  When max_degree is given, all values at sizes up
-    to it are computed eagerly.
+    Finite on every composition, so exact at all degrees; a max_degree
+    computes all values at sizes up to it eagerly.
     """
-    if xi.value_at_empty != 0:
-        raise NonvanishingAtEmpty(f"exp needs value 0 on the empty composition, got {xi.value_at_empty}")
 
     def value(comp: Composition) -> Fraction:
         total = Fraction(0)
         for blocks in nonempty_splits(comp):
-            term = Fraction(1, factorial(len(blocks)))
+            term = weight(len(blocks))
             for block in blocks:
-                term *= xi(block)
+                term *= phi(block)
             total += term
         return total
 
-    result = Functional(1, value)
+    result = Functional(value_at_empty, value)
     if max_degree is not None:
         for comp in compositions_up_to(max_degree):
             result(comp)
     return result
+
+
+def exp_functional(xi: Functional, max_degree: int | None = None) -> Functional:
+    """exp under convolution: sum of xi^{*m} / m!; xi must vanish on the empty composition."""
+    if xi.value_at_empty != 0:
+        raise NonvanishingAtEmpty(f"exp needs value 0 on the empty composition, got {xi.value_at_empty}")
+    return _split_series(xi, lambda m: Fraction(1, factorial(m)), 1, max_degree)
 
 
 def log_functional(zeta: Functional, max_degree: int | None = None) -> Functional:
     """log under convolution: sum over m >= 1 of (-1)^(m-1)/m (zeta - counit)^{*m}.
 
-    Requires value 1 on the empty composition; the series is finite on every
-    composition for the same reason as exp.
+    Requires value 1 on the empty composition; on nonempty blocks zeta -
+    counit is zeta.
     """
     if zeta.value_at_empty != 1:
         raise WrongValueAtEmpty(f"log needs value 1 on the empty composition, got {zeta.value_at_empty}")
-
-    def value(comp: Composition) -> Fraction:
-        total = Fraction(0)
-        for blocks in nonempty_splits(comp):
-            m = len(blocks)
-            term = Fraction(-1 if m % 2 == 0 else 1, m)
-            for block in blocks:
-                term *= zeta(block)
-            total += term
-        return total
-
-    result = Functional(0, value)
-    if max_degree is not None:
-        for comp in compositions_up_to(max_degree):
-            result(comp)
-    return result
+    return _split_series(zeta, lambda m: Fraction(-1 if m % 2 == 0 else 1, m), 0, max_degree)
 
 
 def lie_bracket(xi1: Functional, xi2: Functional) -> Functional:
@@ -186,6 +181,20 @@ def _basis_pairs(max_degree: int):
                     yield alpha, beta
 
 
+def _product_sweep(phi: Functional, max_degree: int, basis: str, value_at_empty: int):
+    """phi(b b') must be phi(b) phi(b') for a character (value 1 at empty), 0 for an infinitesimal one."""
+    if phi.value_at_empty != value_at_empty:
+        return False, Violation("value-at-empty", None, None, Fraction(value_at_empty), phi.value_at_empty)
+    for alpha, beta in _basis_pairs(max_degree):
+        lhs = phi.of_element(
+            product(GradedElement.basis_element(basis, alpha), GradedElement.basis_element(basis, beta))
+        )
+        rhs = phi(alpha) * phi(beta) if value_at_empty else Fraction(0)
+        if lhs != rhs:
+            return False, Violation("product", alpha, beta, rhs, lhs)
+    return True, None
+
+
 def is_character(
     phi: Functional, max_degree: int, basis: str = "M"
 ) -> tuple[bool, Violation | None]:
@@ -195,28 +204,11 @@ def is_character(
     canonical order up to total degree max_degree; returns the first
     violation found.
     """
-    if phi.value_at_empty != 1:
-        return False, Violation("value-at-empty", None, None, Fraction(1), phi.value_at_empty)
-    for alpha, beta in _basis_pairs(max_degree):
-        lhs = phi.of_element(
-            product(GradedElement.basis_element(basis, alpha), GradedElement.basis_element(basis, beta))
-        )
-        rhs = phi(alpha) * phi(beta)
-        if lhs != rhs:
-            return False, Violation("product", alpha, beta, rhs, lhs)
-    return True, None
+    return _product_sweep(phi, max_degree, basis, 1)
 
 
 def is_infinitesimal_character(
     phi: Functional, max_degree: int, basis: str = "M"
 ) -> tuple[bool, Violation | None]:
     """Vanishes at the unit and on every product of positive-degree elements."""
-    if phi.value_at_empty != 0:
-        return False, Violation("value-at-empty", None, None, Fraction(0), phi.value_at_empty)
-    for alpha, beta in _basis_pairs(max_degree):
-        lhs = phi.of_element(
-            product(GradedElement.basis_element(basis, alpha), GradedElement.basis_element(basis, beta))
-        )
-        if lhs != 0:
-            return False, Violation("product", alpha, beta, Fraction(0), lhs)
-    return True, None
+    return _product_sweep(phi, max_degree, basis, 0)

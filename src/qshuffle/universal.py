@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .characters import (
-    CharacterData,
     _require_normalized,
     basis_expand,
     even_odd_character,
@@ -137,33 +137,40 @@ def _element_degree(provider: HopfProvider, h: Mapping[Label, Fraction]) -> int:
     return degrees.pop() if degrees else 0
 
 
-def universal_to_qsym(provider: HopfProvider, zeta: Callable[[Label], Fraction], h) -> GradedElement:
-    """The canonical morphism into QSym attached to a character zeta.
+def _check_unit(provider: HopfProvider, phi: Callable[[Label], Fraction], expected: int) -> None:
+    """A character takes 1 at the unit label, an infinitesimal character 0."""
+    value = phi(provider.unit_label)
+    if Fraction(value) != expected:
+        if expected:
+            raise NotACharacter(f"zeta(unit) = {value}, expected 1")
+        raise NotAnInfinitesimalCharacter(f"xi(unit) = {value}, expected 0")
 
-    h is a basis label or a finitely supported label -> coefficient mapping,
-    homogeneous.  Only the unit-label precondition of zeta is enforced here;
-    full character verification is the caller's job.
+
+def _universal_morphism(
+    provider: HopfProvider, phi: Callable[[Label], Fraction], h, basis: str
+) -> GradedElement:
+    """Phi(h) in basis M for a character phi, in X for an infinitesimal one.
+
+    h is a basis label or a homogeneous label -> coefficient mapping.  Only
+    phi's value at the unit is checked; the rest is the caller's job.
     """
     h = _as_label_element(h)
-    if Fraction(zeta(provider.unit_label)) != 1:
-        raise NotACharacter(f"zeta(unit) = {zeta(provider.unit_label)}, expected 1")
+    _check_unit(provider, phi, 1 if basis == MONOMIAL else 0)
     n = _element_degree(provider, h)
-    evaluator = CharacterPowerEvaluator(provider, zeta)
+    evaluator = CharacterPowerEvaluator(provider, phi)
     return GradedElement(
-        MONOMIAL, {alpha: evaluator.on_element(h, tuple(alpha)) for alpha in compositions_of(n)}
+        basis, {alpha: evaluator.on_element(h, tuple(alpha)) for alpha in compositions_of(n)}
     )
+
+
+def universal_to_qsym(provider: HopfProvider, zeta: Callable[[Label], Fraction], h) -> GradedElement:
+    """The canonical morphism into QSym attached to a character zeta."""
+    return _universal_morphism(provider, zeta, h, MONOMIAL)
 
 
 def universal_to_sh(provider: HopfProvider, xi: Callable[[Label], Fraction], h) -> GradedElement:
     """The canonical morphism into the shuffle algebra attached to xi."""
-    h = _as_label_element(h)
-    if Fraction(xi(provider.unit_label)) != 0:
-        raise NotAnInfinitesimalCharacter(f"xi(unit) = {xi(provider.unit_label)}, expected 0")
-    n = _element_degree(provider, h)
-    evaluator = CharacterPowerEvaluator(provider, xi)
-    return GradedElement(
-        WORD, {alpha: evaluator.on_element(h, tuple(alpha)) for alpha in compositions_of(n)}
-    )
+    return _universal_morphism(provider, xi, h, WORD)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +276,7 @@ def theta(h: GradedElement) -> GradedElement:
     return GradedElement(MONOMIAL, acc)
 
 
-def theta_eigencheck(f_even: CharacterData | None, max_degree: int) -> VerifyReport:
+def theta_eigencheck(f_even: Functional | None, max_degree: int) -> VerifyReport:
     """Verify theta acts on an even-odd shuffle basis with eigenvalues 2^length.
 
     The basis comes from the character that sends an even-then-odd
@@ -303,71 +310,52 @@ def theta_eigencheck(f_even: CharacterData | None, max_degree: int) -> VerifyRep
 # characters <-> infinitesimal characters through a shuffle basis
 
 
-def _memoized_label_fn(fn: Callable[[Label], Fraction]) -> Callable[[Label], Fraction]:
-    cache: dict[Label, Fraction] = {}
+def _transfer(
+    phi: Callable[[Label], Fraction], f: Functional, weight: Functional, provider: HopfProvider
+) -> Callable[[Label], Fraction]:
+    """h -> sum over alpha of (phi-power of the alpha-coproduct of h) weight(alpha), memoized.
 
-    def wrapped(label: Label) -> Fraction:
-        value = cache.get(label)
-        if value is None:
-            value = fn(label)
-            cache[label] = value
-        return value
+    weight is f (value 1 at empty) for an infinitesimal character phi, or g
+    (value 0) for a character; the result takes weight's value at empty.
+    """
+    _check_unit(provider, phi, 1 - weight.value_at_empty)
+    evaluator = CharacterPowerEvaluator(provider, phi)
 
-    return wrapped
+    @lru_cache(maxsize=None)
+    def transferred(label: Label) -> Fraction:
+        n = provider.degree(label)
+        _require_normalized(f, n)
+        if n == 0:
+            return weight.value_at_empty
+        total = Fraction(0)
+        for alpha in compositions_of(n):
+            coef = evaluator.value(label, tuple(alpha))
+            if coef:
+                total += coef * weight(alpha)
+        return total
+
+    return transferred
 
 
 def infchar_to_char(
-    xi: Callable[[Label], Fraction], f: CharacterData, provider: HopfProvider
+    xi: Callable[[Label], Fraction], f: Functional, provider: HopfProvider
 ) -> Callable[[Label], Fraction]:
     """Turn an infinitesimal character of H into a character, through f.
 
     zeta(h) = sum over alpha of (xi-power of the alpha-coproduct of h)
     f(alpha).  f must be a normalized shuffle character; with the 1/length!
-    basis this is convolution exp.  Returns a memoized callable on labels.
+    basis this is convolution exp.
     """
-    if Fraction(xi(provider.unit_label)) != 0:
-        raise NotAnInfinitesimalCharacter(f"xi(unit) = {xi(provider.unit_label)}, expected 0")
-    evaluator = CharacterPowerEvaluator(provider, xi)
-
-    def zeta(label: Label) -> Fraction:
-        n = provider.degree(label)
-        _require_normalized(f, n)
-        if n == 0:
-            return Fraction(1)
-        total = Fraction(0)
-        for alpha in compositions_of(n):
-            coef = evaluator.value(label, tuple(alpha))
-            if coef:
-                total += coef * f(alpha)
-        return total
-
-    return _memoized_label_fn(zeta)
+    return _transfer(xi, f, f, provider)
 
 
 def char_to_infchar(
-    zeta: Callable[[Label], Fraction], f: CharacterData, provider: HopfProvider
+    zeta: Callable[[Label], Fraction], f: Functional, provider: HopfProvider
 ) -> Callable[[Label], Fraction]:
     """Turn a character of H into an infinitesimal character, through f.
 
     xi(h) = sum over alpha of (zeta-power of the alpha-coproduct of h)
     g(alpha) where g solves the triangular system for f; with the 1/length!
-    basis this is convolution log.  Returns a memoized callable on labels.
+    basis this is convolution log.
     """
-    if Fraction(zeta(provider.unit_label)) != 1:
-        raise NotACharacter(f"zeta(unit) = {zeta(provider.unit_label)}, expected 1")
-    g = f_to_g(f)
-    evaluator = CharacterPowerEvaluator(provider, zeta)
-
-    def xi(label: Label) -> Fraction:
-        n = provider.degree(label)
-        _require_normalized(f, n)
-        if n == 0:
-            return Fraction(0)
-        total = Fraction(0)
-        for alpha in compositions_of(n):
-            coef = evaluator.value(label, tuple(alpha))
-            if coef:
-                total += coef * g(alpha)
-        return total
-
-    return _memoized_label_fn(xi)
+    return _transfer(zeta, f, f_to_g(f), provider)

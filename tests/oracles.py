@@ -13,15 +13,24 @@ kept with its body unchanged so the tests can require both to agree:
 * ``extend_over_refinement``: f(alpha, beta) by searching for the
   refinement blocks and multiplying from 1 (the library multiplies the
   blocks that ``coarsening_splits`` hands out).
+
+The rest is code that only the tests use, kept out of the library with its
+body unchanged: the refinement predicate ``refines``, the shuffle count
+``shuffle_multiplicity_total``, the multidegree projection ``delta_alpha``,
+the polynomial truncation ``expand_polynomial`` with ``polynomial_product``,
+and the disjoint-union sweep ``check_provider_multiplicativity``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 from qshuffle.compositions import EMPTY, Composition, canonical_key, refinement_split
+from qshuffle.demos import all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
 from qshuffle.elements import MONOMIAL, _PRODUCT_RULES, GradedElement, product
-from qshuffle.errors import BasisMismatch
+from qshuffle.errors import BasisMismatch, DegreeMismatch, NotARefinement
 from qshuffle.universal import _theta_of_monomial
 
 _antipode_cache: dict[tuple[str, Composition], GradedElement] = {}
@@ -91,3 +100,98 @@ def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> Fracti
     for block in refinement_split(fine, coarse):
         value *= fn(block)
     return value
+
+
+def refines(fine: Composition, coarse: Composition) -> bool:
+    try:
+        refinement_split(fine, coarse)
+    except NotARefinement:
+        return False
+    return True
+
+
+def shuffle_multiplicity_total(a: Composition, b: Composition) -> int:
+    """What the shuffle multiplicities must add up to."""
+    return comb(len(a) + len(b), len(a))
+
+
+def delta_alpha(h: GradedElement, alpha) -> list[tuple[tuple[Composition, ...], Fraction]]:
+    """The iterated coproduct of h projected onto multidegree alpha.
+
+    h must be homogeneous of degree |alpha|.  For a deconcatenation basis
+    this is a sum over splits of each index into consecutive blocks of sizes
+    alpha_1, ..., alpha_l; such a split is unique when it exists, and it
+    exists exactly when the index refines alpha.
+    """
+    if h.basis not in _PRODUCT_RULES:
+        raise BasisMismatch(f"no coproduct for basis {h.basis!r}")
+    alpha = Composition(alpha)
+    if h.homogeneous_degree() != alpha.size and not h.is_zero():
+        raise DegreeMismatch(f"element of degrees {h.degrees()} vs multidegree {alpha}")
+    acc: dict[tuple[Composition, ...], Fraction] = {}
+    for comp, coef in h.terms.items():
+        if not alpha:
+            acc[()] = acc.get((), Fraction(0)) + coef
+            continue
+        try:
+            blocks = refinement_split(comp, alpha)
+        except NotARefinement:
+            continue
+        acc[blocks] = acc.get(blocks, Fraction(0)) + coef
+    return sorted(
+        ((blocks, v) for blocks, v in acc.items() if v != 0),
+        key=lambda kv: tuple(canonical_key(b) for b in kv[0]),
+    )
+
+
+def expand_polynomial(h: GradedElement, num_vars: int) -> dict[tuple[int, ...], Fraction]:
+    """Truncate a monomial-basis element to a polynomial in num_vars variables.
+
+    M[a1..al] becomes the sum of x_{i1}^{a1} ... x_{il}^{al} over strictly
+    increasing index tuples i1 < ... < il <= num_vars.  Returned as a map
+    from exponent vectors (length num_vars) to coefficients.
+    """
+    if h.basis != MONOMIAL:
+        raise BasisMismatch(f"polynomial expansion needs basis {MONOMIAL!r}, got {h.basis!r}")
+    if num_vars < 0:
+        raise ValueError("num_vars must be >= 0")
+    poly: dict[tuple[int, ...], Fraction] = {}
+    for comp, coef in h.terms.items():
+        for idx in combinations(range(num_vars), comp.length):
+            expo = [0] * num_vars
+            for pos, power in zip(idx, comp):
+                expo[pos] = power
+            key = tuple(expo)
+            poly[key] = poly.get(key, Fraction(0)) + coef
+    return {k: v for k, v in poly.items() if v != 0}
+
+
+def polynomial_product(
+    p: dict[tuple[int, ...], Fraction], q: dict[tuple[int, ...], Fraction]
+) -> dict[tuple[int, ...], Fraction]:
+    """Multiply two exponent-vector polynomials over the same variable count."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for ea, va in p.items():
+        for eb, vb in q.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            acc[key] = acc.get(key, Fraction(0)) + va * vb
+    return {k: v for k, v in acc.items() if v != 0}
+
+
+def check_provider_multiplicativity(max_degree: int) -> bool:
+    """The stated functionals respect disjoint unions (degree-capped sweep)."""
+    for na in range(1, max_degree):
+        for nb in range(1, max_degree - na + 1):
+            for ga in all_graphs(na):
+                for gb in all_graphs(nb):
+                    union = ga.disjoint_union(gb)
+                    if zeta_no_edges(union) != zeta_no_edges(ga) * zeta_no_edges(gb):
+                        return False
+            for pa in all_posets(na):
+                for pb in all_posets(nb):
+                    union = pa.disjoint_union(pb)
+                    if zeta_ones(union) != zeta_ones(pa) * zeta_ones(pb):
+                        return False
+                    if xi_unique_min(union) != 0:
+                        return False
+    return True

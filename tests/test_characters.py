@@ -7,8 +7,6 @@ import pytest
 from qshuffle.characters import (
     BUILTIN_NAMES,
     CLOSED_FORM_G_NAMES,
-    CharacterData,
-    InfinitesimalData,
     OrderedPartitionSpec,
     basis_contract,
     basis_expand,
@@ -30,6 +28,13 @@ from qshuffle.characters import (
 )
 from qshuffle.compositions import EMPTY, Composition, compositions_up_to, stats
 from qshuffle.elements import MONOMIAL, GradedElement, format_element
+from qshuffle.functionals import (
+    Functional,
+    convolve,
+    counit_functional,
+    exp_functional,
+    log_functional,
+)
 from qshuffle.errors import (
     EvenSizeUnsupported,
     NotNormalized,
@@ -52,14 +57,27 @@ def test_character_data_basics():
         calls.append(comp)
         return Fraction(1, len(comp))
 
-    f = CharacterData(fn, name="probe")
+    f = Functional(1, fn, name="probe")
     assert f(EMPTY) == 1
     assert f(C((2, 1))) == Fraction(1, 2)
     f(C((2, 1)))
     assert calls.count(C((2, 1))) == 1  # memoized
-    assert f.as_functional().value_at_empty == 1
-    g = InfinitesimalData(fn)
+    g = Functional(0, fn)
     assert g(EMPTY) == 0
+
+
+@pytest.mark.parametrize("name", ("type1", "type2"))
+def test_solved_duals_are_plain_functionals(name):
+    f = builtin(name)
+    g = f_to_g(f)
+    assert g.value_at_empty == 0
+    assert g_to_f(g).value_at_empty == 1
+    # g is an infinitesimal character as it stands: no wrapper between it and the calculus
+    identity = convolve(g, counit_functional())
+    roundtrip = log_functional(exp_functional(g))
+    for comp in compositions_up_to(7):
+        assert identity(comp) == g(comp), comp
+        assert roundtrip(comp) == g(comp), comp
 
 
 def test_pair_is_product_over_blocks():
@@ -169,7 +187,7 @@ def test_ordered_partition_spec_custom():
 
 def test_is_shuffle_character_negative():
     table = {C((1, 1)): Fraction(1, 3)}
-    f = CharacterData(lambda comp: table.get(comp, builtin("type2")(comp)))
+    f = Functional(1, lambda comp: table.get(comp, builtin("type2")(comp)))
     ok, violation = is_shuffle_character(f, 4)
     assert not ok
     assert (violation.alpha, violation.beta) == (C((1,)), C((1,)))
@@ -185,7 +203,7 @@ def test_normalize():
     assert is_normalized(fixed, 7)
     for comp in compositions_up_to(6):
         assert fixed(comp) == builtin("type1")(comp)
-    singular = CharacterData(lambda comp: Fraction(0) if comp == C((2,)) else Fraction(1))
+    singular = Functional(1, lambda comp: Fraction(0) if comp == C((2,)) else Fraction(1))
     with pytest.raises(SingularCharacter):
         normalize(singular, max_degree=3)
 
@@ -292,8 +310,8 @@ def test_verify_qps_partition_degree_override():
 
 def test_verify_qps_negative_control():
     table = {C((1, 1)): Fraction(1)}
-    broken = CharacterData(
-        lambda comp: table.get(comp, builtin("type2")(comp)), name="perturbed"
+    broken = Functional(
+        1, lambda comp: table.get(comp, builtin("type2")(comp)), name="perturbed"
     )
     report = verify_qps(broken, 4)
     assert not report.passed

@@ -321,6 +321,37 @@ def test_theta_elem_rejects_non_int_parts(capsys, parts, shown):
     assert err.startswith("error: ") and shown in err
 
 
+def _theta_of_coef(coef: str) -> tuple[str, ...]:
+    return ("theta", "--elem", '{"basis":"M","terms":[{"comp":[1],"coef":%s}]}' % coef)
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (_theta_of_coef("0.1"), "0.1"),
+        (_theta_of_coef("true"), "True"),
+        (_theta_of_coef('"1/0"'), "'1/0'"),
+        (_theta_of_coef('"1e-99999999"'), "'1e-99999999'"),
+        (("expand", "--basis", "prefix-sum:1/0", "--comp", "1"), "'1/0'"),
+        (("expand", "--basis", "prefix-sum:1e-99999999", "--comp", "1"), "'1e-99999999'"),
+    ],
+    ids=("float", "bool", "zero-denominator", "exponent", "prefix-sum-zero-denominator", "prefix-sum-exponent"),
+)
+def test_inexact_rationals_are_rejected(capsys, argv, shown):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and shown in err
+
+
+def test_exact_rationals_are_accepted(capsys):
+    # theta(M[1]) = 2 M[1]
+    for coef, expected in (('"1/3"', "2/3 M[1]\n"), ('"3"', "6 M[1]\n"), ("3", "6 M[1]\n"), ('"-1.5"', "-3 M[1]\n")):
+        assert invoke(capsys, *_theta_of_coef(coef))[:2] == (0, expected), coef
+    code, out, _ = invoke(capsys, "expand", "--basis", "prefix-sum:1,4,9", "--comp", "1,2", "--kind", "shuffle")
+    assert (code, out) == (0, "1/4 M[1,2] + 1/5 M[3]\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

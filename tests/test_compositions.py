@@ -19,12 +19,12 @@ from qshuffle.compositions import (
     quasi_shuffle,
     rearrangements,
     refinement_split,
-    refines,
     shuffle,
-    shuffle_multiplicity_total,
     stats,
 )
 from qshuffle.errors import NotARefinement
+
+from oracles import refines, shuffle_multiplicity_total
 
 C = Composition
 

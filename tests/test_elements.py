@@ -14,15 +14,14 @@ from qshuffle.elements import (
     antipode_word,
     coproduct,
     counit,
-    delta_alpha,
-    expand_polynomial,
     format_element,
-    polynomial_product,
     power_sum,
     product,
     tensor_outer,
 )
 from qshuffle.errors import BasisMismatch, DegreeMismatch, NotAPartition
+
+from oracles import delta_alpha, expand_polynomial, polynomial_product
 
 C = Composition
 

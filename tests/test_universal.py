@@ -1,5 +1,6 @@
 """Universal morphisms, canonical functionals, theta, character bijections."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -239,3 +240,17 @@ def test_char_bijection_preconditions():
     mapped = infchar_to_char(canonical("xiS"), raw, sh_provider())
     with pytest.raises(NotNormalized):
         mapped(C((2,)))
+
+
+def test_transfers_evaluate_each_label_once():
+    base = qsym_provider()
+    seen = []
+    provider = replace(base, degree=lambda label: seen.append(label) or base.degree(label))
+    for transfer, phi in ((infchar_to_char, canonical("eta")), (char_to_infchar, canonical("zetaQ"))):
+        fn = transfer(phi, builtin("type1"), provider)
+        label = C((2, 1, 1))
+        value = fn(label)
+        calls = len(seen)
+        assert calls > 0
+        assert fn(label) == value
+        assert len(seen) == calls, transfer.__name__
