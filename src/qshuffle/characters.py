@@ -44,7 +44,7 @@ from .compositions import (
     shuffle,
     stats,
 )
-from .elements import GradedElement, MONOMIAL, coproduct, parse_rational, power_sum, product, tensor_outer
+from .elements import GradedElement, MONOMIAL, TensorElement, coproduct, parse_rational, power_sum, product
 from .errors import (
     EvenSizeUnsupported,
     NotNormalized,
@@ -234,12 +234,16 @@ def verify_qps(
         for alpha in compositions_of(n):
             z_alpha = stats(alpha).z_value
             lhs = coproduct(qps(alpha))
-            rhs = None
+            rhs: dict[tuple[Composition, Composition], Fraction] = {}
             for left, right in deconcatenations(alpha):
                 scale = Fraction(z_alpha, stats(left).z_value * stats(right).z_value)
-                piece = tensor_outer(qps(left), qps(right)).scaled(scale)
-                rhs = piece if rhs is None else rhs + piece
-            if lhs != rhs:
+                right_terms = qps(right).terms.items()
+                for cl, vl in qps(left).terms.items():
+                    for cr, vr in right_terms:
+                        term = scale * vl * vr
+                        prev = rhs.get((cl, cr))
+                        rhs[cl, cr] = term if prev is None else prev + term
+            if lhs != TensorElement(MONOMIAL, rhs):
                 witness = f"alpha={alpha}"
                 break
     report.add(f"coproduct rule through degree {max_degree}", witness is None, witness)
@@ -249,9 +253,10 @@ def verify_qps(
         if witness:
             break
         for lam in partitions_of(n):
-            total = GradedElement.zero(MONOMIAL)
-            for alpha in rearrangements(lam):
-                total = total + qps(alpha)
+            # the constructor sums the terms of equal compositions
+            total = GradedElement(
+                MONOMIAL, (term for alpha in rearrangements(lam) for term in qps(alpha).terms.items())
+            )
             if total != power_sum(lam):
                 witness = f"lambda={lam}"
                 break

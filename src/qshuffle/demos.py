@@ -32,27 +32,130 @@ from .universal import (
 from .functionals import Functional
 
 
-class SmallGraph(tuple):
-    """A simple graph on vertices 1..n, hashable and immutable.
+def _transitivity_gaps(rel):
+    """Each (a, b, d) with (a, b) and (b, d) in rel but not (a, d); none exactly when rel is transitive."""
+    return ((a, b, d) for a, b in rel for c, d in rel if b == c and (a, d) not in rel)
 
-    Stored as (n, sorted edge tuple); edges are pairs (u, v) with u < v.
+
+class _LabelledPairs(tuple):
+    """A structure on labels 1..n given by pairs of labels; hashable and immutable.
+
+    Stored as (n, sorted pair tuple).  The text form is ``n; u<SEP>v,...``.
+    A subclass sets the separator ``_sep`` and the repr prefix ``_prefix``,
+    and its ``_normalise`` turns the checked pairs into the stored set.
     """
 
     __slots__ = ()
+    _sep: str
+    _prefix: str
 
-    def __new__(cls, vertex_count: int, edges=()):
-        n = int(vertex_count)
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
-        cleaned = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
+    def __new__(cls, count: int, pairs=()):
+        if type(count) is not int or count < 0:
+            raise ValueError(f"count must be an int >= 0, got {count!r}")
+        return super().__new__(cls, (count, tuple(sorted(cls._normalise(cls._checked(count, pairs))))))
+
+    @classmethod
+    def _checked(cls, n: int, pairs) -> list[tuple[int, int]]:
+        """The pairs as tuples of two different ints in 1..n; ValueError otherwise."""
+        out = []
+        for u, v in pairs:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"pair ends must be ints, got {u!r}{cls._sep}{v!r}")
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise ValueError(f"pair {u}{cls._sep}{v} has equal ends")
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge {u}-{v} outside 1..{n}")
-            cleaned.add((min(u, v), max(u, v)))
-        return super().__new__(cls, (n, tuple(sorted(cleaned))))
+                raise ValueError(f"pair {u}{cls._sep}{v} outside 1..{n}")
+            out.append((u, v))
+        return out
+
+    def induced(self, labels):
+        """The structure induced on labels, relabeled order-preservingly to 1..k."""
+        kept = sorted(set(labels))
+        index = {v: i + 1 for i, v in enumerate(kept)}
+        return type(self)(len(kept), [(index[u], index[v]) for u, v in self[1] if u in index and v in index])
+
+    def relabel(self, perm):
+        """Apply a permutation of 1..n given as a mapping or sequence."""
+        if not isinstance(perm, dict):
+            perm = {i + 1: p for i, p in enumerate(perm)}
+        return type(self)(self[0], [(perm[u], perm[v]) for u, v in self[1]])
+
+    def disjoint_union(self, other):
+        shift = self[0]
+        return type(self)(shift + other[0], list(self[1]) + [(u + shift, v + shift) for u, v in other[1]])
+
+    def to_text(self) -> str:
+        return f"{self[0]}; " + ",".join(f"{u}{self._sep}{v}" for u, v in self[1])
+
+    @classmethod
+    def _parse(cls, text: str) -> tuple[int, list[tuple[int, int]]]:
+        """n and the checked pairs of ``n; u<SEP>v,...``; the pair list may be empty."""
+        head, _, tail = text.partition(";")
+        if not head.strip().isdigit():
+            raise ValueError(f"bad count in {text!r}")
+        n = int(head)
+        pairs = []
+        for chunk in tail.split(","):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            u, _, v = chunk.partition(cls._sep)
+            if not (u.strip().isdigit() and v.strip().isdigit()):
+                raise ValueError(f"bad pair {chunk!r} in {text!r}")
+            pairs.append((int(u), int(v)))
+        return n, cls._checked(n, pairs)
+
+    @classmethod
+    def from_text(cls, text: str):
+        """Parse the form that to_text writes."""
+        return cls(*cls._parse(text))
+
+    def __repr__(self) -> str:
+        return f"{self._prefix}<{self.to_text()}>"
+
+
+def _split_coproduct(
+    x: _LabelledPairs, subsets
+) -> tuple[tuple[tuple[_LabelledPairs, _LabelledPairs], Fraction], ...]:
+    """The coproduct of x: x.induced(S) (x) x.induced(rest) summed over the label subsets S."""
+    acc: dict[tuple[_LabelledPairs, _LabelledPairs], Fraction] = {}
+    labels = range(1, x[0] + 1)
+    for chosen in subsets:
+        rest = [v for v in labels if v not in chosen]
+        key = (x.induced(chosen), x.induced(rest))
+        acc[key] = acc.get(key, Fraction(0)) + 1
+    return tuple(acc.items())
+
+
+def _provider(name: str, basis_of_degree, coproduct, unit_label: _LabelledPairs) -> HopfProvider:
+    """The Hopf algebra of one family of labelled structures, graded by the label count n."""
+    return HopfProvider(
+        name=name,
+        basis_of_degree=basis_of_degree,
+        coproduct=lambda x: dict(coproduct(x)),
+        counit=lambda x: Fraction(1 if x[0] == 0 else 0),
+        degree=lambda x: x[0],
+        unit_label=unit_label,
+    )
+
+
+def _monomial_image(evaluator: CharacterPowerEvaluator, x: _LabelledPairs) -> GradedElement:
+    """The image of x in QSym under the evaluator's character, in the monomial basis."""
+    return GradedElement(
+        MONOMIAL, {alpha: evaluator.value(x, tuple(alpha)) for alpha in compositions_of(x[0])}
+    )
+
+
+class SmallGraph(_LabelledPairs):
+    """A simple graph on vertices 1..n; edges are pairs (u, v) with u < v."""
+
+    __slots__ = ()
+    _sep = "-"
+    _prefix = "G"
+
+    @staticmethod
+    def _normalise(pairs):
+        return {(min(u, v), max(u, v)) for u, v in pairs}
 
     @property
     def vertex_count(self) -> int:
@@ -61,48 +164,6 @@ class SmallGraph(tuple):
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self[1]
-
-    def induced(self, vertices) -> "SmallGraph":
-        """Induced subgraph, relabeled order-preservingly to 1..k."""
-        kept = sorted(set(vertices))
-        index = {v: i + 1 for i, v in enumerate(kept)}
-        edges = [(index[u], index[v]) for u, v in self.edges if u in index and v in index]
-        return SmallGraph(len(kept), edges)
-
-    def relabel(self, perm) -> "SmallGraph":
-        """Apply a permutation of 1..n given as a mapping or sequence."""
-        if not isinstance(perm, dict):
-            perm = {i + 1: p for i, p in enumerate(perm)}
-        return SmallGraph(self.vertex_count, [(perm[u], perm[v]) for u, v in self.edges])
-
-    def disjoint_union(self, other: "SmallGraph") -> "SmallGraph":
-        shift = self.vertex_count
-        edges = list(self.edges) + [(u + shift, v + shift) for u, v in other.edges]
-        return SmallGraph(shift + other.vertex_count, edges)
-
-    def to_text(self) -> str:
-        return f"{self.vertex_count}; " + ",".join(f"{u}-{v}" for u, v in self.edges)
-
-    @classmethod
-    def from_text(cls, text: str) -> "SmallGraph":
-        """Parse ``n; u-v,u-v,...``; the edge list may be empty."""
-        head, _, tail = text.partition(";")
-        if not head.strip().isdigit():
-            raise ValueError(f"bad vertex count in {text!r}")
-        n = int(head.strip())
-        edges = []
-        for chunk in tail.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            u, _, v = chunk.partition("-")
-            if not (u.strip().isdigit() and v.strip().isdigit()):
-                raise ValueError(f"bad edge {chunk!r} in {text!r}")
-            edges.append((int(u), int(v)))
-        return cls(n, edges)
-
-    def __repr__(self) -> str:
-        return f"G<{self.to_text()}>"
 
 
 @lru_cache(maxsize=None)
@@ -117,25 +178,11 @@ def all_graphs(n: int) -> tuple[SmallGraph, ...]:
 
 @lru_cache(maxsize=None)
 def _graph_coproduct(g: SmallGraph) -> tuple[tuple[tuple[SmallGraph, SmallGraph], Fraction], ...]:
-    n = g.vertex_count
-    acc: dict[tuple[SmallGraph, SmallGraph], Fraction] = {}
-    vertices = range(1, n + 1)
-    for size in range(n + 1):
-        for chosen in combinations(vertices, size):
-            rest = [v for v in vertices if v not in chosen]
-            key = (g.induced(chosen), g.induced(rest))
-            acc[key] = acc.get(key, Fraction(0)) + 1
-    return tuple(acc.items())
+    vertices = range(1, g.vertex_count + 1)
+    return _split_coproduct(g, (c for size in range(len(vertices) + 1) for c in combinations(vertices, size)))
 
 
-_GRAPH_PROVIDER = HopfProvider(
-    name="graphs",
-    basis_of_degree=lambda n: all_graphs(n),
-    coproduct=lambda g: dict(_graph_coproduct(g)),
-    counit=lambda g: Fraction(1 if g.vertex_count == 0 else 0),
-    degree=lambda g: g.vertex_count,
-    unit_label=SmallGraph(0),
-)
+_GRAPH_PROVIDER = _provider("graphs", all_graphs, _graph_coproduct, SmallGraph(0))
 
 
 def graph_provider() -> HopfProvider:
@@ -157,11 +204,7 @@ def chromatic_symmetric(g: SmallGraph) -> GradedElement:
     no-edges character; the monomial coefficient at alpha counts proper
     colorings with color class sizes alpha.
     """
-    n = g.vertex_count
-    return GradedElement(
-        MONOMIAL,
-        {alpha: _chromatic_evaluator.value(g, tuple(alpha)) for alpha in compositions_of(n)},
-    )
+    return _monomial_image(_chromatic_evaluator, g)
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +294,7 @@ def graph_infchar_two_ways(g: SmallGraph, f: Functional) -> tuple[Fraction, Frac
 # posets
 
 
-class SmallPoset(tuple):
+class SmallPoset(_LabelledPairs):
     """A partial order on elements 1..n, stored as its strict relation.
 
     Pairs (a, b) mean a is strictly below b; the stored relation must be
@@ -259,27 +302,18 @@ class SmallPoset(tuple):
     """
 
     __slots__ = ()
+    _sep = "<"
+    _prefix = "P"
 
-    def __new__(cls, element_count: int, strict=()):
-        n = int(element_count)
-        if n < 0:
-            raise ValueError("element count must be >= 0")
-        rel = set()
-        for a, b in strict:
-            a, b = int(a), int(b)
-            if a == b:
-                raise ValueError(f"reflexive pair at {a}")
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"pair {a}<{b} outside 1..{n}")
-            rel.add((a, b))
+    @staticmethod
+    def _normalise(pairs):
+        rel = set(pairs)
         for a, b in rel:
             if (b, a) in rel:
                 raise ValueError(f"antisymmetry violated at {a},{b}")
-        for a, b in rel:
-            for c, d in rel:
-                if b == c and (a, d) not in rel:
-                    raise ValueError(f"relation not transitively closed: {a}<{b}<{d}")
-        return super().__new__(cls, (n, tuple(sorted(rel))))
+        for a, b, d in _transitivity_gaps(rel):
+            raise ValueError(f"relation not transitively closed: {a}<{b}<{d}")
+        return rel
 
     @property
     def element_count(self) -> int:
@@ -292,32 +326,11 @@ class SmallPoset(tuple):
     @classmethod
     def from_cover_text(cls, text: str) -> "SmallPoset":
         """Parse ``n; u<v,...`` (cover or any generating pairs; closure taken)."""
-        head, _, tail = text.partition(";")
-        if not head.strip().isdigit():
-            raise ValueError(f"bad element count in {text!r}")
-        n = int(head.strip())
-        pairs = set()
-        for chunk in tail.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            a, _, b = chunk.partition("<")
-            if not (a.strip().isdigit() and b.strip().isdigit()):
-                raise ValueError(f"bad relation {chunk!r} in {text!r}")
-            pairs.add((int(a.strip()), int(b.strip())))
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(pairs):
-                for c, d in list(pairs):
-                    if b == c and (a, d) not in pairs:
-                        pairs.add((a, d))
-                        changed = True
-        return cls(n, pairs)
-
-    def to_text(self) -> str:
-        return f"{self.element_count}; " + ",".join(f"{a}<{b}" for a, b in self.strict)
+        n, pairs = cls._parse(text)
+        rel = set(pairs)
+        while missing := {(a, d) for a, _, d in _transitivity_gaps(rel)}:
+            rel |= missing
+        return cls(n, rel)
 
     def below(self, b: int) -> set[int]:
         return {a for a, bb in self.strict if bb == b}
@@ -333,30 +346,11 @@ class SmallPoset(tuple):
                 out.append(tuple(sorted(chosen)))
         return out
 
-    def induced(self, elements) -> "SmallPoset":
-        kept = sorted(set(elements))
-        index = {v: i + 1 for i, v in enumerate(kept)}
-        rel = [(index[a], index[b]) for a, b in self.strict if a in index and b in index]
-        return SmallPoset(len(kept), rel)
-
-    def relabel(self, perm) -> "SmallPoset":
-        if not isinstance(perm, dict):
-            perm = {i + 1: p for i, p in enumerate(perm)}
-        return SmallPoset(self.element_count, [(perm[a], perm[b]) for a, b in self.strict])
-
-    def disjoint_union(self, other: "SmallPoset") -> "SmallPoset":
-        shift = self.element_count
-        rel = list(self.strict) + [(a + shift, b + shift) for a, b in other.strict]
-        return SmallPoset(shift + other.element_count, rel)
-
     def minimal_elements(self) -> list[int]:
         return [v for v in range(1, self.element_count + 1) if not self.below(v)]
 
     def has_unique_minimal(self) -> bool:
         return len(self.minimal_elements()) == 1
-
-    def __repr__(self) -> str:
-        return f"P<{self.to_text()}>"
 
 
 @lru_cache(maxsize=None)
@@ -371,38 +365,17 @@ def all_posets(n: int) -> tuple[SmallPoset, ...]:
                 rel.add((a, b))
             elif s == 2:
                 rel.add((b, a))
-        transitive = True
-        for a, b in rel:
-            for c, d in rel:
-                if b == c and (a, d) not in rel:
-                    transitive = False
-                    break
-            if not transitive:
-                break
-        if transitive:
+        if next(_transitivity_gaps(rel), None) is None:
             out.append(SmallPoset(n, rel))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _poset_coproduct(p: SmallPoset) -> tuple[tuple[tuple[SmallPoset, SmallPoset], Fraction], ...]:
-    acc: dict[tuple[SmallPoset, SmallPoset], Fraction] = {}
-    everything = range(1, p.element_count + 1)
-    for ideal in p.order_ideals():
-        rest = [v for v in everything if v not in ideal]
-        key = (p.induced(ideal), p.induced(rest))
-        acc[key] = acc.get(key, Fraction(0)) + 1
-    return tuple(acc.items())
+    return _split_coproduct(p, p.order_ideals())
 
 
-_POSET_PROVIDER = HopfProvider(
-    name="posets",
-    basis_of_degree=lambda n: all_posets(n),
-    coproduct=lambda p: dict(_poset_coproduct(p)),
-    counit=lambda p: Fraction(1 if p.element_count == 0 else 0),
-    degree=lambda p: p.element_count,
-    unit_label=SmallPoset(0),
-)
+_POSET_PROVIDER = _provider("posets", all_posets, _poset_coproduct, SmallPoset(0))
 
 
 def poset_provider() -> HopfProvider:
@@ -428,11 +401,7 @@ def kp_generating_function(p: SmallPoset) -> GradedElement:
     The coefficient at alpha counts flags of order ideals with layer sizes
     alpha; this is the universal image of the constant character.
     """
-    n = p.element_count
-    return GradedElement(
-        MONOMIAL,
-        {alpha: _kp_evaluator.value(p, tuple(alpha)) for alpha in compositions_of(n)},
-    )
+    return _monomial_image(_kp_evaluator, p)
 
 
 _eta = canonical("eta")

@@ -64,6 +64,12 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"not an exact rational (an int, or text like -2/3 or 1.5): {value!r}")
 
 
+def _check_keys(data: dict, known: tuple[str, ...]) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; expected only {list(known)}")
+
+
 class GradedElement:
     """A finitely supported map from compositions to rationals, tagged with a basis."""
 
@@ -175,7 +181,16 @@ class GradedElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedElement":
-        return cls(data["basis"], {Composition(t["comp"]): parse_rational(t["coef"]) for t in data["terms"]})
+        """The inverse of to_json_dict; unknown keys and a composition listed twice raise ValueError."""
+        _check_keys(data, ("basis", "terms"))
+        terms: dict[Composition, Fraction] = {}
+        for t in data["terms"]:
+            _check_keys(t, ("comp", "coef"))
+            comp = Composition(t["comp"])
+            if comp in terms:
+                raise ValueError(f"composition {list(comp)} is listed twice")
+            terms[comp] = parse_rational(t["coef"])
+        return cls(data["basis"], terms)
 
     @classmethod
     def from_json(cls, text: str) -> "GradedElement":

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -376,6 +377,58 @@ def test_compositions_at_the_cap_are_accepted(capsys):
     assert (code, out) == (0, "M[10]\n")
     code, out, _ = invoke(capsys, "theta", "--elem", '{"basis":"M","terms":[{"comp":[4,6],"coef":"1"}]}')
     assert code == 0
+
+
+def _chain(top: int, size: int) -> str:
+    """The poset literal ``size; 1<2,...,(top-1)<top``."""
+    return f"{size}; " + ",".join(f"{i}<{i + 1}" for i in range(1, top))
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("phi", "--hopf", "graph", "--input", "99999999999999999999; 1-2"), f"sizes are capped at {MAX_DEGREE}"),
+        (("psi", "--hopf", "graph", "--input", "11; 1-2"), f"sizes are capped at {MAX_DEGREE}"),
+        (("demo-graph", "--input", "11; 1-12"), f"sizes are capped at {MAX_DEGREE}"),
+        (("phi", "--hopf", "poset", "--input", _chain(11, 11)), f"sizes are capped at {MAX_DEGREE}"),
+        (("demo-poset", "--input", _chain(160, 5)), "outside 1..5"),
+        (("psi", "--hopf", "poset", "--input", _chain(160, 5)), "outside 1..5"),
+    ],
+    ids=("phi-graph-huge", "psi-graph-11", "demo-graph-11", "phi-poset-11", "demo-poset-out-of-range", "psi-poset-out-of-range"),
+)
+def test_literals_beyond_the_cap_are_rejected_at_once(capsys, argv, shown):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    # the out-of-range chains used to take their transitive closure first: about 12 s
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and shown in err
+
+
+def test_literals_at_the_cap_are_accepted(capsys):
+    code, out, _ = invoke(capsys, "phi", "--hopf", "graph", "--input", "10; 1-2")
+    assert code == 0
+    assert out.startswith("3628800 M[1,1,1,1,1,1,1,1,1,1] + 1774080 M[1,1,1,1,1,1,1,1,2] + ")
+    code, out, _ = invoke(capsys, "demo-poset", "--input", _chain(10, 10))
+    assert code == 0
+    assert "match: yes" in out
+
+
+@pytest.mark.parametrize(
+    "elem, shown",
+    [
+        ('{"basis":"M","terms":[{"comp":[1],"coef":"1"},{"comp":[1],"coef":"2"}]}', "[1] is listed twice"),
+        ('{"basis":"M","terms":[{"comp":[1],"coef":"1","extra":0}]}', "['extra']"),
+        ('{"basis":"M","terms":[{"comp":[1],"coef":"1"}],"x":1}', "['x']"),
+    ],
+    ids=("repeated-composition", "unknown-term-key", "unknown-top-level-key"),
+)
+def test_theta_elem_rejects_repeats_and_unknown_keys(capsys, elem, shown):
+    code, out, err = invoke(capsys, "theta", "--elem", elem)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad element JSON: ") and shown in err
 
 
 @pytest.mark.parametrize(

@@ -71,6 +71,40 @@ def test_graph_induced_and_union():
     assert P3.relabel([3, 2, 1]) == SmallGraph(3, [(2, 3), (1, 2)])
 
 
+@pytest.mark.parametrize(
+    "x, text, shown, kept, induced, perm, relabelled, union, rejected",
+    [
+        (P3, "3; 1-2,2-3", "G<3; 1-2,2-3>", [2, 3], "2; 1-2", [2, 1, 3], "3; 1-2,1-3",
+         "6; 1-2,2-3,4-5,5-6", ["2; 1-1", "2; 1-3"]),
+        (CHAIN3, "3; 1<2,1<3,2<3", "P<3; 1<2,1<3,2<3>", [1, 3], "2; 1<2", [2, 1, 3], "3; 1<3,2<1,2<3",
+         "6; 1<2,1<3,2<3,4<5,4<6,5<6", ["2; 1<1", "2; 1<3", "2; 1<2,2<1", "3; 1<2,2<3"]),
+    ],
+    ids=("graph", "poset"),
+)
+def test_labelled_core(x, text, shown, kept, induced, perm, relabelled, union, rejected):
+    cls = type(x)
+    assert x.to_text() == text
+    assert cls.from_text(text) == x
+    assert repr(x) == shown
+    for got, expected in ((x.induced(kept), induced), (x.relabel(perm), relabelled), (x.disjoint_union(x), union)):
+        assert type(got) is cls
+        assert got.to_text() == expected
+    for bad in rejected:  # a loop or an out-of-range pair; a poset also rejects a cycle or a missing closure pair
+        with pytest.raises(ValueError):
+            cls.from_text(bad)
+
+
+@pytest.mark.parametrize("cls", [SmallGraph, SmallPoset])
+@pytest.mark.parametrize(
+    "count, pairs",
+    [(2.9, [(1.5, 2)]), (2.0, []), (True, []), (2, [("1", 2)]), (2, [(1, 2.0)]), (2, [(True, 2)])],
+    ids=("float-count-and-end", "float-count", "bool-count", "str-end", "float-end", "bool-end"),
+)
+def test_counts_and_pair_ends_must_be_ints(cls, count, pairs):
+    with pytest.raises(ValueError):
+        cls(count, pairs)
+
+
 def test_all_graphs_counts():
     assert [len(all_graphs(n)) for n in range(5)] == [1, 1, 2, 8, 64]
     assert len(set(all_graphs(4))) == 64
