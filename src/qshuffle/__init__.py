@@ -35,7 +35,6 @@ from .elements import (
     format_element,
     power_sum,
     product,
-    tensor_outer,
 )
 from .functionals import (
     Functional,
@@ -59,7 +58,6 @@ from .characters import (
     even_odd_character,
     f_to_g,
     g_to_f,
-    is_shuffle_character,
     normalize,
     order_basis_character,
     ordered_partition_character,
@@ -75,7 +73,6 @@ from .universal import (
     canonical,
     char_to_infchar,
     infchar_to_char,
-    nu_via_convolution,
     qsym_provider,
     sh_provider,
     theta,

@@ -38,7 +38,9 @@ from .compositions import (
     coarsening_splits,
     coarsenings,  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
     compositions_of,
+    compositions_up_to,
     deconcatenations,
+    pairs_up_to,
     partitions_of,
     rearrangements,
     shuffle,
@@ -52,27 +54,8 @@ from .errors import (
     SingularCharacter,
     ZeroPrefixSum,
 )
-from .functionals import Functional, Violation
-from .report import VerifyReport
-
-
-def is_shuffle_character(f: Functional, max_degree: int) -> tuple[bool, Violation | None]:
-    """Exhaustive check of f(alpha) f(beta) = sum of f over shuffles.
-
-    Sweeps nonempty pairs in canonical order with |alpha| + |beta| up to
-    max_degree; returns the first violating pair.
-    """
-    for total in range(2, max_degree + 1):
-        for a in range(1, total):
-            for alpha in compositions_of(a):
-                for beta in compositions_of(total - a):
-                    lhs = f(alpha) * f(beta)
-                    rhs = Fraction(0)
-                    for gamma, mult in shuffle(alpha, beta).items():
-                        rhs += mult * f(gamma)
-                    if lhs != rhs:
-                        return False, Violation("product", alpha, beta, rhs, lhs)
-    return True, None
+from .functionals import Functional
+from .report import VerifyReport, first_witness
 
 
 def single(n: int) -> Composition:
@@ -97,10 +80,6 @@ def normalize(f: Functional, max_degree: int | None = None) -> Functional:
     return Functional(1, value, name=label)
 
 
-def is_normalized(f: Functional, max_degree: int) -> bool:
-    return all(f(single(n)) == 1 for n in range(1, max_degree + 1))
-
-
 def _require_normalized(f: Functional, max_degree: int) -> None:
     for n in range(1, max_degree + 1):
         if f(single(n)) != 1:
@@ -118,13 +97,12 @@ def _diagonal(f: Functional, comp: Composition) -> Fraction:
     return out
 
 
-def _triangular_dual(h: Functional, value_at_empty: int, letter: str, max_degree: int | None) -> Functional:
+def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functional:
     """Solve sum over coarsenings beta of h(alpha, beta) k(beta) = [length(alpha) = 1] for k.
 
     Symmetric in f and g: h = f gives g (value 0 at empty), h = g gives f
     (value 1).  k((n)) = 1/h((n)); longer compositions come from strictly
-    coarser, shorter ones.  Lazy and memoized; a max_degree materializes
-    everything up to it.
+    coarser, shorter ones.  Lazy and memoized.
     """
     k: Functional | None = None
 
@@ -141,21 +119,17 @@ def _triangular_dual(h: Functional, value_at_empty: int, letter: str, max_degree
 
     label = f"{letter}[{h.name}]" if h.name else None
     k = Functional(value_at_empty, value, name=label)
-    if max_degree is not None:
-        for n in range(1, max_degree + 1):
-            for alpha in compositions_of(n):
-                k(alpha)
     return k
 
 
-def f_to_g(f: Functional, max_degree: int | None = None) -> Functional:
+def f_to_g(f: Functional) -> Functional:
     """The dual g of a shuffle character f: an infinitesimal character (value 0 at empty)."""
-    return _triangular_dual(f, 0, "g", max_degree)
+    return _triangular_dual(f, 0, "g")
 
 
-def g_to_f(g: Functional, max_degree: int | None = None) -> Functional:
+def g_to_f(g: Functional) -> Functional:
     """The character f whose dual is g: the same triangular system, roles switched."""
-    return _triangular_dual(g, 1, "f", max_degree)
+    return _triangular_dual(g, 1, "f")
 
 
 def basis_contract(g: Functional, alpha) -> dict[Composition, Fraction]:
@@ -201,66 +175,49 @@ def verify_qps(
     # P_alpha for each composition once; the memo goes when the sweep ends
     qps = lru_cache(maxsize=None)(partial(qps_expand, f))
 
-    witness = None
-    for total in range(2, max_degree + 1):
-        if witness:
-            break
-        for a in range(1, total):
-            if witness:
-                break
-            for alpha in compositions_of(a):
-                if witness:
-                    break
-                p_alpha = qps(alpha)
-                z_alpha = stats(alpha).z_value
-                for beta in compositions_of(total - a):
-                    lhs = product(p_alpha, qps(beta))
-                    scale = Fraction(z_alpha * stats(beta).z_value, stats(alpha + beta).z_value)
-                    rhs: dict[Composition, Fraction] = {}
-                    for gamma, mult in shuffle(alpha, beta).items():
-                        for comp, coef in qps(gamma).terms.items():
-                            term = coef * mult
-                            prev = rhs.get(comp)
-                            rhs[comp] = term if prev is None else prev + term
-                    if lhs != GradedElement(MONOMIAL, rhs).scaled(scale):
-                        witness = f"alpha={alpha}, beta={beta}"
-                        break
-    report.add(f"product rule through degree {max_degree}", witness is None, witness)
+    def product_rule(pair) -> str | None:
+        alpha, beta = pair
+        lhs = product(qps(alpha), qps(beta))
+        scale = Fraction(stats(alpha).z_value * stats(beta).z_value, stats(alpha + beta).z_value)
+        rhs: dict[Composition, Fraction] = {}
+        for gamma, mult in shuffle(alpha, beta).items():
+            for comp, coef in qps(gamma).terms.items():
+                term = coef * mult
+                prev = rhs.get(comp)
+                rhs[comp] = term if prev is None else prev + term
+        if lhs != GradedElement(MONOMIAL, rhs).scaled(scale):
+            return f"alpha={alpha}, beta={beta}"
+        return None
 
-    witness = None
-    for n in range(max_degree + 1):
-        if witness:
-            break
-        for alpha in compositions_of(n):
-            z_alpha = stats(alpha).z_value
-            lhs = coproduct(qps(alpha))
-            rhs: dict[tuple[Composition, Composition], Fraction] = {}
-            for left, right in deconcatenations(alpha):
-                scale = Fraction(z_alpha, stats(left).z_value * stats(right).z_value)
-                right_terms = qps(right).terms.items()
-                for cl, vl in qps(left).terms.items():
-                    for cr, vr in right_terms:
-                        term = scale * vl * vr
-                        prev = rhs.get((cl, cr))
-                        rhs[cl, cr] = term if prev is None else prev + term
-            if lhs != TensorElement(MONOMIAL, rhs):
-                witness = f"alpha={alpha}"
-                break
-    report.add(f"coproduct rule through degree {max_degree}", witness is None, witness)
+    def coproduct_rule(alpha: Composition) -> str | None:
+        z_alpha = stats(alpha).z_value
+        lhs = coproduct(qps(alpha))
+        rhs: dict[tuple[Composition, Composition], Fraction] = {}
+        for left, right in deconcatenations(alpha):
+            scale = Fraction(z_alpha, stats(left).z_value * stats(right).z_value)
+            right_terms = qps(right).terms.items()
+            for cl, vl in qps(left).terms.items():
+                for cr, vr in right_terms:
+                    term = scale * vl * vr
+                    prev = rhs.get((cl, cr))
+                    rhs[cl, cr] = term if prev is None else prev + term
+        if lhs != TensorElement(MONOMIAL, rhs):
+            return f"alpha={alpha}"
+        return None
 
-    witness = None
-    for n in range(1, partition_degree + 1):
-        if witness:
-            break
-        for lam in partitions_of(n):
-            # the constructor sums the terms of equal compositions
-            total = GradedElement(
-                MONOMIAL, (term for alpha in rearrangements(lam) for term in qps(alpha).terms.items())
-            )
-            if total != power_sum(lam):
-                witness = f"lambda={lam}"
-                break
-    report.add(f"power sum refinement through degree {partition_degree}", witness is None, witness)
+    def refinement_rule(lam: Composition) -> str | None:
+        # the constructor sums the terms of equal compositions
+        total = GradedElement(
+            MONOMIAL, (term for alpha in rearrangements(lam) for term in qps(alpha).terms.items())
+        )
+        return None if total == power_sum(lam) else f"lambda={lam}"
+
+    report.sweep(f"product rule through degree {max_degree}", pairs_up_to(max_degree), product_rule)
+    report.sweep(
+        f"coproduct rule through degree {max_degree}", compositions_up_to(max_degree), coproduct_rule
+    )
+    partitions = (lam for n in range(1, partition_degree + 1) for lam in partitions_of(n))
+    report.sweep(f"power sum refinement through degree {partition_degree}", partitions, refinement_rule)
     return report
 
 
@@ -496,19 +453,19 @@ def check_integral_nonneg(
     def is_nonneg_integer(x: Fraction) -> bool:
         return x.denominator == 1 and x >= 0
 
-    witness = None
-    for n in range(1, max_degree + 1):
-        if witness:
-            break
-        for alpha in compositions_of(n):
-            aut = stats(alpha).aut_count
-            for beta, blocks in coarsening_splits(alpha):
-                value = aut * block_product(f, blocks)
-                if not is_nonneg_integer(value):
-                    witness = IntegralityWitness(alpha, beta, value)
-                    break
-            if witness:
-                break
+    def refinement_witness(alpha: Composition) -> IntegralityWitness | None:
+        aut = stats(alpha).aut_count
+
+        def witness_of(split) -> IntegralityWitness | None:
+            beta, blocks = split
+            value = aut * block_product(f, blocks)
+            if not is_nonneg_integer(value):
+                return IntegralityWitness(alpha, beta, value)
+            return None
+
+        return first_witness(coarsening_splits(alpha), witness_of)
+
+    witness = first_witness(compositions_up_to(max_degree)[1:], refinement_witness)
 
     single_block_ok = True
     for n in range(1, max_degree + 1):

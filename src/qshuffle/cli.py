@@ -26,7 +26,6 @@ from .characters import (
     check_integral_nonneg,
     f_to_g,
     g_to_f,
-    is_shuffle_character,
     qps_expand,
     resolve_basis,
     verify_qps,
@@ -42,7 +41,7 @@ from .elements import (
     format_element,
 )
 from .errors import EngineError
-from .functionals import exp_functional, log_functional
+from .functionals import exp_functional, is_character, log_functional
 from .report import VerifyReport
 from .universal import (
     CANONICAL_NAMES,
@@ -119,7 +118,7 @@ def build_parser() -> _Parser:
     s.add_argument("--functional", required=True, help="canonical name, f:<basis>, or g:<basis>")
 
     s = sub.add_parser("phi", help="universal morphism into the quasisymmetric algebra")
-    _add_common(s, _cmd_phi, basis=True)
+    _add_common(s, _cmd_phi)
     s.add_argument("--hopf", choices=("graph", "poset", "qsym"), required=True)
     s.add_argument("--input", required=True, help="graph/poset literal or composition text")
     s.add_argument("--char", default=None, help="canonical character name (qsym only)")
@@ -170,6 +169,12 @@ def _need(value, flag: str):
     if value is None:
         raise CliUsageError(f"{flag} is required for this command")
     return value
+
+
+def _refuse(value, flag: str, context: str) -> None:
+    """A flag that the command would ignore is an error, not a silent no-op."""
+    if value is not None:
+        raise CliUsageError(f"{flag} does not apply to {context}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -290,41 +295,37 @@ def _cmd_table(args) -> int:
 
 def _verify_fg_roundtrip(f, degree: int) -> VerifyReport:
     report = VerifyReport("fg-roundtrip")
-    g = f_to_g(f)
-    back = g_to_f(g)
-    witness = None
-    for comp in compositions_up_to(degree):
-        if back(comp) != f(comp):
-            witness = f"alpha={comp}: {back(comp)} != {f(comp)}"
-            break
-    report.add(f"g_to_f(f_to_g(f)) = f through degree {degree}", witness is None, witness)
+    back = g_to_f(f_to_g(f))
+
+    def mismatch(comp: Composition) -> str | None:
+        return None if back(comp) == f(comp) else f"alpha={comp}: {back(comp)} != {f(comp)}"
+
+    report.sweep(f"g_to_f(f_to_g(f)) = f through degree {degree}", compositions_up_to(degree), mismatch)
     return report
 
 
 def _verify_antipode(degree: int) -> VerifyReport:
     report = VerifyReport("antipode")
-    witness = None
-    for comp in compositions_up_to(degree):
+    comps = compositions_up_to(degree)
+
+    def closed_form(comp: Composition) -> str | None:
         elem = GradedElement.basis_element(WORD, comp)
-        if antipode_word(elem) != antipode_by_recursion(WORD, comp):
-            witness = f"alpha={comp}"
-            break
-    report.add(f"word closed form = recursion through degree {degree}", witness is None, witness)
+        return None if antipode_word(elem) == antipode_by_recursion(WORD, comp) else f"alpha={comp}"
+
+    def axiom(basis: str, comp: Composition) -> str | None:
+        target = GradedElement.unit(basis) if not comp else GradedElement.zero(basis)
+        acc = {}
+        for left, right in deconcatenations(comp):
+            accumulate_product(
+                acc,
+                antipode_by_recursion(basis, left),
+                GradedElement.basis_element(basis, right),
+            )
+        return None if GradedElement(basis, acc) == target else f"alpha={comp}"
+
+    report.sweep(f"word closed form = recursion through degree {degree}", comps, closed_form)
     for basis in (MONOMIAL, WORD):
-        witness = None
-        for comp in compositions_up_to(degree):
-            target = GradedElement.unit(basis) if not comp else GradedElement.zero(basis)
-            acc = {}
-            for left, right in deconcatenations(comp):
-                accumulate_product(
-                    acc,
-                    antipode_by_recursion(basis, left),
-                    GradedElement.basis_element(basis, right),
-                )
-            if GradedElement(basis, acc) != target:
-                witness = f"alpha={comp}"
-                break
-        report.add(f"antipode axiom in basis {basis} through degree {degree}", witness is None, witness)
+        report.sweep(f"antipode axiom in basis {basis} through degree {degree}", comps, partial(axiom, basis))
     return report
 
 
@@ -332,6 +333,7 @@ def _cmd_verify(args) -> int:
     degree = _check_degree(args.degree)
     suite = args.suite
     if suite == "antipode":
+        _refuse(args.basis, "--basis", "--suite antipode")
         report = _verify_antipode(degree)
     elif suite == "theta-eigen":
         if args.basis not in (None, "even-odd"):
@@ -340,7 +342,7 @@ def _cmd_verify(args) -> int:
     else:
         f = resolve_basis(_need(args.basis, "--basis"))
         if suite == "shuffle-character":
-            ok, violation = is_shuffle_character(f, degree)
+            ok, violation = is_character(f, degree, WORD)
             report = VerifyReport(f"shuffle-character for {args.basis}")
             report.add(
                 f"f(a)f(b) = sum over shuffles through degree {degree}",
@@ -372,13 +374,15 @@ def _cmd_theta(args) -> int:
 def _cmd_exp_log(args, apply) -> int:
     degree = _check_degree(args.degree)
     side, functional = _resolve_functional(args.functional)
-    result = apply(functional, degree)
+    result = apply(functional)
     values = {comp: result(comp) for comp in compositions_up_to(degree)}
     _emit(_functional_payload(side, values, args.format), args.out)
     return 0
 
 
 def _cmd_phi(args) -> int:
+    if args.hopf != "qsym":
+        _refuse(args.char, "--char", f"--hopf {args.hopf}")
     if args.hopf == "graph":
         g = _parse_literal(demos.SmallGraph.from_text, args.input)
         elem = universal_to_qsym(demos.graph_provider(), demos.zeta_no_edges, g)
@@ -396,6 +400,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    if args.hopf in ("sh", "poset"):
+        _refuse(args.basis, "--basis", f"--hopf {args.hopf}")
     if args.hopf == "graph":
         g = _parse_literal(demos.SmallGraph.from_text, args.input)
         xi = demos.graph_infchar(builtin(args.basis or "type1"))

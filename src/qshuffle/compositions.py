@@ -126,6 +126,19 @@ def compositions_up_to(max_degree: int) -> list[Composition]:
     return out
 
 
+def pairs_up_to(max_degree: int):
+    """Pairs of nonempty compositions with |alpha| + |beta| <= max_degree.
+
+    Ordered by total size, then |alpha|, then canonical order of alpha and
+    of beta.
+    """
+    for total in range(2, max_degree + 1):
+        for a in range(1, total):
+            for alpha in compositions_of(a):
+                for beta in compositions_of(total - a):
+                    yield alpha, beta
+
+
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Composition, ...]:
     """Partitions of n (weakly decreasing compositions), canonical order."""

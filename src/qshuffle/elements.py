@@ -332,17 +332,6 @@ class TensorElement:
         return "<" + " + ".join(bits) + ">"
 
 
-def tensor_outer(a: GradedElement, b: GradedElement) -> TensorElement:
-    """The simple tensor a (x) b."""
-    if a.basis != b.basis:
-        raise BasisMismatch(f"{a.basis} vs {b.basis}")
-    acc: dict[tuple[Composition, Composition], Fraction] = {}
-    for ca, va in a.terms.items():
-        for cb, vb in b.terms.items():
-            acc[(ca, cb)] = acc.get((ca, cb), Fraction(0)) + va * vb
-    return TensorElement(a.basis, acc)
-
-
 def coproduct(h: GradedElement) -> TensorElement:
     """Deconcatenation coproduct, the same rule in both wired bases."""
     if h.basis not in _PRODUCT_RULES:

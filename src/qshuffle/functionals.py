@@ -21,15 +21,11 @@ from fractions import Fraction
 from math import factorial
 
 from .compositions import (
-    Composition,
-    compositions_of,
-    compositions_up_to,
-    deconcatenations,
-    extend_over_refinement,
-    nonempty_splits,
+    Composition, deconcatenations, extend_over_refinement, nonempty_splits, pairs_up_to
 )
 from .elements import GradedElement, product
 from .errors import NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
+from .report import first_witness
 
 
 class Functional:
@@ -103,11 +99,10 @@ def functional_inverse(phi: Functional) -> Functional:
     return inv
 
 
-def _split_series(phi: Functional, weight, value_at_empty: int, max_degree: int | None) -> Functional:
+def _split_series(phi: Functional, weight, value_at_empty: int) -> Functional:
     """Sum over m >= 1 of weight(m) phi^{*m}, one term per split into m nonempty blocks.
 
-    Finite on every composition, so exact at all degrees; a max_degree
-    computes all values at sizes up to it eagerly.
+    Finite on every composition, so exact at all degrees.
     """
 
     def value(comp: Composition) -> Fraction:
@@ -119,21 +114,17 @@ def _split_series(phi: Functional, weight, value_at_empty: int, max_degree: int 
             total += term
         return total
 
-    result = Functional(value_at_empty, value)
-    if max_degree is not None:
-        for comp in compositions_up_to(max_degree):
-            result(comp)
-    return result
+    return Functional(value_at_empty, value)
 
 
-def exp_functional(xi: Functional, max_degree: int | None = None) -> Functional:
+def exp_functional(xi: Functional) -> Functional:
     """exp under convolution: sum of xi^{*m} / m!; xi must vanish on the empty composition."""
     if xi.value_at_empty != 0:
         raise NonvanishingAtEmpty(f"exp needs value 0 on the empty composition, got {xi.value_at_empty}")
-    return _split_series(xi, lambda m: Fraction(1, factorial(m)), 1, max_degree)
+    return _split_series(xi, lambda m: Fraction(1, factorial(m)), 1)
 
 
-def log_functional(zeta: Functional, max_degree: int | None = None) -> Functional:
+def log_functional(zeta: Functional) -> Functional:
     """log under convolution: sum over m >= 1 of (-1)^(m-1)/m (zeta - counit)^{*m}.
 
     Requires value 1 on the empty composition; on nonempty blocks zeta -
@@ -141,7 +132,7 @@ def log_functional(zeta: Functional, max_degree: int | None = None) -> Functiona
     """
     if zeta.value_at_empty != 1:
         raise WrongValueAtEmpty(f"log needs value 1 on the empty composition, got {zeta.value_at_empty}")
-    return _split_series(zeta, lambda m: Fraction(-1 if m % 2 == 0 else 1, m), 0, max_degree)
+    return _split_series(zeta, lambda m: Fraction(-1 if m % 2 == 0 else 1, m), 0)
 
 
 def lie_bracket(xi1: Functional, xi2: Functional) -> Functional:
@@ -173,26 +164,21 @@ class Violation:
         )
 
 
-def _basis_pairs(max_degree: int):
-    for total in range(2, max_degree + 1):
-        for a in range(1, total):
-            for alpha in compositions_of(a):
-                for beta in compositions_of(total - a):
-                    yield alpha, beta
-
-
 def _product_sweep(phi: Functional, max_degree: int, basis: str, value_at_empty: int):
     """phi(b b') must be phi(b) phi(b') for a character (value 1 at empty), 0 for an infinitesimal one."""
     if phi.value_at_empty != value_at_empty:
         return False, Violation("value-at-empty", None, None, Fraction(value_at_empty), phi.value_at_empty)
-    for alpha, beta in _basis_pairs(max_degree):
+
+    def violation(pair) -> Violation | None:
+        alpha, beta = pair
         lhs = phi.of_element(
             product(GradedElement.basis_element(basis, alpha), GradedElement.basis_element(basis, beta))
         )
         rhs = phi(alpha) * phi(beta) if value_at_empty else Fraction(0)
-        if lhs != rhs:
-            return False, Violation("product", alpha, beta, rhs, lhs)
-    return True, None
+        return None if lhs == rhs else Violation("product", alpha, beta, rhs, lhs)
+
+    witness = first_witness(pairs_up_to(max_degree), violation)
+    return witness is None, witness
 
 
 def is_character(
@@ -202,7 +188,8 @@ def is_character(
 
     Products of basis elements are taken in the stated basis, pairs swept in
     canonical order up to total degree max_degree; returns the first
-    violation found.
+    violation found.  In the word basis this is the shuffle-character
+    property f(alpha) f(beta) = sum of f over the shuffles.
     """
     return _product_sweep(phi, max_degree, basis, 1)
 

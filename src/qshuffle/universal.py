@@ -32,10 +32,12 @@ from .characters import (
     even_odd_character,
     f_to_g,
 )
-from .compositions import Composition, EMPTY, compositions_of, deconcatenations, nonempty_splits, stats
+from .compositions import (
+    Composition, EMPTY, compositions_of, compositions_up_to, deconcatenations, nonempty_splits, stats
+)
 from .elements import GradedElement, MONOMIAL, WORD
 from .errors import BasisMismatch, DegreeMismatch, NotACharacter, NotAnInfinitesimalCharacter
-from .functionals import Functional, convolve, counit_functional, functional_inverse
+from .functionals import Functional, counit_functional
 from .report import VerifyReport
 
 Label = Hashable
@@ -218,18 +220,6 @@ def canonical(name: str) -> Functional:
     raise ValueError(f"unknown canonical functional {name!r}; known: {', '.join(CANONICAL_NAMES)}")
 
 
-def nu_via_convolution(max_degree: int) -> Functional:
-    """inverse(barZetaQ) * zetaQ, materialized through max_degree.
-
-    Agrees with canonical("nuQ") on every monomial up to the bound.
-    """
-    nu = convolve(functional_inverse(canonical("barZetaQ")), canonical("zetaQ"))
-    for n in range(max_degree + 1):
-        for comp in compositions_of(n):
-            nu(comp)
-    return nu
-
-
 # ---------------------------------------------------------------------------
 # theta and its eigenbasis
 
@@ -288,21 +278,22 @@ def theta_eigencheck(f_even: Functional | None, max_degree: int) -> VerifyReport
     f = even_odd_character(f_even=f_even)
     label = "stock" if f_even is None else (f_even.name or "custom")
     report = VerifyReport(f"theta eigencheck (even block: {label})")
-    witness = None
-    eigen_witness = None
-    for n in range(max_degree + 1):
-        for alpha in compositions_of(n):
-            x_alpha = basis_expand(f, alpha)
-            image = theta(x_alpha)
-            if all(p % 2 == 1 for p in alpha):
-                expected = x_alpha.scaled(Fraction(2) ** alpha.length)
-                if image != expected and eigen_witness is None:
-                    eigen_witness = f"alpha={alpha}"
-            else:
-                if not image.is_zero() and witness is None:
-                    witness = f"alpha={alpha}"
-    report.add(f"odd-part X_alpha scale by 2^length through degree {max_degree}", eigen_witness is None, eigen_witness)
-    report.add(f"other X_alpha map to zero through degree {max_degree}", witness is None, witness)
+    # disjoint case lists, so each X_alpha is expanded and mapped once
+    odd, other = [], []
+    for alpha in compositions_up_to(max_degree):
+        (odd if all(p % 2 == 1 for p in alpha) else other).append(alpha)
+
+    def eigen_witness(alpha: Composition) -> str | None:
+        x_alpha = basis_expand(f, alpha)
+        if theta(x_alpha) != x_alpha.scaled(Fraction(2) ** alpha.length):
+            return f"alpha={alpha}"
+        return None
+
+    def zero_witness(alpha: Composition) -> str | None:
+        return None if theta(basis_expand(f, alpha)).is_zero() else f"alpha={alpha}"
+
+    report.sweep(f"odd-part X_alpha scale by 2^length through degree {max_degree}", odd, eigen_witness)
+    report.sweep(f"other X_alpha map to zero through degree {max_degree}", other, zero_witness)
     return report
 
 

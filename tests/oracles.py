@@ -18,7 +18,9 @@ The rest is code that only the tests use, kept out of the library with its
 body unchanged: the refinement predicate ``refines``, the shuffle count
 ``shuffle_multiplicity_total``, the multidegree projection ``delta_alpha``,
 the polynomial truncation ``expand_polynomial`` with ``polynomial_product``,
-and the disjoint-union sweep ``check_provider_multiplicativity``.
+the disjoint-union sweep ``check_provider_multiplicativity``, the simple
+tensor ``tensor_outer``, the normalization predicate ``is_normalized`` and
+nu as a convolution, ``nu_via_convolution``.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from qshuffle.compositions import EMPTY, Composition, canonical_key, refinement_split
+from qshuffle.characters import single
+from qshuffle.compositions import EMPTY, Composition, canonical_key, compositions_of, refinement_split
 from qshuffle.demos import all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
-from qshuffle.elements import MONOMIAL, _PRODUCT_RULES, GradedElement, product
+from qshuffle.elements import MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, product
 from qshuffle.errors import BasisMismatch, DegreeMismatch, NotARefinement
-from qshuffle.universal import _theta_of_monomial
+from qshuffle.functionals import Functional, convolve, functional_inverse
+from qshuffle.universal import _theta_of_monomial, canonical
 
 _antipode_cache: dict[tuple[str, Composition], GradedElement] = {}
 
@@ -195,3 +199,30 @@ def check_provider_multiplicativity(max_degree: int) -> bool:
                     if xi_unique_min(union) != 0:
                         return False
     return True
+
+
+def tensor_outer(a: GradedElement, b: GradedElement) -> TensorElement:
+    """The simple tensor a (x) b."""
+    if a.basis != b.basis:
+        raise BasisMismatch(f"{a.basis} vs {b.basis}")
+    acc: dict[tuple[Composition, Composition], Fraction] = {}
+    for ca, va in a.terms.items():
+        for cb, vb in b.terms.items():
+            acc[(ca, cb)] = acc.get((ca, cb), Fraction(0)) + va * vb
+    return TensorElement(a.basis, acc)
+
+
+def is_normalized(f: Functional, max_degree: int) -> bool:
+    return all(f(single(n)) == 1 for n in range(1, max_degree + 1))
+
+
+def nu_via_convolution(max_degree: int) -> Functional:
+    """inverse(barZetaQ) * zetaQ, materialized through max_degree.
+
+    Agrees with canonical("nuQ") on every monomial up to the bound.
+    """
+    nu = convolve(functional_inverse(canonical("barZetaQ")), canonical("zetaQ"))
+    for n in range(max_degree + 1):
+        for comp in compositions_of(n):
+            nu(comp)
+    return nu

@@ -19,7 +19,6 @@ from qshuffle.characters import (
     closed_form_g,
     f_to_g,
     g_to_f,
-    is_shuffle_character,
     order_basis_character,
     prefix_sum_character,
     verify_qps,
@@ -42,16 +41,15 @@ from qshuffle.elements import (
     counit,
     product,
 )
-from qshuffle.functionals import Functional, exp_functional, log_functional
+from qshuffle.functionals import Functional, exp_functional, is_character, log_functional
 from qshuffle.universal import (
     canonical,
     infchar_to_char,
-    nu_via_convolution,
     sh_provider,
     theta_eigencheck,
 )
 
-from oracles import expand_polynomial, polynomial_product
+from oracles import expand_polynomial, nu_via_convolution, polynomial_product
 
 C = Composition
 SEED = 20260823
@@ -79,7 +77,7 @@ def test_criterion_01_shuffle_character_axioms(announce):
     bases.extend(order_basis_character(order) for order in _random_orders())
     failures = []
     for f in bases:
-        ok, violation = is_shuffle_character(f, 8)
+        ok, violation = is_character(f, 8, WORD)
         if not ok:
             failures.append(f"{f.name}: {violation}")
     detail = f"9 bases, pairs to degree 8, {time.time() - started:.1f}s"

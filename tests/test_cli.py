@@ -432,6 +432,25 @@ def test_theta_elem_rejects_repeats_and_unknown_keys(capsys, elem, shown):
 
 
 @pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("verify", "--suite", "antipode", "--basis", "nonsense", "--degree", "2"), "--basis"),
+        (("psi", "--hopf", "sh", "--input", "2,1", "--basis", "type1"), "--basis"),
+        (("psi", "--hopf", "poset", "--input", "2; 1<2", "--basis", "type1"), "--basis"),
+        (("phi", "--hopf", "graph", "--input", "2; 1-2", "--char", "zetaQ"), "--char"),
+        (("phi", "--hopf", "poset", "--input", "2; 1<2", "--char", "zetaQ"), "--char"),
+        (("phi", "--hopf", "qsym", "--input", "2,1", "--basis", "type1"), "--basis"),
+    ],
+    ids=("verify-antipode-basis", "psi-sh-basis", "psi-poset-basis", "phi-graph-char", "phi-poset-char", "phi-basis"),
+)
+def test_flags_a_command_ignores_are_rejected(capsys, argv, shown):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and shown in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("verify", "--suite", "antipode", "--degree", "2"),
@@ -466,6 +485,19 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout == "M[2,1] + 1/3 M[3]\n"
+
+
+def test_imports_only_the_standard_library():
+    # -S leaves site-packages off the path, so an import of an installed package fails too
+    code = (
+        "import sys; import qshuffle, qshuffle.cli; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} - set(sys.stdlib_module_names)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['__main__', 'qshuffle']\n"
 
 
 def test_module_invocation_matches_script():

@@ -15,6 +15,7 @@ from qshuffle.compositions import (
     deconcatenations,
     extend_over_refinement,
     nonempty_splits,
+    pairs_up_to,
     partitions_of,
     quasi_shuffle,
     rearrangements,
@@ -59,6 +60,20 @@ def test_enumeration_counts_and_order():
         assert list(listed) == sorted(listed, key=lambda c: tuple(c))
     up = compositions_up_to(4)
     assert up == sorted(up, key=lambda c: (c.size, tuple(c)))
+
+
+def test_pairs_up_to_order():
+    # each pair of nonempty compositions once: by total size, then |alpha|, then canonical order
+    pairs = [
+        (alpha, beta)
+        for total in range(2, 7)
+        for a in range(1, total)
+        for alpha in compositions_by_cuts(a)
+        for beta in compositions_by_cuts(total - a)
+    ]
+    pairs.sort(key=lambda pair: (pair[0].size + pair[1].size, pair[0].size, tuple(pair[0]), tuple(pair[1])))
+    assert list(pairs_up_to(6)) == pairs
+    assert list(pairs_up_to(1)) == []
 
 
 def test_composition_validation_and_text():

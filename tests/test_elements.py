@@ -17,11 +17,10 @@ from qshuffle.elements import (
     format_element,
     power_sum,
     product,
-    tensor_outer,
 )
 from qshuffle.errors import BasisMismatch, DegreeMismatch, NotAPartition
 
-from oracles import delta_alpha, expand_polynomial, polynomial_product
+from oracles import delta_alpha, expand_polynomial, polynomial_product, tensor_outer
 
 C = Composition
 

@@ -22,7 +22,6 @@ from qshuffle.universal import (
     canonical,
     char_to_infchar,
     infchar_to_char,
-    nu_via_convolution,
     qsym_provider,
     sh_provider,
     theta,
@@ -30,6 +29,8 @@ from qshuffle.universal import (
     universal_to_qsym,
     universal_to_sh,
 )
+
+from oracles import nu_via_convolution
 
 C = Composition
 
