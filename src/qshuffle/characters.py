@@ -179,28 +179,28 @@ def verify_qps(
         alpha, beta = pair
         lhs = product(qps(alpha), qps(beta))
         scale = Fraction(stats(alpha).z_value * stats(beta).z_value, stats(alpha + beta).z_value)
-        rhs: dict[Composition, Fraction] = {}
-        for gamma, mult in shuffle(alpha, beta).items():
-            for comp, coef in qps(gamma).terms.items():
-                term = coef * mult
-                prev = rhs.get(comp)
-                rhs[comp] = term if prev is None else prev + term
-        if lhs != GradedElement(MONOMIAL, rhs).scaled(scale):
+        shuffled = (
+            (comp, coef * mult)
+            for gamma, mult in shuffle(alpha, beta).items()
+            for comp, coef in qps(gamma).terms.items()
+        )
+        if lhs != GradedElement(MONOMIAL, shuffled).scaled(scale):
             return f"alpha={alpha}, beta={beta}"
         return None
 
     def coproduct_rule(alpha: Composition) -> str | None:
         z_alpha = stats(alpha).z_value
         lhs = coproduct(qps(alpha))
-        rhs: dict[tuple[Composition, Composition], Fraction] = {}
-        for left, right in deconcatenations(alpha):
-            scale = Fraction(z_alpha, stats(left).z_value * stats(right).z_value)
-            right_terms = qps(right).terms.items()
-            for cl, vl in qps(left).terms.items():
-                for cr, vr in right_terms:
-                    term = scale * vl * vr
-                    prev = rhs.get((cl, cr))
-                    rhs[cl, cr] = term if prev is None else prev + term
+        splits = [
+            (left, right, Fraction(z_alpha, stats(left).z_value * stats(right).z_value))
+            for left, right in deconcatenations(alpha)
+        ]
+        rhs = (
+            ((cl, cr), scale * vl * vr)
+            for left, right, scale in splits
+            for cl, vl in qps(left).terms.items()
+            for cr, vr in qps(right).terms.items()
+        )
         if lhs != TensorElement(MONOMIAL, rhs):
             return f"alpha={alpha}"
         return None

@@ -223,7 +223,8 @@ def _resolve_functional(name: str):
 
 
 def _parse_element(args) -> GradedElement:
-    if getattr(args, "elem", None):
+    if getattr(args, "elem", None) is not None:
+        _refuse(args.comp, "--comp", "--elem")
         try:
             elem = GradedElement.from_json(args.elem)
         except (ValueError, KeyError, TypeError) as exc:

@@ -301,20 +301,28 @@ def nonempty_splits(comp: Composition):
         yield tuple(blocks)
 
 
-@lru_cache(maxsize=None)
-def _shuffle_pairs(a: Composition, b: Composition) -> tuple[tuple[Composition, int], ...]:
+def _interleavings(pairs_of, merge: bool, a: Composition, b: Composition):
+    """The shuffle of a and b as canonical (word, multiplicity) pairs, recursing through pairs_of;
+    merge (the quasi-shuffle) lets a word also start with the sum of both first parts."""
     if not a:
         return ((b, 1),)
     if not b:
         return ((a, 1),)
+    rest_a, rest_b = _trusted(a[1:]), _trusted(b[1:])
+    branches = [(a[0], rest_a, b), (b[0], a, rest_b)]
+    if merge:
+        branches.append((a[0] + b[0], rest_a, rest_b))
     acc: dict[Composition, int] = {}
-    for word, m in _shuffle_pairs(_trusted(a[1:]), b):
-        key = _trusted((a[0], *word))
-        acc[key] = acc.get(key, 0) + m
-    for word, m in _shuffle_pairs(a, _trusted(b[1:])):
-        key = _trusted((b[0], *word))
-        acc[key] = acc.get(key, 0) + m
+    for first, left, right in branches:
+        for word, m in pairs_of(left, right):
+            key = _trusted((first, *word))
+            acc[key] = acc.get(key, 0) + m
     return tuple(sorted(acc.items(), key=lambda kv: canonical_key(kv[0])))
+
+
+@lru_cache(maxsize=None)
+def _shuffle_pairs(a: Composition, b: Composition) -> tuple[tuple[Composition, int], ...]:
+    return _interleavings(_shuffle_pairs, False, a, b)
 
 
 def shuffle(a: Composition, b: Composition) -> dict[Composition, int]:
@@ -327,22 +335,7 @@ def shuffle(a: Composition, b: Composition) -> dict[Composition, int]:
 
 @lru_cache(maxsize=None)
 def _quasi_shuffle_pairs(a: Composition, b: Composition) -> tuple[tuple[Composition, int], ...]:
-    if not a:
-        return ((b, 1),)
-    if not b:
-        return ((a, 1),)
-    acc: dict[Composition, int] = {}
-    rest_a, rest_b = _trusted(a[1:]), _trusted(b[1:])
-    for word, m in _quasi_shuffle_pairs(rest_a, b):
-        key = _trusted((a[0], *word))
-        acc[key] = acc.get(key, 0) + m
-    for word, m in _quasi_shuffle_pairs(a, rest_b):
-        key = _trusted((b[0], *word))
-        acc[key] = acc.get(key, 0) + m
-    for word, m in _quasi_shuffle_pairs(rest_a, rest_b):
-        key = _trusted((a[0] + b[0], *word))
-        acc[key] = acc.get(key, 0) + m
-    return tuple(sorted(acc.items(), key=lambda kv: canonical_key(kv[0])))
+    return _interleavings(_quasi_shuffle_pairs, True, a, b)
 
 
 def quasi_shuffle(a: Composition, b: Composition) -> dict[Composition, int]:

@@ -17,6 +17,7 @@ which the tests check through relabelings.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
@@ -118,13 +119,11 @@ def _split_coproduct(
     x: _LabelledPairs, subsets
 ) -> tuple[tuple[tuple[_LabelledPairs, _LabelledPairs], Fraction], ...]:
     """The coproduct of x: x.induced(S) (x) x.induced(rest) summed over the label subsets S."""
-    acc: dict[tuple[_LabelledPairs, _LabelledPairs], Fraction] = {}
     labels = range(1, x[0] + 1)
-    for chosen in subsets:
-        rest = [v for v in labels if v not in chosen]
-        key = (x.induced(chosen), x.induced(rest))
-        acc[key] = acc.get(key, Fraction(0)) + 1
-    return tuple(acc.items())
+    counts = Counter(
+        (x.induced(chosen), x.induced([v for v in labels if v not in chosen])) for chosen in subsets
+    )
+    return tuple((pair, Fraction(n)) for pair, n in counts.items())
 
 
 def _provider(name: str, basis_of_degree, coproduct, unit_label: _LabelledPairs) -> HopfProvider:

@@ -12,8 +12,9 @@ Any other basis tag is allowed for storage (derived bases produced by the
 change-of-basis code) but has no product or coproduct; structure maps raise
 BasisMismatch on such tags.
 
-All coefficients are Fraction; zero terms are pruned on construction, so
-equality of elements is equality of the term dictionaries.
+All coefficients are Fraction.  ``_summed``, called by both constructors,
+owns the normal form (repeated keys summed, zero sums pruned), so equality
+of elements is equality of the term dictionaries.
 """
 
 from __future__ import annotations
@@ -64,6 +65,27 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"not an exact rational (an int, or text like -2/3 or 1.5): {value!r}")
 
 
+def _composition(comp) -> Composition:
+    return comp if type(comp) is Composition else Composition(comp)
+
+
+def _composition_pair(pair) -> tuple[Composition, Composition]:
+    left, right = pair
+    return _composition(left), _composition(right)
+
+
+def _summed(terms, key_of) -> dict:
+    """Terms (a dict or (key, coef) pairs) in normal form: each key through key_of,
+    exact coefficients, repeated keys summed, zero sums pruned once at the end.
+    """
+    acc = {}
+    for key, coef in terms.items() if isinstance(terms, dict) else terms:
+        key, coef = key_of(key), _as_fraction(coef)
+        prev = acc.get(key)
+        acc[key] = coef if prev is None else prev + coef
+    return {k: v for k, v in acc.items() if v != 0}
+
+
 def _check_keys(data: dict, known: tuple[str, ...]) -> None:
     unknown = sorted(set(data) - set(known))
     if unknown:
@@ -76,17 +98,8 @@ class GradedElement:
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis: str, terms=None):
-        cleaned: dict[Composition, Fraction] = {}
-        for comp, coef in (terms or {}).items() if isinstance(terms, dict) else (terms or ()):
-            coef = _as_fraction(coef)
-            if coef == 0:
-                continue
-            if type(comp) is not Composition:
-                comp = Composition(comp)
-            prev = cleaned.get(comp)
-            cleaned[comp] = coef if prev is None else prev + coef
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", {c: v for c, v in cleaned.items() if v != 0})
+        object.__setattr__(self, "terms", _summed(terms or (), _composition))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedElement is immutable")
@@ -141,10 +154,7 @@ class GradedElement:
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         self._require_same_basis(other)
-        merged = dict(self.terms)
-        for c, v in other.terms.items():
-            merged[c] = merged.get(c, Fraction(0)) + v
-        return GradedElement(self.basis, merged)
+        return GradedElement(self.basis, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "GradedElement":
         return GradedElement(self.basis, {c: -v for c, v in self.terms.items()})
@@ -249,21 +259,8 @@ class TensorElement:
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis: str, terms=None):
-        cleaned: dict[tuple[Composition, Composition], Fraction] = {}
-        for pair, coef in (terms or {}).items() if isinstance(terms, dict) else (terms or ()):
-            coef = _as_fraction(coef)
-            if coef == 0:
-                continue
-            left, right = pair
-            if type(left) is not Composition:
-                left = Composition(left)
-            if type(right) is not Composition:
-                right = Composition(right)
-            key = (left, right)
-            prev = cleaned.get(key)
-            cleaned[key] = coef if prev is None else prev + coef
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", {k: v for k, v in cleaned.items() if v != 0})
+        object.__setattr__(self, "terms", _summed(terms or (), _composition_pair))
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorElement is immutable")
@@ -278,10 +275,7 @@ class TensorElement:
     def __add__(self, other: "TensorElement") -> "TensorElement":
         if self.basis != other.basis:
             raise BasisMismatch(f"{self.basis} vs {other.basis}")
-        merged = dict(self.terms)
-        for k, v in other.terms.items():
-            merged[k] = merged.get(k, Fraction(0)) + v
-        return TensorElement(self.basis, merged)
+        return TensorElement(self.basis, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + other.scaled(-1)
@@ -302,15 +296,14 @@ class TensorElement:
         rule = _PRODUCT_RULES.get(self.basis)
         if rule is None:
             raise BasisMismatch(f"no product rule for basis {self.basis!r}")
-        acc: dict[tuple[Composition, Composition], Fraction] = {}
-        for (l1, r1), v1 in self.terms.items():
-            for (l2, r2), v2 in other.terms.items():
-                coef = v1 * v2
-                for wl, ml in rule(l1, l2).items():
-                    for wr, mr in rule(r1, r2).items():
-                        key = (wl, wr)
-                        acc[key] = acc.get(key, Fraction(0)) + coef * ml * mr
-        return TensorElement(self.basis, acc)
+        terms = (
+            ((wl, wr), v1 * v2 * ml * mr)
+            for (l1, r1), v1 in self.terms.items()
+            for (l2, r2), v2 in other.terms.items()
+            for wl, ml in rule(l1, l2).items()
+            for wr, mr in rule(r1, r2).items()
+        )
+        return TensorElement(self.basis, terms)
 
     def evaluate(self, left_fn, right_fn) -> Fraction:
         """Apply a pair of functionals and sum."""
@@ -336,12 +329,9 @@ def coproduct(h: GradedElement) -> TensorElement:
     """Deconcatenation coproduct, the same rule in both wired bases."""
     if h.basis not in _PRODUCT_RULES:
         raise BasisMismatch(f"no coproduct for basis {h.basis!r}")
-    acc: dict[tuple[Composition, Composition], Fraction] = {}
-    for comp, coef in h.terms.items():
-        for left, right in deconcatenations(comp):
-            key = (left, right)
-            acc[key] = acc.get(key, Fraction(0)) + coef
-    return TensorElement(h.basis, acc)
+    return TensorElement(
+        h.basis, ((pair, coef) for comp, coef in h.terms.items() for pair in deconcatenations(comp))
+    )
 
 
 def counit(h: GradedElement) -> Fraction:
@@ -352,12 +342,9 @@ def antipode_word(h: GradedElement) -> GradedElement:
     """Antipode on the shuffle algebra: X[a1..al] -> (-1)^l X[al..a1]."""
     if h.basis != WORD:
         raise BasisMismatch(f"closed-form word antipode needs basis {WORD!r}, got {h.basis!r}")
-    acc: dict[Composition, Fraction] = {}
-    for comp, coef in h.terms.items():
-        rev = comp.reverse()
-        sign = -1 if comp.length % 2 else 1
-        acc[rev] = acc.get(rev, Fraction(0)) + sign * coef
-    return GradedElement(WORD, acc)
+    return GradedElement(
+        WORD, ((comp.reverse(), -coef if comp.length % 2 else coef) for comp, coef in h.terms.items())
+    )
 
 
 _antipode_cache: dict[tuple[str, Composition], GradedElement] = {}
@@ -395,10 +382,12 @@ def antipode_monomial(h: GradedElement) -> GradedElement:
     """Antipode on the monomial basis, by the recursion (no closed form used)."""
     if h.basis != MONOMIAL:
         raise BasisMismatch(f"monomial antipode needs basis {MONOMIAL!r}, got {h.basis!r}")
-    out = GradedElement.zero(MONOMIAL)
-    for comp, coef in h.terms.items():
-        out = out + antipode_by_recursion(MONOMIAL, comp).scaled(coef)
-    return out
+    terms = (
+        (image, coef * value)
+        for comp, coef in h.terms.items()
+        for image, value in antipode_by_recursion(MONOMIAL, comp).terms.items()
+    )
+    return GradedElement(MONOMIAL, terms)
 
 
 def power_sum(partition) -> GradedElement:

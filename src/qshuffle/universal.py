@@ -33,7 +33,7 @@ from .characters import (
     f_to_g,
 )
 from .compositions import (
-    Composition, EMPTY, compositions_of, compositions_up_to, deconcatenations, nonempty_splits, stats
+    Composition, EMPTY, compositions_of, compositions_up_to, deconcatenations, stats
 )
 from .elements import GradedElement, MONOMIAL, WORD
 from .errors import BasisMismatch, DegreeMismatch, NotACharacter, NotAnInfinitesimalCharacter
@@ -228,25 +228,11 @@ _theta_nu = canonical("nuQ")
 
 
 def _theta_of_monomial(comp: Composition) -> GradedElement:
+    """theta(M_alpha) = sum over coarsenings beta of alpha of nuQ(alpha, beta) M_beta."""
     cached = _theta_basis_cache.get(comp)
-    if cached is not None:
-        return cached
-    if not comp:
-        out = GradedElement.unit(MONOMIAL)
-    else:
-        acc: dict[Composition, Fraction] = {}
-        for blocks in nonempty_splits(comp):
-            coef = Fraction(1)
-            for block in blocks:
-                coef *= _theta_nu(block)
-                if not coef:
-                    break
-            if coef:
-                sizes = Composition(b.size for b in blocks)
-                acc[sizes] = acc.get(sizes, Fraction(0)) + coef
-        out = GradedElement(MONOMIAL, acc)
-    _theta_basis_cache[comp] = out
-    return out
+    if cached is None:
+        cached = _theta_basis_cache[comp] = basis_expand(_theta_nu, comp)
+    return cached
 
 
 def theta(h: GradedElement) -> GradedElement:
@@ -257,13 +243,12 @@ def theta(h: GradedElement) -> GradedElement:
     """
     if h.basis != MONOMIAL:
         raise BasisMismatch(f"theta acts on the {MONOMIAL!r} basis, got {h.basis!r}")
-    acc: dict[Composition, Fraction] = {}
-    for comp, coef in h.terms.items():
-        for image, value in _theta_of_monomial(comp).terms.items():
-            term = coef * value
-            prev = acc.get(image)
-            acc[image] = term if prev is None else prev + term
-    return GradedElement(MONOMIAL, acc)
+    terms = (
+        (image, coef * value)
+        for comp, coef in h.terms.items()
+        for image, value in _theta_of_monomial(comp).terms.items()
+    )
+    return GradedElement(MONOMIAL, terms)
 
 
 def theta_eigencheck(f_even: Functional | None, max_degree: int) -> VerifyReport:

@@ -1,7 +1,8 @@
 """Slow, obviously correct versions of the library's fast paths.
 
 Each function here is the code a fast path in ``src/qshuffle`` replaced,
-kept with its body unchanged so the tests can require both to agree:
+kept with its body unchanged, or the definition the fast path computes, so
+the tests can require both to agree:
 
 * ``antipode_by_recursion``: the antipode recursion by element arithmetic,
   one intermediate element per split (the library sums every product into
@@ -9,7 +10,10 @@ kept with its body unchanged so the tests can require both to agree:
 * ``coarsenings``: merging runs of parts under each mask, with every result
   built through the validating constructor (the library reads coarsenings
   off the block splits of ``nonempty_splits``);
-* ``theta``: the linear extension of theta by chained element additions;
+* ``theta``: theta by its definition, the universal morphism of QSym with
+  the character nuQ on each monomial, extended linearly by chained element
+  additions (the library reads theta(M_alpha) off the coarsenings of alpha
+  weighted by nuQ);
 * ``extend_over_refinement``: f(alpha, beta) by searching for the
   refinement blocks and multiplying from 1 (the library multiplies the
   blocks that ``coarsening_splits`` hands out).
@@ -35,7 +39,7 @@ from qshuffle.demos import all_graphs, all_posets, xi_unique_min, zeta_no_edges,
 from qshuffle.elements import MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, product
 from qshuffle.errors import BasisMismatch, DegreeMismatch, NotARefinement
 from qshuffle.functionals import Functional, convolve, functional_inverse
-from qshuffle.universal import _theta_of_monomial, canonical
+from qshuffle.universal import canonical, qsym_provider, universal_to_qsym
 
 _antipode_cache: dict[tuple[str, Composition], GradedElement] = {}
 
@@ -92,9 +96,10 @@ def theta(h: GradedElement) -> GradedElement:
     """The universal morphism of QSym with the character nuQ, extended linearly."""
     if h.basis != MONOMIAL:
         raise BasisMismatch(f"theta acts on the {MONOMIAL!r} basis, got {h.basis!r}")
+    nu, qsym = canonical("nuQ"), qsym_provider()
     out = GradedElement.zero(MONOMIAL)
     for comp, coef in h.terms.items():
-        out = out + _theta_of_monomial(comp).scaled(coef)
+        out = out + universal_to_qsym(qsym, nu, comp).scaled(coef)
     return out
 
 

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from qshuffle import cli
 from qshuffle.cli import MAX_DEGREE, SUITES, run
+from qshuffle.elements import MONOMIAL, WORD
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -440,14 +442,92 @@ def test_theta_elem_rejects_repeats_and_unknown_keys(capsys, elem, shown):
         (("phi", "--hopf", "graph", "--input", "2; 1-2", "--char", "zetaQ"), "--char"),
         (("phi", "--hopf", "poset", "--input", "2; 1<2", "--char", "zetaQ"), "--char"),
         (("phi", "--hopf", "qsym", "--input", "2,1", "--basis", "type1"), "--basis"),
+        (("theta", "--comp", "5,5", "--elem", '{"basis":"M","terms":[{"comp":[1],"coef":"1"}]}'), "--comp"),
+        (("theta", "--comp", "1", "--elem", ""), "--comp"),
     ],
-    ids=("verify-antipode-basis", "psi-sh-basis", "psi-poset-basis", "phi-graph-char", "phi-poset-char", "phi-basis"),
+    ids=(
+        "verify-antipode-basis",
+        "psi-sh-basis",
+        "psi-poset-basis",
+        "phi-graph-char",
+        "phi-poset-char",
+        "phi-basis",
+        "theta-comp-and-elem",
+        "theta-comp-and-empty-elem",
+    ),
 )
 def test_flags_a_command_ignores_are_rejected(capsys, argv, shown):
     code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and shown in err
+
+
+def test_verify_fg_roundtrip_reports_the_first_mismatch(capsys, monkeypatch):
+    # no basis the CLI accepts breaks the round trip, so break g_to_f at [1,1]
+    real = cli.g_to_f
+
+    def off_at_11(g):
+        back = real(g)
+        return lambda comp: back(comp) + (1 if comp == (1, 1) else 0)
+
+    monkeypatch.setattr(cli, "g_to_f", off_at_11)
+    code, out, err = invoke(capsys, "verify", "--suite", "fg-roundtrip", "--basis", "type1", "--degree", "3")
+    assert code == 2
+    assert out.splitlines() == [
+        "[FAIL] g_to_f(f_to_g(f)) = f through degree 3: alpha=C[1,1]: 3/2 != 1/2",
+        "fg-roundtrip: 1 checks, 1 failed",
+    ]
+
+
+def test_verify_antipode_reports_a_wrong_closed_form(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "antipode_word", lambda h: h)
+    code, out, err = invoke(capsys, "verify", "--suite", "antipode", "--degree", "3")
+    assert code == 2
+    assert out.splitlines() == [
+        "[FAIL] word closed form = recursion through degree 3: alpha=C[1]",
+        "[PASS] antipode axiom in basis M through degree 3",
+        "[PASS] antipode axiom in basis X through degree 3",
+        "antipode: 3 checks, 1 failed",
+    ]
+
+
+@pytest.mark.parametrize(
+    "basis, lines",
+    [
+        (
+            MONOMIAL,
+            [
+                "[PASS] word closed form = recursion through degree 3",
+                "[FAIL] antipode axiom in basis M through degree 3: alpha=C[1]",
+                "[PASS] antipode axiom in basis X through degree 3",
+                "antipode: 3 checks, 1 failed",
+            ],
+        ),
+        (
+            WORD,
+            [
+                "[FAIL] word closed form = recursion through degree 3: alpha=C[1]",
+                "[PASS] antipode axiom in basis M through degree 3",
+                "[FAIL] antipode axiom in basis X through degree 3: alpha=C[1]",
+                "antipode: 3 checks, 2 failed",
+            ],
+        ),
+    ],
+    ids=(MONOMIAL, WORD),
+)
+def test_verify_antipode_reports_a_wrong_recursion(capsys, monkeypatch, basis, lines):
+    # S doubled on one basis breaks its axiom, S(1) b + S(b) 1 = 0, at b = [1]
+    real = cli.antipode_by_recursion
+
+    def doubled(b, comp):
+        image = real(b, comp)
+        return image.scaled(2) if b == basis and comp else image
+
+    monkeypatch.setattr(cli, "antipode_by_recursion", doubled)
+    code, out, err = invoke(capsys, "verify", "--suite", "antipode", "--degree", "3")
+    assert code == 2
+    assert out.splitlines() == lines
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from qshuffle.elements import (
     MONOMIAL,
     WORD,
     GradedElement,
+    TensorElement,
     antipode_by_recursion,
     antipode_monomial,
     antipode_word,
@@ -41,6 +42,17 @@ def test_constructor_prunes_and_validates():
     assert GradedElement.unit(MONOMIAL).coefficient(EMPTY) == 1
     with pytest.raises(AttributeError):
         elem.basis = WORD
+    # one normal form for both classes: repeated keys summed, a sum that
+    # cancels dropped, keys made Compositions, from pairs or from a dict
+    for cls, key in ((GradedElement, lambda c: c), (TensorElement, lambda c: (c, (1,)))):
+        pairs = [(key([2]), 1), (key((1, 1)), 3), (key((2,)), -1), (key([1, 1]), "1/2"), (key((3,)), 0)]
+        # a dict cannot repeat a key, but (2,) and range(2, 3) name one composition
+        as_dict = {key((2,)): 1, key(range(2, 3)): -1, key((1, 1)): Fraction(7, 2), key((3,)): 0}
+        for terms in (pairs, as_dict):
+            elem = cls(MONOMIAL, terms)
+            assert elem.terms == {key(C((1, 1))): Fraction(7, 2)}
+            comps = list(elem.terms) if cls is GradedElement else [c for pair in elem.terms for c in pair]
+            assert all(type(c) is Composition for c in comps)
 
 
 def test_arithmetic_and_grading():
