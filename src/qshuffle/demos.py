@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .compositions import compositions_of
 from .elements import GradedElement, MONOMIAL
 from .universal import (
     CharacterPowerEvaluator,
@@ -117,32 +116,18 @@ class _LabelledPairs(tuple):
 
 def _split_coproduct(
     x: _LabelledPairs, subsets
-) -> tuple[tuple[tuple[_LabelledPairs, _LabelledPairs], Fraction], ...]:
+) -> tuple[tuple[tuple[_LabelledPairs, _LabelledPairs], int], ...]:
     """The coproduct of x: x.induced(S) (x) x.induced(rest) summed over the label subsets S."""
     labels = range(1, x[0] + 1)
     counts = Counter(
         (x.induced(chosen), x.induced([v for v in labels if v not in chosen])) for chosen in subsets
     )
-    return tuple((pair, Fraction(n)) for pair, n in counts.items())
+    return tuple(counts.items())
 
 
-def _provider(name: str, basis_of_degree, coproduct, unit_label: _LabelledPairs) -> HopfProvider:
-    """The Hopf algebra of one family of labelled structures, graded by the label count n."""
-    return HopfProvider(
-        name=name,
-        basis_of_degree=basis_of_degree,
-        coproduct=lambda x: dict(coproduct(x)),
-        counit=lambda x: Fraction(1 if x[0] == 0 else 0),
-        degree=lambda x: x[0],
-        unit_label=unit_label,
-    )
-
-
-def _monomial_image(evaluator: CharacterPowerEvaluator, x: _LabelledPairs) -> GradedElement:
-    """The image of x in QSym under the evaluator's character, in the monomial basis."""
-    return GradedElement(
-        MONOMIAL, {alpha: evaluator.value(x, tuple(alpha)) for alpha in compositions_of(x[0])}
-    )
+def _label_count(x: _LabelledPairs) -> int:
+    """The grading of both demo algebras: the number of labels."""
+    return x[0]
 
 
 class SmallGraph(_LabelledPairs):
@@ -176,12 +161,12 @@ def all_graphs(n: int) -> tuple[SmallGraph, ...]:
 
 
 @lru_cache(maxsize=None)
-def _graph_coproduct(g: SmallGraph) -> tuple[tuple[tuple[SmallGraph, SmallGraph], Fraction], ...]:
+def _graph_coproduct(g: SmallGraph) -> tuple[tuple[tuple[SmallGraph, SmallGraph], int], ...]:
     vertices = range(1, g.vertex_count + 1)
     return _split_coproduct(g, (c for size in range(len(vertices) + 1) for c in combinations(vertices, size)))
 
 
-_GRAPH_PROVIDER = _provider("graphs", all_graphs, _graph_coproduct, SmallGraph(0))
+_GRAPH_PROVIDER = HopfProvider(_graph_coproduct, _label_count, SmallGraph(0))
 
 
 def graph_provider() -> HopfProvider:
@@ -203,7 +188,7 @@ def chromatic_symmetric(g: SmallGraph) -> GradedElement:
     no-edges character; the monomial coefficient at alpha counts proper
     colorings with color class sizes alpha.
     """
-    return _monomial_image(_chromatic_evaluator, g)
+    return _chromatic_evaluator.image({g: 1}, MONOMIAL)
 
 
 @lru_cache(maxsize=None)
@@ -370,11 +355,11 @@ def all_posets(n: int) -> tuple[SmallPoset, ...]:
 
 
 @lru_cache(maxsize=None)
-def _poset_coproduct(p: SmallPoset) -> tuple[tuple[tuple[SmallPoset, SmallPoset], Fraction], ...]:
+def _poset_coproduct(p: SmallPoset) -> tuple[tuple[tuple[SmallPoset, SmallPoset], int], ...]:
     return _split_coproduct(p, p.order_ideals())
 
 
-_POSET_PROVIDER = _provider("posets", all_posets, _poset_coproduct, SmallPoset(0))
+_POSET_PROVIDER = HopfProvider(_poset_coproduct, _label_count, SmallPoset(0))
 
 
 def poset_provider() -> HopfProvider:
@@ -400,7 +385,7 @@ def kp_generating_function(p: SmallPoset) -> GradedElement:
     The coefficient at alpha counts flags of order ideals with layer sizes
     alpha; this is the universal image of the constant character.
     """
-    return _monomial_image(_kp_evaluator, p)
+    return _kp_evaluator.image({p: 1}, MONOMIAL)
 
 
 _eta = canonical("eta")

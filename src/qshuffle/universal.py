@@ -7,8 +7,11 @@ QSym by reading off the multidegree components of iterated coproducts:
              to the alpha-component of the iterated coproduct of h) M_alpha
 
 and an infinitesimal character xi likewise maps H into the shuffle algebra
-with x_alpha in place of M_alpha.  H enters through a HopfProvider: a record
-of callables describing a homogeneous basis and its coproduct.  Composing
+with x_alpha in place of M_alpha.  H enters through a HopfProvider: its
+coproduct as ((left, right), coefficient) pairs over basis labels, its
+grading and its unit label; the counit is derived from the grading.
+qsym_provider() and sh_provider() are one deconcatenation provider, since
+both algebras have the same coproduct on composition labels.  Composing
 with a shuffle basis and its dual triangular data turns characters into
 infinitesimal characters and back; with the 1/length! basis this is exactly
 convolution log and exp.
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .characters import (
     _require_normalized,
@@ -35,7 +38,7 @@ from .characters import (
 from .compositions import (
     Composition, EMPTY, compositions_of, compositions_up_to, deconcatenations, stats
 )
-from .elements import GradedElement, MONOMIAL, WORD
+from .elements import GradedElement, MONOMIAL, WORD, _as_fraction
 from .errors import BasisMismatch, DegreeMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional, counit_functional
 from .report import VerifyReport
@@ -45,44 +48,34 @@ Label = Hashable
 
 @dataclass(frozen=True)
 class HopfProvider:
-    """A connected graded Hopf algebra presented through callables.
+    """A connected graded Hopf algebra presented by its coproduct and grading.
 
-    basis_of_degree(n) lists the degree-n basis labels; coproduct(label)
-    returns the two-fold coproduct as a mapping (left, right) -> coefficient
-    over basis labels; counit and degree read off the grading.  Degree 0
-    must hold exactly the unit label.
+    coproduct(label) returns the two-fold coproduct as ((left, right),
+    coefficient) pairs over basis labels; degree(label) is the grading, and
+    unit_label the one label of degree 0.  The counit is fixed by the
+    grading: 1 on the unit label, 0 on every label of positive degree.
     """
 
-    name: str
-    basis_of_degree: Callable[[int], Sequence[Label]]
-    coproduct: Callable[[Label], Mapping[tuple[Label, Label], Fraction]]
-    counit: Callable[[Label], Fraction]
+    coproduct: Callable[[Label], Iterable[tuple[tuple[Label, Label], Fraction]]]
     degree: Callable[[Label], int]
     unit_label: Label
 
 
-def _deconcatenation_provider(name: str) -> HopfProvider:
-    def coproduct(label: Label) -> dict[tuple[Composition, Composition], Fraction]:
-        return {pair: Fraction(1) for pair in deconcatenations(label)}
-
-    return HopfProvider(
-        name=name,
-        basis_of_degree=lambda n: compositions_of(n),
-        coproduct=coproduct,
-        counit=lambda label: Fraction(1 if len(Composition(label)) == 0 else 0),
-        degree=lambda label: Composition(label).size,
-        unit_label=EMPTY,
-    )
+_DECONCATENATION = HopfProvider(
+    coproduct=lambda label: tuple((pair, 1) for pair in deconcatenations(label)),
+    degree=lambda label: Composition(label).size,
+    unit_label=EMPTY,
+)
 
 
 def qsym_provider() -> HopfProvider:
     """QSym itself, monomial labels with deconcatenation."""
-    return _deconcatenation_provider("qsym")
+    return _DECONCATENATION
 
 
 def sh_provider() -> HopfProvider:
-    """The shuffle algebra, word labels with deconcatenation."""
-    return _deconcatenation_provider("sh")
+    """The shuffle algebra, word labels with deconcatenation: the provider qsym_provider() returns."""
+    return _DECONCATENATION
 
 
 class CharacterPowerEvaluator:
@@ -90,7 +83,9 @@ class CharacterPowerEvaluator:
 
     value(label, sizes) is the scalar obtained by iterating the provider's
     two-fold coproduct left to right, projecting to the multidegree given by
-    sizes, and applying phi to every tensor slot.
+    sizes, and applying phi to every tensor slot; with no sizes it is the
+    counit.  image(h, basis) collects these values over the compositions
+    of h's degree into an element of basis.
     """
 
     def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction]):
@@ -99,50 +94,49 @@ class CharacterPowerEvaluator:
         self._cache: dict[tuple[Label, tuple[int, ...]], Fraction] = {}
 
     def value(self, label: Label, sizes: tuple[int, ...]) -> Fraction:
+        degree = self.provider.degree
         if not sizes:
-            return Fraction(self.provider.counit(label))
+            return 1 if degree(label) == 0 else 0
         key = (label, sizes)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         if len(sizes) == 1:
-            out = Fraction(self.phi(label)) if self.provider.degree(label) == sizes[0] else Fraction(0)
+            out = self.phi(label) if degree(label) == sizes[0] else 0
         else:
-            out = Fraction(0)
+            out = 0
             head, rest = sizes[0], sizes[1:]
-            for (left, right), coef in self.provider.coproduct(label).items():
-                if self.provider.degree(left) != head:
+            for (left, right), coef in self.provider.coproduct(label):
+                if degree(left) != head:
                     continue
                 tail = self.value(right, rest)
                 if tail:
-                    out += Fraction(coef) * Fraction(self.phi(left)) * tail
+                    out += coef * self.phi(left) * tail
         self._cache[key] = out
         return out
 
-    def on_element(self, h: Mapping[Label, Fraction], sizes: tuple[int, ...]) -> Fraction:
-        total = Fraction(0)
-        for label, coef in h.items():
-            total += Fraction(coef) * self.value(label, sizes)
-        return total
+    def image(self, h: Mapping[Label, Fraction], basis: str) -> GradedElement:
+        """The sum over alpha of n of value(h, alpha) b_alpha, for h homogeneous of degree n."""
+        degrees = {self.provider.degree(label) for label, coef in h.items() if coef != 0}
+        if len(degrees) > 1:
+            raise DegreeMismatch(f"element spans degrees {sorted(degrees)}")
+        alphas = compositions_of(degrees.pop() if degrees else 0)
+        terms = (
+            (alpha, coef * self.value(label, tuple(alpha))) for alpha in alphas for label, coef in h.items()
+        )
+        return GradedElement(basis, terms)
 
 
 def _as_label_element(h) -> dict[Label, Fraction]:
     if isinstance(h, Mapping):
-        return {label: Fraction(coef) for label, coef in h.items()}
-    return {h: Fraction(1)}
-
-
-def _element_degree(provider: HopfProvider, h: Mapping[Label, Fraction]) -> int:
-    degrees = {provider.degree(label) for label, coef in h.items() if coef != 0}
-    if len(degrees) > 1:
-        raise DegreeMismatch(f"element spans degrees {sorted(degrees)}")
-    return degrees.pop() if degrees else 0
+        return {label: _as_fraction(coef) for label, coef in h.items()}
+    return {h: 1}
 
 
 def _check_unit(provider: HopfProvider, phi: Callable[[Label], Fraction], expected: int) -> None:
     """A character takes 1 at the unit label, an infinitesimal character 0."""
     value = phi(provider.unit_label)
-    if Fraction(value) != expected:
+    if value != expected:
         if expected:
             raise NotACharacter(f"zeta(unit) = {value}, expected 1")
         raise NotAnInfinitesimalCharacter(f"xi(unit) = {value}, expected 0")
@@ -158,11 +152,7 @@ def _universal_morphism(
     """
     h = _as_label_element(h)
     _check_unit(provider, phi, 1 if basis == MONOMIAL else 0)
-    n = _element_degree(provider, h)
-    evaluator = CharacterPowerEvaluator(provider, phi)
-    return GradedElement(
-        basis, {alpha: evaluator.on_element(h, tuple(alpha)) for alpha in compositions_of(n)}
-    )
+    return CharacterPowerEvaluator(provider, phi).image(h, basis)
 
 
 def universal_to_qsym(provider: HopfProvider, zeta: Callable[[Label], Fraction], h) -> GradedElement:
@@ -289,26 +279,21 @@ def theta_eigencheck(f_even: Functional | None, max_degree: int) -> VerifyReport
 def _transfer(
     phi: Callable[[Label], Fraction], f: Functional, weight: Functional, provider: HopfProvider
 ) -> Callable[[Label], Fraction]:
-    """h -> sum over alpha of (phi-power of the alpha-coproduct of h) weight(alpha), memoized.
+    """h -> weight applied to the universal image of h under phi, memoized.
 
-    weight is f (value 1 at empty) for an infinitesimal character phi, or g
-    (value 0) for a character; the result takes weight's value at empty.
+    weight is f (value 1 at empty) for an infinitesimal character phi, read
+    on the word image: zeta = f o Psi_xi; or g (value 0) for a character,
+    read on the monomial image: xi = g o Phi_zeta.  The result takes
+    weight's value at empty.
     """
     _check_unit(provider, phi, 1 - weight.value_at_empty)
     evaluator = CharacterPowerEvaluator(provider, phi)
+    basis = WORD if weight is f else MONOMIAL
 
     @lru_cache(maxsize=None)
     def transferred(label: Label) -> Fraction:
-        n = provider.degree(label)
-        _require_normalized(f, n)
-        if n == 0:
-            return weight.value_at_empty
-        total = Fraction(0)
-        for alpha in compositions_of(n):
-            coef = evaluator.value(label, tuple(alpha))
-            if coef:
-                total += coef * weight(alpha)
-        return total
+        _require_normalized(f, provider.degree(label))
+        return weight.of_element(evaluator.image({label: 1}, basis))
 
     return transferred
 

@@ -22,7 +22,8 @@ The rest is code that only the tests use, kept out of the library with its
 body unchanged: the refinement predicate ``refines``, the shuffle count
 ``shuffle_multiplicity_total``, the multidegree projection ``delta_alpha``,
 the polynomial truncation ``expand_polynomial`` with ``polynomial_product``,
-the disjoint-union sweep ``check_provider_multiplicativity``, the simple
+the disjoint-union sweep ``check_provider_multiplicativity``, the count of
+ordered stable-set partitions ``ordered_stable_partitions``, the simple
 tensor ``tensor_outer``, the normalization predicate ``is_normalized`` and
 nu as a convolution, ``nu_via_convolution``.
 """
@@ -204,6 +205,25 @@ def check_provider_multiplicativity(max_degree: int) -> bool:
                     if xi_unique_min(union) != 0:
                         return False
     return True
+
+
+def ordered_stable_partitions(g, alpha) -> int:
+    """The number of tuples (V_1, ..., V_l) of independent sets of g with |V_i| = alpha_i.
+
+    The V_i partition the vertices; the count is by direct enumeration.
+    """
+    edges = set(g.edges)
+
+    def count(rest: list[int], sizes: tuple[int, ...]) -> int:
+        if not sizes:
+            return 0 if rest else 1
+        total = 0
+        for block in combinations(rest, sizes[0]):
+            if not any(pair in edges for pair in combinations(block, 2)):
+                total += count([v for v in rest if v not in block], sizes[1:])
+        return total
+
+    return count(list(range(1, g.vertex_count + 1)), tuple(alpha))
 
 
 def tensor_outer(a: GradedElement, b: GradedElement) -> TensorElement:

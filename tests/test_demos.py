@@ -25,7 +25,7 @@ from qshuffle.demos import (
     zeta_ones,
 )
 from qshuffle.elements import MONOMIAL, GradedElement, product
-from qshuffle.universal import universal_to_qsym
+from qshuffle.universal import CharacterPowerEvaluator, char_to_infchar, infchar_to_char, universal_to_qsym
 
 from oracles import check_provider_multiplicativity, expand_polynomial
 
@@ -270,11 +270,30 @@ def test_eta_check_sweep():
 def test_providers_and_multiplicativity():
     g = graph_provider()
     assert g.degree(K3) == 3
-    assert g.counit(SmallGraph(0)) == 1
-    assert sum(g.coproduct(K3).values()) == 8
+    assert sum(coef for _, coef in g.coproduct(K3)) == 8
     q = poset_provider()
     assert q.degree(CHAIN3) == 3
-    assert sum(q.coproduct(CHAIN3).values()) == 4  # one term per ideal
+    assert sum(coef for _, coef in q.coproduct(CHAIN3)) == 4  # one term per ideal
+    # the counit derived from the grading: 1 on the unit, 0 above
+    graph_counit = CharacterPowerEvaluator(g, zeta_no_edges)
+    assert graph_counit.value(SmallGraph(0), ()) == 1 and graph_counit.value(K3, ()) == 0
+    poset_counit = CharacterPowerEvaluator(q, zeta_ones)
+    assert poset_counit.value(SmallPoset(0), ()) == 1 and poset_counit.value(CHAIN3, ()) == 0
     assert zeta_no_edges(E2) == 1 and zeta_no_edges(K2) == 0
     assert zeta_ones(ANTI2) == 1
     assert check_provider_multiplicativity(4)
+
+
+@pytest.mark.parametrize("name", ["type1", "type2", "even-odd"])
+def test_char_bijection_roundtrips_on_graphs_and_posets(name):
+    f = builtin(name)
+    graphs, posets = graph_provider(), poset_provider()
+    zeta_graphs = infchar_to_char(char_to_infchar(zeta_no_edges, f, graphs), f, graphs)
+    zeta_posets = infchar_to_char(char_to_infchar(zeta_ones, f, posets), f, posets)
+    xi_posets = char_to_infchar(infchar_to_char(xi_unique_min, f, posets), f, posets)
+    for n in range(5):
+        for g in all_graphs(n):
+            assert zeta_graphs(g) == zeta_no_edges(g), (name, g)
+        for p in all_posets(n):
+            assert zeta_posets(p) == zeta_ones(p), (name, p)
+            assert xi_posets(p) == xi_unique_min(p), (name, p)
