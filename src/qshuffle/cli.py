@@ -35,7 +35,7 @@ from .elements import (
     GradedElement,
     MONOMIAL,
     WORD,
-    accumulate_product,
+    _accumulate_times,
     antipode_by_recursion,
     antipode_word,
     format_element,
@@ -317,11 +317,7 @@ def _verify_antipode(degree: int) -> VerifyReport:
         target = GradedElement.unit(basis) if not comp else GradedElement.zero(basis)
         acc = {}
         for left, right in deconcatenations(comp):
-            accumulate_product(
-                acc,
-                antipode_by_recursion(basis, left),
-                GradedElement.basis_element(basis, right),
-            )
+            _accumulate_times(acc, antipode_by_recursion(basis, left), ((right, 1),))
         return None if GradedElement(basis, acc) == target else f"alpha={comp}"
 
     report.sweep(f"word closed form = recursion through degree {degree}", comps, closed_form)

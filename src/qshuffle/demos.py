@@ -4,7 +4,8 @@ Graphs: basis labels are simple graphs on vertex set {1..n}; the coproduct
 sums induced subgraphs over vertex subsets against their complements (both
 relabeled order-preservingly), and the no-edges indicator is a character.
 Its universal image in QSym is the chromatic symmetric function, whose
-principal specialization recovers the chromatic polynomial.
+principal specialization recovers the chromatic polynomial; that polynomial
+is counted from stable-set partitions (brute force is a test oracle only).
 
 Posets: basis labels are partial orders on {1..n}; the coproduct sums order
 ideals against their complements, the constant 1 a character.  Its
@@ -43,6 +44,7 @@ class _LabelledPairs(tuple):
     Stored as (n, sorted pair tuple).  The text form is ``n; u<SEP>v,...``.
     A subclass sets the separator ``_sep`` and the repr prefix ``_prefix``,
     and its ``_normalise`` turns the checked pairs into the stored set.
+    ``_trusted`` builds one from sorted, already valid pairs without checks.
     """
 
     __slots__ = ()
@@ -52,7 +54,11 @@ class _LabelledPairs(tuple):
     def __new__(cls, count: int, pairs=()):
         if type(count) is not int or count < 0:
             raise ValueError(f"count must be an int >= 0, got {count!r}")
-        return super().__new__(cls, (count, tuple(sorted(cls._normalise(cls._checked(count, pairs))))))
+        return cls._trusted(count, tuple(sorted(cls._normalise(cls._checked(count, pairs)))))
+
+    @classmethod
+    def _trusted(cls, count: int, pairs: tuple[tuple[int, int], ...]):
+        return tuple.__new__(cls, (count, pairs))
 
     @classmethod
     def _checked(cls, n: int, pairs) -> list[tuple[int, int]]:
@@ -69,10 +75,10 @@ class _LabelledPairs(tuple):
         return out
 
     def induced(self, labels):
-        """The structure induced on labels, relabeled order-preservingly to 1..k."""
+        """The structure induced on labels, relabeled order-preservingly to 1..k; valid and sorted, so trusted."""
         kept = sorted(set(labels))
         index = {v: i + 1 for i, v in enumerate(kept)}
-        return type(self)(len(kept), [(index[u], index[v]) for u, v in self[1] if u in index and v in index])
+        return self._trusted(len(kept), tuple((index[u], index[v]) for u, v in self[1] if u in index and v in index))
 
     def relabel(self, perm):
         """Apply a permutation of 1..n given as a mapping or sequence."""
@@ -173,9 +179,9 @@ def graph_provider() -> HopfProvider:
     return _GRAPH_PROVIDER
 
 
-def zeta_no_edges(g: SmallGraph) -> Fraction:
-    """The edge-free indicator; multiplicative under disjoint union."""
-    return Fraction(0 if g.edges else 1)
+def zeta_no_edges(g: SmallGraph) -> int:
+    """The edge-free indicator, 0 or 1; multiplicative under disjoint union."""
+    return 0 if g.edges else 1
 
 
 _chromatic_evaluator = CharacterPowerEvaluator(_GRAPH_PROVIDER, zeta_no_edges)
@@ -191,51 +197,49 @@ def chromatic_symmetric(g: SmallGraph) -> GradedElement:
     return _chromatic_evaluator.image({g: 1}, MONOMIAL)
 
 
-@lru_cache(maxsize=None)
-def _proper_coloring_count(g: SmallGraph, colors: int) -> int:
+def _stable_partition_counts(g: SmallGraph) -> list[int]:
+    """a_0..a_n, where a_j counts the partitions of the vertices into j stable sets.
+
+    One block holds a mask's lowest vertex, so a mask's counts sum, over the
+    stable such blocks B, those of the mask without B shifted by one.  O(3^n).
+    """
     n = g.vertex_count
-    if n == 0:
-        return 1
-    if colors == 0:
-        return 0
-    edges = [(u - 1, v - 1) for u, v in g.edges]
-    count = 0
-    for assignment in iter_product(range(colors), repeat=n):
-        if all(assignment[u] != assignment[v] for u, v in edges):
-            count += 1
-    return count
-
-
-def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Coefficients (ascending) of the unique polynomial through the points."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        # Lagrange basis polynomial for node i, expanded to coefficients
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            shifted = [Fraction(0)] + basis
-            basis = [shifted[k] - xj * (basis[k] if k < len(basis) else 0) for k in range(len(basis) + 1)]
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    return coeffs
+    neighbours = [0] * n
+    for u, v in g.edges:
+        neighbours[u - 1] |= 1 << (v - 1)
+        neighbours[v - 1] |= 1 << (u - 1)
+    stable = [True] * (1 << n)
+    counts = [[1]] * (1 << n)  # every mask but the empty one is overwritten
+    for mask in range(1, 1 << n):
+        rest = mask & (mask - 1)
+        low = mask ^ rest
+        stable[mask] = stable[rest] and not neighbours[low.bit_length() - 1] & rest
+        total = [0] * (mask.bit_count() + 1)
+        sub = rest
+        while True:
+            if stable[sub | low]:
+                for j, a in enumerate(counts[rest ^ sub]):
+                    total[j + 1] += a
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        counts[mask] = total
+    return counts[-1]
 
 
 def chromatic_polynomial(g: SmallGraph) -> list[int]:
     """Chromatic polynomial coefficients, ascending in k.
 
-    Brute-force proper-coloring counts at k = 0..n pinned down by exact
-    interpolation; the result is integral.
+    P(G, k) = sum over j of a_j k(k-1)...(k-j+1) (Birkhoff; Read 1968), with
+    a_j from _stable_partition_counts and the falling factorials in ints.
     """
-    n = g.vertex_count
-    points = [(k, _proper_coloring_count(g, k)) for k in range(n + 1)]
-    coeffs = _interpolate(points)
-    assert all(c.denominator == 1 for c in coeffs)
-    return [int(c) for c in coeffs]
+    coeffs = [0] * (g.vertex_count + 1)
+    falling = [1]  # k(k-1)...(k-j+1), ascending in k
+    for j, count in enumerate(_stable_partition_counts(g)):
+        for power, c in enumerate(falling):
+            coeffs[power] += count * c
+        falling = [lower - j * same for lower, same in zip([0] + falling, falling + [0])]
+    return coeffs
 
 
 def format_polynomial(coeffs: list[int], var: str = "k") -> str:
@@ -366,14 +370,14 @@ def poset_provider() -> HopfProvider:
     return _POSET_PROVIDER
 
 
-def zeta_ones(p: SmallPoset) -> Fraction:
-    """The constant character on posets."""
-    return Fraction(1)
+def zeta_ones(p: SmallPoset) -> int:
+    """The constant character 1 on posets."""
+    return 1
 
 
-def xi_unique_min(p: SmallPoset) -> Fraction:
-    """Indicator of a unique minimal element; an infinitesimal character."""
-    return Fraction(1 if p.has_unique_minimal() else 0)
+def xi_unique_min(p: SmallPoset) -> int:
+    """Indicator of a unique minimal element, 0 or 1; an infinitesimal character."""
+    return 1 if p.has_unique_minimal() else 0
 
 
 _kp_evaluator = CharacterPowerEvaluator(_POSET_PROVIDER, zeta_ones)
@@ -391,6 +395,6 @@ def kp_generating_function(p: SmallPoset) -> GradedElement:
 _eta = canonical("eta")
 
 
-def eta_check(p: SmallPoset) -> tuple[Fraction, Fraction]:
+def eta_check(p: SmallPoset) -> tuple[Fraction, int]:
     """Pair the flag generating function with eta, against the unique-minimal indicator."""
     return _eta.of_element(kp_generating_function(p)), xi_unique_min(p)

@@ -227,6 +227,22 @@ def format_element(elem: GradedElement) -> str:
     return " ".join(chunks)
 
 
+def _accumulate_times(acc: dict, a: GradedElement, b_terms) -> dict:
+    """Add a times the (word, coef) pairs b_terms into acc, in place; returns acc.
+
+    One word multiplies in as ((word, 1),), with no basis element built for it.
+    """
+    rule = _PRODUCT_RULES[a.basis]
+    for ca, va in a.terms.items():
+        for cb, vb in b_terms:
+            coef = va * vb
+            for word, mult in rule(ca, cb).items():
+                term = coef if mult == 1 else coef * mult
+                prev = acc.get(word)
+                acc[word] = term if prev is None else prev + term
+    return acc
+
+
 def accumulate_product(
     acc: dict[Composition, Fraction], a: GradedElement, b: GradedElement
 ) -> dict[Composition, Fraction]:
@@ -236,17 +252,9 @@ def accumulate_product(
     instead of one per intermediate sum.
     """
     a._require_same_basis(b)
-    rule = _PRODUCT_RULES.get(a.basis)
-    if rule is None:
+    if a.basis not in _PRODUCT_RULES:
         raise BasisMismatch(f"no product rule for basis {a.basis!r}")
-    for ca, va in a.terms.items():
-        for cb, vb in b.terms.items():
-            coef = va * vb
-            for word, mult in rule(ca, cb).items():
-                term = coef if mult == 1 else coef * mult
-                prev = acc.get(word)
-                acc[word] = term if prev is None else prev + term
-    return acc
+    return _accumulate_times(acc, a, b.terms.items())
 
 
 def product(a: GradedElement, b: GradedElement) -> GradedElement:
@@ -370,9 +378,7 @@ def antipode_by_recursion(basis: str, comp) -> GradedElement:
         # b + sum S(b') b'' over the proper splits, summed in one dict, negated once
         acc = {comp: Fraction(1)}
         for left, right in deconcatenations(comp)[1:-1]:
-            accumulate_product(
-                acc, antipode_by_recursion(basis, left), GradedElement.basis_element(basis, right)
-            )
+            _accumulate_times(acc, antipode_by_recursion(basis, left), ((right, 1),))
         result = GradedElement(basis, {c: -v for c, v in acc.items()})
     _antipode_cache[key] = result
     return result

@@ -16,7 +16,10 @@ the tests can require both to agree:
   weighted by nuQ);
 * ``extend_over_refinement``: f(alpha, beta) by searching for the
   refinement blocks and multiplying from 1 (the library multiplies the
-  blocks that ``coarsening_splits`` hands out).
+  blocks that ``coarsening_splits`` hands out);
+* ``_proper_coloring_count``: the proper k-colourings of a graph by trying
+  all k^n colour assignments (the library reads the chromatic polynomial
+  off the partitions of the vertices into stable sets).
 
 The rest is code that only the tests use, kept out of the library with its
 body unchanged: the refinement predicate ``refines``, the shuffle count
@@ -31,12 +34,13 @@ nu as a convolution, ``nu_via_convolution``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product as iter_product
 from math import comb
 
 from qshuffle.characters import single
 from qshuffle.compositions import EMPTY, Composition, canonical_key, compositions_of, refinement_split
-from qshuffle.demos import all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
+from qshuffle.demos import SmallGraph, all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
 from qshuffle.elements import MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, product
 from qshuffle.errors import BasisMismatch, DegreeMismatch, NotARefinement
 from qshuffle.functionals import Functional, convolve, functional_inverse
@@ -205,6 +209,21 @@ def check_provider_multiplicativity(max_degree: int) -> bool:
                     if xi_unique_min(union) != 0:
                         return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _proper_coloring_count(g: SmallGraph, colors: int) -> int:
+    n = g.vertex_count
+    if n == 0:
+        return 1
+    if colors == 0:
+        return 0
+    edges = [(u - 1, v - 1) for u, v in g.edges]
+    count = 0
+    for assignment in iter_product(range(colors), repeat=n):
+        if all(assignment[u] != assignment[v] for u, v in edges):
+            count += 1
+    return count
 
 
 def ordered_stable_partitions(g, alpha) -> int:

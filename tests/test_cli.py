@@ -580,6 +580,21 @@ def test_imports_only_the_standard_library():
     assert proc.stdout == "['__main__', 'qshuffle']\n"
 
 
+def test_demo_graph_at_the_cap_finishes():
+    # the edgeless graph on 10 vertices has the most stable-set partitions of any graph
+    proc = subprocess.run(
+        [sys.executable, "-m", "qshuffle.cli", "demo-graph", "--input", "10; "],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "chromatic polynomial: k^10" in lines
+    assert "match: yes" in lines
+
+
 def test_module_invocation_matches_script():
     proc = subprocess.run(
         [

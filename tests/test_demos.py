@@ -1,6 +1,7 @@
 """Graph and poset demo algebras against brute-force oracles."""
 
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -9,7 +10,6 @@ from qshuffle.compositions import Composition
 from qshuffle.demos import (
     SmallGraph,
     SmallPoset,
-    _proper_coloring_count,
     all_graphs,
     all_posets,
     chromatic_polynomial,
@@ -27,7 +27,7 @@ from qshuffle.demos import (
 from qshuffle.elements import MONOMIAL, GradedElement, product
 from qshuffle.universal import CharacterPowerEvaluator, char_to_infchar, infchar_to_char, universal_to_qsym
 
-from oracles import check_provider_multiplicativity, expand_polynomial
+from oracles import _proper_coloring_count, check_provider_multiplicativity, expand_polynomial
 
 C = Composition
 
@@ -92,6 +92,18 @@ def test_labelled_core(x, text, shown, kept, induced, perm, relabelled, union, r
     for bad in rejected:  # a loop or an out-of-range pair; a poset also rejects a cycle or a missing closure pair
         with pytest.raises(ValueError):
             cls.from_text(bad)
+
+
+@pytest.mark.parametrize("structures", [all_graphs, all_posets], ids=("graph", "poset"))
+def test_induced_equals_the_validated_structure(structures):
+    # induced builds its result unchecked; the validating constructor must agree, pairs included
+    for n in range(5):
+        for x in structures(n):
+            for size in range(n + 1):
+                for labels in combinations(range(1, n + 1), size):
+                    got = x.induced(labels)
+                    assert type(got) is type(x)
+                    assert got == type(x)(*got), (x, labels)  # (n, pairs): the pair tuple and its order too
 
 
 @pytest.mark.parametrize("cls", [SmallGraph, SmallPoset])
@@ -161,6 +173,17 @@ def test_chromatic_polynomial_evaluates():
             for k in range(6):
                 value = sum(c * k**p for p, c in enumerate(coeffs))
                 assert value == _proper_coloring_count(g, k)
+
+
+def test_chromatic_polynomial_is_the_principal_specialisation():
+    # M_alpha(1^k) = C(k, l(alpha)), so X_G at k ones is the chromatic polynomial at k
+    for n in range(6):
+        for g in all_graphs(n):
+            x_g = chromatic_symmetric(g)
+            coeffs = chromatic_polynomial(g)
+            for k in range(n + 2):
+                specialised = sum(coef * comb(k, alpha.length) for alpha, coef in x_g.terms.items())
+                assert specialised == sum(c * k**p for p, c in enumerate(coeffs)), (g, k)
 
 
 def test_format_polynomial():
