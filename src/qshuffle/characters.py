@@ -42,6 +42,7 @@ from .compositions import (
     deconcatenations,
     pairs_up_to,
     partitions_of,
+    product_sum,
     rearrangements,
     shuffle,
     stats,
@@ -102,7 +103,8 @@ def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functio
 
     Symmetric in f and g: h = f gives g (value 0 at empty), h = g gives f
     (value 1).  k((n)) = 1/h((n)); longer compositions come from strictly
-    coarser, shorter ones.  Lazy and memoized.
+    coarser, shorter ones, summed by ``product_sum`` (which skips the
+    coarsenings where k vanishes).  Lazy and memoized.
     """
     k: Functional | None = None
 
@@ -110,12 +112,8 @@ def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functio
         diag = _diagonal(h, alpha)
         if alpha.length == 1:
             return 1 / diag
-        total = Fraction(0)
-        for beta, blocks in coarsening_splits(alpha):
-            if beta == alpha:
-                continue
-            total += block_product(h, blocks) * k(beta)
-        return -total / diag
+        terms = ((k(beta), blocks) for beta, blocks in coarsening_splits(alpha) if beta != alpha)
+        return -product_sum(h, terms) / diag
 
     label = f"{letter}[{h.name}]" if h.name else None
     k = Functional(value_at_empty, value, name=label)

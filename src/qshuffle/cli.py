@@ -252,7 +252,7 @@ def _cmd_convert(args) -> int:
     coords = basis_contract(g, alpha)
     if args.kind == "qps":
         tag = f"P({args.basis})"
-        terms = {beta: coef / stats(beta).aut_count for beta, coef in coords.items()}
+        terms = {beta: Fraction(coef, stats(beta).aut_count) for beta, coef in coords.items()}
     else:
         tag = f"X({args.basis})"
         terms = coords

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 from .errors import NotARefinement
 
@@ -255,7 +255,7 @@ def refinement_split(fine: Composition, coarse: Composition) -> tuple[Compositio
     return tuple(blocks)
 
 
-def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> Fraction:
+def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> int | Fraction:
     """Product of fn over the blocks of ``fine`` refined into ``coarse``.
 
     This is the two-argument extension f(alpha, beta) of a function on
@@ -265,14 +265,46 @@ def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> Fracti
     return block_product(fn, refinement_split(fine, coarse))
 
 
-def block_product(fn, blocks: tuple[Composition, ...]) -> Fraction:
-    """Product of fn over blocks; 1 for none."""
-    if not blocks:
-        return Fraction(1)
-    value = fn(blocks[0])
-    for block in blocks[1:]:
-        value *= fn(block)
-    return value
+def _rational(num: int, den: int) -> int | Fraction:
+    """num/den in normal form: an int when den divides num, else a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _scaled_product(fn, scale, blocks: tuple[Composition, ...]) -> tuple[int, int]:
+    """The int numerator and denominator of scale times the product of fn over blocks.
+
+    scale and the values of fn are ints or Fractions; the pair is not reduced.
+    Stops at the first zero factor, so fn is not called past it.
+    """
+    num, den = scale.numerator, scale.denominator
+    for block in blocks:
+        if not num:
+            return 0, 1
+        value = fn(block)
+        num *= value.numerator
+        den *= value.denominator
+    return num, den
+
+
+def block_product(fn, blocks: tuple[Composition, ...]) -> int | Fraction:
+    """Product of fn over blocks in normal form (an int, or a Fraction that is not one); 1 for none."""
+    return _rational(*_scaled_product(fn, 1, blocks))
+
+
+def product_sum(fn, terms) -> int | Fraction:
+    """Sum over the (scale, blocks) terms of scale times the product of fn over blocks.
+
+    The terms are added as ints over one common denominator, so one
+    Fraction is built for the result instead of one per factor; the value
+    is in the normal form of ``block_product``.
+    """
+    pairs = []
+    for scale, blocks in terms:
+        num, den = _scaled_product(fn, scale, blocks)
+        if num:
+            pairs.append((num, den))
+    common = lcm(*(den for _, den in pairs))
+    return _rational(sum(num * (common // den) for num, den in pairs), common)
 
 
 def deconcatenations(comp: Composition) -> list[tuple[Composition, Composition]]:

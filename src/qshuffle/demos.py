@@ -324,14 +324,21 @@ class SmallPoset(_LabelledPairs):
         return {a for a, bb in self.strict if bb == b}
 
     def order_ideals(self) -> list[tuple[int, ...]]:
-        """All downward closed subsets, as sorted tuples."""
+        """All downward closed subsets, as sorted tuples, in the order of their bitmasks.
+
+        Element i + 1 is bit i.  Each element's strict down-set is read into a
+        mask once; a subset is an ideal when every chosen element's down-set
+        lies inside it.
+        """
         n = self.element_count
+        down = [0] * n
+        for a, b in self.strict:
+            down[b - 1] |= 1 << (a - 1)
         out = []
-        elements = list(range(1, n + 1))
         for mask in range(1 << n):
-            chosen = {elements[i] for i in range(n) if mask >> i & 1}
-            if all(self.below(b) <= chosen for b in chosen):
-                out.append(tuple(sorted(chosen)))
+            chosen = [i for i in range(n) if mask >> i & 1]
+            if all(not down[i] & ~mask for i in chosen):
+                out.append(tuple(i + 1 for i in chosen))
         return out
 
     def minimal_elements(self) -> list[int]:

@@ -12,8 +12,11 @@ Any other basis tag is allowed for storage (derived bases produced by the
 change-of-basis code) but has no product or coproduct; structure maps raise
 BasisMismatch on such tags.
 
-All coefficients are Fraction.  ``_summed``, called by both constructors,
-owns the normal form (repeated keys summed, zero sums pruned), so equality
+Every coefficient is in one normal form: an ``int``, or a ``Fraction``
+whose denominator is greater than 1, so integral coefficients (every
+antipode coefficient among them) are added and multiplied as ints.
+``_summed``, called by both constructors, owns the normal form (repeated
+keys summed, zero sums pruned, integral sums stored as ints), so equality
 of elements is equality of the term dictionaries.
 """
 
@@ -38,14 +41,18 @@ WORD = "X"
 _PRODUCT_RULES = {MONOMIAL: quasi_shuffle, WORD: shuffle}
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_fraction(value) -> int | Fraction:
+    """An exact coefficient in normal form: an int, or a Fraction with denominator > 1.
+
+    A bool becomes an int and text is parsed; anything else (a float) raises TypeError.
+    """
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+        value = Fraction(value)
+    elif not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {value!r}")
+    return value.numerator if value.denominator == 1 else value
 
 
 _RATIONAL_TEXT = re.compile(r"-?\d+(/\d+|\.\d+)?", re.ASCII)
@@ -76,14 +83,15 @@ def _composition_pair(pair) -> tuple[Composition, Composition]:
 
 def _summed(terms, key_of) -> dict:
     """Terms (a dict or (key, coef) pairs) in normal form: each key through key_of,
-    exact coefficients, repeated keys summed, zero sums pruned once at the end.
+    exact coefficients, repeated keys summed, zero sums pruned and integral sums
+    made ints once at the end.
     """
     acc = {}
     for key, coef in terms.items() if isinstance(terms, dict) else terms:
         key, coef = key_of(key), _as_fraction(coef)
         prev = acc.get(key)
         acc[key] = coef if prev is None else prev + coef
-    return {k: v for k, v in acc.items() if v != 0}
+    return {k: v.numerator if v.denominator == 1 else v for k, v in acc.items() if v}
 
 
 def _check_keys(data: dict, known: tuple[str, ...]) -> None:
@@ -106,7 +114,7 @@ class GradedElement:
 
     @classmethod
     def basis_element(cls, basis: str, comp) -> "GradedElement":
-        return cls(basis, {Composition(comp): Fraction(1)})
+        return cls(basis, {Composition(comp): 1})
 
     @classmethod
     def unit(cls, basis: str) -> "GradedElement":
@@ -116,8 +124,8 @@ class GradedElement:
     def zero(cls, basis: str) -> "GradedElement":
         return cls(basis, {})
 
-    def coefficient(self, comp) -> Fraction:
-        return self.terms.get(Composition(comp), Fraction(0))
+    def coefficient(self, comp) -> int | Fraction:
+        return self.terms.get(Composition(comp), 0)
 
     def support(self) -> list[Composition]:
         return sorted(self.terms, key=canonical_key)
@@ -313,9 +321,9 @@ class TensorElement:
         )
         return TensorElement(self.basis, terms)
 
-    def evaluate(self, left_fn, right_fn) -> Fraction:
+    def evaluate(self, left_fn, right_fn) -> int | Fraction:
         """Apply a pair of functionals and sum."""
-        total = Fraction(0)
+        total = 0
         for (l, r), v in self.terms.items():
             total += v * left_fn(l) * right_fn(r)
         return total
@@ -342,7 +350,7 @@ def coproduct(h: GradedElement) -> TensorElement:
     )
 
 
-def counit(h: GradedElement) -> Fraction:
+def counit(h: GradedElement) -> int | Fraction:
     return h.coefficient(EMPTY)
 
 
@@ -376,7 +384,7 @@ def antipode_by_recursion(basis: str, comp) -> GradedElement:
         result = GradedElement.unit(basis)
     else:
         # b + sum S(b') b'' over the proper splits, summed in one dict, negated once
-        acc = {comp: Fraction(1)}
+        acc = {comp: 1}
         for left, right in deconcatenations(comp)[1:-1]:
             _accumulate_times(acc, antipode_by_recursion(basis, left), ((right, 1),))
         result = GradedElement(basis, {c: -v for c, v in acc.items()})

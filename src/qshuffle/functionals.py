@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .compositions import (
-    Composition, deconcatenations, extend_over_refinement, nonempty_splits, pairs_up_to
+    Composition, deconcatenations, extend_over_refinement, nonempty_splits, pairs_up_to, product_sum
 )
 from .elements import GradedElement, product
 from .errors import NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
@@ -49,7 +49,7 @@ class Functional:
             self._memo[comp] = value
         return value
 
-    def pair(self, fine, coarse) -> Fraction:
+    def pair(self, fine, coarse) -> int | Fraction:
         """f(alpha, beta): product of the functional over the refinement blocks."""
         return extend_over_refinement(self, fine, coarse)
 
@@ -106,13 +106,7 @@ def _split_series(phi: Functional, weight, value_at_empty: int) -> Functional:
     """
 
     def value(comp: Composition) -> Fraction:
-        total = Fraction(0)
-        for blocks in nonempty_splits(comp):
-            term = weight(len(blocks))
-            for block in blocks:
-                term *= phi(block)
-            total += term
-        return total
+        return product_sum(phi, ((weight(len(blocks)), blocks) for blocks in nonempty_splits(comp)))
 
     return Functional(value_at_empty, value)
 

@@ -17,9 +17,18 @@ the tests can require both to agree:
 * ``extend_over_refinement``: f(alpha, beta) by searching for the
   refinement blocks and multiplying from 1 (the library multiplies the
   blocks that ``coarsening_splits`` hands out);
+* ``block_product``, ``_triangular_dual`` and ``_split_series``: products
+  and sums of functional values in ``Fraction`` arithmetic, one
+  ``Fraction`` per factor (the library multiplies and adds int numerators
+  and denominators and builds one ``Fraction`` per result);
+  ``f_to_g``, ``g_to_f``, ``exp_functional`` and ``log_functional`` are the
+  library's entry points over these bodies;
 * ``_proper_coloring_count``: the proper k-colourings of a graph by trying
   all k^n colour assignments (the library reads the chromatic polynomial
-  off the partitions of the vertices into stable sets).
+  off the partitions of the vertices into stable sets);
+* ``order_ideals``: the ideals of a poset by scanning ``below`` for every
+  chosen element of every subset (the library reads each element's
+  down-set into a bitmask once per poset).
 
 The rest is code that only the tests use, kept out of the library with its
 body unchanged: the refinement predicate ``refines``, the shuffle count
@@ -36,11 +45,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
-from math import comb
+from math import comb, factorial
 
-from qshuffle.characters import single
-from qshuffle.compositions import EMPTY, Composition, canonical_key, compositions_of, refinement_split
-from qshuffle.demos import SmallGraph, all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
+from qshuffle.characters import _diagonal, single
+from qshuffle.compositions import (
+    EMPTY, Composition, canonical_key, coarsening_splits, compositions_of, nonempty_splits, refinement_split
+)
+from qshuffle.demos import SmallGraph, SmallPoset, all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
 from qshuffle.elements import MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, product
 from qshuffle.errors import BasisMismatch, DegreeMismatch, NotARefinement
 from qshuffle.functionals import Functional, convolve, functional_inverse
@@ -114,6 +125,75 @@ def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> Fracti
     for block in refinement_split(fine, coarse):
         value *= fn(block)
     return value
+
+
+def block_product(fn, blocks: tuple[Composition, ...]) -> Fraction:
+    """Product of fn over blocks; 1 for none."""
+    if not blocks:
+        return Fraction(1)
+    value = fn(blocks[0])
+    for block in blocks[1:]:
+        value *= fn(block)
+    return value
+
+
+def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functional:
+    """Solve sum over coarsenings beta of h(alpha, beta) k(beta) = [length(alpha) = 1] for k.
+
+    Symmetric in f and g: h = f gives g (value 0 at empty), h = g gives f
+    (value 1).  k((n)) = 1/h((n)); longer compositions come from strictly
+    coarser, shorter ones.  Lazy and memoized.
+    """
+    k: Functional | None = None
+
+    def value(alpha: Composition) -> Fraction:
+        diag = _diagonal(h, alpha)
+        if alpha.length == 1:
+            return 1 / diag
+        total = Fraction(0)
+        for beta, blocks in coarsening_splits(alpha):
+            if beta == alpha:
+                continue
+            total += block_product(h, blocks) * k(beta)
+        return -total / diag
+
+    label = f"{letter}[{h.name}]" if h.name else None
+    k = Functional(value_at_empty, value, name=label)
+    return k
+
+
+def _split_series(phi: Functional, weight, value_at_empty: int) -> Functional:
+    """Sum over m >= 1 of weight(m) phi^{*m}, one term per split into m nonempty blocks.
+
+    Finite on every composition, so exact at all degrees.
+    """
+
+    def value(comp: Composition) -> Fraction:
+        total = Fraction(0)
+        for blocks in nonempty_splits(comp):
+            term = weight(len(blocks))
+            for block in blocks:
+                term *= phi(block)
+            total += term
+        return total
+
+    return Functional(value_at_empty, value)
+
+
+def f_to_g(f: Functional) -> Functional:
+    return _triangular_dual(f, 0, "g")
+
+
+def g_to_f(g: Functional) -> Functional:
+    return _triangular_dual(g, 1, "f")
+
+
+def exp_functional(xi: Functional) -> Functional:
+    return _split_series(xi, lambda m: Fraction(1, factorial(m)), 1)
+
+
+def log_functional(zeta: Functional) -> Functional:
+    return _split_series(zeta, lambda m: Fraction(-1 if m % 2 == 0 else 1, m), 0)
 
 
 def refines(fine: Composition, coarse: Composition) -> bool:
@@ -224,6 +304,18 @@ def _proper_coloring_count(g: SmallGraph, colors: int) -> int:
         if all(assignment[u] != assignment[v] for u, v in edges):
             count += 1
     return count
+
+
+def order_ideals(p: SmallPoset) -> list[tuple[int, ...]]:
+    """All downward closed subsets, as sorted tuples."""
+    n = p.element_count
+    out = []
+    elements = list(range(1, n + 1))
+    for mask in range(1 << n):
+        chosen = {elements[i] for i in range(n) if mask >> i & 1}
+        if all(p.below(b) <= chosen for b in chosen):
+            out.append(tuple(sorted(chosen)))
+    return out
 
 
 def ordered_stable_partitions(g, alpha) -> int:

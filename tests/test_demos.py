@@ -27,7 +27,7 @@ from qshuffle.demos import (
 from qshuffle.elements import MONOMIAL, GradedElement, product
 from qshuffle.universal import CharacterPowerEvaluator, char_to_infchar, infchar_to_char, universal_to_qsym
 
-from oracles import _proper_coloring_count, check_provider_multiplicativity, expand_polynomial
+from oracles import _proper_coloring_count, check_provider_multiplicativity, expand_polynomial, order_ideals
 
 C = Composition
 
@@ -224,6 +224,12 @@ def test_poset_ideals_and_minimals():
     assert not ANTI2.has_unique_minimal()
     assert xi_unique_min(VEE) == 1
     assert xi_unique_min(ANTI2) == 0
+
+
+def test_order_ideals_match_the_down_set_scan():
+    for n in range(6):
+        for p in all_posets(n):
+            assert p.order_ideals() == order_ideals(p), p
 
 
 def test_poset_induced_union():
