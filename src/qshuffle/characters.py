@@ -34,15 +34,15 @@ from typing import Callable, Hashable
 
 from .compositions import (
     Composition,
-    block_product,
-    coarsening_splits,
+    coarsening_products,
     coarsenings,  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
-    compositions_of,
     compositions_up_to,
     deconcatenations,
+    is_numeral,
     pairs_up_to,
     partitions_of,
-    product_sum,
+    rational,
+    rational_sum,
     rearrangements,
     shuffle,
     stats,
@@ -103,8 +103,8 @@ def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functio
 
     Symmetric in f and g: h = f gives g (value 0 at empty), h = g gives f
     (value 1).  k((n)) = 1/h((n)); longer compositions come from strictly
-    coarser, shorter ones, summed by ``product_sum`` (which skips the
-    coarsenings where k vanishes).  Lazy and memoized.
+    coarser, shorter ones, walked with k as the scale (0 on alpha itself,
+    the unknown).  Lazy and memoized.
     """
     k: Functional | None = None
 
@@ -112,8 +112,8 @@ def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functio
         diag = _diagonal(h, alpha)
         if alpha.length == 1:
             return 1 / diag
-        terms = ((k(beta), blocks) for beta, blocks in coarsening_splits(alpha) if beta != alpha)
-        return -product_sum(h, terms) / diag
+        terms = coarsening_products(h, alpha, lambda beta: 0 if len(beta) == len(alpha) else k(beta))
+        return -rational_sum(terms) / diag
 
     label = f"{letter}[{h.name}]" if h.name else None
     k = Functional(value_at_empty, value, name=label)
@@ -132,13 +132,7 @@ def g_to_f(g: Functional) -> Functional:
 
 def basis_contract(g: Functional, alpha) -> dict[Composition, Fraction]:
     """Coordinates of M_alpha over the X basis: coarsenings weighted by g(alpha, .), zeros left out."""
-    alpha = Composition(alpha)
-    out = {}
-    for beta, blocks in coarsening_splits(alpha):
-        coef = block_product(g, blocks)
-        if coef != 0:
-            out[beta] = coef
-    return out
+    return {beta: rational(num, den) for beta, num, den in coarsening_products(g, alpha)}
 
 
 def basis_expand(f: Functional, alpha) -> GradedElement:
@@ -326,8 +320,13 @@ def order_basis_character(order) -> Functional:
     """1/aut on compositions weakly increasing under the listed order, else 0.
 
     ``order`` lists the integers 1..k smallest-first under the intended
-    total order; parts above k raise PartOutOfRange.
+    total order, as ints or as text in ASCII digits; parts above k raise
+    PartOutOfRange.
     """
+    order = list(order)
+    for p in order:
+        if type(p) is not int and not is_numeral(p):
+            raise ValueError(f"order entries must be ints or ASCII digits, got {p!r}")
     order = [int(p) for p in order]
     k = len(order)
     if sorted(order) != list(range(1, k + 1)):
@@ -377,9 +376,9 @@ def resolve_basis(spec_text: str) -> Functional:
         return builtin(spec_text)
     if spec_text.startswith("prefix-sum:"):
         body = spec_text[len("prefix-sum:") :]
-        values = [parse_rational(chunk.strip()) for chunk in body.split(",") if chunk.strip()]
-        if not values:
+        if not body.strip():
             raise ValueError("prefix-sum: needs at least one tau value")
+        values = [parse_rational(chunk.strip()) for chunk in body.split(",")]
 
         def tau(n: int, table=tuple(values)) -> Fraction:
             if n > len(table):
@@ -389,7 +388,7 @@ def resolve_basis(spec_text: str) -> Functional:
         return prefix_sum_character(tau, name=spec_text)
     if spec_text.startswith("order:"):
         body = spec_text[len("order:") :]
-        return order_basis_character([chunk.strip() for chunk in body.split(",") if chunk.strip()])
+        return order_basis_character([chunk.strip() for chunk in body.split(",")])
     raise ValueError(
         f"unknown basis {spec_text!r}; known: {', '.join(BUILTIN_NAMES)}, "
         "prefix-sum:<tau values>, order:<permutation>"
@@ -454,25 +453,18 @@ def check_integral_nonneg(
     def refinement_witness(alpha: Composition) -> IntegralityWitness | None:
         aut = stats(alpha).aut_count
 
-        def witness_of(split) -> IntegralityWitness | None:
-            beta, blocks = split
-            value = aut * block_product(f, blocks)
-            if not is_nonneg_integer(value):
-                return IntegralityWitness(alpha, beta, value)
-            return None
+        def witness_of(term) -> IntegralityWitness | None:
+            beta, num, den = term
+            value = rational(aut * num, den)
+            return None if is_nonneg_integer(value) else IntegralityWitness(alpha, beta, value)
 
-        return first_witness(coarsening_splits(alpha), witness_of)
+        return first_witness(coarsening_products(f, alpha), witness_of)
 
     witness = first_witness(compositions_up_to(max_degree)[1:], refinement_witness)
 
-    single_block_ok = True
-    for n in range(1, max_degree + 1):
-        for alpha in compositions_of(n):
-            if not is_nonneg_integer(stats(alpha).aut_count * f(alpha)):
-                single_block_ok = False
-                break
-        if not single_block_ok:
-            break
+    single_block_ok = all(
+        is_nonneg_integer(stats(alpha).aut_count * f(alpha)) for alpha in compositions_up_to(max_degree)[1:]
+    )
 
     if (witness is None) != single_block_ok:
         raise AssertionError("refinement-pair and single-block integrality tests disagree")

@@ -30,7 +30,7 @@ from .characters import (
     resolve_basis,
     verify_qps,
 )
-from .compositions import Composition, compositions_of, compositions_up_to, deconcatenations, stats
+from .compositions import Composition, compositions_of, compositions_up_to, deconcatenations, is_numeral, stats
 from .elements import (
     GradedElement,
     MONOMIAL,
@@ -160,7 +160,7 @@ def _parse_comp(text: str, flag: str) -> Composition:
 def _parse_literal(parse, text: str):
     """A graph or poset --input through parse, its size capped before parse takes any closure."""
     count = text.partition(";")[0].strip()
-    if count.isdigit() and int(count) > MAX_DEGREE:
+    if is_numeral(count) and int(count) > MAX_DEGREE:
         raise CliUsageError(f"--input has size {int(count)}; sizes are capped at {MAX_DEGREE}")
     return parse(text)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial, lcm
 
 from .errors import NotARefinement
@@ -81,7 +81,7 @@ class Composition(tuple):
         parts = []
         for chunk in text.split(","):
             chunk = chunk.strip()
-            if not chunk.isdigit():
+            if not is_numeral(chunk):
                 raise ValueError(f"bad composition part {chunk!r} in {text!r}")
             parts.append(int(chunk))
         return cls(parts)
@@ -90,6 +90,11 @@ class Composition(tuple):
         return f"C[{self.to_text()}]"
 
     __str__ = __repr__
+
+
+def is_numeral(text) -> bool:
+    """Is text a nonempty str of ASCII digits?  Checked before ``int``, which also takes signs and other scripts."""
+    return type(text) is str and text.isascii() and text.isdigit()
 
 
 # builds a Composition from parts already known to be ints >= 1, unchecked;
@@ -211,23 +216,71 @@ def coarsenings(comp: Composition) -> list[Composition]:
     order; there are 2^(length-1) of them (1 for the empty composition).
     Canonical order.
     """
-    return [coarse for coarse, _ in coarsening_splits(comp)]
+    return [coarse for coarse, _, _ in coarsening_products(lambda block: 1, comp)]
 
 
-def coarsening_splits(comp: Composition) -> list[tuple[Composition, tuple[Composition, ...]]]:
-    """Each coarsening of comp, paired with the blocks of comp that sum to its parts.
+@lru_cache(maxsize=None)
+def _block_ends(length: int) -> tuple[tuple[int, ...], ...]:
+    """The end positions of the blocks of each split of ``length`` parts, in lexicographic order.
 
-    A split of comp into consecutive blocks is a subset of its cut points
-    (Gessel's subset encoding), and summing the blocks gives the coarsening,
-    so each pair comes from one subset and the blocks are what
-    ``refinement_split(comp, coarse)`` would find.  Canonical order of the
-    coarsenings.
+    A split is a subset of the cut points (Gessel's encoding) closed by
+    ``length``; lexicographic order is the canonical order of the coarsenings.
+    """
+    if length == 0:
+        return ((),)
+    return tuple(
+        (first, *(first + end for end in rest)) for first in range(1, length + 1) for rest in _block_ends(length - first)
+    )
+
+
+# one object per coarsening value, shared by every result that keys a term on it
+_coarse_objects: dict[Composition, Composition] = {}
+
+
+def coarsening_products(fn, comp: Composition, scale=None):
+    """Yield (coarse, num, den) for each coarsening of comp, in canonical order.
+
+    num/den, unreduced ints, is scale(coarse) (1 if scale is None) times the
+    product of fn over the blocks of comp that sum to the parts of coarse;
+    zero terms are left out.  Read order: scale first, skipping coarse if it
+    is 0, then fn on the blocks left to right up to the first zero factor.
+    Each block is read at most once per call.
     """
     comp = Composition(comp)
-    if not comp:
-        return [(EMPTY, ())]
-    pairs = [(_trusted([sum(block) for block in blocks]), blocks) for blocks in nonempty_splits(comp)]
-    return sorted(pairs, key=lambda pair: canonical_key(pair[0]))
+    sums = [0, *accumulate(comp)]
+    width = len(comp) + 1
+    # the (num, den) of fn(comp[i:j]) at i * width + j, once read
+    read: list[tuple[int, int] | None] = [None] * (width * width)
+    for ends in _block_ends(len(comp)):
+        coarse = _trusted([sums[j] - sums[i] for i, j in zip((0, *ends), ends)])
+        coarse = _coarse_objects.setdefault(coarse, coarse)
+        factor = 1 if scale is None else scale(coarse)
+        if not factor:
+            continue
+        num, den = factor.numerator, factor.denominator
+        for i, j in zip((0, *ends), ends):
+            pair = read[i * width + j]
+            if pair is None:
+                value = fn(_trusted(comp[i:j]))
+                pair = read[i * width + j] = (value.numerator, value.denominator)
+            if not pair[0]:
+                break
+            num *= pair[0]
+            den *= pair[1]
+        else:
+            yield coarse, num, den
+
+
+def rational(num: int, den: int) -> int | Fraction:
+    """num/den in normal form: an int when den divides num, else a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def rational_sum(terms) -> int | Fraction:
+    """The sum of num/den over (coarse, num, den) terms, over one common denominator, in normal form."""
+    pairs = [(num, den) for _, num, den in terms]
+    common = lcm(*(den for _, den in pairs))
+    return rational(sum(num * (common // den) for num, den in pairs), common)
 
 
 def refinement_split(fine: Composition, coarse: Composition) -> tuple[Composition, ...]:
@@ -262,49 +315,10 @@ def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> int | 
     compositions; it is 1 on the empty pair and multiplicative under
     concatenation of refinement pairs.
     """
-    return block_product(fn, refinement_split(fine, coarse))
-
-
-def _rational(num: int, den: int) -> int | Fraction:
-    """num/den in normal form: an int when den divides num, else a Fraction."""
-    return num // den if num % den == 0 else Fraction(num, den)
-
-
-def _scaled_product(fn, scale, blocks: tuple[Composition, ...]) -> tuple[int, int]:
-    """The int numerator and denominator of scale times the product of fn over blocks.
-
-    scale and the values of fn are ints or Fractions; the pair is not reduced.
-    Stops at the first zero factor, so fn is not called past it.
-    """
-    num, den = scale.numerator, scale.denominator
-    for block in blocks:
-        if not num:
-            return 0, 1
-        value = fn(block)
-        num *= value.numerator
-        den *= value.denominator
-    return num, den
-
-
-def block_product(fn, blocks: tuple[Composition, ...]) -> int | Fraction:
-    """Product of fn over blocks in normal form (an int, or a Fraction that is not one); 1 for none."""
-    return _rational(*_scaled_product(fn, 1, blocks))
-
-
-def product_sum(fn, terms) -> int | Fraction:
-    """Sum over the (scale, blocks) terms of scale times the product of fn over blocks.
-
-    The terms are added as ints over one common denominator, so one
-    Fraction is built for the result instead of one per factor; the value
-    is in the normal form of ``block_product``.
-    """
-    pairs = []
-    for scale, blocks in terms:
-        num, den = _scaled_product(fn, scale, blocks)
-        if num:
-            pairs.append((num, den))
-    common = lcm(*(den for _, den in pairs))
-    return _rational(sum(num * (common // den) for num, den in pairs), common)
+    value = 1
+    for block in refinement_split(fine, coarse):
+        value *= fn(block)
+    return value
 
 
 def deconcatenations(comp: Composition) -> list[tuple[Composition, Composition]]:
@@ -314,23 +328,14 @@ def deconcatenations(comp: Composition) -> list[tuple[Composition, Composition]]
 
 
 def nonempty_splits(comp: Composition):
-    """Yield all splittings of comp into consecutive nonempty blocks.
+    """Yield all splittings of comp into consecutive nonempty blocks, in the order of their coarsenings.
 
     2^(length-1) splittings of a nonempty composition; nothing for the
     empty one.
     """
     comp = Composition(comp)
-    if not comp:
-        return
-    for mask in range(1 << (comp.length - 1)):
-        blocks = []
-        start = 0
-        for i in range(1, comp.length):
-            if mask >> (i - 1) & 1:
-                blocks.append(_trusted(comp[start:i]))
-                start = i
-        blocks.append(_trusted(comp[start:]))
-        yield tuple(blocks)
+    for ends in _block_ends(len(comp)) if comp else ():
+        yield tuple(_trusted(comp[i:j]) for i, j in zip((0, *ends), ends))
 
 
 def _interleavings(pairs_of, merge: bool, a: Composition, b: Composition):

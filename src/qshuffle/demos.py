@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
+from .compositions import is_numeral
 from .elements import GradedElement, MONOMIAL
 from .universal import (
     CharacterPowerEvaluator,
@@ -97,16 +98,14 @@ class _LabelledPairs(tuple):
     def _parse(cls, text: str) -> tuple[int, list[tuple[int, int]]]:
         """n and the checked pairs of ``n; u<SEP>v,...``; the pair list may be empty."""
         head, _, tail = text.partition(";")
-        if not head.strip().isdigit():
+        if not is_numeral(head.strip()):
             raise ValueError(f"bad count in {text!r}")
         n = int(head)
         pairs = []
-        for chunk in tail.split(","):
+        for chunk in tail.split(",") if tail.strip() else ():
             chunk = chunk.strip()
-            if not chunk:
-                continue
             u, _, v = chunk.partition(cls._sep)
-            if not (u.strip().isdigit() and v.strip().isdigit()):
+            if not (is_numeral(u.strip()) and is_numeral(v.strip())):
                 raise ValueError(f"bad pair {chunk!r} in {text!r}")
             pairs.append((int(u), int(v)))
         return n, cls._checked(n, pairs)

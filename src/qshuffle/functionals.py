@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .compositions import (
-    Composition, deconcatenations, extend_over_refinement, nonempty_splits, pairs_up_to, product_sum
+    Composition, coarsening_products, deconcatenations, extend_over_refinement, pairs_up_to, rational_sum
 )
+from .compositions import nonempty_splits  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
 from .elements import GradedElement, product
 from .errors import NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
 from .report import first_witness
@@ -100,13 +102,14 @@ def functional_inverse(phi: Functional) -> Functional:
 
 
 def _split_series(phi: Functional, weight, value_at_empty: int) -> Functional:
-    """Sum over m >= 1 of weight(m) phi^{*m}, one term per split into m nonempty blocks.
+    """Sum over m >= 1 of weight(m) phi^{*m}: over the coarsenings of length m, weight(m) times phi on the blocks.
 
-    Finite on every composition, so exact at all degrees.
+    Each weight is built once per series.  Finite on every composition, so exact at all degrees.
     """
+    weights = lru_cache(maxsize=None)(weight)
 
     def value(comp: Composition) -> Fraction:
-        return product_sum(phi, ((weight(len(blocks)), blocks) for blocks in nonempty_splits(comp)))
+        return rational_sum(coarsening_products(phi, comp, lambda coarse: weights(len(coarse))))
 
     return Functional(value_at_empty, value)
 

@@ -9,20 +9,25 @@ the tests can require both to agree:
   one term dict);
 * ``coarsenings``: merging runs of parts under each mask, with every result
   built through the validating constructor (the library reads coarsenings
-  off the block splits of ``nonempty_splits``);
+  off the cut-position walk ``coarsening_products``);
+* ``coarsening_splits``: each coarsening paired with its blocks, built from
+  the block splits of ``nonempty_splits`` and sorted into canonical order
+  (the library walks a table of cut positions that is already in that
+  order, and reads each block's value at most once per composition);
 * ``theta``: theta by its definition, the universal morphism of QSym with
   the character nuQ on each monomial, extended linearly by chained element
   additions (the library reads theta(M_alpha) off the coarsenings of alpha
   weighted by nuQ);
 * ``extend_over_refinement``: f(alpha, beta) by searching for the
-  refinement blocks and multiplying from 1 (the library multiplies the
-  blocks that ``coarsening_splits`` hands out);
-* ``block_product``, ``_triangular_dual`` and ``_split_series``: products
-  and sums of functional values in ``Fraction`` arithmetic, one
-  ``Fraction`` per factor (the library multiplies and adds int numerators
-  and denominators and builds one ``Fraction`` per result);
-  ``f_to_g``, ``g_to_f``, ``exp_functional`` and ``log_functional`` are the
-  library's entry points over these bodies;
+  refinement blocks and multiplying from 1;
+* ``block_product``, ``_triangular_dual``, ``_split_series``,
+  ``basis_contract`` and ``check_integral_nonneg``: products and sums of
+  functional values over the pairs of ``coarsening_splits`` (or the splits
+  of ``nonempty_splits``) in ``Fraction`` arithmetic, one ``Fraction`` per
+  factor (the library multiplies and adds int numerators and denominators
+  along one walk of ``coarsening_products`` and builds one ``Fraction`` per
+  result); ``f_to_g``, ``g_to_f``, ``exp_functional`` and
+  ``log_functional`` are the library's entry points over these bodies;
 * ``_proper_coloring_count``: the proper k-colourings of a graph by trying
   all k^n colour assignments (the library reads the chromatic polynomial
   off the partitions of the vertices into stable sets);
@@ -47,14 +52,23 @@ from functools import lru_cache
 from itertools import combinations, product as iter_product
 from math import comb, factorial
 
-from qshuffle.characters import _diagonal, single
+from qshuffle.characters import IntegralityWitness, _diagonal, _require_normalized, single
 from qshuffle.compositions import (
-    EMPTY, Composition, canonical_key, coarsening_splits, compositions_of, nonempty_splits, refinement_split
+    EMPTY,
+    Composition,
+    _trusted,
+    canonical_key,
+    compositions_of,
+    compositions_up_to,
+    nonempty_splits,
+    refinement_split,
+    stats,
 )
 from qshuffle.demos import SmallGraph, SmallPoset, all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
 from qshuffle.elements import MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, product
 from qshuffle.errors import BasisMismatch, DegreeMismatch, NotARefinement
 from qshuffle.functionals import Functional, convolve, functional_inverse
+from qshuffle.report import first_witness
 from qshuffle.universal import canonical, qsym_provider, universal_to_qsym
 
 _antipode_cache: dict[tuple[str, Composition], GradedElement] = {}
@@ -106,6 +120,22 @@ def coarsenings(comp: Composition) -> list[Composition]:
                 merged.append(comp[i])
         out.add(Composition(merged))
     return sorted(out, key=canonical_key)
+
+
+def coarsening_splits(comp: Composition) -> list[tuple[Composition, tuple[Composition, ...]]]:
+    """Each coarsening of comp, paired with the blocks of comp that sum to its parts.
+
+    A split of comp into consecutive blocks is a subset of its cut points
+    (Gessel's subset encoding), and summing the blocks gives the coarsening,
+    so each pair comes from one subset and the blocks are what
+    ``refinement_split(comp, coarse)`` would find.  Canonical order of the
+    coarsenings.
+    """
+    comp = Composition(comp)
+    if not comp:
+        return [(EMPTY, ())]
+    pairs = [(_trusted([sum(block) for block in blocks]), blocks) for blocks in nonempty_splits(comp)]
+    return sorted(pairs, key=lambda pair: canonical_key(pair[0]))
 
 
 def theta(h: GradedElement) -> GradedElement:
@@ -194,6 +224,60 @@ def exp_functional(xi: Functional) -> Functional:
 
 def log_functional(zeta: Functional) -> Functional:
     return _split_series(zeta, lambda m: Fraction(-1 if m % 2 == 0 else 1, m), 0)
+
+
+def basis_contract(g: Functional, alpha) -> dict[Composition, Fraction]:
+    """Coordinates of M_alpha over the X basis: coarsenings weighted by g(alpha, .), zeros left out."""
+    alpha = Composition(alpha)
+    out = {}
+    for beta, blocks in coarsening_splits(alpha):
+        coef = block_product(g, blocks)
+        if coef != 0:
+            out[beta] = coef
+    return out
+
+
+def check_integral_nonneg(
+    f: Functional, max_degree: int
+) -> tuple[bool, IntegralityWitness | None]:
+    """Do all monomial coefficients of the P_alpha lie in the nonnegative integers?
+
+    Sweeps aut(alpha) f(alpha, beta) over refinement pairs up to max_degree
+    (test A) and, independently, the single-block values aut(alpha) f(alpha)
+    (test B, which is equivalent); both are run and must agree.  Returns the
+    first test-A witness in canonical order.
+    """
+    _require_normalized(f, max_degree)
+
+    def is_nonneg_integer(x: Fraction) -> bool:
+        return x.denominator == 1 and x >= 0
+
+    def refinement_witness(alpha: Composition) -> IntegralityWitness | None:
+        aut = stats(alpha).aut_count
+
+        def witness_of(split) -> IntegralityWitness | None:
+            beta, blocks = split
+            value = aut * block_product(f, blocks)
+            if not is_nonneg_integer(value):
+                return IntegralityWitness(alpha, beta, value)
+            return None
+
+        return first_witness(coarsening_splits(alpha), witness_of)
+
+    witness = first_witness(compositions_up_to(max_degree)[1:], refinement_witness)
+
+    single_block_ok = True
+    for n in range(1, max_degree + 1):
+        for alpha in compositions_of(n):
+            if not is_nonneg_integer(stats(alpha).aut_count * f(alpha)):
+                single_block_ok = False
+                break
+        if not single_block_ok:
+            break
+
+    if (witness is None) != single_block_ok:
+        raise AssertionError("refinement-pair and single-block integrality tests disagree")
+    return witness is None, witness
 
 
 def refines(fine: Composition, coarse: Composition) -> bool:

@@ -164,10 +164,17 @@ def test_order_basis_character():
         f(C((4,)))
     with pytest.raises(ValueError):
         order_basis_character([1, 3])
+    assert order_basis_character(["2", "1", "3"])(C((2, 2, 1))) == Fraction(1, 2)
     # the axiom sweep needs the order declared out to the largest part touched
     wide = order_basis_character([2, 1, 3, 5, 4, 6])
     ok, violation = is_character(wide, 6, WORD)
     assert ok, violation
+
+
+@pytest.mark.parametrize("order", [[True, 2.0], [2, 1.0], [True, 2], ["+2", "1"], ["2", ""], ["\u0662", "1"]])
+def test_order_basis_character_rejects_coercible_entries(order):
+    with pytest.raises(ValueError, match="order entries must be ints or ASCII digits"):
+        order_basis_character(order)
 
 
 def test_ordered_partition_spec_custom():

@@ -356,6 +356,46 @@ def test_exact_rationals_are_accepted(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("expand", "--basis", "type2", "--comp", "\u0661,\u0662"), "bad composition part '\u0661'"),
+        (("demo-poset", "--input", "\u0663; 1<2"), "bad count"),
+        (("demo-graph", "--input", "3; 1-2,,2-3"), "bad pair ''"),
+        (("demo-graph", "--input", "3; 1-2,"), "bad pair ''"),
+        (("expand", "--basis", "order:+2,1", "--comp", "1"), "'+2'"),
+        (("expand", "--basis", "order:2,,1", "--comp", "1"), "''"),
+        (("expand", "--basis", "order:2,1,", "--comp", "1"), "''"),
+        (("expand", "--basis", "order:\u0662,1", "--comp", "1"), "'\u0662'"),
+        (("expand", "--basis", "prefix-sum:1,,2", "--comp", "1"), "''"),
+    ],
+    ids=(
+        "comp-arabic-indic", "poset-count-arabic-indic", "graph-empty-pair", "graph-trailing-comma",
+        "order-sign", "order-empty", "order-trailing-comma", "order-arabic-indic", "prefix-sum-empty",
+    ),
+)
+def test_text_entries_are_ascii_digits_and_never_empty(capsys, argv, shown):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and shown in err
+
+
+def test_ascii_entries_are_accepted(capsys):
+    code, out, _ = invoke(capsys, "expand", "--basis", "order: 2, 1", "--comp", " 1 , 1 ")
+    assert (code, out) == (0, "2 M[1,1] + M[2]\n")
+    code, out, _ = invoke(capsys, "phi", "--hopf", "graph", "--input", "2;")
+    assert (code, out) == (0, "2 M[1,1] + M[2]\n")
+
+
+def test_reads_stop_where_the_parent_kernel_stopped(capsys):
+    # for coarsening (3) the scale g((3)) is read before any block, and it is
+    # past the declared tau bound; a walk that multiplied blocks first would
+    # report the zero prefix sum of f((1,2)) instead
+    code, out, err = invoke(capsys, "convert", "--basis", "prefix-sum:-1,1", "--comp", "1,2")
+    assert (code, out, err) == (1, "", "error: part 3 exceeds declared tau bound 2\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("expand", "--basis", "type2", "--comp", ",".join(["1"] * 22)),

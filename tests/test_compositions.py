@@ -89,6 +89,10 @@ def test_composition_validation_and_text():
         C.from_text("2,x")
     with pytest.raises(ValueError):
         C.from_text("2,-1")
+    # int() would read each of these as 1 or 2
+    for text in ("+1", "2,,1", "2,1,", "\u0661,\u0662", "\uff11"):
+        with pytest.raises(ValueError, match="bad composition part"):
+            C.from_text(text)
     for comp in compositions_up_to(5):
         assert C.from_text(comp.to_text()) == comp
 

@@ -61,6 +61,10 @@ def test_graph_construction():
         SmallGraph.from_text("x; 1-2")
     with pytest.raises(ValueError):
         SmallGraph.from_text("3; 1+2")
+    for text in ("\u0663; 1-2", "3; \u0661-2", "3; 1-2,,2-3", "3; 1-2,", "+3; 1-2"):
+        with pytest.raises(ValueError, match="bad"):
+            SmallGraph.from_text(text)
+    assert SmallGraph.from_text("3;") == SmallGraph.from_text("3; ") == SmallGraph(3)
 
 
 def test_graph_induced_and_union():

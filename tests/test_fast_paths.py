@@ -9,6 +9,7 @@ one, while functional values stay ``Fraction``.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -18,6 +19,7 @@ from qshuffle.characters import (
     basis_contract,
     basis_expand,
     builtin,
+    check_integral_nonneg,
     f_to_g,
     g_to_f,
     normalize,
@@ -27,8 +29,7 @@ from qshuffle.characters import (
 from qshuffle.compositions import (
     EMPTY,
     Composition,
-    block_product,
-    coarsening_splits,
+    coarsening_products,
     coarsenings,
     compositions_of,
     compositions_up_to,
@@ -36,8 +37,8 @@ from qshuffle.compositions import (
     extend_over_refinement,
     nonempty_splits,
     pairs_up_to,
-    product_sum,
     quasi_shuffle,
+    rational_sum,
     rearrangements,
     refinement_split,
     shuffle,
@@ -100,12 +101,53 @@ def test_theta_accumulation_matches_chained_sums():
             assert theta(x_alpha) == oracles.theta(x_alpha)
 
 
-def test_coarsening_splits_match_mask_merging_and_refinement_split():
-    for comp in compositions_up_to(DEGREE):
-        pairs = coarsening_splits(comp)
-        assert [beta for beta, _ in pairs] == oracles.coarsenings(comp) == coarsenings(comp)
-        for beta, blocks in pairs:
-            assert blocks == refinement_split(comp, beta)
+def _primes():
+    n = 2
+    while True:
+        if all(n % p for p in range(2, int(n**0.5) + 1)):
+            yield n
+        n += 1
+
+
+def test_coarsening_walk_matches_mask_merging_and_refinement_split():
+    # every block content gets its own prime, so a product names the blocks it multiplied
+    primes, prime_of = _primes(), {}
+
+    def prime(block):
+        if block not in prime_of:
+            prime_of[block] = next(primes)
+        return prime_of[block]
+
+    for comp in compositions_up_to(10):
+        read = []
+
+        def spy(block):
+            assert_valid(block)
+            read.append(block)
+            return Fraction(prime(block))
+
+        terms = list(coarsening_products(spy, comp))
+        betas = [beta for beta, _, _ in terms]
+        assert betas == oracles.coarsenings(comp) == coarsenings(comp)
+        assert betas == [beta for beta, _ in oracles.coarsening_splits(comp)]
+        first_reads = {}
+        for beta, num, den in terms:
+            blocks = refinement_split(comp, beta)
+            assert den == 1 and num == prod(prime(block) for block in blocks), (comp, beta)
+            start = 0
+            for block in blocks:
+                first_reads.setdefault((start, start + len(block)), block)
+                start += len(block)
+        # each block is read once, in the order the coarsenings first reach it
+        assert read == list(first_reads.values()), comp
+
+
+def test_results_share_their_coarsening_objects():
+    # a held set of results keys its terms on one object per coarsening, not one per result
+    g = f_to_g(builtin("type1"))
+    for comp in compositions_of(6):
+        assert all(a is b for a, b in zip(coarsenings(comp), basis_contract(g, comp)))
+        assert all(a is b for a, b in zip(basis_contract(g, comp), basis_contract(g, comp)))
 
 
 @pytest.mark.parametrize("name", CLOSED_FORM_G_NAMES)
@@ -113,12 +155,13 @@ def test_block_products_match_refinement_search(name):
     f = builtin(name)
     g = f_to_g(f)
     for comp in compositions_up_to(7):
-        for beta, blocks in coarsening_splits(comp):
-            for fn in (f, g):
+        for fn in (f, g):
+            products = {beta: Fraction(num, den) for beta, num, den in coarsening_products(fn, comp)}
+            for beta in oracles.coarsenings(comp):
                 expected = oracles.extend_over_refinement(fn, comp, beta)
-                assert block_product(fn, blocks) == expected
+                assert products.get(beta, 0) == expected
                 assert extend_over_refinement(fn, comp, beta) == expected
-    assert block_product(f, ()) == 1
+    assert list(coarsening_products(f, EMPTY)) == [(EMPTY, 1, 1)]
 
 
 def test_enumerations_return_valid_compositions():
@@ -132,10 +175,8 @@ def test_enumerations_return_valid_compositions():
             assert_valid(beta)
             for block in refinement_split(comp, beta):
                 assert_valid(block)
-        for beta, blocks in coarsening_splits(comp):
+        for beta, _, _ in coarsening_products(lambda block: assert_valid(block) or 1, comp):
             assert_valid(beta)
-            for block in blocks:
-                assert_valid(block)
         for left, right in deconcatenations(comp):
             assert_valid(left)
             assert_valid(right)
@@ -216,21 +257,55 @@ def test_constructors_apply_the_normal_form():
         GradedElement(MONOMIAL, {(1,): 0.5})
 
 
-def test_product_sum_is_one_normal_form_value():
+def test_coarsening_products_read_order_and_normal_form():
+    log = []
+
+    def fn(block):
+        log.append(("fn", block))
+        return Fraction(0) if block == (2,) else Fraction(1, sum(block))
+
+    def scale(beta):
+        log.append(("scale", beta))
+        return 0 if beta == (6,) else Fraction(2, 3)
+
+    terms = list(coarsening_products(fn, Composition((1, 2, 3)), scale))
+    assert log == [
+        # scale first; the zero factor fn((2,)) stops (1,2,3) before its block (3,)
+        ("scale", (1, 2, 3)), ("fn", (1,)), ("fn", (2,)),
+        # (1,) was read for (1,2,3), so it is not read again
+        ("scale", (1, 5)), ("fn", (2, 3)),
+        ("scale", (3, 3)), ("fn", (1, 2)), ("fn", (3,)),
+        # a zero scale reads no block
+        ("scale", (6,)),
+    ]
+    assert [(beta, Fraction(num, den)) for beta, num, den in terms] == [
+        ((1, 5), Fraction(2, 15)),
+        ((3, 3), Fraction(2, 27)),
+    ]
+
     f = builtin("type2")
-    halves = [(Fraction(1, 2), ()), (Fraction(1, 2), ())]
-    assert product_sum(f, halves) == 1 and type(product_sum(f, halves)) is int
-    assert product_sum(f, []) == 0 and type(product_sum(f, [])) is int
-    assert product_sum(f, [(3, (Composition((1, 1)),))]) == Fraction(3, 2)
+    halves = [(EMPTY, 1, 2), (EMPTY, 1, 2)]
+    assert rational_sum(halves) == 1 and type(rational_sum(halves)) is int
+    assert rational_sum([]) == 0 and type(rational_sum([])) is int
+    three_halves = rational_sum(coarsening_products(f, (1, 1), lambda beta: 3 if len(beta) == 1 else 0))
+    assert three_halves == Fraction(3, 2) and type(three_halves) is Fraction
 
-    def stops_at_zero(block):
-        if block == (9,):
-            raise AssertionError("called past a zero factor")
-        return Fraction(0) if block == (1,) else Fraction(1, 3)
 
-    blocks = (Composition((2,)), Composition((1,)), Composition((9,)))
-    assert product_sum(stops_at_zero, [(1, blocks), (0, blocks[2:])]) == 0
-    assert block_product(stops_at_zero, blocks) == 0
+def _outcome(check, *args):
+    """The value of check(*args), or the type and text of the error it raises."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("f", BASES, ids=lambda f: f.name)
+def test_contraction_and_integrality_match_the_fraction_oracles(f):
+    g = f_to_g(f)
+    for comp in compositions_up_to(DEGREE):
+        for fn in (f, g):
+            assert basis_contract(fn, comp) == oracles.basis_contract(fn, comp), comp
+    assert _outcome(check_integral_nonneg, f, DEGREE) == _outcome(oracles.check_integral_nonneg, f, DEGREE)
 
 
 @pytest.mark.parametrize("f", BASES, ids=lambda f: f.name)
@@ -246,5 +321,3 @@ def test_transfers_match_the_fraction_oracles(f):
         for fast, slow in pairs:
             value = fast(comp)
             assert type(value) is Fraction and value == slow(comp), comp
-        for _, blocks in coarsening_splits(comp):
-            assert block_product(f, blocks) == oracles.block_product(f, blocks)

@@ -8,7 +8,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from qshuffle.characters import builtin, f_to_g
+from qshuffle.characters import BUILTIN_NAMES, basis_contract, builtin, check_integral_nonneg, f_to_g
 from qshuffle.compositions import compositions_of
 from qshuffle.demos import SmallGraph, chromatic_polynomial, chromatic_symmetric
 from qshuffle.elements import MONOMIAL, antipode_by_recursion
@@ -22,7 +22,8 @@ PROFILE = settings(derandomize=True, max_examples=20, deadline=None, database=No
 # compositions one and two degrees past the exhaustive sweeps through degree 8
 PAST_THE_SWEEPS = st.sampled_from([*compositions_of(9), *compositions_of(10)])
 # built once, so their memos carry from one example to the next
-G_TYPE1 = f_to_g(builtin("type1"))
+F_TYPE1 = builtin("type1")
+G_TYPE1 = f_to_g(F_TYPE1)
 ORACLE_G_TYPE1 = oracles.f_to_g(builtin("type1"))
 G_TYPE2 = f_to_g(builtin("type2"))
 EXP_G_TYPE2 = exp_functional(G_TYPE2)
@@ -59,3 +60,18 @@ def test_transfers_match_the_fraction_oracles_past_the_sweeps(alpha):
 @given(PAST_THE_SWEEPS)
 def test_antipode_matches_element_arithmetic_past_the_sweeps(alpha):
     assert antipode_by_recursion(MONOMIAL, alpha) == oracles.antipode_by_recursion(MONOMIAL, alpha)
+
+
+@PROFILE
+@given(PAST_THE_SWEEPS)
+def test_contraction_matches_the_fraction_oracle_past_the_sweeps(alpha):
+    assert basis_contract(G_TYPE1, alpha) == oracles.basis_contract(ORACLE_G_TYPE1, alpha)
+    assert basis_contract(F_TYPE1, alpha) == oracles.basis_contract(F_TYPE1, alpha)
+
+
+@PROFILE
+@given(st.sampled_from(BUILTIN_NAMES))
+def test_integrality_matches_the_fraction_oracle_past_the_sweeps(name):
+    # the sweep through degree 10 takes in every composition of sizes 9 and 10
+    f = builtin(name)
+    assert check_integral_nonneg(f, 10) == oracles.check_integral_nonneg(f, 10)
