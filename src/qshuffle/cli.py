@@ -81,7 +81,7 @@ def _add_common(
     if degree is not None:
         required = degree == "required"
         sub.add_argument(
-            "--degree", type=int, required=required, default=(None if required else degree)
+            "--degree", type=_degree_arg, required=required, default=(None if required else degree)
         )
     if kind:
         sub.add_argument("--kind", choices=("qps", "shuffle"), default="qps")
@@ -139,9 +139,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _degree_arg(text: str) -> int:
+    """--degree as ASCII digits; int() alone would also take signs, spaces and other scripts."""
+    if not is_numeral(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _check_degree(degree: int) -> int:
-    if degree is None:
-        raise CliUsageError("--degree is required")
     if not (1 <= degree <= MAX_DEGREE):
         raise CliUsageError(f"--degree must be between 1 and {MAX_DEGREE}, got {degree}")
     return degree
@@ -181,8 +186,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliUsageError(f"cannot write --out {out_path}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -201,11 +209,10 @@ def _element_payload(elem: GradedElement, fmt: str) -> str:
 
 
 def _functional_payload(side: str, values: dict[Composition, Fraction], fmt: str) -> str:
-    elem = GradedElement(side, values)
+    """values in canonical order, the empty composition first."""
     if fmt == "text":
-        lines = [f"{side}[{comp.to_text()}] -> {values.get(comp, Fraction(0))}" for comp in sorted(values, key=lambda c: (c.size, tuple(c)))]
-        return "\n".join(lines) if lines else "0"
-    return _element_payload(elem, fmt)
+        return "\n".join(f"{side}[{comp.to_text()}] -> {value}" for comp, value in values.items())
+    return _element_payload(GradedElement(side, values), fmt)
 
 
 def _resolve_functional(name: str):

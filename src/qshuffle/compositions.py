@@ -224,13 +224,10 @@ def _block_ends(length: int) -> tuple[tuple[int, ...], ...]:
     """The end positions of the blocks of each split of ``length`` parts, in lexicographic order.
 
     A split is a subset of the cut points (Gessel's encoding) closed by
-    ``length``; lexicographic order is the canonical order of the coarsenings.
+    ``length``: the prefix sums of a composition of ``length``, so the order
+    of ``compositions_of`` is the canonical order of the coarsenings.
     """
-    if length == 0:
-        return ((),)
-    return tuple(
-        (first, *(first + end for end in rest)) for first in range(1, length + 1) for rest in _block_ends(length - first)
-    )
+    return tuple(tuple(accumulate(c)) for c in compositions_of(length))
 
 
 # one object per coarsening value, shared by every result that keys a term on it

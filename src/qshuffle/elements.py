@@ -100,17 +100,51 @@ def _check_keys(data: dict, known: tuple[str, ...]) -> None:
         raise ValueError(f"unknown keys {unknown}; expected only {list(known)}")
 
 
-class GradedElement:
-    """A finitely supported map from compositions to rationals, tagged with a basis."""
+class _TermMap:
+    """A finitely supported, basis-tagged map from keys to exact coefficients in normal form.
+
+    The arithmetic shared by the two element classes; each subclass's
+    ``__init__`` puts its own keys through ``_summed``, and the methods here
+    build their results through ``type(self)``.
+    """
 
     __slots__ = ("basis", "terms")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _require_same_basis(self, other) -> None:
+        if self.basis != other.basis:
+            raise BasisMismatch(f"{self.basis} vs {other.basis}")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.basis == other.basis and self.terms == other.terms
+
+    def __add__(self, other):
+        self._require_same_basis(other)
+        return type(self)(self.basis, [*self.terms.items(), *other.terms.items()])
+
+    def __neg__(self):
+        return type(self)(self.basis, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, scalar):
+        s = _as_fraction(scalar)
+        return type(self)(self.basis, {k: s * v for k, v in self.terms.items()})
+
+    __rmul__ = scaled
+
+
+class GradedElement(_TermMap):
+    """A finitely supported map from compositions to rationals, tagged with a basis."""
+
+    __slots__ = ()
 
     def __init__(self, basis: str, terms=None):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", _summed(terms or (), _composition))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedElement is immutable")
 
     @classmethod
     def basis_element(cls, basis: str, comp) -> "GradedElement":
@@ -146,36 +180,8 @@ class GradedElement:
             return None
         return ds[0] if ds else 0
 
-    def _require_same_basis(self, other: "GradedElement") -> None:
-        if self.basis != other.basis:
-            raise BasisMismatch(f"{self.basis} vs {other.basis}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedElement)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
     def __hash__(self):
         return hash((self.basis, frozenset(self.terms.items())))
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._require_same_basis(other)
-        return GradedElement(self.basis, [*self.terms.items(), *other.terms.items()])
-
-    def __neg__(self) -> "GradedElement":
-        return GradedElement(self.basis, {c: -v for c, v in self.terms.items()})
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-other)
-
-    def scaled(self, scalar) -> "GradedElement":
-        s = _as_fraction(scalar)
-        return GradedElement(self.basis, {c: s * v for c, v in self.terms.items()})
-
-    def __rmul__(self, scalar) -> "GradedElement":
-        return self.scaled(scalar)
 
     def __mul__(self, other):
         if isinstance(other, GradedElement):
@@ -269,46 +275,20 @@ def product(a: GradedElement, b: GradedElement) -> GradedElement:
     return GradedElement(a.basis, accumulate_product({}, a, b))
 
 
-class TensorElement:
+class TensorElement(_TermMap):
     """An element of the two-fold tensor square, for coproducts."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
 
     def __init__(self, basis: str, terms=None):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", _summed(terms or (), _composition_pair))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.basis != other.basis:
-            raise BasisMismatch(f"{self.basis} vs {other.basis}")
-        return TensorElement(self.basis, [*self.terms.items(), *other.terms.items()])
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scaled(-1)
-
-    def scaled(self, scalar) -> "TensorElement":
-        s = _as_fraction(scalar)
-        return TensorElement(self.basis, {k: s * v for k, v in self.terms.items()})
-
-    def __rmul__(self, scalar) -> "TensorElement":
-        return self.scaled(scalar)
-
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
             return self.scaled(other)
         # componentwise product, used by the bialgebra compatibility checks
-        if self.basis != other.basis:
-            raise BasisMismatch(f"{self.basis} vs {other.basis}")
+        self._require_same_basis(other)
         rule = _PRODUCT_RULES.get(self.basis)
         if rule is None:
             raise BasisMismatch(f"no product rule for basis {self.basis!r}")

@@ -297,6 +297,14 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == "M[2,1] + 1/3 M[3]\n"
 
 
+@pytest.mark.parametrize("target", ["missing/result.txt", "."], ids=("missing-parent", "directory"))
+def test_out_path_that_cannot_be_written_is_an_error(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = invoke(capsys, "expand", "--basis", "type1", "--comp", "2,1", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     code, _, err = invoke(capsys, "expand", "--basis", "type1")
     assert code == 1
@@ -367,10 +375,14 @@ def test_exact_rationals_are_accepted(capsys):
         (("expand", "--basis", "order:2,1,", "--comp", "1"), "''"),
         (("expand", "--basis", "order:\u0662,1", "--comp", "1"), "'\u0662'"),
         (("expand", "--basis", "prefix-sum:1,,2", "--comp", "1"), "''"),
+        (("table", "--basis", "type2", "--degree", "\u0662"), "'\u0662'"),
+        (("table", "--basis", "type2", "--degree", " +2"), "' +2'"),
+        (("table", "--basis", "type2", "--degree", "+2"), "'+2'"),
     ],
     ids=(
         "comp-arabic-indic", "poset-count-arabic-indic", "graph-empty-pair", "graph-trailing-comma",
         "order-sign", "order-empty", "order-trailing-comma", "order-arabic-indic", "prefix-sum-empty",
+        "degree-arabic-indic", "degree-space-sign", "degree-sign",
     ),
 )
 def test_text_entries_are_ascii_digits_and_never_empty(capsys, argv, shown):

@@ -53,6 +53,24 @@ def test_constructor_prunes_and_validates():
             assert elem.terms == {key(C((1, 1))): Fraction(7, 2)}
             comps = list(elem.terms) if cls is GradedElement else [c for pair in elem.terms for c in pair]
             assert all(type(c) is Composition for c in comps)
+        # the shared arithmetic returns the same class, in the same normal form
+        a, b = cls(MONOMIAL, {key((1,)): 2, key((2,)): "1/3"}), cls(MONOMIAL, {key((2,)): "2/3"})
+        assert a + b == cls(MONOMIAL, {key((1,)): 2, key((2,)): 1})
+        assert type(a + b) is cls and type((a + b).terms[key((2,))]) is int
+        assert a - a == -a + a == cls(MONOMIAL) and (a - b).terms[key((2,))] == Fraction(-1, 3)
+        assert a.scaled(3) == 3 * a == cls(MONOMIAL, {key((1,)): 6, key((2,)): 1})
+        assert 2 * a == a + a and type(2 * a) is cls
+        assert a.scaled(0) == cls(MONOMIAL)
+        assert a != cls(WORD, a.terms) and cls(MONOMIAL) != cls(WORD)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            a.terms = {}
+        with pytest.raises(BasisMismatch, match="^M vs X$"):
+            a + cls(WORD, a.terms)
+        with pytest.raises(BasisMismatch, match="^M vs X$"):
+            a - cls(WORD)
+    # equality compares exact type: a graded element never equals a tensor element
+    assert GradedElement(MONOMIAL) != TensorElement(MONOMIAL)
+    assert TensorElement(MONOMIAL) != GradedElement(MONOMIAL)
 
 
 def test_arithmetic_and_grading():
