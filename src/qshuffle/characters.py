@@ -63,20 +63,16 @@ def single(n: int) -> Composition:
     return Composition((n,))
 
 
-def normalize(f: Functional, max_degree: int | None = None) -> Functional:
+def normalize(f: Functional) -> Functional:
     """Rescale so every single part gets value 1.
 
     The rescaled character multiplies f(alpha) by 1/f((a_i)) for each part;
-    SingularCharacter if some f((n)) vanishes.  A max_degree triggers an
-    eager nonsingularity sweep over n up to it.
+    SingularCharacter, when a value is read, if some f((a_i)) vanishes.
     """
 
     def value(comp: Composition) -> Fraction:
         return f(comp) / _diagonal(f, comp)
 
-    if max_degree is not None:
-        for n in range(1, max_degree + 1):
-            _diagonal(f, single(n))
     label = f"normalized {f.name}" if f.name else None
     return Functional(1, value, name=label)
 
@@ -282,31 +278,25 @@ def ordered_partition_character(spec: OrderedPartitionSpec, name: str | None = N
     return Functional(1, value, name=name)
 
 
-def _factorial_character() -> Functional:
-    return prefix_sum_character(lambda n: Fraction(1), name="type2")
-
-
-def even_odd_character(f_even: Functional | None = None, name: str | None = None) -> Functional:
+def even_odd_character(f_even: Functional | None = None) -> Functional:
     """Evens before odds; 1/length! on the odd block, f_even on the even block.
 
     The stock even-odd basis takes f_even = 1/length! as well, giving
     f(alpha) = 1/(evens(alpha)! odds(alpha)!) on even-then-odd compositions
     and 0 elsewhere.
     """
-    factorial_f = _factorial_character()
-    if f_even is None:
-        f_even = factorial_f
-    per_class = {"even": f_even, "odd": factorial_f}
+    factorial_f = builtin("type2")
+    per_class = {"even": factorial_f if f_even is None else f_even, "odd": factorial_f}
     spec = OrderedPartitionSpec(
         classify=lambda p: "even" if p % 2 == 0 else "odd",
         class_key=lambda cls: 0 if cls == "even" else 1,
         character_for=per_class.__getitem__,
     )
-    return ordered_partition_character(spec, name=name or "even-odd")
+    return ordered_partition_character(spec, name="even-odd")
 
 
 def _singleton_order_character(key: Callable[[int], object], name: str, max_part: int | None = None) -> Functional:
-    factorial_f = _factorial_character()
+    factorial_f = builtin("type2")
     spec = OrderedPartitionSpec(
         classify=lambda p: p,
         class_key=key,
@@ -339,30 +329,30 @@ def order_basis_character(order) -> Functional:
     )
 
 
-BUILTIN_NAMES = ("type1", "type2", "even-odd", "combinatorial", "reverse-combinatorial")
-_builtin_cache: dict[str, Functional] = {}
-
-
-def builtin(name: str) -> Functional:
-    """The five stock shuffle characters, by their registry names."""
-    cached = _builtin_cache.get(name)
-    if cached is not None:
-        return cached
-    if name == "type1":
-        f = normalize(prefix_sum_character(lambda n: Fraction(n), name="type1-raw"))
-        f.name = "type1"
-    elif name == "type2":
-        f = _factorial_character()
-    elif name == "even-odd":
-        f = even_odd_character()
-    elif name == "combinatorial":
-        f = _singleton_order_character(lambda p: -p, name="combinatorial")
-    elif name == "reverse-combinatorial":
-        f = _singleton_order_character(lambda p: p, name="reverse-combinatorial")
-    else:
-        raise ValueError(f"unknown basis {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    _builtin_cache[name] = f
+def _type1() -> Functional:
+    f = normalize(prefix_sum_character(lambda n: Fraction(n), name="type1-raw"))
+    f.name = "type1"
     return f
+
+
+# the stock shuffle characters, by registry name, each built on first use
+_BUILTINS = {
+    "type1": _type1,
+    "type2": lambda: prefix_sum_character(lambda n: Fraction(1), name="type2"),
+    "even-odd": even_odd_character,
+    "combinatorial": lambda: _singleton_order_character(lambda p: -p, name="combinatorial"),
+    "reverse-combinatorial": lambda: _singleton_order_character(lambda p: p, name="reverse-combinatorial"),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
+@lru_cache(maxsize=None)
+def builtin(name: str) -> Functional:
+    """The five stock shuffle characters, by their registry names; one instance per name."""
+    make = _BUILTINS.get(name)
+    if make is None:
+        raise ValueError(f"unknown basis {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+    return make()
 
 
 def resolve_basis(spec_text: str) -> Functional:

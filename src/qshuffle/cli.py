@@ -22,7 +22,6 @@ from . import demos
 from .characters import (
     basis_contract,
     basis_expand,
-    builtin,
     check_integral_nonneg,
     f_to_g,
     g_to_f,
@@ -321,10 +320,12 @@ def _verify_antipode(degree: int) -> VerifyReport:
         return None if antipode_word(elem) == antipode_by_recursion(WORD, comp) else f"alpha={comp}"
 
     def axiom(basis: str, comp: Composition) -> str | None:
+        # the recursion builds S from m (S (x) id) Delta, so that side holds by construction;
+        # check m (id (x) S) Delta, summed as S(right) left since both wired products commute
         target = GradedElement.unit(basis) if not comp else GradedElement.zero(basis)
         acc = {}
         for left, right in deconcatenations(comp):
-            _accumulate_times(acc, antipode_by_recursion(basis, left), ((right, 1),))
+            _accumulate_times(acc, antipode_by_recursion(basis, right), ((left, 1),))
         return None if GradedElement(basis, acc) == target else f"alpha={comp}"
 
     report.sweep(f"word closed form = recursion through degree {degree}", comps, closed_form)
@@ -408,7 +409,7 @@ def _cmd_psi(args) -> int:
         _refuse(args.basis, "--basis", f"--hopf {args.hopf}")
     if args.hopf == "graph":
         g = _parse_literal(demos.SmallGraph.from_text, args.input)
-        xi = demos.graph_infchar(builtin(args.basis or "type1"))
+        xi = demos.graph_infchar(resolve_basis(args.basis or "type1"))
         elem = universal_to_sh(demos.graph_provider(), xi, g)
     elif args.hopf == "poset":
         p = _parse_literal(demos.SmallPoset.from_cover_text, args.input)

@@ -241,7 +241,7 @@ def chromatic_polynomial(g: SmallGraph) -> list[int]:
     return coeffs
 
 
-def format_polynomial(coeffs: list[int], var: str = "k") -> str:
+def format_polynomial(coeffs: list[int]) -> str:
     """Render like ``k^2 - k``; the zero polynomial is ``0``."""
     bits = []
     for power in range(len(coeffs) - 1, -1, -1):
@@ -251,7 +251,7 @@ def format_polynomial(coeffs: list[int], var: str = "k") -> str:
         if power == 0:
             body = str(abs(c))
         else:
-            mono = var if power == 1 else f"{var}^{power}"
+            mono = "k" if power == 1 else f"k^{power}"
             body = mono if abs(c) == 1 else f"{abs(c)}{mono}"
         if not bits:
             bits.append(body if c > 0 else f"-{body}")

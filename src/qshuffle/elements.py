@@ -343,6 +343,16 @@ def antipode_word(h: GradedElement) -> GradedElement:
     )
 
 
+def linear_image(h: GradedElement, image_of) -> GradedElement:
+    """The linear extension of image_of (a composition -> element map) to h, in h's basis."""
+    terms = (
+        (image, coef * value)
+        for comp, coef in h.terms.items()
+        for image, value in image_of(comp).terms.items()
+    )
+    return GradedElement(h.basis, terms)
+
+
 _antipode_cache: dict[tuple[str, Composition], GradedElement] = {}
 
 
@@ -376,12 +386,7 @@ def antipode_monomial(h: GradedElement) -> GradedElement:
     """Antipode on the monomial basis, by the recursion (no closed form used)."""
     if h.basis != MONOMIAL:
         raise BasisMismatch(f"monomial antipode needs basis {MONOMIAL!r}, got {h.basis!r}")
-    terms = (
-        (image, coef * value)
-        for comp, coef in h.terms.items()
-        for image, value in antipode_by_recursion(MONOMIAL, comp).terms.items()
-    )
-    return GradedElement(MONOMIAL, terms)
+    return linear_image(h, lambda comp: antipode_by_recursion(MONOMIAL, comp))
 
 
 def power_sum(partition) -> GradedElement:

@@ -25,8 +25,8 @@ from .compositions import (
     Composition, coarsening_products, deconcatenations, extend_over_refinement, pairs_up_to, rational_sum
 )
 from .compositions import nonempty_splits  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
-from .elements import GradedElement, product
-from .errors import NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
+from .elements import _PRODUCT_RULES, GradedElement
+from .errors import BasisMismatch, NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
 from .report import first_witness
 
 
@@ -166,11 +166,13 @@ def _product_sweep(phi: Functional, max_degree: int, basis: str, value_at_empty:
     if phi.value_at_empty != value_at_empty:
         return False, Violation("value-at-empty", None, None, Fraction(value_at_empty), phi.value_at_empty)
 
+    rule = _PRODUCT_RULES.get(basis)
+
     def violation(pair) -> Violation | None:
         alpha, beta = pair
-        lhs = phi.of_element(
-            product(GradedElement.basis_element(basis, alpha), GradedElement.basis_element(basis, beta))
-        )
+        if rule is None:
+            raise BasisMismatch(f"no product rule for basis {basis!r}")
+        lhs = sum(mult * phi(word) for word, mult in rule(alpha, beta).items())
         rhs = phi(alpha) * phi(beta) if value_at_empty else Fraction(0)
         return None if lhs == rhs else Violation("product", alpha, beta, rhs, lhs)
 

@@ -36,11 +36,11 @@ from .characters import (
     f_to_g,
 )
 from .compositions import (
-    Composition, EMPTY, compositions_of, compositions_up_to, deconcatenations, stats
+    Composition, EMPTY, compositions_of, compositions_up_to, deconcatenations
 )
-from .elements import GradedElement, MONOMIAL, WORD, _as_fraction
+from .elements import GradedElement, MONOMIAL, WORD, _as_fraction, linear_image
 from .errors import BasisMismatch, DegreeMismatch, NotACharacter, NotAnInfinitesimalCharacter
-from .functionals import Functional, counit_functional
+from .functionals import Functional
 from .report import VerifyReport
 
 Label = Hashable
@@ -101,17 +101,14 @@ class CharacterPowerEvaluator:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if len(sizes) == 1:
-            out = self.phi(label) if degree(label) == sizes[0] else 0
-        else:
-            out = 0
-            head, rest = sizes[0], sizes[1:]
-            for (left, right), coef in self.provider.coproduct(label):
-                if degree(left) != head:
-                    continue
-                tail = self.value(right, rest)
-                if tail:
-                    out += coef * self.phi(left) * tail
+        out = 0
+        head, rest = sizes[0], sizes[1:]
+        for (left, right), coef in self.provider.coproduct(label):
+            if degree(left) != head:
+                continue
+            tail = self.value(right, rest)
+            if tail:
+                out += coef * self.phi(left) * tail
         self._cache[key] = out
         return out
 
@@ -168,15 +165,16 @@ def universal_to_sh(provider: HopfProvider, xi: Callable[[Label], Fraction], h) 
 # ---------------------------------------------------------------------------
 # canonical functionals
 
-CANONICAL_NAMES = ("zetaQ", "barZetaQ", "xiS", "nuQ", "eta", "counit")
-
-
-def _nu_closed_form(comp: Composition) -> Fraction:
-    st = stats(comp)
-    if st.last_part % 2 == 1:
-        sign = -1 if (st.size + st.length) % 2 else 1
-        return Fraction(2 * sign)
-    return Fraction(0)
+# the stock functionals, by name: (value at empty, value on nonempty compositions)
+_CANONICAL = {
+    "zetaQ": (1, lambda c: 1 if c.length <= 1 else 0),
+    "barZetaQ": (1, lambda c: (-1 if c.size % 2 else 1) if c.length <= 1 else 0),
+    "xiS": (0, lambda c: 1 if c.length == 1 else 0),
+    "nuQ": (1, lambda c: (-2 if (c.size + c.length) % 2 else 2) if c[-1] % 2 else 0),
+    "eta": (0, lambda c: (-1 if (c.length - 1) % 2 else 1) * c[-1]),
+    "counit": (1, lambda c: 0),
+}
+CANONICAL_NAMES = tuple(_CANONICAL)
 
 
 def canonical(name: str) -> Functional:
@@ -187,27 +185,10 @@ def canonical(name: str) -> Functional:
     words; nuQ: the closed form of inverse(barZetaQ) * zetaQ; eta:
     (-1)^(length-1) lastpart; counit.
     """
-    if name == "zetaQ":
-        return Functional(1, lambda c: Fraction(1 if c.length <= 1 else 0), name=name)
-    if name == "barZetaQ":
-        return Functional(
-            1,
-            lambda c: Fraction((-1 if c.size % 2 else 1) if c.length <= 1 else 0),
-            name=name,
-        )
-    if name == "xiS":
-        return Functional(0, lambda c: Fraction(1 if c.length == 1 else 0), name=name)
-    if name == "nuQ":
-        return Functional(1, _nu_closed_form, name=name)
-    if name == "eta":
-        return Functional(
-            0,
-            lambda c: Fraction((-1 if (c.length - 1) % 2 else 1) * c[-1]),
-            name=name,
-        )
-    if name == "counit":
-        return counit_functional()
-    raise ValueError(f"unknown canonical functional {name!r}; known: {', '.join(CANONICAL_NAMES)}")
+    entry = _CANONICAL.get(name)
+    if entry is None:
+        raise ValueError(f"unknown canonical functional {name!r}; known: {', '.join(CANONICAL_NAMES)}")
+    return Functional(*entry, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +214,7 @@ def theta(h: GradedElement) -> GradedElement:
     """
     if h.basis != MONOMIAL:
         raise BasisMismatch(f"theta acts on the {MONOMIAL!r} basis, got {h.basis!r}")
-    terms = (
-        (image, coef * value)
-        for comp, coef in h.terms.items()
-        for image, value in _theta_of_monomial(comp).terms.items()
-    )
-    return GradedElement(MONOMIAL, terms)
+    return linear_image(h, _theta_of_monomial)
 
 
 def theta_eigencheck(f_even: Functional | None, max_degree: int) -> VerifyReport:

@@ -213,7 +213,7 @@ def test_normalize():
         assert fixed(comp) == builtin("type1")(comp)
     singular = Functional(1, lambda comp: Fraction(0) if comp == C((2,)) else Fraction(1))
     with pytest.raises(SingularCharacter):
-        normalize(singular, max_degree=3)
+        normalize(singular)(C((2, 1)))
 
 
 def test_qps_requires_normalized():
@@ -272,6 +272,32 @@ def test_closed_form_g_frozen():
     with pytest.raises(ValueError):
         closed_form_g("combinatorial", C((1,)))
     assert set(CLOSED_FORM_G_NAMES) == {"type1", "type2", "even-odd"}
+
+
+def test_closed_form_g_on_the_empty_composition():
+    assert closed_form_g("type1", EMPTY) == 0
+    assert closed_form_g("type2", EMPTY) == 0
+    with pytest.raises(EvenSizeUnsupported):
+        closed_form_g("even-odd", EMPTY)
+
+
+def test_builtin_registry():
+    assert BUILTIN_NAMES == ("type1", "type2", "even-odd", "combinatorial", "reverse-combinatorial")
+    for name in BUILTIN_NAMES:
+        assert builtin(name) is builtin(name)
+        assert builtin(name).name == name
+        assert resolve_basis(name) is builtin(name)
+    with pytest.raises(ValueError) as excinfo:
+        builtin("bogus")
+    assert str(excinfo.value) == (
+        "unknown basis 'bogus'; known: type1, type2, even-odd, combinatorial, reverse-combinatorial"
+    )
+    with pytest.raises(ValueError) as excinfo:
+        resolve_basis("bogus")
+    assert str(excinfo.value) == (
+        "unknown basis 'bogus'; known: type1, type2, even-odd, combinatorial, reverse-combinatorial, "
+        "prefix-sum:<tau values>, order:<permutation>"
+    )
 
 
 def test_fg_roundtrip_builtins():

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from qshuffle import cli
+from qshuffle import cli, elements
 from qshuffle.cli import MAX_DEGREE, SUITES, run
+from qshuffle.compositions import quasi_shuffle
 from qshuffle.elements import MONOMIAL, WORD
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -227,6 +228,52 @@ def test_exp_of_g_matches_expand(capsys):
     assert "M[4] -> 1" in out
 
 
+def test_exp_log_json_and_csv_leave_out_zero_values(capsys):
+    # the text form lists every composition, M[-] -> 0 among them; json and csv read like an element
+    code, out, _ = invoke(capsys, "log", "--functional", "zetaQ", "--degree", "2")
+    assert code == 0
+    assert out == "M[-] -> 0\nM[1] -> 1\nM[1,1] -> -1/2\nM[2] -> 1\n"
+    code, out, _ = invoke(capsys, "log", "--functional", "zetaQ", "--degree", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "basis": "M",
+        "terms": [{"comp": [1], "coef": "1"}, {"comp": [1, 1], "coef": "-1/2"}, {"comp": [2], "coef": "1"}],
+    }
+    code, out, _ = invoke(capsys, "log", "--functional", "zetaQ", "--degree", "2", "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [["comp", "coef"], ["1", "1"], ["1,1", "-1/2"], ["2", "1"]]
+    code, out, _ = invoke(capsys, "exp", "--functional", "xiS", "--degree", "2", "--format", "json")
+    assert code == 0
+    assert [term["comp"] for term in json.loads(out)["terms"]] == [[], [1], [1, 1], [2]]
+
+
+def test_log_of_a_basis_character(capsys):
+    code, out, _ = invoke(capsys, "log", "--functional", "f:type1", "--degree", "3")
+    assert code == 0
+    assert out.splitlines() == [
+        "X[-] -> 0",
+        "X[1] -> 1",
+        "X[1,1] -> 0",
+        "X[2] -> 1",
+        "X[1,1,1] -> 0",
+        "X[1,2] -> 1/6",
+        "X[2,1] -> -1/6",
+        "X[3] -> 1",
+    ]
+
+
+def test_unknown_functional_exits_one(capsys):
+    code, out, err = invoke(capsys, "log", "--functional", "bogus", "--degree", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: unknown functional 'bogus'; known: zetaQ, barZetaQ, xiS, nuQ, eta, counit, f:<basis>, g:<basis>\n"
+    )
+
+
+def test_theta_needs_comp_or_elem(capsys):
+    assert invoke(capsys, "theta") == (1, "", "error: provide --comp or --elem\n")
+
+
 def test_phi_graph(capsys):
     code, out, _ = invoke(capsys, "phi", "--hopf", "graph", "--input", "2; 1-2")
     assert code == 0
@@ -266,6 +313,20 @@ def test_psi_commands(capsys):
         capsys, "psi", "--hopf", "graph", "--input", "2; 1-2", "--basis", "type2"
     )
     assert code == 0
+
+
+def test_psi_graph_takes_every_basis_spec(capsys):
+    graph = ("psi", "--hopf", "graph", "--input", "3; 1-2")
+    expected = invoke(capsys, *graph, "--basis", "reverse-combinatorial")
+    assert expected == (0, "6 X[1,1,1] - X[1,2] - X[2,1]\n", "")
+    assert invoke(capsys, *graph, "--basis", "order:1,2,3") == expected
+    assert invoke(capsys, *graph, "--basis", "order:2,1,3") == expected
+    code, out, err = invoke(capsys, *graph, "--basis", "bogus")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: unknown basis 'bogus'; known: type1, type2, even-odd, combinatorial, "
+        "reverse-combinatorial, prefix-sum:<tau values>, order:<permutation>\n"
+    )
 
 
 def test_demo_graph(capsys):
@@ -580,6 +641,23 @@ def test_verify_antipode_reports_a_wrong_recursion(capsys, monkeypatch, basis, l
     code, out, err = invoke(capsys, "verify", "--suite", "antipode", "--degree", "3")
     assert code == 2
     assert out.splitlines() == lines
+
+
+def test_verify_antipode_catches_a_wrong_product_rule(capsys, monkeypatch):
+    # merged words counted twice: the recursion still defines some S, but S is no antipode
+    def merged_twice(a, b):
+        return {w: m * (2 if len(w) < len(a) + len(b) else 1) for w, m in quasi_shuffle(a, b).items()}
+
+    monkeypatch.setitem(elements._PRODUCT_RULES, MONOMIAL, merged_twice)
+    monkeypatch.setattr(elements, "_antipode_cache", {})
+    code, out, err = invoke(capsys, "verify", "--suite", "antipode", "--degree", "5")
+    assert code == 2
+    assert out.splitlines() == [
+        "[PASS] word closed form = recursion through degree 5",
+        "[FAIL] antipode axiom in basis M through degree 5: alpha=C[1,1,1,2]",
+        "[PASS] antipode axiom in basis X through degree 5",
+        "antipode: 3 checks, 1 failed",
+    ]
 
 
 @pytest.mark.parametrize(

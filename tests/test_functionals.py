@@ -8,7 +8,7 @@ import pytest
 
 from qshuffle.compositions import EMPTY, Composition, compositions_up_to
 from qshuffle.elements import MONOMIAL, WORD, GradedElement
-from qshuffle.errors import NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
+from qshuffle.errors import BasisMismatch, NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
 from qshuffle.functionals import (
     Functional,
     convolve,
@@ -186,6 +186,16 @@ def test_infinitesimal_detection_negative():
     ok, violation = is_infinitesimal_character(bad, 4, WORD)
     assert not ok
     assert violation.kind == "product"
+
+
+def test_product_sweep_needs_a_product_rule_from_the_first_pair():
+    zeta = canonical("zetaQ")
+    # the value at empty is read first, and degree 1 has no pair to multiply
+    ok, violation = is_infinitesimal_character(zeta, 2, "P")
+    assert not ok and violation.kind == "value-at-empty"
+    assert is_character(zeta, 1, "P") == (True, None)
+    with pytest.raises(BasisMismatch, match=r"^no product rule for basis 'P'$"):
+        is_character(zeta, 2, "P")
 
 
 def test_value_at_empty_violations():

@@ -134,6 +134,21 @@ def test_canonical_values_frozen():
     assert len(CANONICAL_NAMES) == 6
 
 
+def test_canonical_registry():
+    assert CANONICAL_NAMES == ("zetaQ", "barZetaQ", "xiS", "nuQ", "eta", "counit")
+    for name in CANONICAL_NAMES:
+        assert canonical(name) is not canonical(name)
+        assert canonical(name).name == name
+    counit = canonical("counit")
+    assert counit(EMPTY) == 1
+    assert [counit(comp) for comp in compositions_up_to(4)[1:]] == [0] * 15
+    with pytest.raises(ValueError) as excinfo:
+        canonical("nope")
+    assert str(excinfo.value) == (
+        "unknown canonical functional 'nope'; known: zetaQ, barZetaQ, xiS, nuQ, eta, counit"
+    )
+
+
 def test_nu_closed_form_frozen():
     nu = canonical("nuQ")
     assert nu(EMPTY) == 1
