@@ -143,7 +143,9 @@ def qps_expand(f: Functional, alpha) -> GradedElement:
     """
     alpha = Composition(alpha)
     _require_normalized(f, alpha.size)
-    return basis_expand(f, alpha).scaled(stats(alpha).aut_count)
+    aut = stats(alpha).aut_count
+    terms = {beta: rational(aut * num, den) for beta, num, den in coarsening_products(f, alpha)}
+    return GradedElement(MONOMIAL, terms)
 
 
 def verify_qps(

@@ -220,18 +220,24 @@ def coarsenings(comp: Composition) -> list[Composition]:
 
 
 @lru_cache(maxsize=None)
-def _block_ends(length: int) -> tuple[tuple[int, ...], ...]:
-    """The end positions of the blocks of each split of ``length`` parts, in lexicographic order.
+def _split_cells(length: int) -> tuple[tuple[int, ...], ...]:
+    """The blocks of each split of ``length`` parts, in lexicographic order, as flat cells.
 
     A split is a subset of the cut points (Gessel's encoding) closed by
     ``length``: the prefix sums of a composition of ``length``, so the order
-    of ``compositions_of`` is the canonical order of the coarsenings.
+    of ``compositions_of`` is the canonical order of the coarsenings.  The
+    block from position i to position j is the cell i * (length + 1) + j,
+    one small int, so a walk indexes flat per-composition lists by it.
     """
-    return tuple(tuple(accumulate(c)) for c in compositions_of(length))
+    width = length + 1
+    return tuple(
+        tuple(i * width + j for i, j in zip((0, *ends), ends))
+        for ends in map(tuple, map(accumulate, compositions_of(length)))
+    )
 
 
-# one object per coarsening value, shared by every result that keys a term on it
-_coarse_objects: dict[Composition, Composition] = {}
+# one object per composition value, shared by every coarsening and product word that keys a term on it
+_interned: dict[Composition, Composition] = {}
 
 
 def coarsening_products(fn, comp: Composition, scale=None):
@@ -241,29 +247,38 @@ def coarsening_products(fn, comp: Composition, scale=None):
     product of fn over the blocks of comp that sum to the parts of coarse;
     zero terms are left out.  Read order: scale first, skipping coarse if it
     is 0, then fn on the blocks left to right up to the first zero factor.
-    Each block is read at most once per call.
+    Each value is read once, as the ints of its ``as_integer_ratio()``: a
+    block's value at most once per call, into flat numerator and
+    denominator lists indexed by the block's cell in ``_split_cells``.
+    Each coarse is the one shared object for its value (``_interned``).
     """
     comp = Composition(comp)
-    sums = [0, *accumulate(comp)]
     width = len(comp) + 1
-    # the (num, den) of fn(comp[i:j]) at i * width + j, once read
-    read: list[tuple[int, int] | None] = [None] * (width * width)
-    for ends in _block_ends(len(comp)):
-        coarse = _trusted([sums[j] - sums[i] for i, j in zip((0, *ends), ends)])
-        coarse = _coarse_objects.setdefault(coarse, coarse)
-        factor = 1 if scale is None else scale(coarse)
-        if not factor:
-            continue
-        num, den = factor.numerator, factor.denominator
-        for i, j in zip((0, *ends), ends):
-            pair = read[i * width + j]
-            if pair is None:
-                value = fn(_trusted(comp[i:j]))
-                pair = read[i * width + j] = (value.numerator, value.denominator)
-            if not pair[0]:
+    sums = [0, *accumulate(comp)]
+    # the part that each block sums to, and once read, the ints of fn on it, by cell
+    parts = [sums[j] - sums[i] for i in range(width) for j in range(width)]
+    nums: list[int | None] = [None] * (width * width)
+    dens = [1] * (width * width)
+    for cells in _split_cells(len(comp)):
+        coarse = _trusted([parts[cell] for cell in cells])
+        coarse = _interned.setdefault(coarse, coarse)
+        if scale is None:
+            num = den = 1
+        else:
+            factor = scale(coarse)
+            if not factor:
+                continue
+            num, den = factor.as_integer_ratio()
+        for cell in cells:
+            n = nums[cell]
+            if n is None:
+                i, j = divmod(cell, width)
+                n, dens[cell] = fn(_trusted(comp[i:j])).as_integer_ratio()
+                nums[cell] = n
+            if not n:
                 break
-            num *= pair[0]
-            den *= pair[1]
+            num *= n
+            den *= dens[cell]
         else:
             yield coarse, num, den
 
@@ -331,31 +346,38 @@ def nonempty_splits(comp: Composition):
     empty one.
     """
     comp = Composition(comp)
-    for ends in _block_ends(len(comp)) if comp else ():
-        yield tuple(_trusted(comp[i:j]) for i, j in zip((0, *ends), ends))
+    width = len(comp) + 1
+    for cells in _split_cells(len(comp)) if comp else ():
+        yield tuple(_trusted(comp[slice(*divmod(cell, width))]) for cell in cells)
 
 
-def _interleavings(pairs_of, merge: bool, a: Composition, b: Composition):
-    """The shuffle of a and b as canonical (word, multiplicity) pairs, recursing through pairs_of;
-    merge (the quasi-shuffle) lets a word also start with the sum of both first parts."""
-    if not a:
-        return ((b, 1),)
-    if not b:
-        return ((a, 1),)
+def _interleavings(pairs_of, merge: bool, a: Composition, b: Composition) -> dict[Composition, int]:
+    """The shuffle of a and b as a {word: multiplicity} dict in canonical order, recursing through pairs_of;
+    merge (the quasi-shuffle) lets a word also start with the sum of both first parts.
+
+    Every word is the one shared object for its value (``_interned``), so
+    the cached tables hold one tuple per distinct word, not one per entry.
+    """
+    if not a or not b:
+        word = b if not a else a
+        return {_interned.setdefault(word, word): 1}
     rest_a, rest_b = _trusted(a[1:]), _trusted(b[1:])
     branches = [(a[0], rest_a, b), (b[0], a, rest_b)]
     if merge:
         branches.append((a[0] + b[0], rest_a, rest_b))
     acc: dict[Composition, int] = {}
     for first, left, right in branches:
-        for word, m in pairs_of(left, right):
+        for word, m in pairs_of(left, right).items():
             key = _trusted((first, *word))
+            key = _interned.setdefault(key, key)
             acc[key] = acc.get(key, 0) + m
-    return tuple(sorted(acc.items(), key=lambda kv: canonical_key(kv[0])))
+    return dict(sorted(acc.items(), key=lambda kv: canonical_key(kv[0])))
 
 
+# The two product tables.  An entry is shared by every caller, which must not
+# mutate it; the public shuffle and quasi_shuffle hand out copies.
 @lru_cache(maxsize=None)
-def _shuffle_pairs(a: Composition, b: Composition) -> tuple[tuple[Composition, int], ...]:
+def _shuffle_pairs(a: Composition, b: Composition) -> dict[Composition, int]:
     return _interleavings(_shuffle_pairs, False, a, b)
 
 
@@ -368,7 +390,7 @@ def shuffle(a: Composition, b: Composition) -> dict[Composition, int]:
 
 
 @lru_cache(maxsize=None)
-def _quasi_shuffle_pairs(a: Composition, b: Composition) -> tuple[tuple[Composition, int], ...]:
+def _quasi_shuffle_pairs(a: Composition, b: Composition) -> dict[Composition, int]:
     return _interleavings(_quasi_shuffle_pairs, True, a, b)
 
 

@@ -29,16 +29,18 @@ from fractions import Fraction
 from .compositions import (
     EMPTY,
     Composition,
+    _quasi_shuffle_pairs,
+    _shuffle_pairs,
     canonical_key,
     deconcatenations,
-    quasi_shuffle,
-    shuffle,
 )
 from .errors import BasisMismatch, NotAPartition
 
 MONOMIAL = "M"
 WORD = "X"
-_PRODUCT_RULES = {MONOMIAL: quasi_shuffle, WORD: shuffle}
+# basis -> the product of two compositions as a {word: multiplicity} mapping; the
+# cached tables themselves, so callers pass Compositions and never mutate a result
+_PRODUCT_RULES = {MONOMIAL: _quasi_shuffle_pairs, WORD: _shuffle_pairs}
 
 
 def _as_fraction(value) -> int | Fraction:

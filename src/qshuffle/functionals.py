@@ -42,7 +42,8 @@ class Functional:
         self.name = name
 
     def __call__(self, comp) -> Fraction:
-        comp = Composition(comp)
+        if type(comp) is not Composition:
+            comp = Composition(comp)
         if not comp:
             return self.value_at_empty
         value = self._memo.get(comp)

@@ -18,6 +18,10 @@ the tests can require both to agree:
   the character nuQ on each monomial, extended linearly by chained element
   additions (the library reads theta(M_alpha) off the coarsenings of alpha
   weighted by nuQ);
+* ``qps_expand``: P_alpha as X_alpha from ``basis_expand``, then scaled
+  by aut(alpha), one element per step (the library builds each
+  coefficient aut(alpha) f(alpha, beta) once, from the ints of one walk of
+  ``coarsening_products``);
 * ``extend_over_refinement``: f(alpha, beta) by searching for the
   refinement blocks and multiplying from 1;
 * ``block_product``, ``_triangular_dual``, ``_split_series``,
@@ -52,7 +56,7 @@ from functools import lru_cache
 from itertools import combinations, product as iter_product
 from math import comb, factorial
 
-from qshuffle.characters import IntegralityWitness, _diagonal, _require_normalized, single
+from qshuffle.characters import IntegralityWitness, _diagonal, _require_normalized, basis_expand, single
 from qshuffle.compositions import (
     EMPTY,
     Composition,
@@ -235,6 +239,16 @@ def basis_contract(g: Functional, alpha) -> dict[Composition, Fraction]:
         if coef != 0:
             out[beta] = coef
     return out
+
+
+def qps_expand(f: Functional, alpha) -> GradedElement:
+    """The quasisymmetric power sum P_alpha = aut(alpha) X_alpha, monomial basis.
+
+    Requires f normalized on single parts up to |alpha|.
+    """
+    alpha = Composition(alpha)
+    _require_normalized(f, alpha.size)
+    return basis_expand(f, alpha).scaled(stats(alpha).aut_count)
 
 
 def check_integral_nonneg(

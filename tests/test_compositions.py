@@ -9,6 +9,9 @@ import pytest
 from qshuffle.compositions import (
     EMPTY,
     Composition,
+    _quasi_shuffle_pairs,
+    _shuffle_pairs,
+    canonical_key,
     coarsenings,
     compositions_of,
     compositions_up_to,
@@ -225,6 +228,36 @@ def test_quasi_shuffle_contains_shuffle():
                     qs = quasi_shuffle(a, b)
                     for word, mult in shuffle(a, b).items():
                         assert qs[word] == mult
+
+
+def test_products_hand_out_copies_of_shared_tables():
+    # shuffle and quasi_shuffle copy their cached table; the library reads the table itself
+    a, b = C((1, 2)), C((2,))
+    for rule, table in ((shuffle, _shuffle_pairs), (quasi_shuffle, _quasi_shuffle_pairs)):
+        expected = dict(rule(a, b))
+        mutated = rule(a, b)
+        mutated[C((9,))] = 5
+        del mutated[C((1, 2, 2))]
+        assert rule(a, b) == expected == table(a, b)
+        assert rule(a, b) is not table(a, b)
+
+
+def test_product_tables_share_one_object_per_word():
+    # one tuple per distinct word across every cached entry, the one coarsenings hand out too
+    shared: dict[Composition, Composition] = {}
+    for total in range(7):
+        for i in range(total + 1):
+            for a in compositions_of(i):
+                for b in compositions_of(total - i):
+                    for table in (_shuffle_pairs, _quasi_shuffle_pairs):
+                        entry = table(a, b)
+                        assert list(entry) == sorted(entry, key=canonical_key)
+                        for word in entry:
+                            assert type(word) is Composition
+                            assert shared.setdefault(word, word) is word, word
+    for comp in compositions_up_to(6):
+        for beta in coarsenings(comp):
+            assert shared.get(beta, beta) is beta, beta
 
 
 def test_extend_over_refinement_examples():

@@ -308,6 +308,16 @@ def test_contraction_and_integrality_match_the_fraction_oracles(f):
     assert _outcome(check_integral_nonneg, f, DEGREE) == _outcome(oracles.check_integral_nonneg, f, DEGREE)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_power_sums_match_the_two_step_oracle(name):
+    f = builtin(name)
+    for comp in compositions_up_to(DEGREE):
+        assert qps_expand(f, comp) == oracles.qps_expand(f, comp), comp
+    # a basis not normalized on single parts fails the same way
+    for comp in compositions_of(3):
+        assert _outcome(qps_expand, RAW_PREFIX_SUM, comp) == _outcome(oracles.qps_expand, RAW_PREFIX_SUM, comp)
+
+
 @pytest.mark.parametrize("f", BASES, ids=lambda f: f.name)
 def test_transfers_match_the_fraction_oracles(f):
     g, oracle_g = f_to_g(f), oracles.f_to_g(f)

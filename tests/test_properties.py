@@ -8,7 +8,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from qshuffle.characters import BUILTIN_NAMES, basis_contract, builtin, check_integral_nonneg, f_to_g
+from qshuffle.characters import BUILTIN_NAMES, basis_contract, builtin, check_integral_nonneg, f_to_g, qps_expand
 from qshuffle.compositions import compositions_of
 from qshuffle.demos import SmallGraph, chromatic_polynomial, chromatic_symmetric
 from qshuffle.elements import MONOMIAL, antipode_by_recursion
@@ -67,6 +67,13 @@ def test_antipode_matches_element_arithmetic_past_the_sweeps(alpha):
 def test_contraction_matches_the_fraction_oracle_past_the_sweeps(alpha):
     assert basis_contract(G_TYPE1, alpha) == oracles.basis_contract(ORACLE_G_TYPE1, alpha)
     assert basis_contract(F_TYPE1, alpha) == oracles.basis_contract(F_TYPE1, alpha)
+
+
+@PROFILE
+@given(st.sampled_from(BUILTIN_NAMES), PAST_THE_SWEEPS)
+def test_power_sums_match_the_two_step_oracle_past_the_sweeps(name, alpha):
+    f = builtin(name)
+    assert qps_expand(f, alpha) == oracles.qps_expand(f, alpha)
 
 
 @PROFILE
