@@ -77,7 +77,8 @@ def normalize(f: Functional) -> Functional:
     return Functional(1, value, name=label)
 
 
-def _require_normalized(f: Functional, max_degree: int) -> None:
+def require_normalized(f: Functional, max_degree: int) -> None:
+    """NotNormalized unless f((n)) = 1 for every n from 1 to max_degree."""
     for n in range(1, max_degree + 1):
         if f(single(n)) != 1:
             raise NotNormalized(f"f(({n})) = {f(single(n))}, expected 1")
@@ -142,7 +143,7 @@ def qps_expand(f: Functional, alpha) -> GradedElement:
     Requires f normalized on single parts up to |alpha|.
     """
     alpha = Composition(alpha)
-    _require_normalized(f, alpha.size)
+    require_normalized(f, alpha.size)
     aut = stats(alpha).aut_count
     terms = {beta: rational(aut * num, den) for beta, num, den in coarsening_products(f, alpha)}
     return GradedElement(MONOMIAL, terms)
@@ -437,7 +438,7 @@ def check_integral_nonneg(
     (test B, which is equivalent); both are run and must agree.  Returns the
     first test-A witness in canonical order.
     """
-    _require_normalized(f, max_degree)
+    require_normalized(f, max_degree)
 
     def is_nonneg_integer(x: Fraction) -> bool:
         return x.denominator == 1 and x >= 0

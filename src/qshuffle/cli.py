@@ -34,7 +34,7 @@ from .elements import (
     GradedElement,
     MONOMIAL,
     WORD,
-    _accumulate_times,
+    accumulate_product,
     antipode_by_recursion,
     antipode_word,
     format_element,
@@ -233,7 +233,7 @@ def _parse_element(args) -> GradedElement:
         _refuse(args.comp, "--comp", "--elem")
         try:
             elem = GradedElement.from_json(args.elem)
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise CliUsageError(f"bad element JSON: {exc}")
         for comp in elem.terms:
             _check_size(comp, "a term of --elem")
@@ -325,7 +325,7 @@ def _verify_antipode(degree: int) -> VerifyReport:
         target = GradedElement.unit(basis) if not comp else GradedElement.zero(basis)
         acc = {}
         for left, right in deconcatenations(comp):
-            _accumulate_times(acc, antipode_by_recursion(basis, right), ((left, 1),))
+            accumulate_product(acc, antipode_by_recursion(basis, right), ((left, 1),))
         return None if GradedElement(basis, acc) == target else f"alpha={comp}"
 
     report.sweep(f"word closed form = recursion through degree {degree}", comps, closed_form)

@@ -320,19 +320,6 @@ def refinement_split(fine: Composition, coarse: Composition) -> tuple[Compositio
     return tuple(blocks)
 
 
-def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> int | Fraction:
-    """Product of fn over the blocks of ``fine`` refined into ``coarse``.
-
-    This is the two-argument extension f(alpha, beta) of a function on
-    compositions; it is 1 on the empty pair and multiplicative under
-    concatenation of refinement pairs.
-    """
-    value = 1
-    for block in refinement_split(fine, coarse):
-        value *= fn(block)
-    return value
-
-
 def deconcatenations(comp: Composition) -> list[tuple[Composition, Composition]]:
     """All splittings comp = prefix + suffix, including the empty ends."""
     comp = Composition(comp)

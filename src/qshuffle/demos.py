@@ -312,10 +312,12 @@ class SmallPoset(_LabelledPairs):
 
     @classmethod
     def from_cover_text(cls, text: str) -> "SmallPoset":
-        """Parse ``n; u<v,...`` (cover or any generating pairs; closure taken)."""
+        """Parse ``n; u<v,...`` (cover or any generating pairs; closure taken; a cycle raises ValueError)."""
         n, pairs = cls._parse(text)
         rel = set(pairs)
         while missing := {(a, d) for a, _, d in _transitivity_gaps(rel)}:
+            if cycle := [a for a, d in missing if a == d]:
+                raise ValueError(f"cover relations contain a cycle through {min(cycle)}")
             rel |= missing
         return cls(n, rel)
 

@@ -43,18 +43,15 @@ WORD = "X"
 _PRODUCT_RULES = {MONOMIAL: _quasi_shuffle_pairs, WORD: _shuffle_pairs}
 
 
-def _as_fraction(value) -> int | Fraction:
-    """An exact coefficient in normal form: an int, or a Fraction with denominator > 1.
+def product_rule(basis: str):
+    """The product of two compositions in basis, as a shared {word: multiplicity} table.
 
-    A bool becomes an int and text is parsed; anything else (a float) raises TypeError.
+    Read at call time; a basis with no product wired in raises BasisMismatch.
     """
-    if type(value) is int:
-        return value
-    if isinstance(value, str):
-        value = Fraction(value)
-    elif not isinstance(value, (int, Fraction)):
-        raise TypeError(f"not an exact rational: {value!r}")
-    return value.numerator if value.denominator == 1 else value
+    rule = _PRODUCT_RULES.get(basis)
+    if rule is None:
+        raise BasisMismatch(f"no product rule for basis {basis!r}")
+    return rule
 
 
 _RATIONAL_TEXT = re.compile(r"-?\d+(/\d+|\.\d+)?", re.ASCII)
@@ -74,6 +71,21 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"not an exact rational (an int, or text like -2/3 or 1.5): {value!r}")
 
 
+def as_coefficient(value) -> int | Fraction:
+    """An exact coefficient in normal form: an int, or a Fraction with denominator > 1.
+
+    A bool becomes an int and text goes through parse_rational; anything else
+    (a float) raises TypeError.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        value = parse_rational(value)
+    elif not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {value!r}")
+    return value.numerator if value.denominator == 1 else value
+
+
 def _composition(comp) -> Composition:
     return comp if type(comp) is Composition else Composition(comp)
 
@@ -90,16 +102,29 @@ def _summed(terms, key_of) -> dict:
     """
     acc = {}
     for key, coef in terms.items() if isinstance(terms, dict) else terms:
-        key, coef = key_of(key), _as_fraction(coef)
+        key, coef = key_of(key), as_coefficient(coef)
         prev = acc.get(key)
         acc[key] = coef if prev is None else prev + coef
     return {k: v.numerator if v.denominator == 1 else v for k, v in acc.items() if v}
 
 
-def _check_keys(data: dict, known: tuple[str, ...]) -> None:
-    unknown = sorted(set(data) - set(known))
+def _json_object(data, what: str, keys: tuple[str, ...]) -> dict:
+    """data as a JSON object with exactly these keys; ValueError otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(keys))
     if unknown:
-        raise ValueError(f"unknown keys {unknown}; expected only {list(known)}")
+        raise ValueError(f"unknown keys {unknown}; expected only {list(keys)}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} is missing {missing}")
+    return data
+
+
+def _json_list(data: dict, key: str) -> list:
+    if not isinstance(data[key], list):
+        raise ValueError(f"{key!r} must be a JSON list, got {data[key]!r}")
+    return data[key]
 
 
 class _TermMap:
@@ -133,7 +158,7 @@ class _TermMap:
         return self + (-other)
 
     def scaled(self, scalar):
-        s = _as_fraction(scalar)
+        s = as_coefficient(scalar)
         return type(self)(self.basis, {k: s * v for k, v in self.terms.items()})
 
     __rmul__ = scaled
@@ -193,34 +218,27 @@ class GradedElement(_TermMap):
     def __repr__(self) -> str:
         return f"<{format_element(self)}>"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"comp": list(c), "coef": str(v)}
-                for c, v in sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0]))
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(", ", ": "))
+        terms = [{"comp": list(c), "coef": str(self.terms[c])} for c in self.support()]
+        return json.dumps({"basis": self.basis, "terms": terms}, separators=(", ", ": "))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "GradedElement":
-        """The inverse of to_json_dict; unknown keys and a composition listed twice raise ValueError."""
-        _check_keys(data, ("basis", "terms"))
+    def from_json(cls, text: str) -> "GradedElement":
+        """The inverse of to_json.
+
+        Anything but an object with a basis and a list of terms, each an object
+        with a list comp and a coef, raises ValueError, as does a composition
+        listed twice.
+        """
+        data = _json_object(json.loads(text), "element", ("basis", "terms"))
         terms: dict[Composition, Fraction] = {}
-        for t in data["terms"]:
-            _check_keys(t, ("comp", "coef"))
-            comp = Composition(t["comp"])
+        for t in _json_list(data, "terms"):
+            _json_object(t, "term", ("comp", "coef"))
+            comp = Composition(_json_list(t, "comp"))
             if comp in terms:
                 raise ValueError(f"composition {list(comp)} is listed twice")
             terms[comp] = parse_rational(t["coef"])
         return cls(data["basis"], terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GradedElement":
-        return cls.from_json_dict(json.loads(text))
 
 
 def format_coefficient(coef: Fraction, lead: bool) -> str:
@@ -243,12 +261,14 @@ def format_element(elem: GradedElement) -> str:
     return " ".join(chunks)
 
 
-def _accumulate_times(acc: dict, a: GradedElement, b_terms) -> dict:
-    """Add a times the (word, coef) pairs b_terms into acc, in place; returns acc.
+def accumulate_product(acc: dict, a: GradedElement, b_terms) -> dict:
+    """Add a times the (word, coef) pairs b_terms into the term dict acc, in place; returns acc.
 
-    One word multiplies in as ((word, 1),), with no basis element built for it.
+    Summing several products into one dict builds one element at the end
+    instead of one per intermediate sum; one word multiplies in as
+    ((word, 1),), with no basis element built for it.
     """
-    rule = _PRODUCT_RULES[a.basis]
+    rule = product_rule(a.basis)
     for ca, va in a.terms.items():
         for cb, vb in b_terms:
             coef = va * vb
@@ -259,22 +279,9 @@ def _accumulate_times(acc: dict, a: GradedElement, b_terms) -> dict:
     return acc
 
 
-def accumulate_product(
-    acc: dict[Composition, Fraction], a: GradedElement, b: GradedElement
-) -> dict[Composition, Fraction]:
-    """Add the terms of a * b into the term dict acc, in place; returns acc.
-
-    Summing several products into one dict builds one element at the end
-    instead of one per intermediate sum.
-    """
-    a._require_same_basis(b)
-    if a.basis not in _PRODUCT_RULES:
-        raise BasisMismatch(f"no product rule for basis {a.basis!r}")
-    return _accumulate_times(acc, a, b.terms.items())
-
-
 def product(a: GradedElement, b: GradedElement) -> GradedElement:
-    return GradedElement(a.basis, accumulate_product({}, a, b))
+    a._require_same_basis(b)
+    return GradedElement(a.basis, accumulate_product({}, a, b.terms.items()))
 
 
 class TensorElement(_TermMap):
@@ -291,9 +298,7 @@ class TensorElement(_TermMap):
             return self.scaled(other)
         # componentwise product, used by the bialgebra compatibility checks
         self._require_same_basis(other)
-        rule = _PRODUCT_RULES.get(self.basis)
-        if rule is None:
-            raise BasisMismatch(f"no product rule for basis {self.basis!r}")
+        rule = product_rule(self.basis)
         terms = (
             ((wl, wr), v1 * v2 * ml * mr)
             for (l1, r1), v1 in self.terms.items()
@@ -378,7 +383,7 @@ def antipode_by_recursion(basis: str, comp) -> GradedElement:
         # b + sum S(b') b'' over the proper splits, summed in one dict, negated once
         acc = {comp: 1}
         for left, right in deconcatenations(comp)[1:-1]:
-            _accumulate_times(acc, antipode_by_recursion(basis, left), ((right, 1),))
+            accumulate_product(acc, antipode_by_recursion(basis, left), ((right, 1),))
         result = GradedElement(basis, {c: -v for c, v in acc.items()})
     _antipode_cache[key] = result
     return result

@@ -22,11 +22,11 @@ from functools import lru_cache
 from math import factorial
 
 from .compositions import (
-    Composition, coarsening_products, deconcatenations, extend_over_refinement, pairs_up_to, rational_sum
+    Composition, coarsening_products, deconcatenations, pairs_up_to, rational_sum
 )
 from .compositions import nonempty_splits  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
-from .elements import _PRODUCT_RULES, GradedElement
-from .errors import BasisMismatch, NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
+from .elements import GradedElement, product_rule
+from .errors import NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
 from .report import first_witness
 
 
@@ -51,10 +51,6 @@ class Functional:
             value = Fraction(self._fn(comp))
             self._memo[comp] = value
         return value
-
-    def pair(self, fine, coarse) -> int | Fraction:
-        """f(alpha, beta): product of the functional over the refinement blocks."""
-        return extend_over_refinement(self, fine, coarse)
 
     def of_element(self, elem: GradedElement) -> Fraction:
         total = Fraction(0)
@@ -167,13 +163,9 @@ def _product_sweep(phi: Functional, max_degree: int, basis: str, value_at_empty:
     if phi.value_at_empty != value_at_empty:
         return False, Violation("value-at-empty", None, None, Fraction(value_at_empty), phi.value_at_empty)
 
-    rule = _PRODUCT_RULES.get(basis)
-
     def violation(pair) -> Violation | None:
         alpha, beta = pair
-        if rule is None:
-            raise BasisMismatch(f"no product rule for basis {basis!r}")
-        lhs = sum(mult * phi(word) for word, mult in rule(alpha, beta).items())
+        lhs = sum(mult * phi(word) for word, mult in product_rule(basis)(alpha, beta).items())
         rhs = phi(alpha) * phi(beta) if value_at_empty else Fraction(0)
         return None if lhs == rhs else Violation("product", alpha, beta, rhs, lhs)
 

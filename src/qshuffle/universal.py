@@ -29,16 +29,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .characters import (
-    _require_normalized,
-    basis_expand,
-    even_odd_character,
-    f_to_g,
-)
+from .characters import basis_expand, even_odd_character, f_to_g, require_normalized
 from .compositions import (
     Composition, EMPTY, compositions_of, compositions_up_to, deconcatenations
 )
-from .elements import GradedElement, MONOMIAL, WORD, _as_fraction, linear_image
+from .elements import GradedElement, MONOMIAL, WORD, as_coefficient, linear_image
 from .errors import BasisMismatch, DegreeMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional
 from .report import VerifyReport
@@ -126,7 +121,7 @@ class CharacterPowerEvaluator:
 
 def _as_label_element(h) -> dict[Label, Fraction]:
     if isinstance(h, Mapping):
-        return {label: _as_fraction(coef) for label, coef in h.items()}
+        return {label: as_coefficient(coef) for label, coef in h.items()}
     return {h: 1}
 
 
@@ -268,7 +263,7 @@ def _transfer(
 
     @lru_cache(maxsize=None)
     def transferred(label: Label) -> Fraction:
-        _require_normalized(f, provider.degree(label))
+        require_normalized(f, provider.degree(label))
         return weight.of_element(evaluator.image({label: 1}, basis))
 
     return transferred

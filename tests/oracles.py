@@ -56,7 +56,7 @@ from functools import lru_cache
 from itertools import combinations, product as iter_product
 from math import comb, factorial
 
-from qshuffle.characters import IntegralityWitness, _diagonal, _require_normalized, basis_expand, single
+from qshuffle.characters import IntegralityWitness, _diagonal, basis_expand, require_normalized, single
 from qshuffle.compositions import (
     EMPTY,
     Composition,
@@ -247,7 +247,7 @@ def qps_expand(f: Functional, alpha) -> GradedElement:
     Requires f normalized on single parts up to |alpha|.
     """
     alpha = Composition(alpha)
-    _require_normalized(f, alpha.size)
+    require_normalized(f, alpha.size)
     return basis_expand(f, alpha).scaled(stats(alpha).aut_count)
 
 
@@ -261,7 +261,7 @@ def check_integral_nonneg(
     (test B, which is equivalent); both are run and must agree.  Returns the
     first test-A witness in canonical order.
     """
-    _require_normalized(f, max_degree)
+    require_normalized(f, max_degree)
 
     def is_nonneg_integer(x: Fraction) -> bool:
         return x.denominator == 1 and x >= 0

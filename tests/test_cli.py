@@ -1,5 +1,6 @@
 """Command line interface: outputs, formats, exit codes."""
 
+import ast
 import csv
 import io
 import json
@@ -348,6 +349,16 @@ def test_demo_poset(capsys):
     assert "unique minimal element indicator: 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("demo-poset",), ("phi", "--hopf", "poset"), ("psi", "--hopf", "poset")],
+    ids=("demo-poset", "phi", "psi"),
+)
+def test_cyclic_poset_covers_name_the_cycle(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--input", "3; 1<2,2<1")
+    assert (code, out, err) == (1, "", "error: cover relations contain a cycle through 1\n")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.txt"
     code, out, _ = invoke(
@@ -414,6 +425,26 @@ def test_inexact_rationals_are_rejected(capsys, argv, shown):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and shown in err
+
+
+@pytest.mark.parametrize(
+    "elem, shown",
+    [
+        ("[]", "element must be a JSON object, got []"),
+        ('"x"', "element must be a JSON object, got 'x'"),
+        ('{"basis":"M"}', "element is missing ['terms']"),
+        ('{"terms":[]}', "element is missing ['basis']"),
+        ('{"basis":"M","terms":{}}', "'terms' must be a JSON list, got {}"),
+        ('{"basis":"M","terms":[5]}', "term must be a JSON object, got 5"),
+        ('{"basis":"M","terms":[{"comp":[1]}]}', "term is missing ['coef']"),
+        ('{"basis":"M","terms":[{"comp":5,"coef":"1"}]}', "'comp' must be a JSON list, got 5"),
+    ],
+    ids=("list", "string", "no-terms", "no-basis", "terms-object", "term-int", "no-coef", "comp-int"),
+)
+def test_malformed_elem_json_is_rejected(capsys, elem, shown):
+    code, out, err = invoke(capsys, "theta", "--elem", elem)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad element JSON: {shown}\n"
 
 
 def test_exact_rationals_are_accepted(capsys):
@@ -708,6 +739,21 @@ def test_imports_only_the_standard_library():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['__main__', 'qshuffle']\n"
+
+
+def test_library_modules_import_no_private_names_from_each_other():
+    # the two product tables stay importable by name for the benchmark's cache counters
+    pinned = {("compositions", "_quasi_shuffle_pairs"), ("compositions", "_shuffle_pairs")}
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "qshuffle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [
+                    (path.name, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and (node.module, alias.name) not in pinned
+                ]
+    assert found == []
 
 
 def test_demo_graph_at_the_cap_finishes():

@@ -16,7 +16,6 @@ from qshuffle.compositions import (
     compositions_of,
     compositions_up_to,
     deconcatenations,
-    extend_over_refinement,
     nonempty_splits,
     pairs_up_to,
     partitions_of,
@@ -28,7 +27,7 @@ from qshuffle.compositions import (
 )
 from qshuffle.errors import NotARefinement
 
-from oracles import refines, shuffle_multiplicity_total
+from oracles import extend_over_refinement, refines, shuffle_multiplicity_total
 
 C = Composition
 

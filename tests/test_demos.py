@@ -219,6 +219,15 @@ def test_poset_construction():
     assert SmallPoset.from_cover_text(VEE.to_text().replace("<", "<")) == VEE
 
 
+@pytest.mark.parametrize(
+    "text, through",
+    [("3; 1<2,2<1", 1), ("4; 3<4,4<2,2<3", 2), ("4; 1<2,2<3,3<4,4<1", 1), ("2; 2<1,1<2", 1)],
+)
+def test_cyclic_covers_name_the_cycle(text, through):
+    with pytest.raises(ValueError, match=rf"^cover relations contain a cycle through {through}$"):
+        SmallPoset.from_cover_text(text)
+
+
 def test_poset_ideals_and_minimals():
     assert CHAIN3.order_ideals() == [(), (1,), (1, 2), (1, 2, 3)]
     assert sorted(ANTI2.order_ideals()) == [(), (1,), (1, 2), (2,)]

@@ -1,5 +1,6 @@
 """Graded elements, products, coproducts, antipodes, polynomial truncation."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -101,9 +102,8 @@ def test_format_element():
 
 def test_json_roundtrip():
     a = M(2, 1).scaled(Fraction(-5, 7)) + M(3) + GradedElement.unit(MONOMIAL)
-    data = a.to_json_dict()
+    data = json.loads(a.to_json())
     assert data["basis"] == "M"
-    assert GradedElement.from_json_dict(data) == a
     assert GradedElement.from_json(a.to_json()) == a
     coefs = {tuple(t["comp"]): t["coef"] for t in data["terms"]}
     assert coefs[(2, 1)] == "-5/7"
