@@ -235,6 +235,9 @@ def _parse_element(args) -> GradedElement:
             elem = GradedElement.from_json(args.elem)
         except ValueError as exc:
             raise CliUsageError(f"bad element JSON: {exc}")
+        except RecursionError:
+            # json.loads recurses once per nesting level, so the interpreter's recursion limit bounds the depth
+            raise CliUsageError("bad element JSON: nested too deeply")
         for comp in elem.terms:
             _check_size(comp, "a term of --elem")
         return elem

@@ -92,9 +92,17 @@ class Composition(tuple):
     __str__ = __repr__
 
 
+# the most characters a number given as text may have; CPython's int() refuses
+# more than 4300 digits, with a message about its own settings
+MAX_DIGITS = 1000
+
+
 def is_numeral(text) -> bool:
-    """Is text a nonempty str of ASCII digits?  Checked before ``int``, which also takes signs and other scripts."""
-    return type(text) is str and text.isascii() and text.isdigit()
+    """Is text a nonempty str of at most MAX_DIGITS ASCII digits?
+
+    Checked before ``int``, which also takes signs and other scripts.
+    """
+    return type(text) is str and len(text) <= MAX_DIGITS and text.isascii() and text.isdigit()
 
 
 # builds a Composition from parts already known to be ints >= 1, unchecked;
@@ -289,7 +297,7 @@ def rational(num: int, den: int) -> int | Fraction:
 
 
 def rational_sum(terms) -> int | Fraction:
-    """The sum of num/den over (coarse, num, den) terms, over one common denominator, in normal form."""
+    """The sum of num/den over (key, num, den) terms, keys unread, over one common denominator, in normal form."""
     pairs = [(num, den) for _, num, den in terms]
     common = lcm(*(den for _, den in pairs))
     return rational(sum(num * (common // den) for num, den in pairs), common)

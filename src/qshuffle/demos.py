@@ -120,14 +120,30 @@ class _LabelledPairs(tuple):
 
 
 def _split_coproduct(
-    x: _LabelledPairs, subsets
+    x: _LabelledPairs, masks
 ) -> tuple[tuple[tuple[_LabelledPairs, _LabelledPairs], int], ...]:
-    """The coproduct of x: x.induced(S) (x) x.induced(rest) summed over the label subsets S."""
-    labels = range(1, x[0] + 1)
-    counts = Counter(
-        (x.induced(chosen), x.induced([v for v in labels if v not in chosen])) for chosen in subsets
-    )
-    return tuple(counts.items())
+    """The coproduct of x: x.induced(S) (x) x.induced(rest) summed over the label subsets S, as bitmasks.
+
+    Label i + 1 is bit i.  Each mask's induced structure is built once, from
+    the rank of each kept label, and complements reuse the same builds.
+    """
+    n, pairs = x
+    full = (1 << n) - 1
+    built = {}
+
+    def induced(mask: int) -> _LabelledPairs:
+        out = built.get(mask)
+        if out is None:
+            rank = [0] * (n + 1)  # the new label of each kept label, 0 for a dropped one
+            kept = 0
+            for v in range(1, n + 1):
+                if mask >> (v - 1) & 1:
+                    kept += 1
+                    rank[v] = kept
+            out = built[mask] = x._trusted(kept, tuple((rank[u], rank[v]) for u, v in pairs if rank[u] and rank[v]))
+        return out
+
+    return tuple(Counter((induced(mask), induced(full ^ mask)) for mask in masks).items())
 
 
 def _label_count(x: _LabelledPairs) -> int:
@@ -167,8 +183,8 @@ def all_graphs(n: int) -> tuple[SmallGraph, ...]:
 
 @lru_cache(maxsize=None)
 def _graph_coproduct(g: SmallGraph) -> tuple[tuple[tuple[SmallGraph, SmallGraph], int], ...]:
-    vertices = range(1, g.vertex_count + 1)
-    return _split_coproduct(g, (c for size in range(len(vertices) + 1) for c in combinations(vertices, size)))
+    bits = [1 << i for i in range(g.vertex_count)]
+    return _split_coproduct(g, (sum(c) for size in range(len(bits) + 1) for c in combinations(bits, size)))
 
 
 _GRAPH_PROVIDER = HopfProvider(_graph_coproduct, _label_count, SmallGraph(0))
@@ -324,23 +340,30 @@ class SmallPoset(_LabelledPairs):
     def below(self, b: int) -> set[int]:
         return {a for a, bb in self.strict if bb == b}
 
-    def order_ideals(self) -> list[tuple[int, ...]]:
-        """All downward closed subsets, as sorted tuples, in the order of their bitmasks.
+    def ideal_masks(self) -> list[int]:
+        """The downward closed subsets as bitmasks, element i + 1 as bit i, in increasing order.
 
-        Element i + 1 is bit i.  Each element's strict down-set is read into a
-        mask once; a subset is an ideal when every chosen element's down-set
-        lies inside it.
+        Each element's strict down-set is read into a mask once; a mask's
+        down-sets are those of the mask without its lowest bit plus that
+        bit's, and the mask is an ideal when they lie inside it.
         """
         n = self.element_count
         down = [0] * n
         for a, b in self.strict:
             down[b - 1] |= 1 << (a - 1)
-        out = []
-        for mask in range(1 << n):
-            chosen = [i for i in range(n) if mask >> i & 1]
-            if all(not down[i] & ~mask for i in chosen):
-                out.append(tuple(i + 1 for i in chosen))
+        below = [0] * (1 << n)
+        out = [0]
+        for mask in range(1, 1 << n):
+            rest = mask & (mask - 1)
+            below[mask] = below[rest] | down[(mask ^ rest).bit_length() - 1]
+            if not below[mask] & ~mask:
+                out.append(mask)
         return out
+
+    def order_ideals(self) -> list[tuple[int, ...]]:
+        """All downward closed subsets, as sorted tuples, in the order of their bitmasks."""
+        n = self.element_count
+        return [tuple(i + 1 for i in range(n) if mask >> i & 1) for mask in self.ideal_masks()]
 
     def minimal_elements(self) -> list[int]:
         return [v for v in range(1, self.element_count + 1) if not self.below(v)]
@@ -368,7 +391,7 @@ def all_posets(n: int) -> tuple[SmallPoset, ...]:
 
 @lru_cache(maxsize=None)
 def _poset_coproduct(p: SmallPoset) -> tuple[tuple[tuple[SmallPoset, SmallPoset], int], ...]:
-    return _split_coproduct(p, p.order_ideals())
+    return _split_coproduct(p, p.ideal_masks())
 
 
 _POSET_PROVIDER = HopfProvider(_poset_coproduct, _label_count, SmallPoset(0))

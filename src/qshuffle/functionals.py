@@ -53,10 +53,12 @@ class Functional:
         return value
 
     def of_element(self, elem: GradedElement) -> Fraction:
-        total = Fraction(0)
+        """The sum of coef * self(comp) over elem's terms, added as int ratios over one common denominator."""
+        terms = []
         for comp, coef in elem.terms.items():
-            total += coef * self(comp)
-        return total
+            value = self(comp)
+            terms.append((comp, coef.numerator * value.numerator, coef.denominator * value.denominator))
+        return Fraction(rational_sum(terms))
 
     def __repr__(self) -> str:
         label = self.name or "functional"

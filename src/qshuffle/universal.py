@@ -80,32 +80,49 @@ class CharacterPowerEvaluator:
     two-fold coproduct left to right, projecting to the multidegree given by
     sizes, and applying phi to every tensor slot; with no sizes it is the
     counit.  image(h, basis) collects these values over the compositions
-    of h's degree into an element of basis.
+    of h's degree into an element of basis.  Both read one multidegree
+    table per label, built in one pass over the label's coproduct.
     """
 
     def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction]):
         self.provider = provider
         self.phi = phi
-        self._cache: dict[tuple[Label, tuple[int, ...]], Fraction] = {}
+        self._cache: dict[Label, dict[tuple[int, ...], Fraction]] = {}
+
+    def _table(self, label: Label) -> dict[tuple[int, ...], Fraction]:
+        """{sizes: value(label, sizes)} over the compositions of label's degree, zeros left out.
+
+        A left factor of degree k > 0 weighs coef * phi(left) once and puts k
+        in front of every entry of the right factor's table.
+        """
+        table = self._cache.get(label)
+        if table is not None:
+            return table
+        degree = self.provider.degree
+        if degree(label) == 0:
+            table = {(): 1}
+        else:
+            table = {}
+            for (left, right), coef in self.provider.coproduct(label):
+                k = degree(left)
+                if k == 0:
+                    continue
+                weight = coef * self.phi(left)
+                if not weight:
+                    continue
+                for sizes, tail in self._table(right).items():
+                    key = (k, *sizes)
+                    table[key] = table.get(key, 0) + weight * tail
+            table = {sizes: value for sizes, value in table.items() if value}
+        self._cache[label] = table
+        return table
 
     def value(self, label: Label, sizes: tuple[int, ...]) -> Fraction:
-        degree = self.provider.degree
-        if not sizes:
-            return 1 if degree(label) == 0 else 0
-        key = (label, sizes)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        out = 0
-        head, rest = sizes[0], sizes[1:]
-        for (left, right), coef in self.provider.coproduct(label):
-            if degree(left) != head:
-                continue
-            tail = self.value(right, rest)
-            if tail:
-                out += coef * self.phi(left) * tail
-        self._cache[key] = out
-        return out
+        """The table entry at sizes without its zero parts, times phi(unit) for each zero part."""
+        parts = tuple(p for p in sizes if p)
+        out = self._table(label).get(parts, 0)
+        zeros = len(sizes) - len(parts)
+        return out * self.phi(self.provider.unit_label) ** zeros if zeros and out else out
 
     def image(self, h: Mapping[Label, Fraction], basis: str) -> GradedElement:
         """The sum over alpha of n of value(h, alpha) b_alpha, for h homogeneous of degree n."""
@@ -113,9 +130,8 @@ class CharacterPowerEvaluator:
         if len(degrees) > 1:
             raise DegreeMismatch(f"element spans degrees {sorted(degrees)}")
         alphas = compositions_of(degrees.pop() if degrees else 0)
-        terms = (
-            (alpha, coef * self.value(label, tuple(alpha))) for alpha in alphas for label, coef in h.items()
-        )
+        tables = [(self._table(label), coef) for label, coef in h.items()]
+        terms = ((alpha, coef * table[alpha]) for alpha in alphas for table, coef in tables if alpha in table)
         return GradedElement(basis, terms)
 
 

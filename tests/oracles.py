@@ -37,7 +37,19 @@ the tests can require both to agree:
   off the partitions of the vertices into stable sets);
 * ``order_ideals``: the ideals of a poset by scanning ``below`` for every
   chosen element of every subset (the library reads each element's
-  down-set into a bitmask once per poset).
+  down-set into a bitmask once per poset);
+* ``power_value``: one multidegree of the phi-power of an iterated
+  coproduct by recursion on the sizes, scanning the whole coproduct once
+  per (label, sizes), and ``power_image``, the universal image read off
+  it one composition at a time (the library builds one table of every
+  multidegree per label, in one pass over its coproduct);
+* ``split_coproduct``: a demo coproduct by ``induced`` on every label
+  subset and on its complement (the library builds each bitmask's induced
+  structure once, from the ranks of the kept labels, and reuses it for
+  complements);
+* ``of_element``: a functional paired with an element by chained
+  ``Fraction`` additions (the library adds int ratios over one common
+  denominator).
 
 The rest is code that only the tests use, kept out of the library with its
 body unchanged: the refinement predicate ``refines``, the shuffle count
@@ -51,6 +63,7 @@ nu as a convolution, ``nu_via_convolution``.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
@@ -460,3 +473,52 @@ def nu_via_convolution(max_degree: int) -> Functional:
         for comp in compositions_of(n):
             nu(comp)
     return nu
+
+
+def power_value(provider, phi, label, sizes: tuple[int, ...], memo: dict | None = None) -> Fraction:
+    """phi applied to every slot of the sizes-multidegree part of the iterated coproduct of label.
+
+    With no sizes this is the counit.  memo, if given, keeps values across
+    calls that share provider and phi.
+    """
+    memo = {} if memo is None else memo
+    degree = provider.degree
+    if not sizes:
+        return 1 if degree(label) == 0 else 0
+    key = (label, sizes)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    out = 0
+    head, rest = sizes[0], sizes[1:]
+    for (left, right), coef in provider.coproduct(label):
+        if degree(left) != head:
+            continue
+        tail = power_value(provider, phi, right, rest, memo)
+        if tail:
+            out += coef * phi(left) * tail
+    memo[key] = out
+    return out
+
+
+def power_image(provider, phi, label, memo: dict | None = None) -> GradedElement:
+    """The universal image of label in the monomial basis, one power_value per composition of its degree."""
+    alphas, memo = compositions_of(provider.degree(label)), {} if memo is None else memo
+    return GradedElement(MONOMIAL, ((alpha, power_value(provider, phi, label, alpha, memo)) for alpha in alphas))
+
+
+def split_coproduct(x, subsets) -> tuple:
+    """The coproduct of a graph or poset x: x.induced(S) (x) x.induced(rest) summed over the label subsets S."""
+    labels = range(1, x[0] + 1)
+    counts = Counter(
+        (x.induced(chosen), x.induced([v for v in labels if v not in chosen])) for chosen in subsets
+    )
+    return tuple(counts.items())
+
+
+def of_element(f: Functional, elem: GradedElement) -> Fraction:
+    """The sum of coef * f(comp) over the terms of elem."""
+    total = Fraction(0)
+    for comp, coef in elem.terms.items():
+        total += coef * f(comp)
+    return total

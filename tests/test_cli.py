@@ -14,7 +14,7 @@ import pytest
 
 from qshuffle import cli, elements
 from qshuffle.cli import MAX_DEGREE, SUITES, run
-from qshuffle.compositions import quasi_shuffle
+from qshuffle.compositions import MAX_DIGITS, quasi_shuffle
 from qshuffle.elements import MONOMIAL, WORD
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -445,6 +445,55 @@ def test_malformed_elem_json_is_rejected(capsys, elem, shown):
     code, out, err = invoke(capsys, "theta", "--elem", elem)
     assert (code, out) == (1, "")
     assert err == f"error: bad element JSON: {shown}\n"
+
+
+@pytest.mark.parametrize("opening", ["[", '{"basis":'], ids=("lists", "objects"))
+def test_deeply_nested_elem_is_rejected_in_one_line(capsys, opening):
+    code, out, err = invoke(capsys, "theta", "--elem", opening * 100_000)
+    assert (code, out, err) == (1, "", "error: bad element JSON: nested too deeply\n")
+
+
+LONG = "1" * 5000
+CAPPED = f"a number has 5000 characters; numbers are capped at {MAX_DIGITS}"
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("expand", "--basis", "type1", "--comp", LONG), "bad composition part"),
+        (("expand", "--basis", "type1", "--comp", f"1,{LONG}"), "bad composition part"),
+        (("expand", "--basis", f"prefix-sum:{LONG}", "--comp", "1"), CAPPED),
+        (("expand", "--basis", f"prefix-sum:1,{LONG}/3", "--comp", "1"), "numbers are capped"),
+        (("expand", "--basis", f"order:{LONG}", "--comp", "1"), "order entries must be"),
+        (("demo-poset", "--input", f"{LONG}; 1<2"), "bad count"),
+        (("demo-poset", "--input", f"3; 1<{LONG}"), "bad pair"),
+        (("phi", "--hopf", "graph", "--input", f"3; {LONG}-2"), "bad pair"),
+        (_theta_of_coef(f'"{LONG}"'), f"bad element JSON: {CAPPED}"),
+        (_theta_of_coef(LONG), f"bad element JSON: {CAPPED}"),
+        (_theta_of_coef(f'"-{LONG[:-1]}"'), f"bad element JSON: {CAPPED}"),
+        (("theta", "--elem", '{"basis":"M","terms":[{"comp":[%s],"coef":1}]}' % LONG), f"bad element JSON: {CAPPED}"),
+    ],
+    ids=(
+        "comp", "comp-second-part", "prefix-sum", "prefix-sum-fraction", "order", "poset-count", "poset-pair",
+        "graph-pair", "coef-text", "coef-int", "coef-negative-text", "comp-in-elem",
+    ),
+)
+def test_numbers_past_the_digit_cap_are_rejected_in_the_projects_terms(capsys, argv, shown):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and shown in err
+    assert "set_int_max_str_digits" not in err and "4300" not in err
+
+
+def test_numbers_at_the_digit_cap_are_accepted(capsys):
+    # theta(M[1]) = 2 M[1]
+    at_cap = "1" * MAX_DIGITS
+    for coef in (f'"{at_cap}"', at_cap, f'"{at_cap[:-2]}/3"'):
+        code, out, _ = invoke(capsys, *_theta_of_coef(coef))
+        assert code == 0 and out.endswith(" M[1]\n"), coef
+    assert invoke(capsys, *_theta_of_coef(at_cap))[1] == "2" * MAX_DIGITS + " M[1]\n"
+    code, out, _ = invoke(capsys, "expand", "--basis", f"prefix-sum:{at_cap}", "--comp", "1", "--kind", "shuffle")
+    assert (code, out) == (0, f"1/{at_cap} M[1]\n")
 
 
 def test_exact_rationals_are_accepted(capsys):

@@ -9,6 +9,7 @@ one, while functional values stay ``Fraction``.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -42,6 +43,20 @@ from qshuffle.compositions import (
     refinement_split,
     shuffle,
 )
+from qshuffle.demos import (
+    _graph_coproduct,
+    _poset_coproduct,
+    all_graphs,
+    all_posets,
+    chromatic_symmetric,
+    graph_infchar,
+    graph_provider,
+    kp_generating_function,
+    poset_provider,
+    xi_unique_min,
+    zeta_no_edges,
+    zeta_ones,
+)
 from qshuffle.elements import (
     MONOMIAL,
     WORD,
@@ -51,8 +66,8 @@ from qshuffle.elements import (
     antipode_by_recursion,
     product,
 )
-from qshuffle.functionals import exp_functional, log_functional
-from qshuffle.universal import theta
+from qshuffle.functionals import Functional, exp_functional, log_functional
+from qshuffle.universal import CharacterPowerEvaluator, canonical, qsym_provider, theta
 
 import oracles
 
@@ -335,3 +350,65 @@ def test_transfers_match_the_fraction_oracles(f):
         for fast, slow in pairs:
             value = fast(comp)
             assert type(value) is Fraction and value == slow(comp), comp
+
+
+# -- the demo algebras and the universal evaluator ---------------------------
+
+DEMO_SIZE = 5
+
+
+def test_graph_fast_paths_match_their_oracles():
+    # the two transferred infinitesimal characters, and their slow route: g on the oracle image
+    transfers = [(graph_infchar(builtin(name)), f_to_g(builtin(name))) for name in ("type1", "type2")]
+    memo = {}
+    for n in range(DEMO_SIZE + 1):
+        subsets = [c for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
+        for g in all_graphs(n):
+            assert _graph_coproduct(g) == oracles.split_coproduct(g, subsets), g
+            image = oracles.power_image(graph_provider(), zeta_no_edges, g, memo)
+            assert chromatic_symmetric(g) == image, g
+            for xi, weight in transfers:
+                value, slow = weight.of_element(image), oracles.of_element(weight, image)
+                assert xi(g) == slow and type(value) is Fraction and value == slow, g
+
+
+def test_poset_fast_paths_match_their_oracles():
+    eta, memo = canonical("eta"), {}
+    for n in range(DEMO_SIZE + 1):
+        for p in all_posets(n):
+            assert _poset_coproduct(p) == oracles.split_coproduct(p, oracles.order_ideals(p)), p
+            image = oracles.power_image(poset_provider(), zeta_ones, p, memo)
+            assert kp_generating_function(p) == image, p
+            value = eta.of_element(image)
+            assert type(value) is Fraction and value == oracles.of_element(eta, image), p
+
+
+def _edge_sizes(n: int) -> list[tuple[int, ...]]:
+    """Sizes the tables do not hold: empty, with zero parts, too long, and not summing to n."""
+    out = [(), (0,), (0, 0), (n + 1,), (n, 1), (n, 0, 1)]
+    for alpha in compositions_of(n):
+        out.append((*alpha, 1))
+        out.append((*alpha, 0))
+        out += [(*alpha[:i], 0, *alpha[i:]) for i in range(len(alpha))]
+        out.append((*alpha[:-1], 0, 0, *alpha[-1:]))
+    return out
+
+
+def test_evaluator_value_matches_the_recursion_off_the_table():
+    with_unit_two = Functional(2, lambda c: Fraction(c[0], c.length))
+    cases = [
+        (graph_provider(), zeta_no_edges, [g for n in range(5) for g in all_graphs(n)]),
+        (poset_provider(), zeta_ones, [p for n in range(4) for p in all_posets(n)]),
+        (poset_provider(), xi_unique_min, [p for n in range(4) for p in all_posets(n)]),
+        (qsym_provider(), canonical("zetaQ"), list(compositions_up_to(5))),
+        (qsym_provider(), canonical("xiS"), list(compositions_up_to(5))),
+        # phi(unit) = 2, so every zero part scales the value by 2
+        (qsym_provider(), with_unit_two, list(compositions_up_to(5))),
+    ]
+    for provider, phi, labels in cases:
+        evaluator, memo = CharacterPowerEvaluator(provider, phi), {}
+        for label in labels:
+            n = provider.degree(label)
+            for sizes in [*compositions_of(n), *_edge_sizes(n)]:
+                sizes = tuple(sizes)
+                assert evaluator.value(label, sizes) == oracles.power_value(provider, phi, label, sizes, memo), (label, sizes)

@@ -10,9 +10,22 @@ from hypothesis import given, settings, strategies as st
 
 from qshuffle.characters import BUILTIN_NAMES, basis_contract, builtin, check_integral_nonneg, f_to_g, qps_expand
 from qshuffle.compositions import compositions_of
-from qshuffle.demos import SmallGraph, chromatic_polynomial, chromatic_symmetric
+from qshuffle.demos import (
+    SmallGraph,
+    SmallPoset,
+    _graph_coproduct,
+    _poset_coproduct,
+    chromatic_polynomial,
+    chromatic_symmetric,
+    graph_provider,
+    kp_generating_function,
+    poset_provider,
+    zeta_no_edges,
+    zeta_ones,
+)
 from qshuffle.elements import MONOMIAL, antipode_by_recursion
 from qshuffle.functionals import exp_functional
+from qshuffle.universal import canonical
 
 import oracles
 from oracles import _proper_coloring_count, ordered_stable_partitions
@@ -82,3 +95,41 @@ def test_integrality_matches_the_fraction_oracle_past_the_sweeps(name):
     # the sweep through degree 10 takes in every composition of sizes 9 and 10
     f = builtin(name)
     assert check_integral_nonneg(f, 10) == oracles.check_integral_nonneg(f, 10)
+
+
+# oracle memos keyed by label, shared across examples like the library's own
+GRAPH_MEMO: dict = {}
+POSET_MEMO: dict = {}
+ETA = canonical("eta")
+
+
+@st.composite
+def graphs_on_six_or_seven_vertices(draw) -> SmallGraph:
+    n = draw(st.integers(6, 7))
+    return SmallGraph(n, draw(st.sets(st.sampled_from(list(combinations(range(1, n + 1), 2))))))
+
+
+@st.composite
+def posets_on_six_elements(draw) -> SmallPoset:
+    """The order generated by drawn pairs a < b, relabeled by a drawn permutation, parsed from cover text."""
+    perm = draw(st.permutations(range(1, 7)))
+    pairs = draw(st.sets(st.sampled_from(list(combinations(range(1, 7), 2)))))
+    return SmallPoset.from_cover_text("6; " + ",".join(f"{perm[a - 1]}<{perm[b - 1]}" for a, b in sorted(pairs)))
+
+
+@PROFILE
+@given(graphs_on_six_or_seven_vertices())
+def test_graph_fast_paths_match_their_oracles_past_the_sweeps(g):
+    n = g.vertex_count
+    subsets = [c for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
+    assert _graph_coproduct(g) == oracles.split_coproduct(g, subsets)
+    assert chromatic_symmetric(g) == oracles.power_image(graph_provider(), zeta_no_edges, g, GRAPH_MEMO)
+
+
+@PROFILE
+@given(posets_on_six_elements())
+def test_poset_fast_paths_match_their_oracles_past_the_sweeps(p):
+    assert _poset_coproduct(p) == oracles.split_coproduct(p, oracles.order_ideals(p))
+    image = kp_generating_function(p)
+    assert image == oracles.power_image(poset_provider(), zeta_ones, p, POSET_MEMO)
+    assert ETA.of_element(image) == oracles.of_element(ETA, image)
