@@ -28,26 +28,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Hashable
 
 from .compositions import (
     Composition,
     coarsening_products,
+    check_length,
     coarsenings,  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
-    compositions_up_to,
-    deconcatenations,
     is_numeral,
-    pairs_up_to,
-    partitions_of,
     rational,
     rational_sum,
-    rearrangements,
-    shuffle,
     stats,
 )
-from .elements import GradedElement, MONOMIAL, TensorElement, coproduct, parse_rational, power_sum, product
+from .elements import GradedElement, MONOMIAL, parse_rational
 from .errors import (
     EvenSizeUnsupported,
     NotNormalized,
@@ -56,7 +51,6 @@ from .errors import (
     ZeroPrefixSum,
 )
 from .functionals import Functional
-from .report import VerifyReport, first_witness
 
 
 def single(n: int) -> Composition:
@@ -147,69 +141,6 @@ def qps_expand(f: Functional, alpha) -> GradedElement:
     aut = stats(alpha).aut_count
     terms = {beta: rational(aut * num, den) for beta, num, den in coarsening_products(f, alpha)}
     return GradedElement(MONOMIAL, terms)
-
-
-def verify_qps(
-    f: Functional, max_degree: int, partition_degree: int | None = None
-) -> VerifyReport:
-    """Check the three power sum axioms exhaustively.
-
-    (i) products against z-scaled shuffles for |alpha|+|beta| <= max_degree,
-    (ii) deconcatenation coproducts with z-value scalings for |alpha| <=
-    max_degree, (iii) rearrangement classes summing to p_lambda for
-    partitions of n <= partition_degree (defaults to max_degree).
-    """
-    if partition_degree is None:
-        partition_degree = max_degree
-    label = f.name or "f"
-    report = VerifyReport(f"qps axioms for {label}")
-    # P_alpha for each composition once; the memo goes when the sweep ends
-    qps = lru_cache(maxsize=None)(partial(qps_expand, f))
-
-    def product_rule(pair) -> str | None:
-        alpha, beta = pair
-        lhs = product(qps(alpha), qps(beta))
-        scale = Fraction(stats(alpha).z_value * stats(beta).z_value, stats(alpha + beta).z_value)
-        shuffled = (
-            (comp, coef * mult)
-            for gamma, mult in shuffle(alpha, beta).items()
-            for comp, coef in qps(gamma).terms.items()
-        )
-        if lhs != GradedElement(MONOMIAL, shuffled).scaled(scale):
-            return f"alpha={alpha}, beta={beta}"
-        return None
-
-    def coproduct_rule(alpha: Composition) -> str | None:
-        z_alpha = stats(alpha).z_value
-        lhs = coproduct(qps(alpha))
-        splits = [
-            (left, right, Fraction(z_alpha, stats(left).z_value * stats(right).z_value))
-            for left, right in deconcatenations(alpha)
-        ]
-        rhs = (
-            ((cl, cr), scale * vl * vr)
-            for left, right, scale in splits
-            for cl, vl in qps(left).terms.items()
-            for cr, vr in qps(right).terms.items()
-        )
-        if lhs != TensorElement(MONOMIAL, rhs):
-            return f"alpha={alpha}"
-        return None
-
-    def refinement_rule(lam: Composition) -> str | None:
-        # the constructor sums the terms of equal compositions
-        total = GradedElement(
-            MONOMIAL, (term for alpha in rearrangements(lam) for term in qps(alpha).terms.items())
-        )
-        return None if total == power_sum(lam) else f"lambda={lam}"
-
-    report.sweep(f"product rule through degree {max_degree}", pairs_up_to(max_degree), product_rule)
-    report.sweep(
-        f"coproduct rule through degree {max_degree}", compositions_up_to(max_degree), coproduct_rule
-    )
-    partitions = (lam for n in range(1, partition_degree + 1) for lam in partitions_of(n))
-    report.sweep(f"power sum refinement through degree {partition_degree}", partitions, refinement_rule)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +311,8 @@ def resolve_basis(spec_text: str) -> Functional:
 
         return prefix_sum_character(tau, name=spec_text)
     if spec_text.startswith("order:"):
-        body = spec_text[len("order:") :]
-        return order_basis_character([chunk.strip() for chunk in body.split(",")])
+        entries = spec_text[len("order:") :].split(",")
+        return order_basis_character([check_length(e.strip(), "order entries must be short") for e in entries])
     raise ValueError(
         f"unknown basis {spec_text!r}; known: {', '.join(BUILTIN_NAMES)}, "
         "prefix-sum:<tau values>, order:<permutation>"
@@ -416,49 +347,3 @@ def closed_form_g(name: str, alpha) -> Fraction:
             return Fraction(0)
         return Fraction(sign, st.odd_count)
     raise ValueError(f"no closed form registered for {name!r}; known: {', '.join(CLOSED_FORM_G_NAMES)}")
-
-
-@dataclass(frozen=True)
-class IntegralityWitness:
-    alpha: Composition
-    beta: Composition
-    value: Fraction
-
-    def __str__(self) -> str:
-        return f"aut({self.alpha}) f({self.alpha}, {self.beta}) = {self.value}"
-
-
-def check_integral_nonneg(
-    f: Functional, max_degree: int
-) -> tuple[bool, IntegralityWitness | None]:
-    """Do all monomial coefficients of the P_alpha lie in the nonnegative integers?
-
-    Sweeps aut(alpha) f(alpha, beta) over refinement pairs up to max_degree
-    (test A) and, independently, the single-block values aut(alpha) f(alpha)
-    (test B, which is equivalent); both are run and must agree.  Returns the
-    first test-A witness in canonical order.
-    """
-    require_normalized(f, max_degree)
-
-    def is_nonneg_integer(x: Fraction) -> bool:
-        return x.denominator == 1 and x >= 0
-
-    def refinement_witness(alpha: Composition) -> IntegralityWitness | None:
-        aut = stats(alpha).aut_count
-
-        def witness_of(term) -> IntegralityWitness | None:
-            beta, num, den = term
-            value = rational(aut * num, den)
-            return None if is_nonneg_integer(value) else IntegralityWitness(alpha, beta, value)
-
-        return first_witness(coarsening_products(f, alpha), witness_of)
-
-    witness = first_witness(compositions_up_to(max_degree)[1:], refinement_witness)
-
-    single_block_ok = all(
-        is_nonneg_integer(stats(alpha).aut_count * f(alpha)) for alpha in compositions_up_to(max_degree)[1:]
-    )
-
-    if (witness is None) != single_block_ok:
-        raise AssertionError("refinement-pair and single-block integrality tests disagree")
-    return witness is None, witness

@@ -19,42 +19,23 @@ from fractions import Fraction
 from functools import partial
 
 from . import demos
-from .characters import (
-    basis_contract,
-    basis_expand,
-    check_integral_nonneg,
-    f_to_g,
-    g_to_f,
-    qps_expand,
-    resolve_basis,
-    verify_qps,
-)
-from .compositions import Composition, compositions_of, compositions_up_to, deconcatenations, is_numeral, stats
-from .elements import (
-    GradedElement,
-    MONOMIAL,
-    WORD,
-    accumulate_product,
-    antipode_by_recursion,
-    antipode_word,
-    format_element,
-)
+from .characters import basis_contract, basis_expand, f_to_g, qps_expand, resolve_basis
+from .compositions import Composition, compositions_of, compositions_up_to, is_numeral, stats
+from .elements import GradedElement, MONOMIAL, WORD, format_element
 from .errors import EngineError
-from .functionals import exp_functional, is_character, log_functional
-from .report import VerifyReport
+from .functionals import exp_functional, log_functional
 from .universal import (
     CANONICAL_NAMES,
     canonical,
     qsym_provider,
     sh_provider,
     theta,
-    theta_eigencheck,
     universal_to_qsym,
     universal_to_sh,
 )
+from .verify import REQUIRED, SUITES
 
 MAX_DEGREE = 10
-SUITES = ("shuffle-character", "qps", "antipode", "theta-eigen", "integrality", "fg-roundtrip")
 
 
 class CliUsageError(Exception):
@@ -194,7 +175,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _printed(value, what, *args) -> str:
+    """str(value), or one error naming the output, what(*args), past the interpreter's digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise CliUsageError(f"{what(*args)} has more than {limit} digits, too many to print")
+
+
 def _element_payload(elem: GradedElement, fmt: str) -> str:
+    for comp, coef in elem.terms.items():
+        _printed(coef, "the coefficient of {} in basis {}".format, comp, elem.basis)
     if fmt == "json":
         return elem.to_json()
     if fmt == "csv":
@@ -210,6 +202,8 @@ def _element_payload(elem: GradedElement, fmt: str) -> str:
 def _functional_payload(side: str, values: dict[Composition, Fraction], fmt: str) -> str:
     """values in canonical order, the empty composition first."""
     if fmt == "text":
+        for comp, value in values.items():
+            _printed(value, "the value at {}".format, comp)
         return "\n".join(f"{side}[{comp.to_text()}] -> {value}" for comp, value in values.items())
     return _element_payload(GradedElement(side, values), fmt)
 
@@ -257,8 +251,7 @@ def _cmd_expand(args) -> int:
 def _cmd_convert(args) -> int:
     f = resolve_basis(_need(args.basis, "--basis"))
     alpha = _parse_comp(_need(args.comp, "--comp"), "--comp")
-    g = f_to_g(f)
-    coords = basis_contract(g, alpha)
+    coords = basis_contract(f_to_g(f), alpha)
     if args.kind == "qps":
         tag = f"P({args.basis})"
         terms = {beta: Fraction(coef, stats(beta).aut_count) for beta, coef in coords.items()}
@@ -273,10 +266,11 @@ def _cmd_table(args) -> int:
     f = resolve_basis(_need(args.basis, "--basis"))
     degree = _check_degree(args.degree)
     comps = list(compositions_of(degree))
+    cell = "the table cell at alpha={}, beta={}".format
     rows = []
     for alpha in comps:
         terms = (qps_expand(f, alpha) if args.kind == "qps" else basis_expand(f, alpha)).terms
-        rows.append([str(terms[beta]) if beta in terms else "0" for beta in comps])
+        rows.append([_printed(terms[beta], cell, alpha, beta) if beta in terms else "0" for beta in comps])
     labels = [c.to_text() for c in comps]
     if args.format == "json":
         payload = json.dumps(
@@ -303,72 +297,16 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _verify_fg_roundtrip(f, degree: int) -> VerifyReport:
-    report = VerifyReport("fg-roundtrip")
-    back = g_to_f(f_to_g(f))
-
-    def mismatch(comp: Composition) -> str | None:
-        return None if back(comp) == f(comp) else f"alpha={comp}: {back(comp)} != {f(comp)}"
-
-    report.sweep(f"g_to_f(f_to_g(f)) = f through degree {degree}", compositions_up_to(degree), mismatch)
-    return report
-
-
-def _verify_antipode(degree: int) -> VerifyReport:
-    report = VerifyReport("antipode")
-    comps = compositions_up_to(degree)
-
-    def closed_form(comp: Composition) -> str | None:
-        elem = GradedElement.basis_element(WORD, comp)
-        return None if antipode_word(elem) == antipode_by_recursion(WORD, comp) else f"alpha={comp}"
-
-    def axiom(basis: str, comp: Composition) -> str | None:
-        # the recursion builds S from m (S (x) id) Delta, so that side holds by construction;
-        # check m (id (x) S) Delta, summed as S(right) left since both wired products commute
-        target = GradedElement.unit(basis) if not comp else GradedElement.zero(basis)
-        acc = {}
-        for left, right in deconcatenations(comp):
-            accumulate_product(acc, antipode_by_recursion(basis, right), ((left, 1),))
-        return None if GradedElement(basis, acc) == target else f"alpha={comp}"
-
-    report.sweep(f"word closed form = recursion through degree {degree}", comps, closed_form)
-    for basis in (MONOMIAL, WORD):
-        report.sweep(f"antipode axiom in basis {basis} through degree {degree}", comps, partial(axiom, basis))
-    return report
-
-
 def _cmd_verify(args) -> int:
     degree = _check_degree(args.degree)
-    suite = args.suite
-    if suite == "antipode":
-        _refuse(args.basis, "--basis", "--suite antipode")
-        report = _verify_antipode(degree)
-    elif suite == "theta-eigen":
-        if args.basis not in (None, "even-odd"):
-            raise CliUsageError("theta-eigen runs on the even-odd basis; drop --basis or pass even-odd")
-        report = theta_eigencheck(None, degree)
-    else:
-        f = resolve_basis(_need(args.basis, "--basis"))
-        if suite == "shuffle-character":
-            ok, violation = is_character(f, degree, WORD)
-            report = VerifyReport(f"shuffle-character for {args.basis}")
-            report.add(
-                f"f(a)f(b) = sum over shuffles through degree {degree}",
-                ok,
-                None if ok else str(violation),
-            )
-        elif suite == "qps":
-            report = verify_qps(f, degree)
-        elif suite == "integrality":
-            ok, witness = check_integral_nonneg(f, degree)
-            report = VerifyReport(f"integrality for {args.basis}")
-            report.add(
-                f"monomial coefficients in Z>=0 through degree {degree}",
-                ok,
-                None if ok else str(witness),
-            )
-        else:  # fg-roundtrip; argparse admits only SUITES
-            report = _verify_fg_roundtrip(f, degree)
+    rule, run_suite = SUITES[args.suite]
+    if rule is None:
+        _refuse(args.basis, "--basis", f"--suite {args.suite}")
+    elif rule == REQUIRED:
+        _need(args.basis, "--basis")
+    elif args.basis not in (None, rule):
+        raise CliUsageError(f"{args.suite} runs on the {rule} basis; drop --basis or pass {rule}")
+    report = run_suite(args.basis, degree)
     _emit(report.render(), args.out)
     return 0 if report.passed else 2
 

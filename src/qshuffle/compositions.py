@@ -81,7 +81,7 @@ class Composition(tuple):
         parts = []
         for chunk in text.split(","):
             chunk = chunk.strip()
-            if not is_numeral(chunk):
+            if not is_numeral(check_length(chunk, "bad composition part")):
                 raise ValueError(f"bad composition part {chunk!r} in {text!r}")
             parts.append(int(chunk))
         return cls(parts)
@@ -103,6 +103,17 @@ def is_numeral(text) -> bool:
     Checked before ``int``, which also takes signs and other scripts.
     """
     return type(text) is str and len(text) <= MAX_DIGITS and text.isascii() and text.isdigit()
+
+
+def check_length(text: str, what: str | None = None) -> str:
+    """text, if it has at most MAX_DIGITS characters; otherwise ValueError naming its length, not echoing it.
+
+    what, if given, leads the message, as in ``bad pair: a number has 5000 characters; ...``.
+    """
+    if len(text) > MAX_DIGITS:
+        capped = f"a number has {len(text)} characters; numbers are capped at {MAX_DIGITS}"
+        raise ValueError(f"{what}: {capped}" if what else capped)
+    return text
 
 
 # builds a Composition from parts already known to be ints >= 1, unchecked;

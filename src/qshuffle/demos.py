@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .compositions import is_numeral
+from .compositions import check_length, is_numeral
 from .elements import GradedElement, MONOMIAL
 from .universal import (
     CharacterPowerEvaluator,
@@ -98,14 +98,15 @@ class _LabelledPairs(tuple):
     def _parse(cls, text: str) -> tuple[int, list[tuple[int, int]]]:
         """n and the checked pairs of ``n; u<SEP>v,...``; the pair list may be empty."""
         head, _, tail = text.partition(";")
-        if not is_numeral(head.strip()):
+        if not is_numeral(check_length(head.strip(), "bad count")):
             raise ValueError(f"bad count in {text!r}")
         n = int(head)
         pairs = []
         for chunk in tail.split(",") if tail.strip() else ():
             chunk = chunk.strip()
             u, _, v = chunk.partition(cls._sep)
-            if not (is_numeral(u.strip()) and is_numeral(v.strip())):
+            u, v = check_length(u.strip(), "bad pair"), check_length(v.strip(), "bad pair")
+            if not (is_numeral(u) and is_numeral(v)):
                 raise ValueError(f"bad pair {chunk!r} in {text!r}")
             pairs.append((int(u), int(v)))
         return n, cls._checked(n, pairs)

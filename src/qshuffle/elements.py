@@ -28,11 +28,11 @@ from fractions import Fraction
 
 from .compositions import (
     EMPTY,
-    MAX_DIGITS,
     Composition,
     _quasi_shuffle_pairs,
     _shuffle_pairs,
     canonical_key,
+    check_length,
     deconcatenations,
 )
 from .errors import BasisMismatch, NotAPartition
@@ -58,13 +58,6 @@ def product_rule(basis: str):
 _RATIONAL_TEXT = re.compile(r"-?\d+(/\d+|\.\d+)?", re.ASCII)
 
 
-def _check_length(text: str) -> str:
-    """text, if it has at most MAX_DIGITS characters; ValueError otherwise."""
-    if len(text) > MAX_DIGITS:
-        raise ValueError(f"a number has {len(text)} characters; numbers are capped at {MAX_DIGITS}")
-    return text
-
-
 def parse_rational(value) -> Fraction:
     """An exact rational from outside: an int (not a bool) or text like ``-3``, ``2/5`` or ``1.25``.
 
@@ -73,7 +66,7 @@ def parse_rational(value) -> Fraction:
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(_check_length(value)):
+    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(check_length(value)):
         den = value.partition("/")[2]
         if not den or int(den):
             return Fraction(value)
@@ -239,7 +232,7 @@ class GradedElement(_TermMap):
         with a list comp and a coef, raises ValueError, as does a composition
         listed twice or a number longer than MAX_DIGITS.
         """
-        data = json.loads(text, parse_int=lambda digits: int(_check_length(digits)))
+        data = json.loads(text, parse_int=lambda digits: int(check_length(digits)))
         data = _json_object(data, "element", ("basis", "terms"))
         terms: dict[Composition, Fraction] = {}
         for t in _json_list(data, "terms"):

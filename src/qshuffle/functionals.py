@@ -11,23 +11,19 @@ Convolution is
 and only uses deconcatenation, so the same calculus serves both algebras;
 whether a given functional is a character depends on which product (quasi-
 shuffle or shuffle) the basis carries, hence the basis argument on the
-predicates.
+predicates in ``verify``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .compositions import (
-    Composition, coarsening_products, deconcatenations, pairs_up_to, rational_sum
-)
+from .compositions import Composition, coarsening_products, deconcatenations, rational_sum
 from .compositions import nonempty_splits  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
-from .elements import GradedElement, product_rule
+from .elements import GradedElement
 from .errors import NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
-from .report import first_witness
 
 
 class Functional:
@@ -139,57 +135,3 @@ def lie_bracket(xi1: Functional, xi2: Functional) -> Functional:
         left.value_at_empty - right.value_at_empty,
         lambda comp: left(comp) - right(comp),
     )
-
-
-@dataclass(frozen=True)
-class Violation:
-    """First failure found by a predicate sweep."""
-
-    kind: str
-    alpha: Composition | None
-    beta: Composition | None
-    expected: Fraction
-    actual: Fraction
-
-    def __str__(self) -> str:
-        if self.kind == "value-at-empty":
-            return f"value at empty composition is {self.actual}, expected {self.expected}"
-        return (
-            f"pair alpha={self.alpha}, beta={self.beta}: "
-            f"got {self.actual}, expected {self.expected}"
-        )
-
-
-def _product_sweep(phi: Functional, max_degree: int, basis: str, value_at_empty: int):
-    """phi(b b') must be phi(b) phi(b') for a character (value 1 at empty), 0 for an infinitesimal one."""
-    if phi.value_at_empty != value_at_empty:
-        return False, Violation("value-at-empty", None, None, Fraction(value_at_empty), phi.value_at_empty)
-
-    def violation(pair) -> Violation | None:
-        alpha, beta = pair
-        lhs = sum(mult * phi(word) for word, mult in product_rule(basis)(alpha, beta).items())
-        rhs = phi(alpha) * phi(beta) if value_at_empty else Fraction(0)
-        return None if lhs == rhs else Violation("product", alpha, beta, rhs, lhs)
-
-    witness = first_witness(pairs_up_to(max_degree), violation)
-    return witness is None, witness
-
-
-def is_character(
-    phi: Functional, max_degree: int, basis: str = "M"
-) -> tuple[bool, Violation | None]:
-    """Multiplicative with value 1 at the unit, checked exhaustively.
-
-    Products of basis elements are taken in the stated basis, pairs swept in
-    canonical order up to total degree max_degree; returns the first
-    violation found.  In the word basis this is the shuffle-character
-    property f(alpha) f(beta) = sum of f over the shuffles.
-    """
-    return _product_sweep(phi, max_degree, basis, 1)
-
-
-def is_infinitesimal_character(
-    phi: Functional, max_degree: int, basis: str = "M"
-) -> tuple[bool, Violation | None]:
-    """Vanishes at the unit and on every product of positive-degree elements."""
-    return _product_sweep(phi, max_degree, basis, 0)

@@ -29,14 +29,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .characters import basis_expand, even_odd_character, f_to_g, require_normalized
-from .compositions import (
-    Composition, EMPTY, compositions_of, compositions_up_to, deconcatenations
-)
+from .characters import basis_expand, f_to_g, require_normalized
+from .compositions import Composition, EMPTY, compositions_of, deconcatenations
 from .elements import GradedElement, MONOMIAL, WORD, as_coefficient, linear_image
 from .errors import BasisMismatch, DegreeMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional
-from .report import VerifyReport
 
 Label = Hashable
 
@@ -226,37 +223,6 @@ def theta(h: GradedElement) -> GradedElement:
     if h.basis != MONOMIAL:
         raise BasisMismatch(f"theta acts on the {MONOMIAL!r} basis, got {h.basis!r}")
     return linear_image(h, _theta_of_monomial)
-
-
-def theta_eigencheck(f_even: Functional | None, max_degree: int) -> VerifyReport:
-    """Verify theta acts on an even-odd shuffle basis with eigenvalues 2^length.
-
-    The basis comes from the character that sends an even-then-odd
-    composition to f_even on its even block over odds-factorial, zero
-    elsewhere; f_even = None takes the stock 1/length!.  X_alpha with all
-    parts odd must be an eigenvector with eigenvalue 2^length; all other
-    X_alpha must map to zero.
-    """
-    f = even_odd_character(f_even=f_even)
-    label = "stock" if f_even is None else (f_even.name or "custom")
-    report = VerifyReport(f"theta eigencheck (even block: {label})")
-    # disjoint case lists, so each X_alpha is expanded and mapped once
-    odd, other = [], []
-    for alpha in compositions_up_to(max_degree):
-        (odd if all(p % 2 == 1 for p in alpha) else other).append(alpha)
-
-    def eigen_witness(alpha: Composition) -> str | None:
-        x_alpha = basis_expand(f, alpha)
-        if theta(x_alpha) != x_alpha.scaled(Fraction(2) ** alpha.length):
-            return f"alpha={alpha}"
-        return None
-
-    def zero_witness(alpha: Composition) -> str | None:
-        return None if theta(basis_expand(f, alpha)).is_zero() else f"alpha={alpha}"
-
-    report.sweep(f"odd-part X_alpha scale by 2^length through degree {max_degree}", odd, eigen_witness)
-    report.sweep(f"other X_alpha map to zero through degree {max_degree}", other, zero_witness)
-    return report
 
 
 # ---------------------------------------------------------------------------

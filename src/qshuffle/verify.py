@@ -1,0 +1,330 @@
+"""Exhaustive verification: the suites of ``qshuffle verify`` and the predicates behind them.
+
+Every check is an exhaustive search: it walks its cases in canonical order
+and stops at the first counterexample, the witness.  ``first_witness`` is
+that search, and ``VerifyReport.sweep`` records its outcome as one check.
+``SUITES`` maps each suite name to its ``--basis`` rule and its body.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache, partial
+from typing import Callable, Iterable
+
+from .characters import (
+    basis_expand, even_odd_character, f_to_g, g_to_f, qps_expand, require_normalized, resolve_basis
+)
+from .compositions import (
+    Composition, coarsening_products, compositions_up_to, deconcatenations, pairs_up_to, partitions_of,
+    rational, rearrangements, shuffle, stats,
+)
+from .elements import (
+    GradedElement, MONOMIAL, TensorElement, WORD, accumulate_product, antipode_by_recursion, antipode_word,
+    coproduct, power_sum, product, product_rule,
+)
+from .functionals import Functional
+from .universal import theta
+
+
+def first_witness(cases: Iterable, witness_of: Callable):
+    """The first non-None witness_of(case) over cases in order; None when every case holds."""
+    for case in cases:
+        witness = witness_of(case)
+        if witness is not None:
+            return witness
+    return None
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    witness: str | None = None
+
+    def line(self) -> str:
+        if self.passed:
+            return f"[PASS] {self.name}"
+        suffix = f": {self.witness}" if self.witness else ""
+        return f"[FAIL] {self.name}{suffix}"
+
+
+@dataclass
+class VerifyReport:
+    title: str
+    checks: list[CheckResult] = field(default_factory=list)
+
+    def add(self, name: str, witness=None) -> None:
+        """Add the check name: it passes when witness is None and fails showing str(witness) otherwise."""
+        self.checks.append(CheckResult(name, witness is None, None if witness is None else str(witness)))
+
+    def sweep(self, name: str, cases: Iterable, witness_of: Callable[..., str | None]) -> None:
+        """Add the check name: it fails with the first witness found over cases."""
+        self.add(name, first_witness(cases, witness_of))
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def render(self) -> str:
+        out = [c.line() for c in self.checks]
+        n_fail = sum(1 for c in self.checks if not c.passed)
+        verdict = "all passed" if n_fail == 0 else f"{n_fail} failed"
+        out.append(f"{self.title}: {len(self.checks)} checks, {verdict}")
+        return "\n".join(out)
+
+
+@dataclass(frozen=True)
+class Violation:
+    """First failure found by a predicate sweep."""
+
+    kind: str
+    alpha: Composition | None
+    beta: Composition | None
+    expected: Fraction
+    actual: Fraction
+
+    def __str__(self) -> str:
+        if self.kind == "value-at-empty":
+            return f"value at empty composition is {self.actual}, expected {self.expected}"
+        return (
+            f"pair alpha={self.alpha}, beta={self.beta}: "
+            f"got {self.actual}, expected {self.expected}"
+        )
+
+
+def _product_sweep(phi: Functional, max_degree: int, basis: str, value_at_empty: int):
+    """phi(b b') must be phi(b) phi(b') for a character (value 1 at empty), 0 for an infinitesimal one."""
+    if phi.value_at_empty != value_at_empty:
+        return False, Violation("value-at-empty", None, None, Fraction(value_at_empty), phi.value_at_empty)
+
+    def violation(pair) -> Violation | None:
+        alpha, beta = pair
+        lhs = sum(mult * phi(word) for word, mult in product_rule(basis)(alpha, beta).items())
+        rhs = phi(alpha) * phi(beta) if value_at_empty else Fraction(0)
+        return None if lhs == rhs else Violation("product", alpha, beta, rhs, lhs)
+
+    witness = first_witness(pairs_up_to(max_degree), violation)
+    return witness is None, witness
+
+
+def is_character(
+    phi: Functional, max_degree: int, basis: str = "M"
+) -> tuple[bool, Violation | None]:
+    """Multiplicative with value 1 at the unit, checked exhaustively.
+
+    Products of basis elements are taken in the stated basis, pairs swept in
+    canonical order up to total degree max_degree; returns the first
+    violation found.  In the word basis this is the shuffle-character
+    property f(alpha) f(beta) = sum of f over the shuffles.
+    """
+    return _product_sweep(phi, max_degree, basis, 1)
+
+
+def is_infinitesimal_character(
+    phi: Functional, max_degree: int, basis: str = "M"
+) -> tuple[bool, Violation | None]:
+    """Vanishes at the unit and on every product of positive-degree elements."""
+    return _product_sweep(phi, max_degree, basis, 0)
+
+
+@dataclass(frozen=True)
+class IntegralityWitness:
+    alpha: Composition
+    beta: Composition
+    value: Fraction
+
+    def __str__(self) -> str:
+        return f"aut({self.alpha}) f({self.alpha}, {self.beta}) = {self.value}"
+
+
+def check_integral_nonneg(
+    f: Functional, max_degree: int
+) -> tuple[bool, IntegralityWitness | None]:
+    """Do all monomial coefficients of the P_alpha lie in the nonnegative integers?
+
+    Sweeps aut(alpha) f(alpha, beta) over refinement pairs up to max_degree
+    (test A) and, independently, the single-block values aut(alpha) f(alpha)
+    (test B, which is equivalent); both are run and must agree.  Returns the
+    first test-A witness in canonical order.
+    """
+    require_normalized(f, max_degree)
+
+    def is_nonneg_integer(x: Fraction) -> bool:
+        return x.denominator == 1 and x >= 0
+
+    def refinement_witness(alpha: Composition) -> IntegralityWitness | None:
+        aut = stats(alpha).aut_count
+
+        def witness_of(term) -> IntegralityWitness | None:
+            beta, num, den = term
+            value = rational(aut * num, den)
+            return None if is_nonneg_integer(value) else IntegralityWitness(alpha, beta, value)
+
+        return first_witness(coarsening_products(f, alpha), witness_of)
+
+    witness = first_witness(compositions_up_to(max_degree)[1:], refinement_witness)
+
+    single_block_ok = all(
+        is_nonneg_integer(stats(alpha).aut_count * f(alpha)) for alpha in compositions_up_to(max_degree)[1:]
+    )
+
+    if (witness is None) != single_block_ok:
+        raise AssertionError("refinement-pair and single-block integrality tests disagree")
+    return witness is None, witness
+
+
+# ---------------------------------------------------------------------------
+# suites
+
+
+def verify_qps(
+    f: Functional, max_degree: int, partition_degree: int | None = None
+) -> VerifyReport:
+    """Check the three power sum axioms exhaustively.
+
+    (i) products against z-scaled shuffles for |alpha|+|beta| <= max_degree,
+    (ii) deconcatenation coproducts with z-value scalings for |alpha| <=
+    max_degree, (iii) rearrangement classes summing to p_lambda for
+    partitions of n <= partition_degree (defaults to max_degree).
+    """
+    if partition_degree is None:
+        partition_degree = max_degree
+    label = f.name or "f"
+    report = VerifyReport(f"qps axioms for {label}")
+    # P_alpha for each composition once; the memo goes when the sweep ends
+    qps = lru_cache(maxsize=None)(partial(qps_expand, f))
+
+    def product_rule(pair) -> str | None:
+        alpha, beta = pair
+        lhs = product(qps(alpha), qps(beta))
+        scale = Fraction(stats(alpha).z_value * stats(beta).z_value, stats(alpha + beta).z_value)
+        shuffled = (
+            (comp, coef * mult)
+            for gamma, mult in shuffle(alpha, beta).items()
+            for comp, coef in qps(gamma).terms.items()
+        )
+        rhs = GradedElement(MONOMIAL, shuffled).scaled(scale)
+        return None if lhs == rhs else f"alpha={alpha}, beta={beta}"
+
+    def coproduct_rule(alpha: Composition) -> str | None:
+        z_alpha = stats(alpha).z_value
+        lhs = coproduct(qps(alpha))
+        splits = [
+            (left, right, Fraction(z_alpha, stats(left).z_value * stats(right).z_value))
+            for left, right in deconcatenations(alpha)
+        ]
+        rhs = (
+            ((cl, cr), scale * vl * vr)
+            for left, right, scale in splits
+            for cl, vl in qps(left).terms.items()
+            for cr, vr in qps(right).terms.items()
+        )
+        return None if lhs == TensorElement(MONOMIAL, rhs) else f"alpha={alpha}"
+
+    def refinement_rule(lam: Composition) -> str | None:
+        # the constructor sums the terms of equal compositions
+        total = GradedElement(
+            MONOMIAL, (term for alpha in rearrangements(lam) for term in qps(alpha).terms.items())
+        )
+        return None if total == power_sum(lam) else f"lambda={lam}"
+
+    report.sweep(f"product rule through degree {max_degree}", pairs_up_to(max_degree), product_rule)
+    report.sweep(
+        f"coproduct rule through degree {max_degree}", compositions_up_to(max_degree), coproduct_rule
+    )
+    partitions = (lam for n in range(1, partition_degree + 1) for lam in partitions_of(n))
+    report.sweep(f"power sum refinement through degree {partition_degree}", partitions, refinement_rule)
+    return report
+
+
+def theta_eigencheck(f_even: Functional | None, max_degree: int) -> VerifyReport:
+    """Verify theta acts on an even-odd shuffle basis with eigenvalues 2^length.
+
+    The basis comes from the character that sends an even-then-odd
+    composition to f_even on its even block over odds-factorial, zero
+    elsewhere; f_even = None takes the stock 1/length!.  X_alpha with all
+    parts odd must be an eigenvector with eigenvalue 2^length; all other
+    X_alpha must map to zero.
+    """
+    f = even_odd_character(f_even=f_even)
+    label = "stock" if f_even is None else (f_even.name or "custom")
+    report = VerifyReport(f"theta eigencheck (even block: {label})")
+    # disjoint case lists, so each X_alpha is expanded and mapped once
+    odd, other = [], []
+    for alpha in compositions_up_to(max_degree):
+        (odd if all(p % 2 == 1 for p in alpha) else other).append(alpha)
+
+    def eigen_witness(alpha: Composition) -> str | None:
+        x_alpha = basis_expand(f, alpha)
+        return None if theta(x_alpha) == x_alpha.scaled(Fraction(2) ** alpha.length) else f"alpha={alpha}"
+
+    def zero_witness(alpha: Composition) -> str | None:
+        return None if theta(basis_expand(f, alpha)).is_zero() else f"alpha={alpha}"
+
+    report.sweep(f"odd-part X_alpha scale by 2^length through degree {max_degree}", odd, eigen_witness)
+    report.sweep(f"other X_alpha map to zero through degree {max_degree}", other, zero_witness)
+    return report
+
+
+def _shuffle_character(basis: str, degree: int) -> VerifyReport:
+    report = VerifyReport(f"shuffle-character for {basis}")
+    _, violation = is_character(resolve_basis(basis), degree, WORD)
+    report.add(f"f(a)f(b) = sum over shuffles through degree {degree}", violation)
+    return report
+
+
+def _integrality(basis: str, degree: int) -> VerifyReport:
+    report = VerifyReport(f"integrality for {basis}")
+    _, witness = check_integral_nonneg(resolve_basis(basis), degree)
+    report.add(f"monomial coefficients in Z>=0 through degree {degree}", witness)
+    return report
+
+
+def _fg_roundtrip(basis: str, degree: int) -> VerifyReport:
+    f = resolve_basis(basis)
+    report = VerifyReport("fg-roundtrip")
+    back = g_to_f(f_to_g(f))
+
+    def mismatch(comp: Composition) -> str | None:
+        return None if back(comp) == f(comp) else f"alpha={comp}: {back(comp)} != {f(comp)}"
+
+    report.sweep(f"g_to_f(f_to_g(f)) = f through degree {degree}", compositions_up_to(degree), mismatch)
+    return report
+
+
+def _antipode(_basis: None, degree: int) -> VerifyReport:
+    report = VerifyReport("antipode")
+    comps = compositions_up_to(degree)
+
+    def closed_form(comp: Composition) -> str | None:
+        elem = GradedElement.basis_element(WORD, comp)
+        return None if antipode_word(elem) == antipode_by_recursion(WORD, comp) else f"alpha={comp}"
+
+    def axiom(basis: str, comp: Composition) -> str | None:
+        # the recursion builds S from m (S (x) id) Delta, so that side holds by construction;
+        # check m (id (x) S) Delta, summed as S(right) left since both wired products commute
+        target = GradedElement.unit(basis) if not comp else GradedElement.zero(basis)
+        acc = {}
+        for left, right in deconcatenations(comp):
+            accumulate_product(acc, antipode_by_recursion(basis, right), ((left, 1),))
+        return None if GradedElement(basis, acc) == target else f"alpha={comp}"
+
+    report.sweep(f"word closed form = recursion through degree {degree}", comps, closed_form)
+    for basis in (MONOMIAL, WORD):
+        report.sweep(f"antipode axiom in basis {basis} through degree {degree}", comps, partial(axiom, basis))
+    return report
+
+
+# a suite's --basis rule: REQUIRED, None for a suite that takes no basis, or the one basis it runs on
+REQUIRED = "required"
+# suite name -> (its --basis rule, its body: run(basis text or None, degree) -> VerifyReport)
+SUITES = {
+    "shuffle-character": (REQUIRED, _shuffle_character),
+    "qps": (REQUIRED, lambda basis, degree: verify_qps(resolve_basis(basis), degree)),
+    "antipode": (None, _antipode),
+    "theta-eigen": ("even-odd", lambda basis, degree: theta_eigencheck(None, degree)),
+    "integrality": (REQUIRED, _integrality),
+    "fg-roundtrip": (REQUIRED, _fg_roundtrip),
+}

@@ -69,7 +69,7 @@ from functools import lru_cache
 from itertools import combinations, product as iter_product
 from math import comb, factorial
 
-from qshuffle.characters import IntegralityWitness, _diagonal, basis_expand, require_normalized, single
+from qshuffle.characters import _diagonal, basis_expand, require_normalized, single
 from qshuffle.compositions import (
     EMPTY,
     Composition,
@@ -85,8 +85,8 @@ from qshuffle.demos import SmallGraph, SmallPoset, all_graphs, all_posets, xi_un
 from qshuffle.elements import MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, product
 from qshuffle.errors import BasisMismatch, DegreeMismatch, NotARefinement
 from qshuffle.functionals import Functional, convolve, functional_inverse
-from qshuffle.report import first_witness
 from qshuffle.universal import canonical, qsym_provider, universal_to_qsym
+from qshuffle.verify import IntegralityWitness, first_witness
 
 _antipode_cache: dict[tuple[str, Composition], GradedElement] = {}
 

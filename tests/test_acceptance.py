@@ -15,13 +15,11 @@ import pytest
 from qshuffle.characters import (
     BUILTIN_NAMES,
     builtin,
-    check_integral_nonneg,
     closed_form_g,
     f_to_g,
     g_to_f,
     order_basis_character,
     prefix_sum_character,
-    verify_qps,
 )
 from qshuffle.compositions import (
     Composition,
@@ -42,13 +40,13 @@ from qshuffle.elements import (
     counit,
     product,
 )
-from qshuffle.functionals import Functional, exp_functional, is_character, log_functional
+from qshuffle.functionals import Functional, exp_functional, log_functional
 from qshuffle.universal import (
     canonical,
     infchar_to_char,
     sh_provider,
-    theta_eigencheck,
 )
+from qshuffle.verify import check_integral_nonneg, is_character, theta_eigencheck, verify_qps
 
 from oracles import expand_polynomial, nu_via_convolution, polynomial_product
 

@@ -11,7 +11,6 @@ from qshuffle.characters import (
     basis_contract,
     basis_expand,
     builtin,
-    check_integral_nonneg,
     closed_form_g,
     even_odd_character,
     f_to_g,
@@ -22,7 +21,6 @@ from qshuffle.characters import (
     prefix_sum_character,
     qps_expand,
     resolve_basis,
-    verify_qps,
 )
 from qshuffle.compositions import EMPTY, Composition, compositions_up_to, stats
 from qshuffle.elements import MONOMIAL, WORD, GradedElement, format_element
@@ -31,9 +29,9 @@ from qshuffle.functionals import (
     convolve,
     counit_functional,
     exp_functional,
-    is_character,
     log_functional,
 )
+from qshuffle.verify import check_integral_nonneg, is_character, verify_qps
 from qshuffle.errors import (
     EvenSizeUnsupported,
     NotNormalized,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qshuffle import cli, elements
+from qshuffle import cli, elements, verify
 from qshuffle.cli import MAX_DEGREE, SUITES, run
 from qshuffle.compositions import MAX_DIGITS, quasi_shuffle
 from qshuffle.elements import MONOMIAL, WORD
@@ -185,6 +185,27 @@ def test_verify_theta_eigen_rejects_other_basis(capsys):
     )
     assert code == 1
     assert "even-odd" in err
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_each_suite_applies_its_basis_rule(capsys, name):
+    rule, _ = verify.SUITES[name]
+
+    def with_basis(*basis):
+        code, out, err = invoke(capsys, "verify", "--suite", name, "--degree", "2", *basis)
+        return code if code != 1 else err
+
+    if rule == verify.REQUIRED:
+        assert with_basis() == "error: --basis is required for this command\n"
+        assert with_basis("--basis", "type2") in (0, 2)
+    elif rule is None:
+        assert with_basis() in (0, 2)
+        assert with_basis("--basis", "type2") == f"error: --basis does not apply to --suite {name}\n"
+    else:
+        assert with_basis() in (0, 2) and with_basis("--basis", rule) in (0, 2)
+        assert with_basis("--basis", "type2") == (
+            f"error: {name} runs on the {rule} basis; drop --basis or pass {rule}\n"
+        )
 
 
 def test_theta_command(capsys):
@@ -496,6 +517,35 @@ def test_numbers_at_the_digit_cap_are_accepted(capsys):
     assert (code, out) == (0, f"1/{at_cap} M[1]\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--basis", "type1", "--comp", "9" * 5000),
+        ("expand", "--basis", "order:" + "9" * 5000),
+        ("demo-poset", "--input", "9" * 5000 + "; 1<2"),
+        ("phi", "--hopf", "graph", "--input", "3; " + "9" * 5000 + "-2"),
+    ],
+    ids=("comp", "order", "poset-count", "graph-pair"),
+)
+def test_an_over_long_numeral_is_named_by_its_length_not_echoed(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert f"a number has 5000 characters; numbers are capped at {MAX_DIGITS}" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter prints ints of any length")
+def test_an_output_number_past_the_interpreters_digit_limit_names_its_table_cell(capsys):
+    sevens = "7" * MAX_DIGITS
+    basis = f"prefix-sum:1,{sevens},3,{sevens},5/{'3' * (MAX_DIGITS - 2)}"
+    code, out, err = invoke(capsys, "table", "--basis", basis, "--degree", "10", "--kind", "shuffle")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the table cell at alpha=C[1,1,1,1,2,1,1,1,1], beta=C[1,1,1,1,6] "
+        f"has more than {sys.get_int_max_str_digits()} digits, too many to print\n"
+    )
+
+
 def test_exact_rationals_are_accepted(capsys):
     # theta(M[1]) = 2 M[1]
     for coef, expected in (('"1/3"', "2/3 M[1]\n"), ('"3"', "6 M[1]\n"), ("3", "6 M[1]\n"), ('"-1.5"', "-3 M[1]\n")):
@@ -658,13 +708,13 @@ def test_flags_a_command_ignores_are_rejected(capsys, argv, shown):
 
 def test_verify_fg_roundtrip_reports_the_first_mismatch(capsys, monkeypatch):
     # no basis the CLI accepts breaks the round trip, so break g_to_f at [1,1]
-    real = cli.g_to_f
+    real = verify.g_to_f
 
     def off_at_11(g):
         back = real(g)
         return lambda comp: back(comp) + (1 if comp == (1, 1) else 0)
 
-    monkeypatch.setattr(cli, "g_to_f", off_at_11)
+    monkeypatch.setattr(verify, "g_to_f", off_at_11)
     code, out, err = invoke(capsys, "verify", "--suite", "fg-roundtrip", "--basis", "type1", "--degree", "3")
     assert code == 2
     assert out.splitlines() == [
@@ -674,7 +724,7 @@ def test_verify_fg_roundtrip_reports_the_first_mismatch(capsys, monkeypatch):
 
 
 def test_verify_antipode_reports_a_wrong_closed_form(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "antipode_word", lambda h: h)
+    monkeypatch.setattr(verify, "antipode_word", lambda h: h)
     code, out, err = invoke(capsys, "verify", "--suite", "antipode", "--degree", "3")
     assert code == 2
     assert out.splitlines() == [
@@ -711,13 +761,13 @@ def test_verify_antipode_reports_a_wrong_closed_form(capsys, monkeypatch):
 )
 def test_verify_antipode_reports_a_wrong_recursion(capsys, monkeypatch, basis, lines):
     # S doubled on one basis breaks its axiom, S(1) b + S(b) 1 = 0, at b = [1]
-    real = cli.antipode_by_recursion
+    real = verify.antipode_by_recursion
 
     def doubled(b, comp):
         image = real(b, comp)
         return image.scaled(2) if b == basis and comp else image
 
-    monkeypatch.setattr(cli, "antipode_by_recursion", doubled)
+    monkeypatch.setattr(verify, "antipode_by_recursion", doubled)
     code, out, err = invoke(capsys, "verify", "--suite", "antipode", "--degree", "3")
     assert code == 2
     assert out.splitlines() == lines
@@ -803,6 +853,30 @@ def test_library_modules_import_no_private_names_from_each_other():
                     if alias.name.startswith("_") and (node.module, alias.name) not in pinned
                 ]
     assert found == []
+
+
+def test_algebra_layers_import_no_verification_code():
+    # verify builds on the algebra, never the other way round
+    found = []
+    for layer in ("compositions", "elements", "functionals", "characters", "universal", "demos"):
+        path = REPO_ROOT / "src" / "qshuffle" / f"{layer}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(layer, name) for name in names if "verify" in name.split(".")]
+    assert found == []
+
+
+def test_all_lists_importable_names_and_no_modules():
+    import qshuffle
+
+    assert len(set(qshuffle.__all__)) == len(qshuffle.__all__)
+    for name in qshuffle.__all__:
+        assert not isinstance(getattr(qshuffle, name), type(qshuffle)), name
 
 
 def test_demo_graph_at_the_cap_finishes():

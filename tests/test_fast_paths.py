@@ -20,7 +20,6 @@ from qshuffle.characters import (
     basis_contract,
     basis_expand,
     builtin,
-    check_integral_nonneg,
     f_to_g,
     g_to_f,
     normalize,
@@ -68,6 +67,7 @@ from qshuffle.elements import (
 )
 from qshuffle.functionals import Functional, exp_functional, log_functional
 from qshuffle.universal import CharacterPowerEvaluator, canonical, qsym_provider, theta
+from qshuffle.verify import check_integral_nonneg
 
 import oracles
 

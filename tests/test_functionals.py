@@ -15,12 +15,11 @@ from qshuffle.functionals import (
     counit_functional,
     exp_functional,
     functional_inverse,
-    is_character,
-    is_infinitesimal_character,
     lie_bracket,
     log_functional,
 )
 from qshuffle.universal import canonical
+from qshuffle.verify import is_character, is_infinitesimal_character
 
 C = Composition
 DEGREE = 6

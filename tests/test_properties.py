@@ -8,7 +8,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from qshuffle.characters import BUILTIN_NAMES, basis_contract, builtin, check_integral_nonneg, f_to_g, qps_expand
+from qshuffle.characters import BUILTIN_NAMES, basis_contract, builtin, f_to_g, qps_expand
 from qshuffle.compositions import compositions_of
 from qshuffle.demos import (
     SmallGraph,
@@ -26,6 +26,7 @@ from qshuffle.demos import (
 from qshuffle.elements import MONOMIAL, antipode_by_recursion
 from qshuffle.functionals import exp_functional
 from qshuffle.universal import canonical
+from qshuffle.verify import check_integral_nonneg
 
 import oracles
 from oracles import _proper_coloring_count, ordered_stable_partitions

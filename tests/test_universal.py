@@ -15,7 +15,7 @@ from qshuffle.errors import (
     NotAnInfinitesimalCharacter,
     NotNormalized,
 )
-from qshuffle.functionals import exp_functional, is_character, log_functional
+from qshuffle.functionals import exp_functional, log_functional
 from qshuffle.universal import (
     CANONICAL_NAMES,
     CharacterPowerEvaluator,
@@ -25,10 +25,10 @@ from qshuffle.universal import (
     qsym_provider,
     sh_provider,
     theta,
-    theta_eigencheck,
     universal_to_qsym,
     universal_to_sh,
 )
+from qshuffle.verify import is_character, theta_eigencheck
 
 from oracles import nu_via_convolution
 
