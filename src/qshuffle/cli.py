@@ -20,7 +20,7 @@ from functools import partial
 
 from . import demos
 from .characters import basis_contract, basis_expand, f_to_g, qps_expand, resolve_basis
-from .compositions import Composition, compositions_of, compositions_up_to, is_numeral, stats
+from .compositions import Composition, check_length, compositions_of, compositions_up_to, is_numeral, shown, stats
 from .elements import GradedElement, MONOMIAL, WORD, format_element
 from .errors import EngineError
 from .functionals import exp_functional, log_functional
@@ -120,9 +120,16 @@ def build_parser() -> _Parser:
 
 
 def _degree_arg(text: str) -> int:
-    """--degree as ASCII digits; int() alone would also take signs, spaces and other scripts."""
+    """--degree as ASCII digits; int() alone would also take signs, spaces and other scripts.
+
+    An over-long text is named by its length instead of being echoed.
+    """
+    try:
+        check_length(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
     if not is_numeral(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}")
     return int(text)
 
 

@@ -82,7 +82,7 @@ class Composition(tuple):
         for chunk in text.split(","):
             chunk = chunk.strip()
             if not is_numeral(check_length(chunk, "bad composition part")):
-                raise ValueError(f"bad composition part {chunk!r} in {text!r}")
+                raise ValueError(f"bad composition part {shown(chunk)} in {shown(text)}")
             parts.append(int(chunk))
         return cls(parts)
 
@@ -114,6 +114,15 @@ def check_length(text: str, what: str | None = None) -> str:
         capped = f"a number has {len(text)} characters; numbers are capped at {MAX_DIGITS}"
         raise ValueError(f"{what}: {capped}" if what else capped)
     return text
+
+
+# the most characters of an input text that an error message repeats
+MAX_SHOWN = 200
+
+
+def shown(text: str) -> str:
+    """text as an error message quotes it: its repr when short, otherwise its length, not its content."""
+    return repr(text) if len(text) <= MAX_SHOWN else f"a text of {len(text)} characters"
 
 
 # builds a Composition from parts already known to be ints >= 1, unchecked;

@@ -12,6 +12,11 @@ ideals against their complements, the constant 1 a character.  Its
 universal image counts flags of ideals by layer sizes, and pairing with the
 weighted-last-part functional detects a unique minimal element.
 
+Both coproducts take their induced structures from ``_induced_table``, one
+table shared by every label and keyed by the class, the label count, the
+mask and the label's pairs inside the mask; it grows with the labels seen,
+like the two coproduct caches ``_graph_coproduct`` and ``_poset_coproduct``.
+
 Everything stays labeled; the functionals used are isomorphism-invariant,
 which the tests check through relabelings.
 """
@@ -23,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .compositions import check_length, is_numeral
+from .compositions import check_length, is_numeral, shown
 from .elements import GradedElement, MONOMIAL
 from .universal import (
     CharacterPowerEvaluator,
@@ -99,7 +104,7 @@ class _LabelledPairs(tuple):
         """n and the checked pairs of ``n; u<SEP>v,...``; the pair list may be empty."""
         head, _, tail = text.partition(";")
         if not is_numeral(check_length(head.strip(), "bad count")):
-            raise ValueError(f"bad count in {text!r}")
+            raise ValueError(f"bad count in {shown(text)}")
         n = int(head)
         pairs = []
         for chunk in tail.split(",") if tail.strip() else ():
@@ -107,7 +112,7 @@ class _LabelledPairs(tuple):
             u, _, v = chunk.partition(cls._sep)
             u, v = check_length(u.strip(), "bad pair"), check_length(v.strip(), "bad pair")
             if not (is_numeral(u) and is_numeral(v)):
-                raise ValueError(f"bad pair {chunk!r} in {text!r}")
+                raise ValueError(f"bad pair {shown(chunk)} in {shown(text)}")
             pairs.append((int(u), int(v)))
         return n, cls._checked(n, pairs)
 
@@ -120,20 +125,49 @@ class _LabelledPairs(tuple):
         return f"{self._prefix}<{self.to_text()}>"
 
 
+@lru_cache(maxsize=None)
+def _inside(n: int) -> list[int]:
+    """For each mask of labels 1..n, the bits (u-1)*n + (v-1) of the ordered pairs (u, v) inside it.
+
+    A mask's pairs are those of the mask without its lowest label plus the
+    row and the column of that label within the mask.
+    """
+    column = [0] * (1 << n)  # bit (w-1)*n for each label w of the mask
+    out = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        rest = mask & (mask - 1)
+        low = (mask ^ rest).bit_length() - 1
+        column[mask] = column[rest] | 1 << low * n
+        out[mask] = out[rest] | mask << low * n | column[mask] << low
+    return out
+
+
+# (class, n, mask, the pair bits of the relation inside the mask) -> the induced
+# structure; one table for every label's coproduct, growing with the labels seen
+_induced_table: dict[tuple[type, int, int, int], _LabelledPairs] = {}
+
+
 def _split_coproduct(
     x: _LabelledPairs, masks
 ) -> tuple[tuple[tuple[_LabelledPairs, _LabelledPairs], int], ...]:
     """The coproduct of x: x.induced(S) (x) x.induced(rest) summed over the label subsets S, as bitmasks.
 
-    Label i + 1 is bit i.  Each mask's induced structure is built once, from
-    the rank of each kept label, and complements reuse the same builds.
+    Label i + 1 is bit i.  x's pairs are read once into a bitmask of ordered
+    pairs, and each mask's induced structure comes from ``_induced_table``,
+    shared by all labels: labels that agree on the pairs inside a mask get
+    the same object, built once from the rank of each kept label.
     """
     n, pairs = x
+    rel = 0
+    for u, v in pairs:
+        rel |= 1 << ((u - 1) * n + v - 1)
+    inside = _inside(n)
+    cls = type(x)
     full = (1 << n) - 1
-    built = {}
 
     def induced(mask: int) -> _LabelledPairs:
-        out = built.get(mask)
+        key = (cls, n, mask, rel & inside[mask])
+        out = _induced_table.get(key)
         if out is None:
             rank = [0] * (n + 1)  # the new label of each kept label, 0 for a dropped one
             kept = 0
@@ -141,7 +175,9 @@ def _split_coproduct(
                 if mask >> (v - 1) & 1:
                     kept += 1
                     rank[v] = kept
-            out = built[mask] = x._trusted(kept, tuple((rank[u], rank[v]) for u, v in pairs if rank[u] and rank[v]))
+            out = _induced_table[key] = x._trusted(
+                kept, tuple((rank[u], rank[v]) for u, v in pairs if rank[u] and rank[v])
+            )
         return out
 
     return tuple(Counter((induced(mask), induced(full ^ mask)) for mask in masks).items())

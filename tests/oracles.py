@@ -44,9 +44,9 @@ the tests can require both to agree:
   it one composition at a time (the library builds one table of every
   multidegree per label, in one pass over its coproduct);
 * ``split_coproduct``: a demo coproduct by ``induced`` on every label
-  subset and on its complement (the library builds each bitmask's induced
-  structure once, from the ranks of the kept labels, and reuses it for
-  complements);
+  subset and on its complement (the library looks each bitmask's induced
+  structure up in a table shared by all labels, building it from the ranks
+  of the kept labels on a miss);
 * ``of_element``: a functional paired with an element by chained
   ``Fraction`` additions (the library adds int ratios over one common
   denominator).

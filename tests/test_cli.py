@@ -524,14 +524,33 @@ def test_numbers_at_the_digit_cap_are_accepted(capsys):
         ("expand", "--basis", "order:" + "9" * 5000),
         ("demo-poset", "--input", "9" * 5000 + "; 1<2"),
         ("phi", "--hopf", "graph", "--input", "3; " + "9" * 5000 + "-2"),
+        ("table", "--basis", "type1", "--degree", "9" * 5000),
     ],
-    ids=("comp", "order", "poset-count", "graph-pair"),
+    ids=("comp", "order", "poset-count", "graph-pair", "degree"),
 )
 def test_an_over_long_numeral_is_named_by_its_length_not_echoed(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and len(err) < 200
     assert f"a number has 5000 characters; numbers are capped at {MAX_DIGITS}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("expand", "--basis", "type1", "--comp", "1," * 3000 + "x"), "bad composition part 'x' in a text of 6001 characters"),
+        (("phi", "--hopf", "graph", "--input", "3; " + "1-2," * 3000 + "x-1"), "bad pair 'x-1' in a text of 12006 characters"),
+    ],
+    ids=("comp", "graph-pairs"),
+)
+def test_a_long_text_around_a_bad_piece_is_named_by_its_length(capsys, argv, expected):
+    assert invoke(capsys, *argv) == (1, "", f"error: {expected}\n")
+
+
+def test_short_bad_inputs_are_still_quoted(capsys):
+    assert invoke(capsys, "table", "--basis", "type1", "--degree", "x")[2] == "error: argument --degree: invalid int value: 'x'\n"
+    comp = "1," * 99 + "x"  # 199 characters, under the cap on quoted texts
+    assert invoke(capsys, "expand", "--basis", "type1", "--comp", comp)[2] == f"error: bad composition part 'x' in {comp!r}\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter prints ints of any length")

@@ -43,8 +43,12 @@ from qshuffle.compositions import (
     shuffle,
 )
 from qshuffle.demos import (
+    SmallPoset,
     _graph_coproduct,
+    _induced_table,
+    _inside,
     _poset_coproduct,
+    _split_coproduct,
     all_graphs,
     all_posets,
     chromatic_symmetric,
@@ -381,6 +385,37 @@ def test_poset_fast_paths_match_their_oracles():
             assert kp_generating_function(p) == image, p
             value = eta.of_element(image)
             assert type(value) is Fraction and value == oracles.of_element(eta, image), p
+
+
+def test_inside_holds_the_pair_bits_of_each_mask():
+    for n in range(DEMO_SIZE + 1):
+        for mask in range(1 << n):
+            labels = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
+            assert _inside(n)[mask] == sum(1 << (u - 1) * n + v - 1 for u in labels for v in labels), (n, mask)
+
+
+@pytest.mark.parametrize(
+    "structures, masks_of",
+    [(all_graphs, lambda g: range(1 << g[0])), (all_posets, SmallPoset.ideal_masks)],
+    ids=("graph", "poset"),
+)
+def test_labels_share_one_induced_structure_per_key(structures, masks_of):
+    # every mask of every coproduct, and its complement: the table entry is the induced
+    # structure, and every label that reaches a key gets the one object stored there
+    seen, labels_per_key = {}, {}
+    for n in range(DEMO_SIZE + 1):
+        full = (1 << n) - 1
+        for x in structures(n):
+            rel = sum(1 << (u - 1) * n + v - 1 for u, v in x[1])
+            for mask in masks_of(x):
+                ((pair, _),) = _split_coproduct(x, [mask])
+                for m, part in zip((mask, full ^ mask), pair):
+                    key = (type(x), n, m, rel & _inside(n)[m])
+                    assert part is _induced_table[key] and part is seen.setdefault(key, part), (x, m)
+                    assert type(part) is type(x) and part == x.induced(v for v in range(1, n + 1) if m >> (v - 1) & 1)
+                    labels_per_key.setdefault(key, set()).add(x)
+    # so the identity check above ran across labels, not only within one
+    assert sum(len(labels) > 1 for labels in labels_per_key.values()) > 100
 
 
 def _edge_sizes(n: int) -> list[tuple[int, ...]]:
