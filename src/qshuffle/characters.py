@@ -40,6 +40,8 @@ from .compositions import (
     is_numeral,
     rational,
     rational_sum,
+    shown,
+    shown_number,
     stats,
 )
 from .elements import GradedElement, MONOMIAL, parse_rational
@@ -75,7 +77,7 @@ def require_normalized(f: Functional, max_degree: int) -> None:
     """NotNormalized unless f((n)) = 1 for every n from 1 to max_degree."""
     for n in range(1, max_degree + 1):
         if f(single(n)) != 1:
-            raise NotNormalized(f"f(({n})) = {f(single(n))}, expected 1")
+            raise NotNormalized(f"f(({n})) = {shown_number(f(single(n)))}, expected 1")
 
 
 def _diagonal(f: Functional, comp: Composition) -> Fraction:
@@ -112,8 +114,22 @@ def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functio
 
 
 def f_to_g(f: Functional) -> Functional:
-    """The dual g of a shuffle character f: an infinitesimal character (value 0 at empty)."""
+    """The dual g of a shuffle character f: an infinitesimal character (value 0 at empty).
+
+    For the stock type1 and type2 instances themselves (f is builtin(name)),
+    the one shared, memoized g of their published closed form; every other
+    f, equal-valued specs such as prefix-sum:1 among them, by the triangular
+    solve.
+    """
+    name = f.name
+    if name in _BUILTINS and _BUILTINS[name][1] is not None and f is builtin(name):
+        return _closed_form_dual(name)
     return _triangular_dual(f, 0, "g")
+
+
+@lru_cache(maxsize=None)
+def _closed_form_dual(name: str) -> Functional:
+    return Functional(0, _BUILTINS[name][1], name=f"g[{name}]")
 
 
 def g_to_f(g: Functional) -> Functional:
@@ -269,13 +285,26 @@ def _type1() -> Functional:
     return f
 
 
-# the stock shuffle characters, by registry name, each built on first use
+def _type1_g(alpha: Composition) -> Fraction:
+    """(-1)^(l-1) lastpart/size on nonempty alpha: g of type1, closed form."""
+    return Fraction(-alpha[-1] if len(alpha) % 2 == 0 else alpha[-1], alpha.size)
+
+
+def _type2_g(alpha: Composition) -> Fraction:
+    """(-1)^(l-1)/l on nonempty alpha: g of type2, closed form."""
+    return Fraction(-1 if len(alpha) % 2 == 0 else 1, len(alpha))
+
+
+# the stock shuffle characters, by registry name: the constructor, run on first use,
+# and the published closed form of g on nonempty compositions, where one holds at
+# every size (the quasisymmetric power sums of types 1 and 2, Ballantine, Daugherty,
+# Hicks, Mason and Niese 2020), else None
 _BUILTINS = {
-    "type1": _type1,
-    "type2": lambda: prefix_sum_character(lambda n: Fraction(1), name="type2"),
-    "even-odd": even_odd_character,
-    "combinatorial": lambda: _singleton_order_character(lambda p: -p, name="combinatorial"),
-    "reverse-combinatorial": lambda: _singleton_order_character(lambda p: p, name="reverse-combinatorial"),
+    "type1": (_type1, _type1_g),
+    "type2": (lambda: prefix_sum_character(lambda n: Fraction(1), name="type2"), _type2_g),
+    "even-odd": (even_odd_character, None),
+    "combinatorial": (lambda: _singleton_order_character(lambda p: -p, name="combinatorial"), None),
+    "reverse-combinatorial": (lambda: _singleton_order_character(lambda p: p, name="reverse-combinatorial"), None),
 }
 BUILTIN_NAMES = tuple(_BUILTINS)
 
@@ -283,10 +312,9 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 @lru_cache(maxsize=None)
 def builtin(name: str) -> Functional:
     """The five stock shuffle characters, by their registry names; one instance per name."""
-    make = _BUILTINS.get(name)
-    if make is None:
+    if name not in _BUILTINS:
         raise ValueError(f"unknown basis {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    return make()
+    return _BUILTINS[name][0]()
 
 
 def resolve_basis(spec_text: str) -> Functional:
@@ -314,7 +342,7 @@ def resolve_basis(spec_text: str) -> Functional:
         entries = spec_text[len("order:") :].split(",")
         return order_basis_character([check_length(e.strip(), "order entries must be short") for e in entries])
     raise ValueError(
-        f"unknown basis {spec_text!r}; known: {', '.join(BUILTIN_NAMES)}, "
+        f"unknown basis {shown(spec_text)}; known: {', '.join(BUILTIN_NAMES)}, "
         "prefix-sum:<tau values>, order:<permutation>"
     )
 
@@ -325,25 +353,20 @@ CLOSED_FORM_G_NAMES = ("type1", "type2", "even-odd")
 def closed_form_g(name: str, alpha) -> Fraction:
     """Published closed forms for g on the stock bases.
 
-    type1: (-1)^(l-1) lastpart/size; type2: (-1)^(l-1)/l; even-odd at odd
-    sizes only: (-1)^(l-1)/odds if the last part is odd, else 0 (even sizes
-    raise EvenSizeUnsupported; no closed form is available there).
+    type1: (-1)^(l-1) lastpart/size; type2: (-1)^(l-1)/l; both 0 at the
+    empty composition.  f_to_g serves these two from the same slots of the
+    stock registry.  even-odd at odd sizes only: (-1)^(l-1)/odds if the last
+    part is odd, else 0 (even sizes raise EvenSizeUnsupported; no closed form
+    is available there, so f_to_g solves for it).
     """
     alpha = Composition(alpha)
-    st = stats(alpha)
-    sign = -1 if (st.length - 1) % 2 else 1
-    if name == "type1":
-        if not alpha:
-            return Fraction(0)
-        return sign * Fraction(st.last_part, st.size)
-    if name == "type2":
-        if not alpha:
-            return Fraction(0)
-        return Fraction(sign, st.length)
     if name == "even-odd":
+        st = stats(alpha)
         if st.size % 2 == 0:
             raise EvenSizeUnsupported(f"|{alpha}| = {st.size} is even")
         if st.last_part % 2 == 0:
             return Fraction(0)
-        return Fraction(sign, st.odd_count)
-    raise ValueError(f"no closed form registered for {name!r}; known: {', '.join(CLOSED_FORM_G_NAMES)}")
+        return Fraction(-1 if st.length % 2 == 0 else 1, st.odd_count)
+    if name not in CLOSED_FORM_G_NAMES:
+        raise ValueError(f"no closed form registered for {name!r}; known: {', '.join(CLOSED_FORM_G_NAMES)}")
+    return _BUILTINS[name][1](alpha) if alpha else Fraction(0)

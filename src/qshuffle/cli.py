@@ -20,7 +20,9 @@ from functools import partial
 
 from . import demos
 from .characters import basis_contract, basis_expand, f_to_g, qps_expand, resolve_basis
-from .compositions import Composition, check_length, compositions_of, compositions_up_to, is_numeral, shown, stats
+from .compositions import (
+    Composition, check_length, compositions_of, compositions_up_to, is_numeral, shown, shown_number, stats
+)
 from .elements import GradedElement, MONOMIAL, WORD, format_element
 from .errors import EngineError
 from .functionals import exp_functional, log_functional
@@ -135,7 +137,7 @@ def _degree_arg(text: str) -> int:
 
 def _check_degree(degree: int) -> int:
     if not (1 <= degree <= MAX_DEGREE):
-        raise CliUsageError(f"--degree must be between 1 and {MAX_DEGREE}, got {degree}")
+        raise CliUsageError(f"--degree must be between 1 and {MAX_DEGREE}, got {shown_number(degree)}")
     return degree
 
 
@@ -225,7 +227,7 @@ def _resolve_functional(name: str):
     if name.startswith("g:"):
         return MONOMIAL, f_to_g(resolve_basis(name[2:]))
     raise CliUsageError(
-        f"unknown functional {name!r}; known: {', '.join(CANONICAL_NAMES)}, f:<basis>, g:<basis>"
+        f"unknown functional {shown(name)}; known: {', '.join(CANONICAL_NAMES)}, f:<basis>, g:<basis>"
     )
 
 

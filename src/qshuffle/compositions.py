@@ -125,6 +125,12 @@ def shown(text: str) -> str:
     return repr(text) if len(text) <= MAX_SHOWN else f"a text of {len(text)} characters"
 
 
+def shown_number(value) -> str:
+    """A number as an error message prints it: in full when short, otherwise by its digit count."""
+    text = str(value)
+    return text if len(text) <= MAX_SHOWN else f"a number of {sum(c.isdigit() for c in text)} digits"
+
+
 # builds a Composition from parts already known to be ints >= 1, unchecked;
 # only for compositions derived from valid ones
 _trusted = partial(tuple.__new__, Composition)

@@ -33,6 +33,7 @@ from .compositions import (
     _shuffle_pairs,
     canonical_key,
     check_length,
+    coarsenings,
     deconcatenations,
 )
 from .errors import BasisMismatch, NotAPartition
@@ -393,10 +394,19 @@ def antipode_by_recursion(basis: str, comp) -> GradedElement:
 
 
 def antipode_monomial(h: GradedElement) -> GradedElement:
-    """Antipode on the monomial basis, by the recursion (no closed form used)."""
+    """Antipode on the monomial basis, by its closed form.
+
+    S(M_alpha) = (-1)^length(alpha) times the sum of M_beta over the
+    coarsenings beta of rev alpha (Malvenuto and Reutenauer 1995);
+    antipode_by_recursion is the generic route and this form's oracle.
+    """
     if h.basis != MONOMIAL:
         raise BasisMismatch(f"monomial antipode needs basis {MONOMIAL!r}, got {h.basis!r}")
-    return linear_image(h, lambda comp: antipode_by_recursion(MONOMIAL, comp))
+
+    def image(comp: Composition) -> GradedElement:
+        return GradedElement(MONOMIAL, dict.fromkeys(coarsenings(comp.reverse()), -1 if len(comp) % 2 else 1))
+
+    return linear_image(h, image)
 
 
 def power_sum(partition) -> GradedElement:

@@ -8,6 +8,7 @@ from qshuffle.characters import (
     BUILTIN_NAMES,
     CLOSED_FORM_G_NAMES,
     OrderedPartitionSpec,
+    _triangular_dual,
     basis_contract,
     basis_expand,
     builtin,
@@ -246,15 +247,43 @@ def test_basis_expand_and_contract_are_inverse():
 
 
 def test_f_to_g_closed_forms():
+    # the triangular solve, the generic route, is the oracle of the closed forms f_to_g serves
     for name in ("type1", "type2"):
-        g = f_to_g(builtin(name))
-        for comp in compositions_up_to(7):
+        g = _triangular_dual(builtin(name), 0, "g")
+        for comp in compositions_up_to(10):
             if comp:
                 assert g(comp) == closed_form_g(name, comp), (name, comp)
     g_eo = f_to_g(builtin("even-odd"))
-    for comp in compositions_up_to(7):
+    for comp in compositions_up_to(10):
         if comp and comp.size % 2 == 1:
             assert g_eo(comp) == closed_form_g("even-odd", comp), comp
+
+
+def test_f_to_g_serves_one_shared_closed_form_per_stock_instance():
+    for name in ("type1", "type2"):
+        g = f_to_g(builtin(name))
+        assert g is f_to_g(builtin(name))
+        assert (g.name, g.value_at_empty) == (f"g[{name}]", 0)
+        for comp in compositions_up_to(6):
+            assert type(g(comp)) is Fraction and g(comp) == (closed_form_g(name, comp) if comp else 0), comp
+    # even-odd has a closed form at odd sizes only, so each call solves afresh
+    assert f_to_g(builtin("even-odd")) is not f_to_g(builtin("even-odd"))
+
+
+def test_f_to_g_solves_for_an_equal_valued_spec():
+    # prefix-sum:1,...,1 has the values of type2 through the sizes it declares, but is not the stock instance
+    g_type2 = f_to_g(builtin("type2"))
+    for declared in (1, 8):
+        spec = "prefix-sum:" + ",".join(["1"] * declared)
+        f = resolve_basis(spec)
+        g = f_to_g(f)
+        assert g is not g_type2 and g is not f_to_g(f)
+        assert g.name == f"g[{spec}]"
+        for comp in compositions_up_to(declared):
+            assert g(comp) == g_type2(comp), (spec, comp)
+    # a character that only shares a stock name is solved too
+    namesake = prefix_sum_character(lambda n: Fraction(2), name="type2")
+    assert f_to_g(namesake)(C((1,))) == 2
 
 
 def test_closed_form_g_frozen():

@@ -8,14 +8,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from qshuffle import cli, elements, verify
+from qshuffle import characters, cli, elements, verify
 from qshuffle.cli import MAX_DEGREE, SUITES, run
-from qshuffle.compositions import MAX_DIGITS, quasi_shuffle
-from qshuffle.elements import MONOMIAL, WORD
+from qshuffle.compositions import MAX_DIGITS, MAX_SHOWN, quasi_shuffle
+from qshuffle.elements import MONOMIAL, WORD, GradedElement
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -553,6 +555,40 @@ def test_short_bad_inputs_are_still_quoted(capsys):
     assert invoke(capsys, "expand", "--basis", "type1", "--comp", comp)[2] == f"error: bad composition part 'x' in {comp!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("expand", "--basis", "y" * 3000, "--comp", "1"), "error: unknown basis a text of 3000 characters; known: "),
+        (("exp", "--functional", "q:" + "y" * 3000, "--degree", "2"), "error: unknown functional a text of 3002 characters; "),
+        (("exp", "--functional", "f:" + "y" * 3000, "--degree", "2"), "error: unknown basis a text of 3000 characters; "),
+        (("table", "--basis", "type1", "--degree", "9" * MAX_DIGITS), "got a number of 1000 digits\n"),
+        (("table", "--basis", "prefix-sum:1," + "7" * MAX_DIGITS, "--degree", "2"), "f((2)) = a number of 1001 digits, expected 1"),
+    ],
+    ids=("basis", "functional", "functional-basis", "degree", "not-normalized"),
+)
+def test_long_names_and_numbers_in_messages_are_named_by_their_length(capsys, argv, expected):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err) < 200 and expected in err
+
+
+def test_short_names_and_numbers_in_messages_are_printed_whole(capsys):
+    assert invoke(capsys, "expand", "--basis", "y", "--comp", "1")[2].startswith("error: unknown basis 'y'; known: ")
+    assert invoke(capsys, "exp", "--functional", "q:y", "--degree", "2")[2].startswith("error: unknown functional 'q:y'; ")
+    assert invoke(capsys, "table", "--basis", "type1", "--degree", "11")[2] == (
+        f"error: --degree must be between 1 and {MAX_DEGREE}, got 11\n"
+    )
+    assert invoke(capsys, "table", "--basis", "prefix-sum:1,2", "--degree", "2")[2] == "error: f((2)) = 1/2, expected 1\n"
+    # a value of MAX_SHOWN characters is still printed whole, and one character more is not
+    tau = "1" * (MAX_SHOWN - 2)
+    assert invoke(capsys, "table", "--basis", f"prefix-sum:1,{tau}", "--degree", "2")[2] == (
+        f"error: f((2)) = 1/{tau}, expected 1\n"
+    )
+    assert invoke(capsys, "table", "--basis", f"prefix-sum:1,{tau}1", "--degree", "2")[2] == (
+        f"error: f((2)) = a number of {MAX_SHOWN} digits, expected 1\n"
+    )
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter prints ints of any length")
 def test_an_output_number_past_the_interpreters_digit_limit_names_its_table_cell(capsys):
     sevens = "7" * MAX_DIGITS
@@ -742,6 +778,24 @@ def test_verify_fg_roundtrip_reports_the_first_mismatch(capsys, monkeypatch):
     ]
 
 
+def test_verify_fg_roundtrip_catches_a_wrong_closed_form(capsys, monkeypatch):
+    # f_to_g serves type1 from its closed form; with the sign dropped, the solve back to f disagrees
+    def unsigned(alpha):
+        return Fraction(alpha[-1], alpha.size)
+
+    make, _ = characters._BUILTINS["type1"]
+    monkeypatch.setitem(characters._BUILTINS, "type1", (make, unsigned))
+    # a fresh memo of the served forms, so the wrong one is built here and dropped with the patch
+    fresh = lru_cache(maxsize=None)(characters._closed_form_dual.__wrapped__)
+    monkeypatch.setattr(characters, "_closed_form_dual", fresh)
+    code, out, err = invoke(capsys, "verify", "--suite", "fg-roundtrip", "--basis", "type1", "--degree", "3")
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "[FAIL] g_to_f(f_to_g(f)) = f through degree 3: alpha=C[1,1]: -1/2 != 1/2",
+        "fg-roundtrip: 1 checks, 1 failed",
+    ]
+
+
 def test_verify_antipode_reports_a_wrong_closed_form(capsys, monkeypatch):
     monkeypatch.setattr(verify, "antipode_word", lambda h: h)
     code, out, err = invoke(capsys, "verify", "--suite", "antipode", "--degree", "3")
@@ -779,21 +833,28 @@ def test_verify_antipode_reports_a_wrong_closed_form(capsys, monkeypatch):
     ids=(MONOMIAL, WORD),
 )
 def test_verify_antipode_reports_a_wrong_recursion(capsys, monkeypatch, basis, lines):
-    # S doubled on one basis breaks its axiom, S(1) b + S(b) 1 = 0, at b = [1]
-    real = verify.antipode_by_recursion
+    # S doubled on one basis breaks its axiom, S(1) b + S(b) 1 = 0, at b = [1]; the suite
+    # takes S in M from the closed form of antipode_monomial and S in X from the recursion
+    if basis == MONOMIAL:
+        real_monomial = verify.antipode_monomial
+        unit = GradedElement.unit(MONOMIAL)
+        monkeypatch.setattr(verify, "antipode_monomial", lambda h: h if h == unit else real_monomial(h).scaled(2))
+    else:
+        real = verify.antipode_by_recursion
 
-    def doubled(b, comp):
-        image = real(b, comp)
-        return image.scaled(2) if b == basis and comp else image
+        def doubled(b, comp):
+            image = real(b, comp)
+            return image.scaled(2) if b == basis and comp else image
 
-    monkeypatch.setattr(verify, "antipode_by_recursion", doubled)
+        monkeypatch.setattr(verify, "antipode_by_recursion", doubled)
     code, out, err = invoke(capsys, "verify", "--suite", "antipode", "--degree", "3")
     assert code == 2
     assert out.splitlines() == lines
 
 
 def test_verify_antipode_catches_a_wrong_product_rule(capsys, monkeypatch):
-    # merged words counted twice: the recursion still defines some S, but S is no antipode
+    # merged words counted twice: S in M comes from its closed form, the antipode of the true
+    # product, so the axiom fails at the first merged word, M[1] M[1]
     def merged_twice(a, b):
         return {w: m * (2 if len(w) < len(a) + len(b) else 1) for w, m in quasi_shuffle(a, b).items()}
 
@@ -803,7 +864,7 @@ def test_verify_antipode_catches_a_wrong_product_rule(capsys, monkeypatch):
     assert code == 2
     assert out.splitlines() == [
         "[PASS] word closed form = recursion through degree 5",
-        "[FAIL] antipode axiom in basis M through degree 5: alpha=C[1,1,1,2]",
+        "[FAIL] antipode axiom in basis M through degree 5: alpha=C[1,1]",
         "[PASS] antipode axiom in basis X through degree 5",
         "antipode: 3 checks, 1 failed",
     ]

@@ -288,6 +288,20 @@ def test_antipode_monomial_examples():
         antipode_monomial(X(1))
 
 
+def test_antipode_monomial_closed_form_matches_recursion():
+    # S(M_alpha) = (-1)^length sum of M over the coarsenings of rev alpha, against the generic route
+    for comp in compositions_up_to(10):
+        assert antipode_monomial(M(*comp)) == antipode_by_recursion(MONOMIAL, comp), comp
+    # linear: a combination maps to the combination of the images
+    h = M(2, 1).scaled(3) - M(1, 1, 1) + GradedElement.unit(MONOMIAL)
+    expected = (
+        antipode_by_recursion(MONOMIAL, (2, 1)).scaled(3)
+        - antipode_by_recursion(MONOMIAL, (1, 1, 1))
+        + GradedElement.unit(MONOMIAL)
+    )
+    assert antipode_monomial(h) == expected
+
+
 def test_antipode_axiom_both_bases():
     # convolution of S with the identity is the unit times the counit
     for basis in (MONOMIAL, WORD):
