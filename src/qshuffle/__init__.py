@@ -18,7 +18,6 @@ from .compositions import (
     partitions_of,
     quasi_shuffle,
     rearrangements,
-    refinement_split,
     shuffle,
     stats,
 )
@@ -39,7 +38,6 @@ from .elements import (
 from .functionals import (
     Functional,
     convolve,
-    counit_functional,
     exp_functional,
     functional_inverse,
     lie_bracket,
@@ -51,7 +49,6 @@ from .characters import (
     basis_contract,
     basis_expand,
     builtin,
-    closed_form_g,
     even_odd_character,
     f_to_g,
     g_to_f,
@@ -70,7 +67,6 @@ from .universal import (
     char_to_infchar,
     infchar_to_char,
     qsym_provider,
-    sh_provider,
     theta,
     universal_to_qsym,
     universal_to_sh,
@@ -106,12 +102,10 @@ from .errors import (
     BasisMismatch,
     DegreeMismatch,
     EngineError,
-    EvenSizeUnsupported,
     NonvanishingAtEmpty,
     NotACharacter,
     NotAnInfinitesimalCharacter,
     NotAPartition,
-    NotARefinement,
     NotInvertible,
     NotNormalized,
     PartOutOfRange,
@@ -123,18 +117,17 @@ from .errors import (
 # the names imported above, one group per source module
 __all__ = [
     "Composition", "CompositionStats", "EMPTY", "coarsenings", "compositions_of",
-    "compositions_up_to", "partitions_of", "quasi_shuffle", "rearrangements", "refinement_split",
-    "shuffle", "stats",
+    "compositions_up_to", "partitions_of", "quasi_shuffle", "rearrangements", "shuffle", "stats",
     "GradedElement", "MONOMIAL", "TensorElement", "WORD", "antipode_by_recursion",
     "antipode_monomial", "antipode_word", "coproduct", "counit", "format_element", "power_sum",
     "product",
-    "Functional", "convolve", "counit_functional", "exp_functional", "functional_inverse",
-    "lie_bracket", "log_functional",
+    "Functional", "convolve", "exp_functional", "functional_inverse", "lie_bracket",
+    "log_functional",
     "BUILTIN_NAMES", "OrderedPartitionSpec", "basis_contract", "basis_expand", "builtin",
-    "closed_form_g", "even_odd_character", "f_to_g", "g_to_f", "normalize", "order_basis_character",
+    "even_odd_character", "f_to_g", "g_to_f", "normalize", "order_basis_character",
     "ordered_partition_character", "prefix_sum_character", "qps_expand", "resolve_basis",
     "CANONICAL_NAMES", "CharacterPowerEvaluator", "HopfProvider", "canonical", "char_to_infchar",
-    "infchar_to_char", "qsym_provider", "sh_provider", "theta", "universal_to_qsym",
+    "infchar_to_char", "qsym_provider", "theta", "universal_to_qsym",
     "universal_to_sh",
     "SmallGraph", "SmallPoset", "all_graphs", "all_posets", "chromatic_polynomial",
     "chromatic_symmetric", "eta_check", "format_polynomial", "graph_infchar",
@@ -142,9 +135,9 @@ __all__ = [
     "xi_unique_min", "zeta_no_edges", "zeta_ones",
     "CheckResult", "VerifyReport", "check_integral_nonneg", "is_character",
     "is_infinitesimal_character", "theta_eigencheck", "verify_qps",
-    "BasisMismatch", "DegreeMismatch", "EngineError", "EvenSizeUnsupported", "NonvanishingAtEmpty",
-    "NotACharacter", "NotAnInfinitesimalCharacter", "NotAPartition", "NotARefinement",
-    "NotInvertible", "NotNormalized", "PartOutOfRange", "SingularCharacter", "WrongValueAtEmpty",
+    "BasisMismatch", "DegreeMismatch", "EngineError", "NonvanishingAtEmpty",
+    "NotACharacter", "NotAnInfinitesimalCharacter", "NotAPartition", "NotInvertible",
+    "NotNormalized", "PartOutOfRange", "SingularCharacter", "WrongValueAtEmpty",
     "ZeroPrefixSum",
 ]
 __version__ = "0.1.0"

@@ -45,13 +45,7 @@ from .compositions import (
     stats,
 )
 from .elements import GradedElement, MONOMIAL, parse_rational
-from .errors import (
-    EvenSizeUnsupported,
-    NotNormalized,
-    PartOutOfRange,
-    SingularCharacter,
-    ZeroPrefixSum,
-)
+from .errors import NotNormalized, PartOutOfRange, SingularCharacter, ZeroPrefixSum
 from .functionals import Functional
 
 
@@ -117,9 +111,10 @@ def f_to_g(f: Functional) -> Functional:
     """The dual g of a shuffle character f: an infinitesimal character (value 0 at empty).
 
     For the stock type1 and type2 instances themselves (f is builtin(name)),
-    the one shared, memoized g of their published closed form; every other
-    f, equal-valued specs such as prefix-sum:1 among them, by the triangular
-    solve.
+    the one shared, memoized g of their published closed form, kept in the
+    stock registry: (-1)^(l-1) lastpart/size for type1 and (-1)^(l-1)/l for
+    type2.  Every other f, equal-valued specs such as prefix-sum:1 among
+    them, by the triangular solve.
     """
     name = f.name
     if name in _BUILTINS and _BUILTINS[name][1] is not None and f is builtin(name):
@@ -345,28 +340,3 @@ def resolve_basis(spec_text: str) -> Functional:
         f"unknown basis {shown(spec_text)}; known: {', '.join(BUILTIN_NAMES)}, "
         "prefix-sum:<tau values>, order:<permutation>"
     )
-
-
-CLOSED_FORM_G_NAMES = ("type1", "type2", "even-odd")
-
-
-def closed_form_g(name: str, alpha) -> Fraction:
-    """Published closed forms for g on the stock bases.
-
-    type1: (-1)^(l-1) lastpart/size; type2: (-1)^(l-1)/l; both 0 at the
-    empty composition.  f_to_g serves these two from the same slots of the
-    stock registry.  even-odd at odd sizes only: (-1)^(l-1)/odds if the last
-    part is odd, else 0 (even sizes raise EvenSizeUnsupported; no closed form
-    is available there, so f_to_g solves for it).
-    """
-    alpha = Composition(alpha)
-    if name == "even-odd":
-        st = stats(alpha)
-        if st.size % 2 == 0:
-            raise EvenSizeUnsupported(f"|{alpha}| = {st.size} is even")
-        if st.last_part % 2 == 0:
-            return Fraction(0)
-        return Fraction(-1 if st.length % 2 == 0 else 1, st.odd_count)
-    if name not in CLOSED_FORM_G_NAMES:
-        raise ValueError(f"no closed form registered for {name!r}; known: {', '.join(CLOSED_FORM_G_NAMES)}")
-    return _BUILTINS[name][1](alpha) if alpha else Fraction(0)

@@ -30,7 +30,6 @@ from .universal import (
     CANONICAL_NAMES,
     canonical,
     qsym_provider,
-    sh_provider,
     theta,
     universal_to_qsym,
     universal_to_sh,
@@ -366,7 +365,7 @@ def _cmd_psi(args) -> int:
         elem = universal_to_sh(demos.poset_provider(), demos.xi_unique_min, p)
     elif args.hopf == "sh":
         h = _parse_comp(args.input, "--input")
-        elem = universal_to_sh(sh_provider(), canonical("xiS"), h)
+        elem = universal_to_sh(qsym_provider(), canonical("xiS"), h)
     else:
         f = resolve_basis(args.basis or "type2")
         h = _parse_comp(args.input, "--input")

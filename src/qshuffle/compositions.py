@@ -20,8 +20,6 @@ from functools import lru_cache, partial
 from itertools import accumulate, permutations
 from math import factorial, lcm
 
-from .errors import NotARefinement
-
 
 class Composition(tuple):
     """A composition: an immutable sequence of positive integer parts.
@@ -64,10 +62,6 @@ class Composition(tuple):
 
     def reverse(self) -> "Composition":
         return _trusted(self[::-1])
-
-    def sorted_partition(self) -> "Composition":
-        """The weakly decreasing rearrangement of the parts."""
-        return _trusted(sorted(self, reverse=True))
 
     def to_text(self) -> str:
         return ",".join(str(p) for p in self) if self else "-"
@@ -192,55 +186,27 @@ def rearrangements(comp: Composition) -> list[Composition]:
 
 @dataclass(frozen=True)
 class CompositionStats:
-    """The numeric statistics of one composition.
+    """The two counts of a composition that the power sums scale by.
 
-    z_value = part_product * aut_count is the familiar z_lambda when the
-    parts are sorted into a partition.  prefix_product is the product of the
-    partial sums a1, a1+a2, ..., a1+...+al (1 for, and only for, the empty
-    composition and in the conventions p = aut = z = 1 there too, while
-    last_part is 0).
+    aut_count is the product of the factorials of the part multiplicities,
+    and z_value is the product of the parts times aut_count: the familiar
+    z_lambda when the parts are sorted into a partition.  Both are 1 for the
+    empty composition.
     """
 
-    size: int
-    length: int
-    last_part: int
-    part_product: int
     aut_count: int
     z_value: int
-    prefix_product: int
-    even_count: int
-    odd_count: int
-    sorted_partition: Composition
 
 
 def stats(comp: Composition) -> CompositionStats:
-    comp = Composition(comp)
-    part_product = 1
-    for p in comp:
-        part_product *= p
     mult: dict[int, int] = {}
-    for p in comp:
+    for p in Composition(comp):
         mult[p] = mult.get(p, 0) + 1
-    aut = 1
-    for m in mult.values():
+    aut = part_product = 1
+    for p, m in mult.items():
         aut *= factorial(m)
-    prefix_product = 1
-    running = 0
-    for p in comp:
-        running += p
-        prefix_product *= running
-    return CompositionStats(
-        size=comp.size,
-        length=comp.length,
-        last_part=comp[-1] if comp else 0,
-        part_product=part_product,
-        aut_count=aut,
-        z_value=part_product * aut,
-        prefix_product=prefix_product,
-        even_count=sum(1 for p in comp if p % 2 == 0),
-        odd_count=sum(1 for p in comp if p % 2 == 1),
-        sorted_partition=comp.sorted_partition(),
-    )
+        part_product *= p**m
+    return CompositionStats(aut_count=aut, z_value=part_product * aut)
 
 
 def coarsenings(comp: Composition) -> list[Composition]:
@@ -329,31 +295,6 @@ def rational_sum(terms) -> int | Fraction:
     return rational(sum(num * (common // den) for num, den in pairs), common)
 
 
-def refinement_split(fine: Composition, coarse: Composition) -> tuple[Composition, ...]:
-    """Split ``fine`` into consecutive blocks summing to the parts of ``coarse``.
-
-    The split is unique when it exists.  Raises NotARefinement when sizes
-    differ or some part of ``coarse`` cannot be hit exactly.
-    """
-    fine, coarse = Composition(fine), Composition(coarse)
-    if fine.size != coarse.size:
-        raise NotARefinement(f"{fine} and {coarse} have different sizes")
-    blocks = []
-    i = 0
-    for target in coarse:
-        total = 0
-        start = i
-        while total < target and i < len(fine):
-            total += fine[i]
-            i += 1
-        if total != target:
-            raise NotARefinement(f"{fine} does not refine {coarse}")
-        blocks.append(_trusted(fine[start:i]))
-    if i != len(fine):
-        raise NotARefinement(f"{fine} does not refine {coarse}")
-    return tuple(blocks)
-
-
 def deconcatenations(comp: Composition) -> list[tuple[Composition, Composition]]:
     """All splittings comp = prefix + suffix, including the empty ends."""
     comp = Composition(comp)
@@ -420,5 +361,7 @@ def quasi_shuffle(a: Composition, b: Composition) -> dict[Composition, int]:
 
     Interleavings where one part of a and one part of b may also merge into
     their sum; these are the structure constants of the monomial basis.
+
+    Kept: QSym's product, the quasi-shuffle the package is named for, beside shuffle for Sh.
     """
     return dict(_quasi_shuffle_pairs(Composition(a), Composition(b)))

@@ -80,19 +80,11 @@ class _LabelledPairs(tuple):
             out.append((u, v))
         return out
 
-    def induced(self, labels):
-        """The structure induced on labels, relabeled order-preservingly to 1..k; valid and sorted, so trusted."""
-        kept = sorted(set(labels))
-        index = {v: i + 1 for i, v in enumerate(kept)}
-        return self._trusted(len(kept), tuple((index[u], index[v]) for u, v in self[1] if u in index and v in index))
-
-    def relabel(self, perm):
-        """Apply a permutation of 1..n given as a mapping or sequence."""
-        if not isinstance(perm, dict):
-            perm = {i + 1: p for i, p in enumerate(perm)}
-        return type(self)(self[0], [(perm[u], perm[v]) for u, v in self[1]])
-
     def disjoint_union(self, other):
+        """The structure on the labels of self, then those of other shifted past them.
+
+        Kept: the product of both demo algebras, for the check that their universal images are algebra maps.
+        """
         shift = self[0]
         return type(self)(shift + other[0], list(self[1]) + [(u + shift, v + shift) for u, v in other[1]])
 
@@ -150,7 +142,7 @@ _induced_table: dict[tuple[type, int, int, int], _LabelledPairs] = {}
 def _split_coproduct(
     x: _LabelledPairs, masks
 ) -> tuple[tuple[tuple[_LabelledPairs, _LabelledPairs], int], ...]:
-    """The coproduct of x: x.induced(S) (x) x.induced(rest) summed over the label subsets S, as bitmasks.
+    """The coproduct of x: the structures induced on S and on its complement, over the label subsets S as bitmasks.
 
     Label i + 1 is bit i.  x's pairs are read once into a bitmask of ordered
     pairs, and each mask's induced structure comes from ``_induced_table``,
@@ -210,7 +202,10 @@ class SmallGraph(_LabelledPairs):
 
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[SmallGraph, ...]:
-    """All 2^binomial(n,2) labeled graphs on 1..n, deterministic order."""
+    """All 2^binomial(n,2) labeled graphs on 1..n, deterministic order.
+
+    Kept: the label sweep of a check that the universal images of graphs are Hopf maps.
+    """
     pairs = list(combinations(range(1, n + 1), 2))
     out = []
     for mask in range(1 << len(pairs)):
@@ -397,11 +392,6 @@ class SmallPoset(_LabelledPairs):
                 out.append(mask)
         return out
 
-    def order_ideals(self) -> list[tuple[int, ...]]:
-        """All downward closed subsets, as sorted tuples, in the order of their bitmasks."""
-        n = self.element_count
-        return [tuple(i + 1 for i in range(n) if mask >> i & 1) for mask in self.ideal_masks()]
-
     def minimal_elements(self) -> list[int]:
         return [v for v in range(1, self.element_count + 1) if not self.below(v)]
 
@@ -411,7 +401,10 @@ class SmallPoset(_LabelledPairs):
 
 @lru_cache(maxsize=None)
 def all_posets(n: int) -> tuple[SmallPoset, ...]:
-    """All labeled posets on 1..n (19 for n=3, 219 for n=4, 4231 for n=5)."""
+    """All labeled posets on 1..n (19 for n=3, 219 for n=4, 4231 for n=5).
+
+    Kept: the label sweep of a check that the universal images of posets are Hopf maps.
+    """
     pairs = list(combinations(range(1, n + 1), 2))
     out = []
     for states in iter_product((0, 1, 2), repeat=len(pairs)):

@@ -197,19 +197,6 @@ class GradedElement(_TermMap):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degrees(self) -> list[int]:
-        return sorted({c.size for c in self.terms})
-
-    def homogeneous_component(self, n: int) -> "GradedElement":
-        return GradedElement(self.basis, {c: v for c, v in self.terms.items() if c.size == n})
-
-    def homogeneous_degree(self) -> int | None:
-        """The common degree of all terms, or None (zero counts as any degree)."""
-        ds = self.degrees()
-        if len(ds) > 1:
-            return None
-        return ds[0] if ds else 0
-
     def __hash__(self):
         return hash((self.basis, frozenset(self.terms.items())))
 
@@ -312,13 +299,6 @@ class TensorElement(_TermMap):
         )
         return TensorElement(self.basis, terms)
 
-    def evaluate(self, left_fn, right_fn) -> int | Fraction:
-        """Apply a pair of functionals and sum."""
-        total = 0
-        for (l, r), v in self.terms.items():
-            total += v * left_fn(l) * right_fn(r)
-        return total
-
     def support(self):
         return sorted(self.terms, key=lambda pr: (canonical_key(pr[0]), canonical_key(pr[1])))
 
@@ -342,6 +322,10 @@ def coproduct(h: GradedElement) -> TensorElement:
 
 
 def counit(h: GradedElement) -> int | Fraction:
+    """The coefficient of the unit: the counit of both wired bases.
+
+    Kept: the counit of the Hopf structure, beside product, coproduct and the antipodes.
+    """
     return h.coefficient(EMPTY)
 
 

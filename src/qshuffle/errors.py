@@ -9,10 +9,6 @@ class EngineError(Exception):
     """Base class for all engine errors."""
 
 
-class NotARefinement(EngineError):
-    """The first composition does not refine the second."""
-
-
 class BasisMismatch(EngineError):
     """Operands live in different bases, or in a basis with no product rule."""
 
@@ -47,10 +43,6 @@ class NotNormalized(EngineError):
 
 class ZeroPrefixSum(EngineError):
     """A prefix sum of tau-values vanished, so the prefix-sum character is undefined."""
-
-
-class EvenSizeUnsupported(EngineError):
-    """No closed form is provided for the even-odd g at even sizes."""
 
 
 class PartOutOfRange(EngineError):

@@ -26,6 +26,11 @@ from .elements import GradedElement
 from .errors import NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
 
 
+# the most bits the numerator or the denominator of a computed value may have; a wider
+# one raises ValueError instead of being kept, so every value built from others has a bounded cost
+MAX_BITS = 14_300
+
+
 class Functional:
     """value_at_empty plus a memoized function on nonempty compositions."""
 
@@ -45,6 +50,8 @@ class Functional:
         value = self._memo.get(comp)
         if value is None:
             value = Fraction(self._fn(comp))
+            if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_BITS:
+                raise ValueError(f"the value at {comp} has more than {MAX_BITS} bits")
             self._memo[comp] = value
         return value
 
@@ -61,11 +68,12 @@ class Functional:
         return f"<{label}: empty -> {self.value_at_empty}>"
 
 
-def counit_functional() -> Functional:
-    return Functional(1, lambda comp: Fraction(0), name="counit")
-
-
 def convolve(phi: Functional, psi: Functional) -> Functional:
+    """The convolution phi * psi: phi (x) psi on the deconcatenations.
+
+    Kept: the convolution product that the calculus of functionals is named for; lie_bracket builds on it.
+    """
+
     def value(comp: Composition) -> Fraction:
         total = Fraction(0)
         for left, right in deconcatenations(comp):
@@ -80,6 +88,8 @@ def functional_inverse(phi: Functional) -> Functional:
 
     Exists exactly when phi does not vanish on the empty composition; the
     inverse is two-sided since convolution is associative.
+
+    Kept: the convolution inverse, by which canonical("nuQ") is defined.
     """
     if phi.value_at_empty == 0:
         raise NotInvertible("functional vanishes on the empty composition")
@@ -128,7 +138,10 @@ def log_functional(zeta: Functional) -> Functional:
 
 
 def lie_bracket(xi1: Functional, xi2: Functional) -> Functional:
-    """Convolution commutator xi1 * xi2 - xi2 * xi1."""
+    """Convolution commutator xi1 * xi2 - xi2 * xi1.
+
+    Kept: the Lie bracket of the infinitesimal characters, closing the convolution calculus.
+    """
     left = convolve(xi1, xi2)
     right = convolve(xi2, xi1)
     return Functional(

@@ -10,8 +10,8 @@ and an infinitesimal character xi likewise maps H into the shuffle algebra
 with x_alpha in place of M_alpha.  H enters through a HopfProvider: its
 coproduct as ((left, right), coefficient) pairs over basis labels, its
 grading and its unit label; the counit is derived from the grading.
-qsym_provider() and sh_provider() are one deconcatenation provider, since
-both algebras have the same coproduct on composition labels.  Composing
+qsym_provider() serves both QSym and the shuffle algebra, since both have
+the same deconcatenation coproduct on composition labels.  Composing
 with a shuffle basis and its dual triangular data turns characters into
 infinitesimal characters and back; with the 1/length! basis this is exactly
 convolution log and exp.
@@ -61,24 +61,20 @@ _DECONCATENATION = HopfProvider(
 
 
 def qsym_provider() -> HopfProvider:
-    """QSym itself, monomial labels with deconcatenation."""
-    return _DECONCATENATION
-
-
-def sh_provider() -> HopfProvider:
-    """The shuffle algebra, word labels with deconcatenation: the provider qsym_provider() returns."""
+    """QSym itself, monomial labels with deconcatenation; the shuffle algebra too, on word labels."""
     return _DECONCATENATION
 
 
 class CharacterPowerEvaluator:
     """Caches values of phi-tensor-powers of iterated coproducts.
 
-    value(label, sizes) is the scalar obtained by iterating the provider's
-    two-fold coproduct left to right, projecting to the multidegree given by
-    sizes, and applying phi to every tensor slot; with no sizes it is the
-    counit.  image(h, basis) collects these values over the compositions
-    of h's degree into an element of basis.  Both read one multidegree
-    table per label, built in one pass over the label's coproduct.
+    The value at a label and a composition alpha of its degree is the
+    scalar obtained by iterating the provider's two-fold coproduct left to
+    right, projecting to the multidegree alpha, and applying phi to every
+    tensor slot.  image(h, basis) collects these values over the
+    compositions of h's degree into an element of basis, reading one
+    multidegree table per label, built in one pass over the label's
+    coproduct.
     """
 
     def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction]):
@@ -87,7 +83,7 @@ class CharacterPowerEvaluator:
         self._cache: dict[Label, dict[tuple[int, ...], Fraction]] = {}
 
     def _table(self, label: Label) -> dict[tuple[int, ...], Fraction]:
-        """{sizes: value(label, sizes)} over the compositions of label's degree, zeros left out.
+        """{alpha: the value at label and alpha} over the compositions alpha of label's degree, zeros left out.
 
         A left factor of degree k > 0 weighs coef * phi(left) once and puts k
         in front of every entry of the right factor's table.
@@ -114,15 +110,8 @@ class CharacterPowerEvaluator:
         self._cache[label] = table
         return table
 
-    def value(self, label: Label, sizes: tuple[int, ...]) -> Fraction:
-        """The table entry at sizes without its zero parts, times phi(unit) for each zero part."""
-        parts = tuple(p for p in sizes if p)
-        out = self._table(label).get(parts, 0)
-        zeros = len(sizes) - len(parts)
-        return out * self.phi(self.provider.unit_label) ** zeros if zeros and out else out
-
     def image(self, h: Mapping[Label, Fraction], basis: str) -> GradedElement:
-        """The sum over alpha of n of value(h, alpha) b_alpha, for h homogeneous of degree n."""
+        """The sum over alpha of n of the value at h and alpha times b_alpha, for h homogeneous of degree n."""
         degrees = {self.provider.degree(label) for label, coef in h.items() if coef != 0}
         if len(degrees) > 1:
             raise DegreeMismatch(f"element spans degrees {sorted(degrees)}")
@@ -259,6 +248,8 @@ def infchar_to_char(
     zeta(h) = sum over alpha of (xi-power of the alpha-coproduct of h)
     f(alpha).  f must be a normalized shuffle character; with the 1/length!
     basis this is convolution exp.
+
+    Kept: the paper's xi -> f o Psi_xi, the inverse of char_to_infchar.
     """
     return _transfer(xi, f, f, provider)
 

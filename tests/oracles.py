@@ -23,7 +23,9 @@ the tests can require both to agree:
   coefficient aut(alpha) f(alpha, beta) once, from the ints of one walk of
   ``coarsening_products``);
 * ``extend_over_refinement``: f(alpha, beta) by searching for the
-  refinement blocks and multiplying from 1;
+  refinement blocks with ``refinement_split`` and multiplying from 1;
+* ``even_odd_g``: the published closed form of the even-odd g, at odd sizes
+  (the library solves the triangular system for it);
 * ``block_product``, ``_triangular_dual``, ``_split_series``,
   ``basis_contract`` and ``check_integral_nonneg``: products and sums of
   functional values over the pairs of ``coarsening_splits`` (or the splits
@@ -31,7 +33,8 @@ the tests can require both to agree:
   factor (the library multiplies and adds int numerators and denominators
   along one walk of ``coarsening_products`` and builds one ``Fraction`` per
   result); ``f_to_g``, ``g_to_f``, ``exp_functional`` and
-  ``log_functional`` are the library's entry points over these bodies;
+  ``log_functional`` are the library's entry points over these bodies, and
+  ``check_integral_nonneg`` also runs the equivalent single-block test;
 * ``_proper_coloring_count``: the proper k-colourings of a graph by trying
   all k^n colour assignments (the library reads the chromatic polynomial
   off the partitions of the vertices into stable sets);
@@ -43,16 +46,18 @@ the tests can require both to agree:
   per (label, sizes), and ``power_image``, the universal image read off
   it one composition at a time (the library builds one table of every
   multidegree per label, in one pass over its coproduct);
-* ``split_coproduct``: a demo coproduct by ``induced`` on every label
-  subset and on its complement (the library looks each bitmask's induced
-  structure up in a table shared by all labels, building it from the ranks
-  of the kept labels on a miss);
+* ``split_coproduct``: a demo coproduct by ``induced``, the definition of
+  an induced structure, on every label subset and on its complement (the
+  library looks each bitmask's induced structure up in a table shared by
+  all labels, building it from the ranks of the kept labels on a miss);
 * ``of_element``: a functional paired with an element by chained
   ``Fraction`` additions (the library adds int ratios over one common
   denominator).
 
 The rest is code that only the tests use, kept out of the library with its
-body unchanged: the refinement predicate ``refines``, the shuffle count
+body unchanged: ``refinement_split`` with the predicate ``refines``,
+``relabel``, the grading reads ``degrees``, ``homogeneous_degree`` and
+``homogeneous_component``, the tensor pairing ``evaluate``, the shuffle count
 ``shuffle_multiplicity_total``, the multidegree projection ``delta_alpha``,
 the polynomial truncation ``expand_polynomial`` with ``polynomial_product``,
 the disjoint-union sweep ``check_provider_multiplicativity``, the count of
@@ -78,12 +83,11 @@ from qshuffle.compositions import (
     compositions_of,
     compositions_up_to,
     nonempty_splits,
-    refinement_split,
     stats,
 )
 from qshuffle.demos import SmallGraph, SmallPoset, all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
 from qshuffle.elements import MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, product
-from qshuffle.errors import BasisMismatch, DegreeMismatch, NotARefinement
+from qshuffle.errors import BasisMismatch, DegreeMismatch, EngineError
 from qshuffle.functionals import Functional, convolve, functional_inverse
 from qshuffle.universal import canonical, qsym_provider, universal_to_qsym
 from qshuffle.verify import IntegralityWitness, first_witness
@@ -164,6 +168,35 @@ def theta(h: GradedElement) -> GradedElement:
     for comp, coef in h.terms.items():
         out = out + universal_to_qsym(qsym, nu, comp).scaled(coef)
     return out
+
+
+class NotARefinement(EngineError):
+    """The first composition does not refine the second."""
+
+
+def refinement_split(fine: Composition, coarse: Composition) -> tuple[Composition, ...]:
+    """Split ``fine`` into consecutive blocks summing to the parts of ``coarse``.
+
+    The split is unique when it exists.  Raises NotARefinement when sizes
+    differ or some part of ``coarse`` cannot be hit exactly.
+    """
+    fine, coarse = Composition(fine), Composition(coarse)
+    if fine.size != coarse.size:
+        raise NotARefinement(f"{fine} and {coarse} have different sizes")
+    blocks = []
+    i = 0
+    for target in coarse:
+        total = 0
+        start = i
+        while total < target and i < len(fine):
+            total += fine[i]
+            i += 1
+        if total != target:
+            raise NotARefinement(f"{fine} does not refine {coarse}")
+        blocks.append(_trusted(fine[start:i]))
+    if i != len(fine):
+        raise NotARefinement(f"{fine} does not refine {coarse}")
+    return tuple(blocks)
 
 
 def extend_over_refinement(fn, fine: Composition, coarse: Composition) -> Fraction:
@@ -331,8 +364,8 @@ def delta_alpha(h: GradedElement, alpha) -> list[tuple[tuple[Composition, ...], 
     if h.basis not in _PRODUCT_RULES:
         raise BasisMismatch(f"no coproduct for basis {h.basis!r}")
     alpha = Composition(alpha)
-    if h.homogeneous_degree() != alpha.size and not h.is_zero():
-        raise DegreeMismatch(f"element of degrees {h.degrees()} vs multidegree {alpha}")
+    if homogeneous_degree(h) != alpha.size and not h.is_zero():
+        raise DegreeMismatch(f"element of degrees {degrees(h)} vs multidegree {alpha}")
     acc: dict[tuple[Composition, ...], Fraction] = {}
     for comp, coef in h.terms.items():
         if not alpha:
@@ -508,10 +541,10 @@ def power_image(provider, phi, label, memo: dict | None = None) -> GradedElement
 
 
 def split_coproduct(x, subsets) -> tuple:
-    """The coproduct of a graph or poset x: x.induced(S) (x) x.induced(rest) summed over the label subsets S."""
+    """The coproduct of a graph or poset x: induced(x, S) (x) induced(x, rest) summed over the label subsets S."""
     labels = range(1, x[0] + 1)
     counts = Counter(
-        (x.induced(chosen), x.induced([v for v in labels if v not in chosen])) for chosen in subsets
+        (induced(x, chosen), induced(x, [v for v in labels if v not in chosen])) for chosen in subsets
     )
     return tuple(counts.items())
 
@@ -522,3 +555,50 @@ def of_element(f: Functional, elem: GradedElement) -> Fraction:
     for comp, coef in elem.terms.items():
         total += coef * f(comp)
     return total
+
+
+class EvenSizeUnsupported(EngineError):
+    """No closed form is provided for the even-odd g at even sizes."""
+
+
+def even_odd_g(alpha) -> Fraction:
+    """g of the stock even-odd basis at odd sizes: (-1)^(l-1)/odds if the last part is odd, else 0."""
+    alpha = Composition(alpha)
+    if alpha.size % 2 == 0:
+        raise EvenSizeUnsupported(f"|{alpha}| = {alpha.size} is even")
+    if alpha[-1] % 2 == 0:
+        return Fraction(0)
+    return Fraction(-1 if alpha.length % 2 == 0 else 1, sum(p % 2 for p in alpha))
+
+
+def induced(x, labels):
+    """The structure induced on labels, relabeled order-preservingly to 1..k; valid and sorted, so trusted."""
+    kept = sorted(set(labels))
+    index = {v: i + 1 for i, v in enumerate(kept)}
+    return x._trusted(len(kept), tuple((index[u], index[v]) for u, v in x[1] if u in index and v in index))
+
+
+def relabel(x, perm):
+    """Apply a permutation of 1..n given as a mapping or sequence."""
+    if not isinstance(perm, dict):
+        perm = {i + 1: p for i, p in enumerate(perm)}
+    return type(x)(x[0], [(perm[u], perm[v]) for u, v in x[1]])
+
+
+def degrees(h: GradedElement) -> list[int]:
+    return sorted({c.size for c in h.terms})
+
+
+def homogeneous_component(h: GradedElement, n: int) -> GradedElement:
+    return GradedElement(h.basis, {c: v for c, v in h.terms.items() if c.size == n})
+
+
+def homogeneous_degree(h: GradedElement) -> int | None:
+    """The common degree of all terms, or None (zero counts as any degree)."""
+    ds = degrees(h)
+    return None if len(ds) > 1 else (ds[0] if ds else 0)
+
+
+def evaluate(t: TensorElement, left_fn, right_fn) -> int | Fraction:
+    """Apply a pair of functionals to a tensor and sum."""
+    return sum(v * left_fn(l) * right_fn(r) for (l, r), v in t.terms.items())

@@ -8,7 +8,7 @@ asserts, so a full run shows eleven lines in order.
 import random
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -16,7 +16,6 @@ from qshuffle.characters import (
     BUILTIN_NAMES,
     _triangular_dual,
     builtin,
-    closed_form_g,
     f_to_g,
     g_to_f,
     order_basis_character,
@@ -27,7 +26,6 @@ from qshuffle.compositions import (
     compositions_of,
     compositions_up_to,
     quasi_shuffle,
-    stats,
 )
 from qshuffle import elements
 from qshuffle.demos import all_graphs, all_posets, eta_check, graph_infchar_two_ways
@@ -42,14 +40,10 @@ from qshuffle.elements import (
     product,
 )
 from qshuffle.functionals import Functional, exp_functional, log_functional
-from qshuffle.universal import (
-    canonical,
-    infchar_to_char,
-    sh_provider,
-)
+from qshuffle.universal import canonical, infchar_to_char, qsym_provider
 from qshuffle.verify import check_integral_nonneg, is_character, theta_eigencheck, verify_qps
 
-from oracles import expand_polynomial, nu_via_convolution, polynomial_product
+from oracles import even_odd_g, expand_polynomial, nu_via_convolution, polynomial_product
 
 C = Composition
 SEED = 20260823
@@ -121,9 +115,9 @@ def test_criterion_03_fg_roundtrip_and_closed_forms(announce):
                 break
     # the closed forms against the triangular solve they stand in for in f_to_g
     for name in ("type1", "type2"):
-        g = _triangular_dual(builtin(name), 0, "g")
+        g, served = _triangular_dual(builtin(name), 0, "g"), f_to_g(builtin(name))
         for comp in compositions_up_to(10):
-            if comp and g(comp) != closed_form_g(name, comp):
+            if comp and g(comp) != served(comp):
                 failures.append(f"closed form {name} at {comp}")
                 break
     announce(3, "f/g inversion and closed forms to degree 7", not failures, "; ".join(failures))
@@ -218,7 +212,7 @@ def test_criterion_07_even_odd_g(announce):
     failures = []
     g = f_to_g(builtin("even-odd"))
     for comp in compositions_up_to(7):
-        if comp and comp.size % 2 == 1 and g(comp) != closed_form_g("even-odd", comp):
+        if comp and comp.size % 2 == 1 and g(comp) != even_odd_g(comp):
             failures.append(f"solve vs closed form at {comp}")
             break
     oracle = _series_quotient([Fraction(1), Fraction(-1)], [Fraction(1), Fraction(1)], 9)
@@ -226,8 +220,7 @@ def test_criterion_07_even_odd_g(announce):
         combinatorial_sum = Fraction(0)
         for beta in compositions_of(m):
             if all(p % 2 == 1 for p in beta):
-                st = stats(beta)
-                combinatorial_sum += Fraction((-2) ** st.length, st.part_product * factorial(st.length))
+                combinatorial_sum += Fraction((-2) ** beta.length, prod(beta) * factorial(beta.length))
         if combinatorial_sum != 2 * Fraction((-1) ** m):
             failures.append(f"series coefficient at m={m}: {combinatorial_sum}")
         if combinatorial_sum != oracle[m]:
@@ -285,7 +278,7 @@ def test_criterion_09_exp_log(announce):
             failures.append(f"exp(log(zeta)) at {comp}")
             break
     for label, functional in (("xiS", canonical("xiS")), ("pseudorandom", xi)):
-        through_basis = infchar_to_char(functional, builtin("type2"), sh_provider())
+        through_basis = infchar_to_char(functional, builtin("type2"), qsym_provider())
         direct = exp_functional(functional)
         for comp in compositions_up_to(6):
             if through_basis(comp) != direct(comp):

@@ -1,18 +1,18 @@
 """Shuffle characters, the f/g triangular calculus, and the power sum bases."""
 
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 
 import pytest
 
 from qshuffle.characters import (
     BUILTIN_NAMES,
-    CLOSED_FORM_G_NAMES,
     OrderedPartitionSpec,
     _triangular_dual,
     basis_contract,
     basis_expand,
     builtin,
-    closed_form_g,
     even_odd_character,
     f_to_g,
     g_to_f,
@@ -25,23 +25,12 @@ from qshuffle.characters import (
 )
 from qshuffle.compositions import EMPTY, Composition, compositions_up_to, stats
 from qshuffle.elements import MONOMIAL, WORD, GradedElement, format_element
-from qshuffle.functionals import (
-    Functional,
-    convolve,
-    counit_functional,
-    exp_functional,
-    log_functional,
-)
+from qshuffle.functionals import Functional, convolve, exp_functional, log_functional
+from qshuffle.universal import canonical
 from qshuffle.verify import check_integral_nonneg, is_character, verify_qps
-from qshuffle.errors import (
-    EvenSizeUnsupported,
-    NotNormalized,
-    PartOutOfRange,
-    SingularCharacter,
-    ZeroPrefixSum,
-)
+from qshuffle.errors import NotNormalized, PartOutOfRange, SingularCharacter, ZeroPrefixSum
 
-from oracles import extend_over_refinement, is_normalized
+from oracles import EvenSizeUnsupported, even_odd_g, extend_over_refinement, is_normalized
 
 C = Composition
 
@@ -73,7 +62,7 @@ def test_solved_duals_are_plain_functionals(name):
     assert g.value_at_empty == 0
     assert g_to_f(g).value_at_empty == 1
     # g is an infinitesimal character as it stands: no wrapper between it and the calculus
-    identity = convolve(g, counit_functional())
+    identity = convolve(g, canonical("counit"))
     roundtrip = log_functional(exp_functional(g))
     for comp in compositions_up_to(7):
         assert identity(comp) == g(comp), comp
@@ -114,17 +103,15 @@ def test_type1_closed_form():
     # p(alpha) / pi(alpha), the normalized inverse-prefix-product character
     type1 = builtin("type1")
     for comp in compositions_up_to(7):
-        st = stats(comp)
-        assert type1(comp) == Fraction(st.part_product, st.prefix_product)
+        assert type1(comp) == Fraction(prod(comp), prod(accumulate(comp)))
 
 
 def test_combinatorial_is_inverse_aut_on_sorted():
     comb = builtin("combinatorial")
     rcomb = builtin("reverse-combinatorial")
     for comp in compositions_up_to(7):
-        st = stats(comp)
-        if tuple(comp) == tuple(st.sorted_partition):
-            assert comb(comp) == Fraction(1, st.aut_count)
+        if list(comp) == sorted(comp, reverse=True):
+            assert comb(comp) == Fraction(1, stats(comp).aut_count)
         else:
             assert comb(comp) == 0
         assert rcomb(comp) == comb(comp.reverse())
@@ -205,7 +192,7 @@ def test_is_shuffle_character_negative():
 def test_normalize():
     raw = prefix_sum_character(lambda n: Fraction(n), name="raw")
     for comp in compositions_up_to(6):
-        assert raw(comp) == Fraction(1, stats(comp).prefix_product)
+        assert raw(comp) == Fraction(1, prod(accumulate(comp)))
     fixed = normalize(raw)
     assert is_normalized(fixed, 7)
     for comp in compositions_up_to(6):
@@ -250,13 +237,14 @@ def test_f_to_g_closed_forms():
     # the triangular solve, the generic route, is the oracle of the closed forms f_to_g serves
     for name in ("type1", "type2"):
         g = _triangular_dual(builtin(name), 0, "g")
+        served = f_to_g(builtin(name))
         for comp in compositions_up_to(10):
             if comp:
-                assert g(comp) == closed_form_g(name, comp), (name, comp)
+                assert g(comp) == served(comp), (name, comp)
     g_eo = f_to_g(builtin("even-odd"))
     for comp in compositions_up_to(10):
         if comp and comp.size % 2 == 1:
-            assert g_eo(comp) == closed_form_g("even-odd", comp), comp
+            assert g_eo(comp) == even_odd_g(comp), comp
 
 
 def test_f_to_g_serves_one_shared_closed_form_per_stock_instance():
@@ -264,8 +252,9 @@ def test_f_to_g_serves_one_shared_closed_form_per_stock_instance():
         g = f_to_g(builtin(name))
         assert g is f_to_g(builtin(name))
         assert (g.name, g.value_at_empty) == (f"g[{name}]", 0)
+        solved = _triangular_dual(builtin(name), 0, "g")
         for comp in compositions_up_to(6):
-            assert type(g(comp)) is Fraction and g(comp) == (closed_form_g(name, comp) if comp else 0), comp
+            assert type(g(comp)) is Fraction and g(comp) == solved(comp), comp
     # even-odd has a closed form at odd sizes only, so each call solves afresh
     assert f_to_g(builtin("even-odd")) is not f_to_g(builtin("even-odd"))
 
@@ -287,25 +276,23 @@ def test_f_to_g_solves_for_an_equal_valued_spec():
 
 
 def test_closed_form_g_frozen():
-    assert closed_form_g("type1", C((2, 1))) == Fraction(-1, 3)
-    assert closed_form_g("type1", C((3,))) == 1
-    assert closed_form_g("type2", C((2, 1))) == Fraction(-1, 2)
-    assert closed_form_g("type2", C((1, 1, 1))) == Fraction(1, 3)
-    assert closed_form_g("even-odd", C((2, 1))) == -1
-    assert closed_form_g("even-odd", C((1, 2))) == 0
-    assert closed_form_g("even-odd", C((2, 2, 1))) == 1
+    g1, g2 = f_to_g(builtin("type1")), f_to_g(builtin("type2"))
+    assert g1(C((2, 1))) == Fraction(-1, 3)
+    assert g1(C((3,))) == 1
+    assert g2(C((2, 1))) == Fraction(-1, 2)
+    assert g2(C((1, 1, 1))) == Fraction(1, 3)
+    assert even_odd_g(C((2, 1))) == -1
+    assert even_odd_g(C((1, 2))) == 0
+    assert even_odd_g(C((2, 2, 1))) == 1
     with pytest.raises(EvenSizeUnsupported):
-        closed_form_g("even-odd", C((1, 3)))
-    with pytest.raises(ValueError):
-        closed_form_g("combinatorial", C((1,)))
-    assert set(CLOSED_FORM_G_NAMES) == {"type1", "type2", "even-odd"}
+        even_odd_g(C((1, 3)))
 
 
 def test_closed_form_g_on_the_empty_composition():
-    assert closed_form_g("type1", EMPTY) == 0
-    assert closed_form_g("type2", EMPTY) == 0
+    assert f_to_g(builtin("type1"))(EMPTY) == 0
+    assert f_to_g(builtin("type2"))(EMPTY) == 0
     with pytest.raises(EvenSizeUnsupported):
-        closed_form_g("even-odd", EMPTY)
+        even_odd_g(EMPTY)
 
 
 def test_builtin_registry():

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import inspect
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from qshuffle import characters, cli, elements, verify
 from qshuffle.cli import MAX_DEGREE, SUITES, run
 from qshuffle.compositions import MAX_DIGITS, MAX_SHOWN, quasi_shuffle
 from qshuffle.elements import MONOMIAL, WORD, GradedElement
+from qshuffle.functionals import MAX_BITS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -591,14 +593,45 @@ def test_short_names_and_numbers_in_messages_are_printed_whole(capsys):
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter prints ints of any length")
 def test_an_output_number_past_the_interpreters_digit_limit_names_its_table_cell(capsys):
+    # 1/(6 tau^5) at tau = <860 sevens> has more digits than str(int) prints, and fewer bits than a value may have
+    assert sys.get_int_max_str_digits() == 4300
+    basis = "prefix-sum:" + "7" * 860
+    code, out, err = invoke(capsys, "table", "--basis", basis, "--degree", "5", "--kind", "shuffle")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the table cell at alpha=C[1,1,1,1,1], beta=C[1,1,3] has more than 4300 digits, too many to print\n"
+    )
+    # five prefix sums of 1000 digits pass MAX_BITS in f itself, before any cell is printed
     sevens = "7" * MAX_DIGITS
     basis = f"prefix-sum:1,{sevens},3,{sevens},5/{'3' * (MAX_DIGITS - 2)}"
     code, out, err = invoke(capsys, "table", "--basis", basis, "--degree", "10", "--kind", "shuffle")
+    assert (code, out, err) == (1, "", f"error: the value at C[2,1,1,1,1] has more than {MAX_BITS} bits\n")
+
+
+# tau values of 1000 digits, within the numeral cap, whose f <-> g solve and series grow without bound
+_WIDE_BASIS = f"prefix-sum:1,{'7' * MAX_DIGITS},3,{'7' * MAX_DIGITS},5/{'3' * (MAX_DIGITS - 2)},1,1,1,1,1"
+_ONES = ",".join(["1"] * MAX_DEGREE)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convert", "--basis", _WIDE_BASIS, "--comp", _ONES),
+        ("psi", "--hopf", "qsym", "--basis", _WIDE_BASIS, "--input", _ONES),
+        ("exp", "--functional", f"g:{_WIDE_BASIS}", "--degree", str(MAX_DEGREE)),
+        ("log", "--functional", f"f:{_WIDE_BASIS}", "--degree", str(MAX_DEGREE)),
+        ("verify", "--suite", "fg-roundtrip", "--basis", _WIDE_BASIS, "--degree", str(MAX_DEGREE)),
+        ("verify", "--suite", "shuffle-character", "--basis", _WIDE_BASIS, "--degree", str(MAX_DEGREE)),
+    ],
+    ids=("convert", "psi", "exp", "log", "fg-roundtrip", "shuffle-character"),
+)
+def test_values_past_the_bit_bound_end_the_run_in_one_line(capsys, argv):
+    # each ran for over a minute, or passed after 11 s, before values were bounded
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == (
-        "error: the table cell at alpha=C[1,1,1,1,2,1,1,1,1], beta=C[1,1,1,1,6] "
-        f"has more than {sys.get_int_max_str_digits()} digits, too many to print\n"
-    )
+    assert err.count("\n") == 1 and len(err) < 200 and f"has more than {MAX_BITS} bits" in err, err
+    assert time.perf_counter() - start < 30
 
 
 def test_exact_rationals_are_accepted(capsys):
@@ -957,6 +990,57 @@ def test_all_lists_importable_names_and_no_modules():
     assert len(set(qshuffle.__all__)) == len(qshuffle.__all__)
     for name in qshuffle.__all__:
         assert not isinstance(getattr(qshuffle, name), type(qshuffle)), name
+
+
+def _library_references() -> set[str]:
+    """The names and attribute names that the package's modules, __init__ aside, read outside their own definitions.
+
+    A name a function binds itself (an argument or an assignment) is its local, not a reference.
+    """
+    found = set()
+
+    def walk(node, enclosing, local):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.FunctionDef):
+            args = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+            stored = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            local = local | args | stored
+        if isinstance(node, ast.Name) and node.id not in local | enclosing:
+            found.add(node.id)
+        if isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            walk(child, enclosing, local)
+
+    for path in (REPO_ROOT / "src" / "qshuffle").glob("*.py"):
+        if path.name != "__init__.py":
+            walk(ast.parse(path.read_text(encoding="utf-8")), frozenset(), frozenset())
+    return found
+
+
+def _kept(obj) -> bool:
+    doc = inspect.getdoc(getattr(obj, "__func__", obj)) or ""
+    return any(line.startswith("Kept:") for line in doc.splitlines())
+
+
+def test_every_public_name_has_a_caller_or_a_kept_reason():
+    import qshuffle
+
+    classes = (
+        "Composition", "GradedElement", "TensorElement", "Functional", "CharacterPowerEvaluator",
+        "SmallGraph", "SmallPoset",
+    )
+    public = [(name, getattr(qshuffle, name)) for name in qshuffle.__all__]
+    for cls in (getattr(qshuffle, name) for name in classes):
+        # the class's own methods and properties and those of its bases in the package, not tuple's or object's
+        for base in cls.__mro__:
+            if base.__module__.startswith("qshuffle."):
+                public += [(f"{cls.__name__}.{n}", obj) for n, obj in vars(base).items() if not n.startswith("_")]
+    assert len(public) > len(qshuffle.__all__)
+    references = _library_references()
+    uncalled = [label for label, obj in public if label.rpartition(".")[2] not in references and not _kept(obj)]
+    assert uncalled == []
 
 
 def test_demo_graph_at_the_cap_finishes():

@@ -12,7 +12,6 @@ from qshuffle.errors import BasisMismatch, NonvanishingAtEmpty, NotInvertible, W
 from qshuffle.functionals import (
     Functional,
     convolve,
-    counit_functional,
     exp_functional,
     functional_inverse,
     lie_bracket,
@@ -46,7 +45,7 @@ def test_functional_call_and_elements():
 
 
 def test_convolution_unit():
-    eps = counit_functional()
+    eps = canonical("counit")
     phi = _random_functional(11, 1)
     for comp in compositions_up_to(DEGREE):
         assert convolve(eps, phi)(comp) == phi(comp)
@@ -78,7 +77,7 @@ def test_convolution_example():
 def test_inverse_is_two_sided():
     phi = _random_functional(7, 1)
     inv = functional_inverse(phi)
-    eps = counit_functional()
+    eps = canonical("counit")
     left = convolve(inv, phi)
     right = convolve(phi, inv)
     for comp in compositions_up_to(DEGREE):
@@ -124,7 +123,7 @@ def test_exp_by_convolution_powers():
     xi = _random_functional(12, 0)
     ex = exp_functional(xi)
     for comp in compositions_up_to(DEGREE):
-        power = counit_functional()
+        power = canonical("counit")
         total = Fraction(0)
         for k in range(comp.length + 1):
             total += power(comp) / factorial(k)

@@ -23,14 +23,13 @@ from qshuffle.universal import (
     char_to_infchar,
     infchar_to_char,
     qsym_provider,
-    sh_provider,
     theta,
     universal_to_qsym,
     universal_to_sh,
 )
 from qshuffle.verify import is_character, theta_eigencheck
 
-from oracles import nu_via_convolution
+from oracles import nu_via_convolution, power_value
 
 C = Composition
 
@@ -45,7 +44,6 @@ def X(*parts):
 
 def test_provider_shape():
     q = qsym_provider()
-    assert q is sh_provider()
     assert q.degree(C((2, 1))) == 3
     assert q.unit_label == EMPTY
     delta = dict(q.coproduct(C((2, 1))))
@@ -57,16 +55,19 @@ def test_provider_shape():
 
 
 def test_power_evaluator_values():
-    zeta = canonical("zetaQ")
-    ev = CharacterPowerEvaluator(qsym_provider(), zeta)
-    assert ev.value(C((2, 1)), (2, 1)) == 1
-    assert ev.value(C((2, 1)), (1, 2)) == 0
-    assert ev.value(C((2, 1)), (3,)) == 0
-    assert ev.value(C((3,)), (3,)) == 1
-    assert ev.value(C((2, 1)), ()) == 0
-    assert ev.value(EMPTY, ()) == 1
+    zeta, q = canonical("zetaQ"), qsym_provider()
+    assert power_value(q, zeta, C((2, 1)), (2, 1)) == 1
+    assert power_value(q, zeta, C((2, 1)), (1, 2)) == 0
+    assert power_value(q, zeta, C((2, 1)), (3,)) == 0
+    assert power_value(q, zeta, C((3,)), (3,)) == 1
+    assert power_value(q, zeta, C((2, 1)), ()) == 0
+    assert power_value(q, zeta, EMPTY, ()) == 1
     # wrong total degree projects to nothing
-    assert ev.value(C((2, 1)), (2, 2)) == 0
+    assert power_value(q, zeta, C((2, 1)), (2, 2)) == 0
+    # the evaluator's image collects these values over the compositions of the degree
+    ev = CharacterPowerEvaluator(q, zeta)
+    assert ev.image({C((2, 1)): 1}, MONOMIAL) == M(2, 1)
+    assert ev.image({EMPTY: 1}, MONOMIAL) == GradedElement.unit(MONOMIAL)
 
 
 def test_universal_identity_maps():
@@ -74,7 +75,7 @@ def test_universal_identity_maps():
     xi = canonical("xiS")
     for comp in compositions_up_to(6):
         assert universal_to_qsym(qsym_provider(), zeta, comp) == M(*comp)
-        assert universal_to_sh(sh_provider(), xi, comp) == X(*comp)
+        assert universal_to_sh(qsym_provider(), xi, comp) == X(*comp)
 
 
 def test_universal_on_qsym_example():
@@ -102,7 +103,7 @@ def test_universal_preconditions():
     with pytest.raises(NotACharacter):
         universal_to_qsym(qsym_provider(), canonical("xiS"), C((1,)))
     with pytest.raises(NotAnInfinitesimalCharacter):
-        universal_to_sh(sh_provider(), canonical("zetaQ"), C((1,)))
+        universal_to_sh(qsym_provider(), canonical("zetaQ"), C((1,)))
     with pytest.raises(DegreeMismatch):
         universal_to_qsym(
             qsym_provider(), canonical("zetaQ"), {C((1,)): Fraction(1), C((2,)): Fraction(1)}
@@ -214,7 +215,7 @@ def test_theta_eigencheck_custom_even_block():
 
 def test_infchar_to_char_is_exp_for_factorial_basis():
     xi = canonical("xiS")
-    zeta = infchar_to_char(xi, builtin("type2"), sh_provider())
+    zeta = infchar_to_char(xi, builtin("type2"), qsym_provider())
     expected = exp_functional(xi)
     for comp in compositions_up_to(6):
         assert zeta(comp) == expected(comp), comp
@@ -232,8 +233,8 @@ def test_char_bijection_roundtrip_other_bases():
     for name in ("type1", "even-odd"):
         f = builtin(name)
         xi = canonical("xiS")
-        zeta = infchar_to_char(xi, f, sh_provider())
-        back = char_to_infchar(zeta, f, sh_provider())
+        zeta = infchar_to_char(xi, f, qsym_provider())
+        back = char_to_infchar(zeta, f, qsym_provider())
         for comp in compositions_up_to(5):
             assert back(comp) == xi(comp), (name, comp)
 
@@ -249,11 +250,11 @@ def test_char_bijection_roundtrip_from_char_side():
 
 def test_char_bijection_preconditions():
     with pytest.raises(NotAnInfinitesimalCharacter):
-        infchar_to_char(canonical("zetaQ"), builtin("type2"), sh_provider())
+        infchar_to_char(canonical("zetaQ"), builtin("type2"), qsym_provider())
     with pytest.raises(NotACharacter):
         char_to_infchar(canonical("xiS"), builtin("type2"), qsym_provider())
     raw = prefix_sum_character(lambda n: Fraction(n))
-    mapped = infchar_to_char(canonical("xiS"), raw, sh_provider())
+    mapped = infchar_to_char(canonical("xiS"), raw, qsym_provider())
     with pytest.raises(NotNormalized):
         mapped(C((2,)))
 
