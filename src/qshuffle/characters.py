@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from math import gcd
 from typing import Callable, Hashable
 
 from .compositions import (
@@ -44,7 +45,7 @@ from .compositions import (
     shown_number,
     stats,
 )
-from .elements import GradedElement, MONOMIAL, parse_rational
+from .elements import GradedElement, MONOMIAL, coarsening_sum, parse_rational
 from .errors import NotNormalized, PartOutOfRange, SingularCharacter, ZeroPrefixSum
 from .functionals import Functional
 
@@ -61,7 +62,9 @@ def normalize(f: Functional) -> Functional:
     """
 
     def value(comp: Composition) -> Fraction:
-        return f(comp) / _diagonal(f, comp)
+        num, den = f(comp).as_integer_ratio()
+        diag_num, diag_den = _diagonal(f, comp)
+        return Fraction(num * diag_den, den * diag_num)
 
     label = f"normalized {f.name}" if f.name else None
     return Functional(1, value, name=label)
@@ -74,15 +77,19 @@ def require_normalized(f: Functional, max_degree: int) -> None:
             raise NotNormalized(f"f(({n})) = {shown_number(f(single(n)))}, expected 1")
 
 
-def _diagonal(f: Functional, comp: Composition) -> Fraction:
-    """f(alpha, alpha) = product of single-part values; SingularCharacter on zero."""
-    out = Fraction(1)
+def _diagonal(f: Functional, comp: Composition) -> tuple[int, int]:
+    """f(alpha, alpha), the product of single-part values, as an unreduced int ratio (num, den).
+
+    SingularCharacter at the first part whose value is zero.
+    """
+    num = den = 1
     for p in comp:
-        fp = f(single(p))
-        if fp == 0:
+        n, d = f(single(p)).as_integer_ratio()
+        if not n:
             raise SingularCharacter(f"f(({p})) = 0")
-        out *= fp
-    return out
+        num *= n
+        den *= d
+    return num, den
 
 
 def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functional:
@@ -96,11 +103,12 @@ def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functio
     k: Functional | None = None
 
     def value(alpha: Composition) -> Fraction:
-        diag = _diagonal(h, alpha)
+        diag_num, diag_den = _diagonal(h, alpha)
         if alpha.length == 1:
-            return 1 / diag
+            return Fraction(diag_den, diag_num)
         terms = coarsening_products(h, alpha, lambda beta: 0 if len(beta) == len(alpha) else k(beta))
-        return -rational_sum(terms) / diag
+        num, den = rational_sum(terms).as_integer_ratio()
+        return Fraction(-num * diag_den, den * diag_num)
 
     label = f"{letter}[{h.name}]" if h.name else None
     k = Functional(value_at_empty, value, name=label)
@@ -139,7 +147,7 @@ def basis_contract(g: Functional, alpha) -> dict[Composition, Fraction]:
 
 def basis_expand(f: Functional, alpha) -> GradedElement:
     """X_alpha in the monomial basis: coarsenings weighted by f(alpha, .)."""
-    return GradedElement(MONOMIAL, basis_contract(f, alpha))
+    return coarsening_sum(MONOMIAL, f, alpha)
 
 
 def qps_expand(f: Functional, alpha) -> GradedElement:
@@ -149,9 +157,7 @@ def qps_expand(f: Functional, alpha) -> GradedElement:
     """
     alpha = Composition(alpha)
     require_normalized(f, alpha.size)
-    aut = stats(alpha).aut_count
-    terms = {beta: rational(aut * num, den) for beta, num, den in coarsening_products(f, alpha)}
-    return GradedElement(MONOMIAL, terms)
+    return coarsening_sum(MONOMIAL, f, alpha, stats(alpha).aut_count)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +171,23 @@ def prefix_sum_character(tau: Callable[[int], Fraction], name: str | None = None
     """
 
     def value(comp: Composition) -> Fraction:
-        out = Fraction(1)
-        running = Fraction(0)
+        # the product of the reciprocal prefix sums, kept as an unreduced int ratio num/den;
+        # the running sum is run/run_den, reduced whenever a new denominator joins it
+        num = den = 1
+        run, run_den = 0, 1
         for i, p in enumerate(comp):
-            running += Fraction(tau(p))
-            if running == 0:
+            t, t_den = tau(p).as_integer_ratio()
+            if t_den == run_den:
+                run += t
+            else:
+                run, run_den = run * t_den + t * run_den, run_den * t_den
+                common = gcd(run, run_den)
+                run, run_den = run // common, run_den // common
+            if run == 0:
                 raise ZeroPrefixSum(f"prefix {Composition(comp[: i + 1])} has tau-sum 0")
-            out /= running
-        return out
+            num *= run_den
+            den *= run
+        return Fraction(num, den)
 
     return Functional(1, value, name=name)
 

@@ -333,7 +333,8 @@ def _interleavings(pairs_of, merge: bool, a: Composition, b: Composition) -> dic
             key = _trusted((first, *word))
             key = _interned.setdefault(key, key)
             acc[key] = acc.get(key, 0) + m
-    return dict(sorted(acc.items(), key=lambda kv: canonical_key(kv[0])))
+    # every word has size |a| + |b|, so the order of the part tuples is the canonical order
+    return dict(sorted(acc.items()))
 
 
 # The two product tables.  An entry is shared by every caller, which must not

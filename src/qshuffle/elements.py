@@ -14,10 +14,21 @@ BasisMismatch on such tags.
 
 Every coefficient is in one normal form: an ``int``, or a ``Fraction``
 whose denominator is greater than 1, so integral coefficients (every
-antipode coefficient among them) are added and multiplied as ints.
-``_summed``, called by both constructors, owns the normal form (repeated
-keys summed, zero sums pruned, integral sums stored as ints), so equality
-of elements is equality of the term dictionaries.
+antipode coefficient among them) are added and multiplied as ints.  Keys
+are ``Composition``s (pairs of them in a tensor), each once, and no
+coefficient is zero, so equality of elements is equality of the term
+dictionaries.
+
+The normal form is established once, where terms are built.  The public
+constructors and ``from_json`` take outside input and put it through
+``_summed``, which validates every key and coefficient and sums repeats.
+The results computed here (products, coproducts, antipodes, linear
+images, the basis expansions of ``coarsening_sum``, and sums, negatives
+and scalings of elements) are built from terms already in normal form,
+so they skip that check: ``_TermMap._normal`` stores such a dict as it
+is, and ``_TermMap._sum_of`` stores a dict of sums of normal-form
+coefficients after ``_finished``, the last step that ``_summed`` shares
+(zero sums dropped, integral sums made ints).
 """
 
 from __future__ import annotations
@@ -33,8 +44,10 @@ from .compositions import (
     _shuffle_pairs,
     canonical_key,
     check_length,
+    coarsening_products,
     coarsenings,
     deconcatenations,
+    rational,
 )
 from .errors import BasisMismatch, NotAPartition
 
@@ -98,17 +111,21 @@ def _composition_pair(pair) -> tuple[Composition, Composition]:
     return _composition(left), _composition(right)
 
 
+def _finished(acc: dict) -> dict:
+    """A dict of sums of normal-form coefficients in normal form: zero sums dropped, integral sums made ints."""
+    return {k: v if type(v) is int or v.denominator != 1 else v.numerator for k, v in acc.items() if v}
+
+
 def _summed(terms, key_of) -> dict:
-    """Terms (a dict or (key, coef) pairs) in normal form: each key through key_of,
-    exact coefficients, repeated keys summed, zero sums pruned and integral sums
-    made ints once at the end.
+    """Terms from outside (a dict or (key, coef) pairs) in normal form: each key
+    through key_of, exact coefficients, repeated keys summed, then _finished.
     """
     acc = {}
     for key, coef in terms.items() if isinstance(terms, dict) else terms:
         key, coef = key_of(key), as_coefficient(coef)
         prev = acc.get(key)
         acc[key] = coef if prev is None else prev + coef
-    return {k: v.numerator if v.denominator == 1 else v for k, v in acc.items() if v}
+    return _finished(acc)
 
 
 def _json_object(data, what: str, keys: tuple[str, ...]) -> dict:
@@ -134,14 +151,28 @@ class _TermMap:
     """A finitely supported, basis-tagged map from keys to exact coefficients in normal form.
 
     The arithmetic shared by the two element classes; each subclass's
-    ``__init__`` puts its own keys through ``_summed``, and the methods here
-    build their results through ``type(self)``.
+    ``__init__`` puts outside keys through ``_summed``, and the methods here
+    build their results, already in normal form, through ``_normal`` and
+    ``_sum_of``.
     """
 
     __slots__ = ("basis", "terms")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _normal(cls, basis: str, terms: dict):
+        """An element storing terms as it is, unchecked: a dict the caller built in normal form."""
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "basis", basis)
+        object.__setattr__(elem, "terms", terms)
+        return elem
+
+    @classmethod
+    def _sum_of(cls, basis: str, acc: dict):
+        """An element of acc, valid keys each mapped to a sum of normal-form coefficients, after _finished."""
+        return cls._normal(basis, _finished(acc))
 
     def _require_same_basis(self, other) -> None:
         if self.basis != other.basis:
@@ -151,18 +182,24 @@ class _TermMap:
         return type(other) is type(self) and self.basis == other.basis and self.terms == other.terms
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         self._require_same_basis(other)
-        return type(self)(self.basis, [*self.terms.items(), *other.terms.items()])
+        acc = dict(self.terms)
+        for k, v in other.terms.items():
+            prev = acc.get(k)
+            acc[k] = v if prev is None else prev + v
+        return self._sum_of(self.basis, acc)
 
     def __neg__(self):
-        return type(self)(self.basis, {k: -v for k, v in self.terms.items()})
+        return self._normal(self.basis, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, scalar):
         s = as_coefficient(scalar)
-        return type(self)(self.basis, {k: s * v for k, v in self.terms.items()})
+        return self._sum_of(self.basis, {k: s * v for k, v in self.terms.items()})
 
     __rmul__ = scaled
 
@@ -178,7 +215,7 @@ class GradedElement(_TermMap):
 
     @classmethod
     def basis_element(cls, basis: str, comp) -> "GradedElement":
-        return cls(basis, {Composition(comp): 1})
+        return cls._normal(basis, {Composition(comp): 1})
 
     @classmethod
     def unit(cls, basis: str) -> "GradedElement":
@@ -186,7 +223,7 @@ class GradedElement(_TermMap):
 
     @classmethod
     def zero(cls, basis: str) -> "GradedElement":
-        return cls(basis, {})
+        return cls._normal(basis, {})
 
     def coefficient(self, comp) -> int | Fraction:
         return self.terms.get(Composition(comp), 0)
@@ -272,7 +309,7 @@ def accumulate_product(acc: dict, a: GradedElement, b_terms) -> dict:
 
 def product(a: GradedElement, b: GradedElement) -> GradedElement:
     a._require_same_basis(b)
-    return GradedElement(a.basis, accumulate_product({}, a, b.terms.items()))
+    return GradedElement._sum_of(a.basis, accumulate_product({}, a, b.terms.items()))
 
 
 class TensorElement(_TermMap):
@@ -316,8 +353,9 @@ def coproduct(h: GradedElement) -> TensorElement:
     """Deconcatenation coproduct, the same rule in both wired bases."""
     if h.basis not in _PRODUCT_RULES:
         raise BasisMismatch(f"no coproduct for basis {h.basis!r}")
-    return TensorElement(
-        h.basis, ((pair, coef) for comp, coef in h.terms.items() for pair in deconcatenations(comp))
+    # the splits of distinct compositions are distinct pairs, so no key repeats
+    return TensorElement._normal(
+        h.basis, {pair: coef for comp, coef in h.terms.items() for pair in deconcatenations(comp)}
     )
 
 
@@ -333,19 +371,32 @@ def antipode_word(h: GradedElement) -> GradedElement:
     """Antipode on the shuffle algebra: X[a1..al] -> (-1)^l X[al..a1]."""
     if h.basis != WORD:
         raise BasisMismatch(f"closed-form word antipode needs basis {WORD!r}, got {h.basis!r}")
-    return GradedElement(
-        WORD, ((comp.reverse(), -coef if comp.length % 2 else coef) for comp, coef in h.terms.items())
+    return GradedElement._normal(
+        WORD, {comp.reverse(): -coef if comp.length % 2 else coef for comp, coef in h.terms.items()}
     )
 
 
 def linear_image(h: GradedElement, image_of) -> GradedElement:
     """The linear extension of image_of (a composition -> element map) to h, in h's basis."""
-    terms = (
-        (image, coef * value)
-        for comp, coef in h.terms.items()
-        for image, value in image_of(comp).terms.items()
-    )
-    return GradedElement(h.basis, terms)
+    acc = {}
+    for comp, coef in h.terms.items():
+        for image, value in image_of(comp).terms.items():
+            term = coef * value
+            prev = acc.get(image)
+            acc[image] = term if prev is None else prev + term
+    return GradedElement._sum_of(h.basis, acc)
+
+
+def coarsening_sum(basis: str, fn, alpha, scale: int = 1) -> GradedElement:
+    """The sum over the coarsenings beta of alpha of scale * fn(alpha, beta) b_beta, in basis.
+
+    fn(alpha, beta) is the product of fn over the blocks of alpha that sum
+    to the parts of beta, read off one walk of coarsening_products, which
+    yields each coarsening once and leaves zero terms out; scale is a
+    nonzero int.  So the terms are in normal form as they are built.
+    """
+    terms = {beta: rational(scale * num, den) for beta, num, den in coarsening_products(fn, alpha)}
+    return GradedElement._normal(basis, terms)
 
 
 _antipode_cache: dict[tuple[str, Composition], GradedElement] = {}
@@ -372,7 +423,7 @@ def antipode_by_recursion(basis: str, comp) -> GradedElement:
         acc = {comp: 1}
         for left, right in deconcatenations(comp)[1:-1]:
             accumulate_product(acc, antipode_by_recursion(basis, left), ((right, 1),))
-        result = GradedElement(basis, {c: -v for c, v in acc.items()})
+        result = GradedElement._sum_of(basis, {c: -v for c, v in acc.items()})
     _antipode_cache[key] = result
     return result
 
@@ -388,7 +439,7 @@ def antipode_monomial(h: GradedElement) -> GradedElement:
         raise BasisMismatch(f"monomial antipode needs basis {MONOMIAL!r}, got {h.basis!r}")
 
     def image(comp: Composition) -> GradedElement:
-        return GradedElement(MONOMIAL, dict.fromkeys(coarsenings(comp.reverse()), -1 if len(comp) % 2 else 1))
+        return GradedElement._normal(MONOMIAL, dict.fromkeys(coarsenings(comp.reverse()), -1 if len(comp) % 2 else 1))
 
     return linear_image(h, image)
 

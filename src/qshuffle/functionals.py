@@ -49,7 +49,9 @@ class Functional:
             return self.value_at_empty
         value = self._memo.get(comp)
         if value is None:
-            value = Fraction(self._fn(comp))
+            value = self._fn(comp)
+            if type(value) is not Fraction:
+                value = Fraction(value)
             if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_BITS:
                 raise ValueError(f"the value at {comp} has more than {MAX_BITS} bits")
             self._memo[comp] = value

@@ -21,7 +21,7 @@ from .compositions import (
     rational, rearrangements, shuffle, stats,
 )
 from .elements import (
-    GradedElement, MONOMIAL, TensorElement, WORD, accumulate_product, antipode_by_recursion, antipode_monomial,
+    GradedElement, MONOMIAL, WORD, accumulate_product, antipode_by_recursion, antipode_monomial,
     antipode_word, coproduct, power_sum, product, product_rule,
 )
 from .functionals import Functional
@@ -188,31 +188,41 @@ def verify_qps(
     qps = lru_cache(maxsize=None)(partial(qps_expand, f))
 
     def product_rule(pair) -> str | None:
+        # z_{alpha+beta} P_alpha P_beta = z_alpha z_beta (the sum of P over the shuffles), compared in ints
         alpha, beta = pair
-        lhs = product(qps(alpha), qps(beta))
-        scale = Fraction(stats(alpha).z_value * stats(beta).z_value, stats(alpha + beta).z_value)
-        shuffled = (
-            (comp, coef * mult)
-            for gamma, mult in shuffle(alpha, beta).items()
-            for comp, coef in qps(gamma).terms.items()
+        lhs = product(qps(alpha), qps(beta)).terms
+        acc = {}
+        for gamma, mult in shuffle(alpha, beta).items():
+            for comp, coef in qps(gamma).terms.items():
+                term = coef if mult == 1 else coef * mult
+                prev = acc.get(comp)
+                acc[comp] = term if prev is None else prev + term
+        rhs = GradedElement._sum_of(MONOMIAL, acc).terms
+        z_lhs, z_rhs = stats(alpha + beta).z_value, stats(alpha).z_value * stats(beta).z_value
+        holds = lhs.keys() == rhs.keys() and all(
+            z_lhs * v.numerator * rhs[comp].denominator == z_rhs * rhs[comp].numerator * v.denominator
+            for comp, v in lhs.items()
         )
-        rhs = GradedElement(MONOMIAL, shuffled).scaled(scale)
-        return None if lhs == rhs else f"alpha={alpha}, beta={beta}"
+        return None if holds else f"alpha={alpha}, beta={beta}"
 
     def coproduct_rule(alpha: Composition) -> str | None:
+        # z_left z_right (the (cl, cr) term of Delta P_alpha) = z_alpha P_left[cl] P_right[cr], compared in ints;
+        # |cl| = |left| fixes the split, so no pair comes from two splits
         z_alpha = stats(alpha).z_value
-        lhs = coproduct(qps(alpha))
-        splits = [
-            (left, right, Fraction(z_alpha, stats(left).z_value * stats(right).z_value))
-            for left, right in deconcatenations(alpha)
-        ]
-        rhs = (
-            ((cl, cr), scale * vl * vr)
-            for left, right, scale in splits
-            for cl, vl in qps(left).terms.items()
-            for cr, vr in qps(right).terms.items()
-        )
-        return None if lhs == TensorElement(MONOMIAL, rhs) else f"alpha={alpha}"
+        lhs = coproduct(qps(alpha)).terms
+        matched = 0
+        for left, right in deconcatenations(alpha):
+            z_split = stats(left).z_value * stats(right).z_value
+            for cl, vl in qps(left).terms.items():
+                for cr, vr in qps(right).terms.items():
+                    v = lhs.get((cl, cr))
+                    if v is None or (
+                        z_split * v.numerator * vl.denominator * vr.denominator
+                        != z_alpha * vl.numerator * vr.numerator * v.denominator
+                    ):
+                        return f"alpha={alpha}"
+                    matched += 1
+        return None if matched == len(lhs) else f"alpha={alpha}"
 
     def refinement_rule(lam: Composition) -> str | None:
         # the constructor sums the terms of equal compositions
@@ -300,7 +310,7 @@ def _antipode(_basis: None, degree: int) -> VerifyReport:
         acc = {}
         for left, right in deconcatenations(comp):
             accumulate_product(acc, image(right), ((left, 1),))
-        return None if GradedElement(basis, acc) == target else f"alpha={comp}"
+        return None if GradedElement._sum_of(basis, acc) == target else f"alpha={comp}"
 
     # S in M by its closed form, each image built once (the memo goes when the sweep ends); S in X by the recursion
     def monomial_image(comp: Composition) -> GradedElement:

@@ -22,6 +22,10 @@ the tests can require both to agree:
   by aut(alpha), one element per step (the library builds each
   coefficient aut(alpha) f(alpha, beta) once, from the ints of one walk of
   ``coarsening_products``);
+* ``diagonal`` and ``prefix_sum_character``: f(alpha, alpha) and the
+  prefix-sum character's values in ``Fraction`` arithmetic, one ``Fraction``
+  per factor (the library multiplies int numerators and denominators and
+  builds one ``Fraction`` per value);
 * ``extend_over_refinement``: f(alpha, beta) by searching for the
   refinement blocks with ``refinement_split`` and multiplying from 1;
 * ``even_odd_g``: the published closed form of the even-odd g, at odd sizes
@@ -52,7 +56,11 @@ the tests can require both to agree:
   all labels, building it from the ranks of the kept labels on a miss);
 * ``of_element``: a functional paired with an element by chained
   ``Fraction`` additions (the library adds int ratios over one common
-  denominator).
+  denominator);
+* ``validates_unchanged``: an element's terms put through ``_summed``, the
+  validating path of the public constructors, must come back as they are
+  (the library builds its own results in normal form where their terms
+  are made, and stores them unchecked).
 
 The rest is code that only the tests use, kept out of the library with its
 body unchanged: ``refinement_split`` with the predicate ``refines``,
@@ -74,7 +82,7 @@ from functools import lru_cache
 from itertools import combinations, product as iter_product
 from math import comb, factorial
 
-from qshuffle.characters import _diagonal, basis_expand, require_normalized, single
+from qshuffle.characters import basis_expand, require_normalized, single
 from qshuffle.compositions import (
     EMPTY,
     Composition,
@@ -86,8 +94,10 @@ from qshuffle.compositions import (
     stats,
 )
 from qshuffle.demos import SmallGraph, SmallPoset, all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
-from qshuffle.elements import MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, product
-from qshuffle.errors import BasisMismatch, DegreeMismatch, EngineError
+from qshuffle.elements import (
+    MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, _composition, _composition_pair, _summed, product
+)
+from qshuffle.errors import BasisMismatch, DegreeMismatch, EngineError, SingularCharacter, ZeroPrefixSum
 from qshuffle.functionals import Functional, convolve, functional_inverse
 from qshuffle.universal import canonical, qsym_provider, universal_to_qsym
 from qshuffle.verify import IntegralityWitness, first_witness
@@ -217,6 +227,36 @@ def block_product(fn, blocks: tuple[Composition, ...]) -> Fraction:
     return value
 
 
+def diagonal(f: Functional, comp: Composition) -> Fraction:
+    """f(alpha, alpha) = product of single-part values; SingularCharacter on zero."""
+    out = Fraction(1)
+    for p in comp:
+        fp = f(single(p))
+        if fp == 0:
+            raise SingularCharacter(f"f(({p})) = 0")
+        out *= fp
+    return out
+
+
+def prefix_sum_character(tau, name: str | None = None) -> Functional:
+    """f(alpha) = product over i of 1/(tau(a_1) + ... + tau(a_i)).
+
+    Raises ZeroPrefixSum if a prefix sum vanishes at evaluation time.
+    """
+
+    def value(comp: Composition) -> Fraction:
+        out = Fraction(1)
+        running = Fraction(0)
+        for i, p in enumerate(comp):
+            running += Fraction(tau(p))
+            if running == 0:
+                raise ZeroPrefixSum(f"prefix {Composition(comp[: i + 1])} has tau-sum 0")
+            out /= running
+        return out
+
+    return Functional(1, value, name=name)
+
+
 def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functional:
     """Solve sum over coarsenings beta of h(alpha, beta) k(beta) = [length(alpha) = 1] for k.
 
@@ -227,7 +267,7 @@ def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functio
     k: Functional | None = None
 
     def value(alpha: Composition) -> Fraction:
-        diag = _diagonal(h, alpha)
+        diag = diagonal(h, alpha)
         if alpha.length == 1:
             return 1 / diag
         total = Fraction(0)
@@ -602,3 +642,16 @@ def homogeneous_degree(h: GradedElement) -> int | None:
 def evaluate(t: TensorElement, left_fn, right_fn) -> int | Fraction:
     """Apply a pair of functionals to a tensor and sum."""
     return sum(v * left_fn(l) * right_fn(r) for (l, r), v in t.terms.items())
+
+
+def validates_unchanged(elem) -> bool:
+    """Does _summed, as a public constructor would take elem's terms from outside, leave them as they are?
+
+    Equal terms in the same order, with keys, key parts and coefficients of the same types.
+    """
+    again = _summed(elem.terms, _composition if type(elem) is GradedElement else _composition_pair)
+
+    def types(terms: dict) -> list:
+        return [(type(key), [type(part) for part in key], type(coef)) for key, coef in terms.items()]
+
+    return again == elem.terms and types(again) == types(elem.terms)

@@ -1,5 +1,6 @@
 """Shuffle characters, the f/g triangular calculus, and the power sum bases."""
 
+import re
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
@@ -24,12 +25,14 @@ from qshuffle.characters import (
     resolve_basis,
 )
 from qshuffle.compositions import EMPTY, Composition, compositions_up_to, stats
-from qshuffle.elements import MONOMIAL, WORD, GradedElement, format_element
+from qshuffle import verify
+from qshuffle.elements import MONOMIAL, WORD, GradedElement, TensorElement, coproduct, format_element
 from qshuffle.functionals import Functional, convolve, exp_functional, log_functional
 from qshuffle.universal import canonical
 from qshuffle.verify import check_integral_nonneg, is_character, verify_qps
 from qshuffle.errors import NotNormalized, PartOutOfRange, SingularCharacter, ZeroPrefixSum
 
+import oracles
 from oracles import EvenSizeUnsupported, even_odd_g, extend_over_refinement, is_normalized
 
 C = Composition
@@ -138,6 +141,50 @@ def test_prefix_sum_zero_raises():
     f = prefix_sum_character(lambda n: Fraction(1) if n == 1 else Fraction(-1))
     with pytest.raises(ZeroPrefixSum):
         f(C((1, 2)))
+
+
+def test_integer_ratio_values_match_the_fraction_oracles():
+    # int, fractional and negative tau, denominators that join and leave the running sum
+    specs = ("prefix-sum:1,2,3,4,5,6,7,8", "prefix-sum:1/2,3,-2/3,5/4,7,2,1/3,3", "prefix-sum:2/3,1/3,5/6,-1/2")
+    for spec in specs:
+        values = [Fraction(v) for v in spec.partition(":")[2].split(",")]
+        f, expected = resolve_basis(spec), oracles.prefix_sum_character(lambda n, values=values: values[n - 1])
+        for comp in compositions_up_to(8):
+            if max(comp, default=0) > len(values):
+                continue
+            try:
+                want = expected(comp)
+            except ZeroPrefixSum as exc:
+                with pytest.raises(ZeroPrefixSum, match=f"^{re.escape(str(exc))}$"):
+                    f(comp)
+                continue
+            value = f(comp)
+            assert value == want and type(value) is Fraction, (spec, comp)
+            fixed = normalize(f)(comp)
+            assert fixed == want / oracles.diagonal(expected, comp) and type(fixed) is Fraction, (spec, comp)
+
+
+def test_integer_ratio_rewrite_raises_at_the_same_composition_with_the_same_text():
+    # the prefix (1,2) of tau-values 1 and -1 sums to 0, for every composition starting with it
+    f, expected = resolve_basis("prefix-sum:1,-1"), oracles.prefix_sum_character(lambda n: (1, -1)[n - 1])
+    for comp in (C((1, 2)), C((1, 2, 1)), C((1, 2, 2))):
+        with pytest.raises(ZeroPrefixSum, match=r"^prefix C\[1,2\] has tau-sum 0$"):
+            f(comp)
+        with pytest.raises(ZeroPrefixSum, match=r"^prefix C\[1,2\] has tau-sum 0$"):
+            expected(comp)
+    assert f(C((2,))) == -1 and f(C((1, 1))) == Fraction(1, 2)
+    with pytest.raises(ZeroPrefixSum, match=r"^prefix C\[2,1\] has tau-sum 0$"):
+        f(C((2, 1, 2)))
+    # f((2)) = 0 and f((3)) = 0: the first zero part in reading order is named, by the solve and by normalize
+    singular = Functional(1, lambda comp: Fraction(0) if comp in (C((2,)), C((3,))) else Fraction(1, len(comp)))
+    for comp, part in ((C((1, 3, 2)), 3), (C((2, 3)), 2), (C((1, 1, 2)), 2)):
+        message = rf"^f\(\({part}\)\) = 0$"
+        with pytest.raises(SingularCharacter, match=message):
+            oracles.diagonal(singular, comp)
+        with pytest.raises(SingularCharacter, match=message):
+            normalize(singular)(comp)
+        with pytest.raises(SingularCharacter, match=message):
+            f_to_g(singular)(comp)
 
 
 def test_order_basis_character():
@@ -374,6 +421,21 @@ def test_verify_qps_negative_control():
         "[FAIL] power sum refinement through degree 4: lambda=C[1,1]",
         "qps axioms for perturbed: 3 checks, 2 failed",
     ]
+
+
+def test_verify_qps_coproduct_rule_reports_a_wrong_coproduct(monkeypatch):
+    # no character breaks the coproduct rule, so break the coproduct: a wrong value, a missing pair, an extra pair
+    wrong = {
+        "value": lambda h: coproduct(h).scaled(2),
+        "missing": lambda h: TensorElement(
+            MONOMIAL, {(left, right): v for (left, right), v in coproduct(h).terms.items() if right or not left}
+        ),
+        "extra": lambda h: coproduct(h) + TensorElement(MONOMIAL, {(C((7,)), EMPTY): 1}),
+    }
+    for kind, witness in (("value", "alpha=C[-]"), ("missing", "alpha=C[1]"), ("extra", "alpha=C[-]")):
+        monkeypatch.setattr(verify, "coproduct", wrong[kind])
+        check = verify_qps(builtin("type2"), 3).checks[1]
+        assert (check.passed, check.witness) == (False, witness), kind
 
 
 def test_render_report_lines():

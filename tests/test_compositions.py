@@ -239,9 +239,10 @@ def test_products_hand_out_copies_of_shared_tables():
 
 
 def test_product_tables_share_one_object_per_word():
-    # one tuple per distinct word across every cached entry, the one coarsenings hand out too
+    # one tuple per distinct word across every cached entry, the one coarsenings hand out too;
+    # each table is sorted on its part tuples, which is canonical_key order for words of one size
     shared: dict[Composition, Composition] = {}
-    for total in range(7):
+    for total in range(9):
         for i in range(total + 1):
             for a in compositions_of(i):
                 for b in compositions_of(total - i):
@@ -251,7 +252,7 @@ def test_product_tables_share_one_object_per_word():
                         for word in entry:
                             assert type(word) is Composition
                             assert shared.setdefault(word, word) is word, word
-    for comp in compositions_up_to(6):
+    for comp in compositions_up_to(8):
         for beta in coarsenings(comp):
             assert shared.get(beta, beta) is beta, beta
 

@@ -77,6 +77,21 @@ def test_constructor_prunes_and_validates():
     assert TensorElement(MONOMIAL) != GradedElement(MONOMIAL)
 
 
+def test_trusted_arithmetic_finishes_the_normal_form():
+    # the finishing step shared with _summed: cancelled sums dropped, integral sums stored as ints
+    half = Fraction(1, 2)
+    for cls, key in ((GradedElement, lambda c: C(c)), (TensorElement, lambda c: (C(c), EMPTY))):
+        x = cls(MONOMIAL, {key((1,)): half, key((2, 1)): Fraction(-2, 3), key((3,)): 5})
+        assert (x + (-x)).terms == {}
+        assert (x - x).terms == {}
+        halves = cls(MONOMIAL, {key((1,)): half})
+        total = halves + halves
+        assert total.terms == {key((1,)): 1} and type(total.terms[key((1,))]) is int
+        assert type(halves.scaled(2).terms[key((1,))]) is int
+        assert x.scaled(0).terms == {} and x.scaled(0) == cls(MONOMIAL)
+        assert type(x + x) is type(-x) is type(x.scaled(3)) is cls
+
+
 def test_arithmetic_and_grading():
     a = M(2, 1) + M(3).scaled(Fraction(1, 3))
     assert a.coefficient(C((2, 1))) == 1

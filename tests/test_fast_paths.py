@@ -65,6 +65,9 @@ from qshuffle.elements import (
     TensorElement,
     accumulate_product,
     antipode_by_recursion,
+    antipode_monomial,
+    antipode_word,
+    coproduct,
     product,
 )
 from qshuffle.functionals import Functional, exp_functional, log_functional
@@ -275,6 +278,28 @@ def test_constructors_apply_the_normal_form():
             GradedElement(MONOMIAL, {(1,): text})
         with pytest.raises(ValueError):
             elem.scaled(text)
+
+
+def test_trusted_results_match_the_validating_path():
+    # every producer that stores its terms unchecked, on every composition through DEGREE
+    type1, raw = builtin("type1"), RAW_PREFIX_SUM
+    for comp in compositions_up_to(DEGREE):
+        m, w = GradedElement.basis_element(MONOMIAL, comp), GradedElement.basis_element(WORD, comp)
+        x, y = basis_expand(type1, comp), basis_expand(raw, comp)
+        results = [m, w, x, y, theta(m), theta(y), antipode_monomial(m), antipode_monomial(y), antipode_word(w)]
+        results += [antipode_by_recursion(basis, comp) for basis in (MONOMIAL, WORD)]
+        results += [qps_expand(f, comp) for f in NORMALIZED_BASES]
+        # sums that cancel, negation, and scalings that make Fractions integral or zero
+        results += [x + y, x - y, x - x, -y, y.scaled(Fraction(3, 2)), y.scaled(4), x.scaled(0)]
+        dx, dy = coproduct(x), coproduct(y)
+        results += [dx, dy, dx + dy, dy - dy, -dy, dy.scaled(Fraction(2, 3)), dy.scaled(0)]
+        for elem in results:
+            assert oracles.validates_unchanged(elem), elem
+    for alpha, beta in pairs_up_to(DEGREE):
+        for basis in (MONOMIAL, WORD):
+            a, b = GradedElement.basis_element(basis, alpha), GradedElement.basis_element(basis, beta)
+            assert oracles.validates_unchanged(product(a, b))
+        assert oracles.validates_unchanged(product(basis_expand(raw, alpha), basis_expand(raw, beta)))
 
 
 def test_coarsening_products_read_order_and_normal_form():

@@ -4,12 +4,13 @@ Each test draws a bounded number of examples from a fixed, derandomized
 profile, so a run is reproducible and its cost is bounded.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from qshuffle.characters import BUILTIN_NAMES, basis_contract, builtin, f_to_g, qps_expand
-from qshuffle.compositions import compositions_of
+from qshuffle.characters import BUILTIN_NAMES, basis_contract, basis_expand, builtin, f_to_g, qps_expand
+from qshuffle.compositions import compositions_of, pairs_up_to
 from qshuffle.demos import (
     SmallGraph,
     SmallPoset,
@@ -23,9 +24,11 @@ from qshuffle.demos import (
     zeta_no_edges,
     zeta_ones,
 )
-from qshuffle.elements import MONOMIAL, antipode_by_recursion
+from qshuffle.elements import (
+    MONOMIAL, WORD, GradedElement, antipode_by_recursion, antipode_monomial, antipode_word, coproduct, product
+)
 from qshuffle.functionals import exp_functional
-from qshuffle.universal import canonical
+from qshuffle.universal import canonical, theta
 from qshuffle.verify import check_integral_nonneg
 
 import oracles
@@ -35,6 +38,8 @@ PROFILE = settings(derandomize=True, max_examples=20, deadline=None, database=No
 
 # compositions one and two degrees past the exhaustive sweeps through degree 8
 PAST_THE_SWEEPS = st.sampled_from([*compositions_of(9), *compositions_of(10)])
+# pairs of total size 9 and 10, past the exhaustive product sweeps through total size 8
+PAIRS_PAST_THE_SWEEPS = st.sampled_from([pair for pair in pairs_up_to(10) if sum(map(sum, pair)) >= 9])
 # built once, so their memos carry from one example to the next
 F_TYPE1 = builtin("type1")
 G_TYPE1 = f_to_g(F_TYPE1)
@@ -88,6 +93,20 @@ def test_contraction_matches_the_fraction_oracle_past_the_sweeps(alpha):
 def test_power_sums_match_the_two_step_oracle_past_the_sweeps(name, alpha):
     f = builtin(name)
     assert qps_expand(f, alpha) == oracles.qps_expand(f, alpha)
+
+
+@PROFILE
+@given(st.sampled_from(BUILTIN_NAMES), PAST_THE_SWEEPS, PAIRS_PAST_THE_SWEEPS)
+def test_trusted_results_match_the_validating_path_past_the_sweeps(name, alpha, pair):
+    f = builtin(name)
+    m, w = GradedElement.basis_element(MONOMIAL, alpha), GradedElement.basis_element(WORD, alpha)
+    x, p = basis_expand(f, alpha), qps_expand(f, alpha)
+    results = [x, p, theta(m), antipode_monomial(m), antipode_word(w), coproduct(p)]
+    results += [antipode_by_recursion(basis, alpha) for basis in (MONOMIAL, WORD)]
+    results += [x + p, p - p, -x, x.scaled(Fraction(alpha.size, 3)), x.scaled(0)]
+    results += [product(basis_expand(f, a), basis_expand(f, b)) for a, b in (pair, pair[::-1])]
+    for elem in results:
+        assert oracles.validates_unchanged(elem), elem
 
 
 @PROFILE
