@@ -50,7 +50,9 @@ from .errors import NotNormalized, PartOutOfRange, SingularCharacter, ZeroPrefix
 from .functionals import Functional
 
 
+@lru_cache(maxsize=None, typed=True)
 def single(n: int) -> Composition:
+    """The one-part composition (n), one shared object per n; typed, so True is refused, not read as 1."""
     return Composition((n,))
 
 
@@ -73,8 +75,9 @@ def normalize(f: Functional) -> Functional:
 def require_normalized(f: Functional, max_degree: int) -> None:
     """NotNormalized unless f((n)) = 1 for every n from 1 to max_degree."""
     for n in range(1, max_degree + 1):
-        if f(single(n)) != 1:
-            raise NotNormalized(f"f(({n})) = {shown_number(f(single(n)))}, expected 1")
+        value = f(single(n))
+        if value != 1:
+            raise NotNormalized(f"f(({n})) = {shown_number(value)}, expected 1")
 
 
 def _diagonal(f: Functional, comp: Composition) -> tuple[int, int]:

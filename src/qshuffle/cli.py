@@ -6,6 +6,7 @@ maps (theta, phi, psi, convolution exp and log) and the two demo algebras.
 All output is exact rational text, JSON, or CSV; identical invocations
 produce identical bytes.  Exit codes: 0 on success, 1 on a parse or usage
 problem, 2 when a verification found a counterexample (printed witness).
+Each handler returns its text and exit code, and run() writes the text.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import partial
+from typing import Callable, NamedTuple
 
 from . import demos
 from .characters import basis_contract, basis_expand, f_to_g, qps_expand, resolve_basis
@@ -26,14 +28,7 @@ from .compositions import (
 from .elements import GradedElement, MONOMIAL, WORD, format_element
 from .errors import EngineError
 from .functionals import exp_functional, log_functional
-from .universal import (
-    CANONICAL_NAMES,
-    canonical,
-    qsym_provider,
-    theta,
-    universal_to_qsym,
-    universal_to_sh,
-)
+from .universal import CANONICAL_NAMES, canonical, qsym_provider, theta, universal_to_qsym, universal_to_sh
 from .verify import REQUIRED, SUITES
 
 MAX_DEGREE = 10
@@ -61,9 +56,7 @@ def _add_common(
         sub.add_argument("--comp", default=None, help="composition, e.g. 2,1,3 or - for empty")
     if degree is not None:
         required = degree == "required"
-        sub.add_argument(
-            "--degree", type=_degree_arg, required=required, default=(None if required else degree)
-        )
+        sub.add_argument("--degree", type=_degree_arg, required=required, default=(None if required else degree))
     if kind:
         sub.add_argument("--kind", choices=("qps", "shuffle"), default="qps")
     if elem:
@@ -90,23 +83,20 @@ def build_parser() -> _Parser:
     s = sub.add_parser("theta", help="apply the canonical projection theta")
     _add_common(s, _cmd_theta, comp=True, elem=True)
 
-    s = sub.add_parser("exp", help="convolution exponential of a functional")
-    _add_common(s, partial(_cmd_exp_log, apply=exp_functional), degree=6)
-    s.add_argument("--functional", required=True, help="canonical name, f:<basis>, or g:<basis>")
-
-    s = sub.add_parser("log", help="convolution logarithm of a functional")
-    _add_common(s, partial(_cmd_exp_log, apply=log_functional), degree=6)
-    s.add_argument("--functional", required=True, help="canonical name, f:<basis>, or g:<basis>")
+    for name, noun, apply in (("exp", "exponential", exp_functional), ("log", "logarithm", log_functional)):
+        s = sub.add_parser(name, help=f"convolution {noun} of a functional")
+        _add_common(s, partial(_cmd_exp_log, apply=apply), degree=6)
+        s.add_argument("--functional", required=True, help="canonical name, f:<basis>, or g:<basis>")
 
     s = sub.add_parser("phi", help="universal morphism into the quasisymmetric algebra")
-    _add_common(s, _cmd_phi)
-    s.add_argument("--hopf", choices=("graph", "poset", "qsym"), required=True)
+    _add_common(s, partial(_cmd_morphism, flag="char", morphism=universal_to_qsym))
+    s.add_argument("--hopf", choices=[name for name, entry in HOPF_INPUTS.items() if entry.phi], required=True)
     s.add_argument("--input", required=True, help="graph/poset literal or composition text")
     s.add_argument("--char", default=None, help="canonical character name (qsym only)")
 
     s = sub.add_parser("psi", help="universal morphism into the shuffle algebra")
-    _add_common(s, _cmd_psi, basis=True)
-    s.add_argument("--hopf", choices=("graph", "poset", "qsym", "sh"), required=True)
+    _add_common(s, partial(_cmd_morphism, flag="basis", morphism=universal_to_sh), basis=True)
+    s.add_argument("--hopf", choices=list(HOPF_INPUTS), required=True)
     s.add_argument("--input", required=True, help="graph/poset literal or composition text")
 
     s = sub.add_parser("demo-graph", help="chromatic two-way check for one graph")
@@ -158,6 +148,42 @@ def _parse_literal(parse, text: str):
     return parse(text)
 
 
+def _canonical_char(name: str):
+    if name not in CANONICAL_NAMES:
+        raise CliUsageError(f"--char must be one of {', '.join(CANONICAL_NAMES)}")
+    return canonical(name)
+
+
+class _HopfInput(NamedTuple):
+    """One --hopf name: its --input parser under the size cap, its provider, and the characters of phi and psi.
+
+    Each character is (the default of the command's flag, or None where the flag does not apply,
+    and the maker called with the flag's value); phi is None where phi does not apply.
+    """
+
+    parse: Callable[[str], object]
+    provider: Callable[[], object]
+    phi: tuple | None
+    psi: tuple
+
+
+_COMP_INPUT = partial(_parse_comp, flag="--input")
+HOPF_INPUTS = {
+    "graph": _HopfInput(
+        partial(_parse_literal, demos.SmallGraph.from_text), demos.graph_provider,
+        (None, lambda _: demos.zeta_no_edges), ("type1", lambda basis: demos.graph_infchar(resolve_basis(basis))),
+    ),
+    "poset": _HopfInput(
+        partial(_parse_literal, demos.SmallPoset.from_cover_text), demos.poset_provider,
+        (None, lambda _: demos.zeta_ones), (None, lambda _: demos.xi_unique_min),
+    ),
+    "qsym": _HopfInput(
+        _COMP_INPUT, qsym_provider, ("zetaQ", _canonical_char), ("type2", lambda basis: f_to_g(resolve_basis(basis)))
+    ),
+    "sh": _HopfInput(_COMP_INPUT, qsym_provider, None, (None, lambda _: canonical("xiS"))),
+}
+
+
 def _need(value, flag: str):
     if value is None:
         raise CliUsageError(f"{flag} is required for this command")
@@ -192,18 +218,21 @@ def _printed(value, what, *args) -> str:
         raise CliUsageError(f"{what(*args)} has more than {limit} digits, too many to print")
 
 
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _element_payload(elem: GradedElement, fmt: str) -> str:
     for comp, coef in elem.terms.items():
         _printed(coef, "the coefficient of {} in basis {}".format, comp, elem.basis)
     if fmt == "json":
         return elem.to_json()
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["comp", "coef"])
-        for comp in elem.support():
-            writer.writerow([comp.to_text(), str(elem.terms[comp])])
-        return buf.getvalue()
+        return _csv(["comp", "coef"], ([comp.to_text(), str(elem.terms[comp])] for comp in elem.support()))
     return format_element(elem)
 
 
@@ -248,17 +277,23 @@ def _parse_element(args) -> GradedElement:
     raise CliUsageError("provide --comp or --elem")
 
 
-def _cmd_expand(args) -> int:
+def _basis_args(args):
+    """The --basis character f and the expansion that --kind names: qps_expand or basis_expand, bound to f."""
     f = resolve_basis(_need(args.basis, "--basis"))
-    alpha = _parse_comp(_need(args.comp, "--comp"), "--comp")
-    elem = qps_expand(f, alpha) if args.kind == "qps" else basis_expand(f, alpha)
-    _emit(_element_payload(elem, args.format), args.out)
-    return 0
+    return f, partial(qps_expand if args.kind == "qps" else basis_expand, f)
 
 
-def _cmd_convert(args) -> int:
-    f = resolve_basis(_need(args.basis, "--basis"))
-    alpha = _parse_comp(_need(args.comp, "--comp"), "--comp")
+def _basis_comp_args(args):
+    return *_basis_args(args), _parse_comp(_need(args.comp, "--comp"), "--comp")
+
+
+def _cmd_expand(args) -> tuple[str, int]:
+    _, expand, alpha = _basis_comp_args(args)
+    return _element_payload(expand(alpha), args.format), 0
+
+
+def _cmd_convert(args) -> tuple[str, int]:
+    f, _, alpha = _basis_comp_args(args)
     coords = basis_contract(f_to_g(f), alpha)
     if args.kind == "qps":
         tag = f"P({args.basis})"
@@ -266,18 +301,17 @@ def _cmd_convert(args) -> int:
     else:
         tag = f"X({args.basis})"
         terms = coords
-    _emit(_element_payload(GradedElement(tag, terms), args.format), args.out)
-    return 0
+    return _element_payload(GradedElement(tag, terms), args.format), 0
 
 
-def _cmd_table(args) -> int:
-    f = resolve_basis(_need(args.basis, "--basis"))
+def _cmd_table(args) -> tuple[str, int]:
+    _, expand = _basis_args(args)
     degree = _check_degree(args.degree)
     comps = list(compositions_of(degree))
     cell = "the table cell at alpha={}, beta={}".format
     rows = []
     for alpha in comps:
-        terms = (qps_expand(f, alpha) if args.kind == "qps" else basis_expand(f, alpha)).terms
+        terms = expand(alpha).terms
         rows.append([_printed(terms[beta], cell, alpha, beta) if beta in terms else "0" for beta in comps])
     labels = [c.to_text() for c in comps]
     if args.format == "json":
@@ -286,26 +320,15 @@ def _cmd_table(args) -> int:
             separators=(", ", ": "),
         )
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha"] + labels)
-        for label, row in zip(labels, rows):
-            writer.writerow([label] + row)
-        payload = buf.getvalue()
+        payload = _csv(["alpha"] + labels, ([label] + row for label, row in zip(labels, rows)))
     else:
-        width = max(
-            [len(s) for row in rows for s in row] + [len(label) for label in labels] + [1]
-        )
-        head = " | ".join(label.rjust(width) for label in [" " * width] + labels)
-        lines = [head]
-        for label, row in zip(labels, rows):
-            lines.append(" | ".join(s.rjust(width) for s in [label] + row))
-        payload = "\n".join(lines)
-    _emit(payload, args.out)
-    return 0
+        width = max([len(s) for row in rows for s in row] + [len(label) for label in labels] + [1])
+        lines = [[" " * width] + labels] + [[label] + row for label, row in zip(labels, rows)]
+        payload = "\n".join(" | ".join(s.rjust(width) for s in line) for line in lines)
+    return payload, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     degree = _check_degree(args.degree)
     rule, run_suite = SUITES[args.suite]
     if rule is None:
@@ -315,105 +338,76 @@ def _cmd_verify(args) -> int:
     elif args.basis not in (None, rule):
         raise CliUsageError(f"{args.suite} runs on the {rule} basis; drop --basis or pass {rule}")
     report = run_suite(args.basis, degree)
-    _emit(report.render(), args.out)
-    return 0 if report.passed else 2
+    return report.render(), 0 if report.passed else 2
 
 
-def _cmd_theta(args) -> int:
-    elem = _parse_element(args)
-    _emit(_element_payload(theta(elem), args.format), args.out)
-    return 0
+def _cmd_theta(args) -> tuple[str, int]:
+    return _element_payload(theta(_parse_element(args)), args.format), 0
 
 
-def _cmd_exp_log(args, apply) -> int:
+def _cmd_exp_log(args, apply) -> tuple[str, int]:
     degree = _check_degree(args.degree)
     side, functional = _resolve_functional(args.functional)
     result = apply(functional)
     values = {comp: result(comp) for comp in compositions_up_to(degree)}
-    _emit(_functional_payload(side, values, args.format), args.out)
-    return 0
+    return _functional_payload(side, values, args.format), 0
 
 
-def _cmd_phi(args) -> int:
-    if args.hopf != "qsym":
-        _refuse(args.char, "--char", f"--hopf {args.hopf}")
-    if args.hopf == "graph":
-        g = _parse_literal(demos.SmallGraph.from_text, args.input)
-        elem = universal_to_qsym(demos.graph_provider(), demos.zeta_no_edges, g)
-    elif args.hopf == "poset":
-        p = _parse_literal(demos.SmallPoset.from_cover_text, args.input)
-        elem = universal_to_qsym(demos.poset_provider(), demos.zeta_ones, p)
-    else:
-        char_name = args.char or "zetaQ"
-        if char_name not in CANONICAL_NAMES:
-            raise CliUsageError(f"--char must be one of {', '.join(CANONICAL_NAMES)}")
-        h = _parse_comp(args.input, "--input")
-        elem = universal_to_qsym(qsym_provider(), canonical(char_name), h)
-    _emit(_element_payload(elem, args.format), args.out)
-    return 0
+def _cmd_morphism(args, flag, morphism) -> tuple[str, int]:
+    """phi or psi on the --hopf entry: refuse a flag that does not apply, parse --input, then make the character."""
+    entry = HOPF_INPUTS[args.hopf]
+    default, make = getattr(entry, args.command)
+    value = getattr(args, flag)
+    if default is None:
+        _refuse(value, f"--{flag}", f"--hopf {args.hopf}")
+    h = entry.parse(args.input)
+    elem = morphism(entry.provider(), make(value or default), h)
+    return _element_payload(elem, args.format), 0
 
 
-def _cmd_psi(args) -> int:
-    if args.hopf in ("sh", "poset"):
-        _refuse(args.basis, "--basis", f"--hopf {args.hopf}")
-    if args.hopf == "graph":
-        g = _parse_literal(demos.SmallGraph.from_text, args.input)
-        xi = demos.graph_infchar(resolve_basis(args.basis or "type1"))
-        elem = universal_to_sh(demos.graph_provider(), xi, g)
-    elif args.hopf == "poset":
-        p = _parse_literal(demos.SmallPoset.from_cover_text, args.input)
-        elem = universal_to_sh(demos.poset_provider(), demos.xi_unique_min, p)
-    elif args.hopf == "sh":
-        h = _parse_comp(args.input, "--input")
-        elem = universal_to_sh(qsym_provider(), canonical("xiS"), h)
-    else:
-        f = resolve_basis(args.basis or "type2")
-        h = _parse_comp(args.input, "--input")
-        elem = universal_to_sh(qsym_provider(), f_to_g(f), h)
-    _emit(_element_payload(elem, args.format), args.out)
-    return 0
+def _demo_report(lines: list[str], left, right) -> tuple[str, int]:
+    """The demo's lines, then whether its two computations match: exit code 0 if they do, 2 if not."""
+    match = left == right
+    return "\n".join(lines + [f"match: {'yes' if match else 'NO'}"]), 0 if match else 2
 
 
-def _cmd_demo_graph(args) -> int:
-    g = _parse_literal(demos.SmallGraph.from_text, args.input)
+def _cmd_demo_graph(args) -> tuple[str, int]:
+    g = HOPF_INPUTS["graph"].parse(args.input)
     f = resolve_basis(args.basis or "type1")
     coeffs = demos.chromatic_polynomial(g)
     x_g = demos.chromatic_symmetric(g)
     from_poly, from_infchar = demos.graph_infchar_two_ways(g, f)
-    match = from_poly == from_infchar
     lines = [
         f"graph: {g.to_text()}",
         f"chromatic polynomial: {demos.format_polynomial(coeffs)}",
         f"chromatic symmetric function: {format_element(x_g)}",
         f"linear coefficient from the polynomial: {from_poly}",
         f"linear coefficient as infinitesimal character ({f.name}): {from_infchar}",
-        f"match: {'yes' if match else 'NO'}",
     ]
-    _emit("\n".join(lines), args.out)
-    return 0 if match else 2
+    return _demo_report(lines, from_poly, from_infchar)
 
 
-def _cmd_demo_poset(args) -> int:
-    p = _parse_literal(demos.SmallPoset.from_cover_text, args.input)
+def _cmd_demo_poset(args) -> tuple[str, int]:
+    p = HOPF_INPUTS["poset"].parse(args.input)
     k_p = demos.kp_generating_function(p)
     eta_value, indicator = demos.eta_check(p)
-    match = eta_value == indicator
     lines = [
         f"poset: {p.to_text()}",
         f"ideal-flag generating function: {format_element(k_p)}",
         f"eta pairing: {eta_value}",
         f"unique minimal element indicator: {indicator}",
-        f"match: {'yes' if match else 'NO'}",
     ]
-    _emit("\n".join(lines), args.out)
-    return 0 if match else 2
+    return _demo_report(lines, eta_value, indicator)
 
 
 def run(argv=None) -> int:
+    """Parse argv, run its command, and write the command's text in the one place output is written."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        text, code = args.handler(args)
+        _emit(text, args.out)
+        return code
     except (CliUsageError, EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -201,7 +201,7 @@ class _TermMap:
         s = as_coefficient(scalar)
         return self._sum_of(self.basis, {k: s * v for k, v in self.terms.items()})
 
-    __rmul__ = scaled
+    __mul__ = __rmul__ = scaled
 
 
 class GradedElement(_TermMap):
@@ -320,21 +320,6 @@ class TensorElement(_TermMap):
     def __init__(self, basis: str, terms=None):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", _summed(terms or (), _composition_pair))
-
-    def __mul__(self, other):
-        if not isinstance(other, TensorElement):
-            return self.scaled(other)
-        # componentwise product, used by the bialgebra compatibility checks
-        self._require_same_basis(other)
-        rule = product_rule(self.basis)
-        terms = (
-            ((wl, wr), v1 * v2 * ml * mr)
-            for (l1, r1), v1 in self.terms.items()
-            for (l2, r2), v2 in other.terms.items()
-            for wl, ml in rule(l1, l2).items()
-            for wr, mr in rule(r1, r2).items()
-        )
-        return TensorElement(self.basis, terms)
 
     def support(self):
         return sorted(self.terms, key=lambda pr: (canonical_key(pr[0]), canonical_key(pr[1])))

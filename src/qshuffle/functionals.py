@@ -86,32 +86,27 @@ def convolve(phi: Functional, psi: Functional) -> Functional:
 
 
 def functional_inverse(phi: Functional) -> Functional:
-    """Convolution inverse, by recursion on proper prefixes.
+    """Convolution inverse: with a = phi(empty), the series 1/a + sum over m >= 1 of (-1)^m / a^(m+1) phi^{*m}.
 
-    Exists exactly when phi does not vanish on the empty composition; the
-    inverse is two-sided since convolution is associative.
+    phi = a (counit + phi'/a), where phi' is phi off the empty composition,
+    so the inverse is 1/a times the geometric series in -phi'/a.  Exists
+    exactly when a is not 0; the inverse is two-sided since convolution is
+    associative.
 
     Kept: the convolution inverse, by which canonical("nuQ") is defined.
     """
-    if phi.value_at_empty == 0:
+    a = phi.value_at_empty
+    if a == 0:
         raise NotInvertible("functional vanishes on the empty composition")
-    at_empty = 1 / phi.value_at_empty
-    inv: Functional | None = None
-
-    def value(comp: Composition) -> Fraction:
-        total = Fraction(0)
-        for left, right in deconcatenations(comp)[:-1]:
-            total += inv(left) * phi(right)
-        return -at_empty * total
-
-    inv = Functional(at_empty, value)
-    return inv
+    return _split_series(phi, lambda m: (-1) ** m / a ** (m + 1), 1 / a)
 
 
-def _split_series(phi: Functional, weight, value_at_empty: int) -> Functional:
-    """Sum over m >= 1 of weight(m) phi^{*m}: over the coarsenings of length m, weight(m) times phi on the blocks.
+def _split_series(phi: Functional, weight, value_at_empty) -> Functional:
+    """value_at_empty plus the sum over m >= 1 of weight(m) phi^{*m}.
 
-    Each weight is built once per series.  Finite on every composition, so exact at all degrees.
+    On a nonempty composition: over its coarsenings of length m, weight(m)
+    times phi on the blocks.  Each weight is built once per series.  Finite
+    on every composition, so exact at all degrees.
     """
     weights = lru_cache(maxsize=None)(weight)
 

@@ -70,7 +70,8 @@ body unchanged: ``refinement_split`` with the predicate ``refines``,
 the polynomial truncation ``expand_polynomial`` with ``polynomial_product``,
 the disjoint-union sweep ``check_provider_multiplicativity``, the count of
 ordered stable-set partitions ``ordered_stable_partitions``, the simple
-tensor ``tensor_outer``, the normalization predicate ``is_normalized`` and
+tensor ``tensor_outer``, the componentwise product of two tensors
+``tensor_product``, the normalization predicate ``is_normalized`` and
 nu as a convolution, ``nu_via_convolution``.
 """
 
@@ -95,7 +96,8 @@ from qshuffle.compositions import (
 )
 from qshuffle.demos import SmallGraph, SmallPoset, all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
 from qshuffle.elements import (
-    MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, _composition, _composition_pair, _summed, product
+    MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, _composition, _composition_pair, _summed, product,
+    product_rule,
 )
 from qshuffle.errors import BasisMismatch, DegreeMismatch, EngineError, SingularCharacter, ZeroPrefixSum
 from qshuffle.functionals import Functional, convolve, functional_inverse
@@ -530,6 +532,21 @@ def tensor_outer(a: GradedElement, b: GradedElement) -> TensorElement:
         for cb, vb in b.terms.items():
             acc[(ca, cb)] = acc.get((ca, cb), Fraction(0)) + va * vb
     return TensorElement(a.basis, acc)
+
+
+def tensor_product(s: TensorElement, t: TensorElement) -> TensorElement:
+    """The componentwise product of two tensors, for the bialgebra compatibility checks."""
+    if s.basis != t.basis:
+        raise BasisMismatch(f"{s.basis} vs {t.basis}")
+    rule = product_rule(s.basis)
+    terms = (
+        ((wl, wr), v1 * v2 * ml * mr)
+        for (l1, r1), v1 in s.terms.items()
+        for (l2, r2), v2 in t.terms.items()
+        for wl, ml in rule(l1, l2).items()
+        for wr, mr in rule(r1, r2).items()
+    )
+    return TensorElement(s.basis, terms)
 
 
 def is_normalized(f: Functional, max_degree: int) -> bool:

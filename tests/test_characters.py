@@ -22,7 +22,9 @@ from qshuffle.characters import (
     ordered_partition_character,
     prefix_sum_character,
     qps_expand,
+    require_normalized,
     resolve_basis,
+    single,
 )
 from qshuffle.compositions import EMPTY, Composition, compositions_up_to, stats
 from qshuffle import verify
@@ -253,6 +255,16 @@ def test_qps_requires_normalized():
     raw = prefix_sum_character(lambda n: Fraction(n))
     with pytest.raises(NotNormalized):
         qps_expand(raw, C((2, 1)))
+    with pytest.raises(NotNormalized, match=re.escape("f((2)) = 1/2, expected 1")):
+        require_normalized(raw, 3)
+
+
+def test_single_part_compositions_are_shared():
+    assert single(3) is single(3) == C((3,))
+    # a bool equals its int; with the int's entry cached, True is still refused like any other non-int part
+    assert single(1) == C((1,))
+    with pytest.raises(ValueError, match="got True"):
+        single(True)
 
 
 def test_qps_expand_frozen():

@@ -968,6 +968,26 @@ def test_library_modules_import_no_private_names_from_each_other():
     assert found == []
 
 
+def test_library_modules_read_no_private_attributes_of_each_others_names():
+    # Name._x, where Name comes from another module of the package, reaches into that module's internals
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "qshuffle").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+        found += [
+            (path.name, node.lineno, f"{node.value.id}.{node.attr}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+        ]
+    assert found == []
+
+
 def test_algebra_layers_import_no_verification_code():
     # verify builds on the algebra, never the other way round
     found = []

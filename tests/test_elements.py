@@ -24,7 +24,7 @@ from qshuffle.errors import BasisMismatch, DegreeMismatch, NotAPartition
 
 from oracles import (
     degrees, delta_alpha, evaluate, expand_polynomial, homogeneous_component, homogeneous_degree, polynomial_product,
-    tensor_outer,
+    tensor_outer, tensor_product,
 )
 
 C = Composition
@@ -90,6 +90,7 @@ def test_trusted_arithmetic_finishes_the_normal_form():
         assert type(halves.scaled(2).terms[key((1,))]) is int
         assert x.scaled(0).terms == {} and x.scaled(0) == cls(MONOMIAL)
         assert type(x + x) is type(-x) is type(x.scaled(3)) is cls
+        assert x * 3 == 3 * x == x.scaled(3)
 
 
 def test_arithmetic_and_grading():
@@ -240,7 +241,7 @@ def test_coproduct_multiplicative():
         for alpha, beta in pairs:
             a = GradedElement.basis_element(basis, alpha)
             b = GradedElement.basis_element(basis, beta)
-            assert coproduct(product(a, b)) == coproduct(a) * coproduct(b)
+            assert coproduct(product(a, b)) == tensor_product(coproduct(a), coproduct(b))
 
 
 def test_counit_axiom():

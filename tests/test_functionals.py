@@ -75,14 +75,15 @@ def test_convolution_example():
 
 
 def test_inverse_is_two_sided():
-    phi = _random_functional(7, 1)
-    inv = functional_inverse(phi)
     eps = canonical("counit")
-    left = convolve(inv, phi)
-    right = convolve(phi, inv)
-    for comp in compositions_up_to(DEGREE):
-        assert left(comp) == eps(comp)
-        assert right(comp) == eps(comp)
+    for value_at_empty in (1, -3, Fraction(2, 5)):
+        phi = _random_functional(7, value_at_empty)
+        inv = functional_inverse(phi)
+        left = convolve(inv, phi)
+        right = convolve(phi, inv)
+        for comp in compositions_up_to(DEGREE):
+            assert left(comp) == eps(comp)
+            assert right(comp) == eps(comp)
 
 
 def test_inverse_requires_unit_value():
