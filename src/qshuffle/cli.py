@@ -361,7 +361,7 @@ def _cmd_morphism(args, flag, morphism) -> tuple[str, int]:
     if default is None:
         _refuse(value, f"--{flag}", f"--hopf {args.hopf}")
     h = entry.parse(args.input)
-    elem = morphism(entry.provider(), make(value or default), h)
+    elem = morphism(entry.provider(), make(value or default))(h)
     return _element_payload(elem, args.format), 0
 
 

@@ -29,13 +29,8 @@ from functools import lru_cache
 from itertools import combinations, product as iter_product
 
 from .compositions import check_length, is_numeral, shown
-from .elements import GradedElement, MONOMIAL
-from .universal import (
-    CharacterPowerEvaluator,
-    HopfProvider,
-    canonical,
-    char_to_infchar,
-)
+from .elements import GradedElement
+from .universal import HopfProvider, canonical, char_to_infchar, universal_to_qsym
 from .functionals import Functional
 
 
@@ -231,7 +226,8 @@ def zeta_no_edges(g: SmallGraph) -> int:
     return 0 if g.edges else 1
 
 
-_chromatic_evaluator = CharacterPowerEvaluator(_GRAPH_PROVIDER, zeta_no_edges)
+# Phi for the no-edges character, held by chromatic_symmetric and every graph_infchar
+_chromatic_evaluator = universal_to_qsym(_GRAPH_PROVIDER, zeta_no_edges)
 
 
 def chromatic_symmetric(g: SmallGraph) -> GradedElement:
@@ -241,7 +237,7 @@ def chromatic_symmetric(g: SmallGraph) -> GradedElement:
     no-edges character; the monomial coefficient at alpha counts proper
     colorings with color class sizes alpha.
     """
-    return _chromatic_evaluator.image({g: 1}, MONOMIAL)
+    return _chromatic_evaluator(g)
 
 
 def _stable_partition_counts(g: SmallGraph) -> list[int]:
@@ -310,8 +306,8 @@ def format_polynomial(coeffs: list[int]) -> str:
 
 @lru_cache(maxsize=None)
 def graph_infchar(f: Functional):
-    """The infinitesimal character induced from the no-edges character by f."""
-    return char_to_infchar(zeta_no_edges, f, _GRAPH_PROVIDER)
+    """The infinitesimal character g o Phi induced from the no-edges character by f."""
+    return char_to_infchar(_chromatic_evaluator, f)
 
 
 def graph_infchar_two_ways(g: SmallGraph, f: Functional) -> tuple[Fraction, Fraction]:
@@ -441,7 +437,7 @@ def xi_unique_min(p: SmallPoset) -> int:
     return 1 if p.has_unique_minimal() else 0
 
 
-_kp_evaluator = CharacterPowerEvaluator(_POSET_PROVIDER, zeta_ones)
+_kp_evaluator = universal_to_qsym(_POSET_PROVIDER, zeta_ones)
 
 
 def kp_generating_function(p: SmallPoset) -> GradedElement:
@@ -450,7 +446,7 @@ def kp_generating_function(p: SmallPoset) -> GradedElement:
     The coefficient at alpha counts flags of order ideals with layer sizes
     alpha; this is the universal image of the constant character.
     """
-    return _kp_evaluator.image({p: 1}, MONOMIAL)
+    return _kp_evaluator(p)
 
 
 _eta = canonical("eta")

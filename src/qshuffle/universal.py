@@ -7,14 +7,17 @@ QSym by reading off the multidegree components of iterated coproducts:
              to the alpha-component of the iterated coproduct of h) M_alpha
 
 and an infinitesimal character xi likewise maps H into the shuffle algebra
-with x_alpha in place of M_alpha.  H enters through a HopfProvider: its
-coproduct as ((left, right), coefficient) pairs over basis labels, its
-grading and its unit label; the counit is derived from the grading.
+with x_alpha in place of M_alpha.  universal_to_qsym and universal_to_sh
+return that morphism as one object, checked at the unit when it is made
+and memoised per label for as long as it is held.  H enters through a
+HopfProvider: its coproduct as ((left, right), coefficient) pairs over
+basis labels, its grading and its unit label; the counit is derived from
+the grading.
 qsym_provider() serves both QSym and the shuffle algebra, since both have
-the same deconcatenation coproduct on composition labels.  Composing
-with a shuffle basis and its dual triangular data turns characters into
-infinitesimal characters and back; with the 1/length! basis this is exactly
-convolution log and exp.
+the same deconcatenation coproduct on composition labels.  Reading a
+morphism's images with a shuffle basis or its dual triangular data turns
+characters into infinitesimal characters and back; with the 1/length!
+basis this is exactly convolution log and exp.
 
 The module also owns the canonical functionals on the two algebras (the
 unit-indicator character, its sign twist, their convolution quotient nu, the
@@ -66,20 +69,31 @@ def qsym_provider() -> HopfProvider:
 
 
 class CharacterPowerEvaluator:
-    """Caches values of phi-tensor-powers of iterated coproducts.
+    """The universal morphism of a Hopf algebra and a functional phi on it.
 
-    The value at a label and a composition alpha of its degree is the
-    scalar obtained by iterating the provider's two-fold coproduct left to
-    right, projecting to the multidegree alpha, and applying phi to every
-    tensor slot.  image(h, basis) collects these values over the
-    compositions of h's degree into an element of basis, reading one
-    multidegree table per label, built in one pass over the label's
-    coproduct.
+    Into basis M for a character phi (phi(unit) = 1), into X for an
+    infinitesimal one (phi(unit) = 0); phi's value at the unit label is
+    checked when the morphism is made, the rest is the caller's job.  The
+    morphism maps a label or a homogeneous label -> coefficient mapping h
+    of degree n to the sum over the compositions alpha of n of the value at
+    h and alpha times b_alpha.  That value is the scalar obtained by
+    iterating the provider's two-fold coproduct left to right, projecting
+    to the multidegree alpha, and applying phi to every tensor slot; it is
+    read off one multidegree table per label, built in one pass over the
+    label's coproduct and kept for the morphism's lifetime.
     """
 
-    def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction]):
+    def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction], basis: str):
+        if basis not in (MONOMIAL, WORD):
+            raise BasisMismatch(f"a universal morphism maps into {MONOMIAL!r} or {WORD!r}, got {basis!r}")
+        value = phi(provider.unit_label)
+        if basis == MONOMIAL and value != 1:
+            raise NotACharacter(f"zeta(unit) = {value}, expected 1")
+        if basis == WORD and value != 0:
+            raise NotAnInfinitesimalCharacter(f"xi(unit) = {value}, expected 0")
         self.provider = provider
         self.phi = phi
+        self.basis = basis
         self._cache: dict[Label, dict[tuple[int, ...], Fraction]] = {}
 
     def _table(self, label: Label) -> dict[tuple[int, ...], Fraction]:
@@ -110,53 +124,28 @@ class CharacterPowerEvaluator:
         self._cache[label] = table
         return table
 
-    def image(self, h: Mapping[Label, Fraction], basis: str) -> GradedElement:
-        """The sum over alpha of n of the value at h and alpha times b_alpha, for h homogeneous of degree n."""
+    def __call__(self, h) -> GradedElement:
+        if isinstance(h, Mapping):
+            h = {label: as_coefficient(coef) for label, coef in h.items()}
+        else:
+            h = {h: 1}
         degrees = {self.provider.degree(label) for label, coef in h.items() if coef != 0}
         if len(degrees) > 1:
             raise DegreeMismatch(f"element spans degrees {sorted(degrees)}")
         alphas = compositions_of(degrees.pop() if degrees else 0)
         tables = [(self._table(label), coef) for label, coef in h.items()]
         terms = ((alpha, coef * table[alpha]) for alpha in alphas for table, coef in tables if alpha in table)
-        return GradedElement(basis, terms)
+        return GradedElement(self.basis, terms)
 
 
-def _as_label_element(h) -> dict[Label, Fraction]:
-    if isinstance(h, Mapping):
-        return {label: as_coefficient(coef) for label, coef in h.items()}
-    return {h: 1}
+def universal_to_qsym(provider: HopfProvider, zeta: Callable[[Label], Fraction]) -> CharacterPowerEvaluator:
+    """Phi_zeta: H -> QSym, the canonical morphism attached to a character zeta."""
+    return CharacterPowerEvaluator(provider, zeta, MONOMIAL)
 
 
-def _check_unit(provider: HopfProvider, phi: Callable[[Label], Fraction], expected: int) -> None:
-    """A character takes 1 at the unit label, an infinitesimal character 0."""
-    value = phi(provider.unit_label)
-    if value != expected:
-        if expected:
-            raise NotACharacter(f"zeta(unit) = {value}, expected 1")
-        raise NotAnInfinitesimalCharacter(f"xi(unit) = {value}, expected 0")
-
-
-def _universal_morphism(
-    provider: HopfProvider, phi: Callable[[Label], Fraction], h, basis: str
-) -> GradedElement:
-    """Phi(h) in basis M for a character phi, in X for an infinitesimal one.
-
-    h is a basis label or a homogeneous label -> coefficient mapping.  Only
-    phi's value at the unit is checked; the rest is the caller's job.
-    """
-    h = _as_label_element(h)
-    _check_unit(provider, phi, 1 if basis == MONOMIAL else 0)
-    return CharacterPowerEvaluator(provider, phi).image(h, basis)
-
-
-def universal_to_qsym(provider: HopfProvider, zeta: Callable[[Label], Fraction], h) -> GradedElement:
-    """The canonical morphism into QSym attached to a character zeta."""
-    return _universal_morphism(provider, zeta, h, MONOMIAL)
-
-
-def universal_to_sh(provider: HopfProvider, xi: Callable[[Label], Fraction], h) -> GradedElement:
-    """The canonical morphism into the shuffle algebra attached to xi."""
-    return _universal_morphism(provider, xi, h, WORD)
+def universal_to_sh(provider: HopfProvider, xi: Callable[[Label], Fraction]) -> CharacterPowerEvaluator:
+    """Psi_xi: H -> Sh, the canonical morphism attached to an infinitesimal character xi."""
+    return CharacterPowerEvaluator(provider, xi, WORD)
 
 
 # ---------------------------------------------------------------------------
@@ -219,31 +208,22 @@ def theta(h: GradedElement) -> GradedElement:
 
 
 def _transfer(
-    phi: Callable[[Label], Fraction], f: Functional, weight: Functional, provider: HopfProvider
+    morphism: CharacterPowerEvaluator, basis: str, weight: Functional, f: Functional
 ) -> Callable[[Label], Fraction]:
-    """h -> weight applied to the universal image of h under phi, memoized.
-
-    weight is f (value 1 at empty) for an infinitesimal character phi, read
-    on the word image: zeta = f o Psi_xi; or g (value 0) for a character,
-    read on the monomial image: xi = g o Phi_zeta.  The result takes
-    weight's value at empty.
-    """
-    _check_unit(provider, phi, 1 - weight.value_at_empty)
-    evaluator = CharacterPowerEvaluator(provider, phi)
-    basis = WORD if weight is f else MONOMIAL
+    """h -> weight applied to morphism(h), memoized; morphism must map into basis."""
+    if morphism.basis != basis:
+        raise BasisMismatch(f"the transfer reads a morphism into {basis!r}, got one into {morphism.basis!r}")
 
     @lru_cache(maxsize=None)
     def transferred(label: Label) -> Fraction:
-        require_normalized(f, provider.degree(label))
-        return weight.of_element(evaluator.image({label: 1}, basis))
+        require_normalized(f, morphism.provider.degree(label))
+        return weight.of_element(morphism(label))
 
     return transferred
 
 
-def infchar_to_char(
-    xi: Callable[[Label], Fraction], f: Functional, provider: HopfProvider
-) -> Callable[[Label], Fraction]:
-    """Turn an infinitesimal character of H into a character, through f.
+def infchar_to_char(psi: CharacterPowerEvaluator, f: Functional) -> Callable[[Label], Fraction]:
+    """The character f o Psi_xi of H, from the morphism Psi_xi into the shuffle algebra.
 
     zeta(h) = sum over alpha of (xi-power of the alpha-coproduct of h)
     f(alpha).  f must be a normalized shuffle character; with the 1/length!
@@ -251,16 +231,14 @@ def infchar_to_char(
 
     Kept: the paper's xi -> f o Psi_xi, the inverse of char_to_infchar.
     """
-    return _transfer(xi, f, f, provider)
+    return _transfer(psi, WORD, f, f)
 
 
-def char_to_infchar(
-    zeta: Callable[[Label], Fraction], f: Functional, provider: HopfProvider
-) -> Callable[[Label], Fraction]:
-    """Turn a character of H into an infinitesimal character, through f.
+def char_to_infchar(phi: CharacterPowerEvaluator, f: Functional) -> Callable[[Label], Fraction]:
+    """The infinitesimal character g o Phi_zeta of H, from the morphism Phi_zeta into QSym.
 
     xi(h) = sum over alpha of (zeta-power of the alpha-coproduct of h)
     g(alpha) where g solves the triangular system for f; with the 1/length!
     basis this is convolution log.
     """
-    return _transfer(zeta, f, f_to_g(f), provider)
+    return _transfer(phi, MONOMIAL, f_to_g(f), f)

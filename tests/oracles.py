@@ -175,10 +175,10 @@ def theta(h: GradedElement) -> GradedElement:
     """The universal morphism of QSym with the character nuQ, extended linearly."""
     if h.basis != MONOMIAL:
         raise BasisMismatch(f"theta acts on the {MONOMIAL!r} basis, got {h.basis!r}")
-    nu, qsym = canonical("nuQ"), qsym_provider()
+    phi_nu = universal_to_qsym(qsym_provider(), canonical("nuQ"))
     out = GradedElement.zero(MONOMIAL)
     for comp, coef in h.terms.items():
-        out = out + universal_to_qsym(qsym, nu, comp).scaled(coef)
+        out = out + phi_nu(comp).scaled(coef)
     return out
 
 

@@ -40,7 +40,7 @@ from qshuffle.elements import (
     product,
 )
 from qshuffle.functionals import Functional, exp_functional, log_functional
-from qshuffle.universal import canonical, infchar_to_char, qsym_provider
+from qshuffle.universal import canonical, infchar_to_char, qsym_provider, universal_to_sh
 from qshuffle.verify import check_integral_nonneg, is_character, theta_eigencheck, verify_qps
 
 from oracles import even_odd_g, expand_polynomial, nu_via_convolution, polynomial_product
@@ -278,7 +278,7 @@ def test_criterion_09_exp_log(announce):
             failures.append(f"exp(log(zeta)) at {comp}")
             break
     for label, functional in (("xiS", canonical("xiS")), ("pseudorandom", xi)):
-        through_basis = infchar_to_char(functional, builtin("type2"), qsym_provider())
+        through_basis = infchar_to_char(universal_to_sh(qsym_provider(), functional), builtin("type2"))
         direct = exp_functional(functional)
         for comp in compositions_up_to(6):
             if through_basis(comp) != direct(comp):

@@ -54,6 +54,8 @@ def test_enumeration_matches_cut_subsets():
 
 def test_enumeration_counts_and_order():
     assert compositions_of(0) == (EMPTY,)
+    with pytest.raises(ValueError, match="need n >= 0, got -1"):
+        compositions_of(-1)
     assert set(compositions_of(3)) == {C((3,)), C((2, 1)), C((1, 2)), C((1, 1, 1))}
     assert len(compositions_of(3)) == 4
     assert len(compositions_of(8)) == 128

@@ -1,5 +1,7 @@
 """Graph and poset demo algebras against brute-force oracles."""
 
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 
@@ -10,12 +12,14 @@ from qshuffle.compositions import Composition
 from qshuffle.demos import (
     SmallGraph,
     SmallPoset,
+    _chromatic_evaluator,
     all_graphs,
     all_posets,
     chromatic_polynomial,
     chromatic_symmetric,
     eta_check,
     format_polynomial,
+    graph_infchar,
     graph_infchar_two_ways,
     graph_provider,
     kp_generating_function,
@@ -25,7 +29,7 @@ from qshuffle.demos import (
     zeta_ones,
 )
 from qshuffle.elements import MONOMIAL, GradedElement, product
-from qshuffle.universal import char_to_infchar, infchar_to_char, universal_to_qsym
+from qshuffle.universal import char_to_infchar, infchar_to_char, universal_to_qsym, universal_to_sh
 
 from oracles import (
     _proper_coloring_count, check_provider_multiplicativity, expand_polynomial, induced, order_ideals, power_value,
@@ -139,9 +143,23 @@ def test_chromatic_symmetric_frozen():
 
 
 def test_chromatic_symmetric_matches_generic_universal():
-    for n in range(4):
-        for g in all_graphs(n):
-            assert chromatic_symmetric(g) == universal_to_qsym(graph_provider(), zeta_no_edges, g)
+    # one Phi for the no-edges character, read against chromatic_symmetric and by the
+    # transfers of both bases: each label's coproduct is read once across all three
+    base, reads = graph_provider(), Counter()
+    provider = replace(base, coproduct=lambda g: reads.update([g]) or base.coproduct(g))
+    phi = universal_to_qsym(provider, zeta_no_edges)
+    transfers = [(char_to_infchar(phi, builtin(name)), graph_infchar(builtin(name))) for name in ("type1", "type2")]
+    labels = [g for n in range(5) for g in all_graphs(n)]
+    for g in labels:
+        assert phi(g) == chromatic_symmetric(g), g
+        for held, demo in transfers:
+            assert held(g) == demo(g), g
+    assert set(reads.values()) == {1} and len(reads) == len(labels) - 1  # the empty graph has no table to build
+    # the demos hold one such morphism: a transfer fills the table that chromatic_symmetric reads
+    g = SmallGraph(7, [(1, 2), (2, 3), (1, 3), (4, 5), (6, 7)])
+    assert g not in _chromatic_evaluator._cache
+    graph_infchar(builtin("type1"))(g)
+    assert g in _chromatic_evaluator._cache
 
 
 def test_chromatic_specializes_to_coloring_counts():
@@ -267,7 +285,7 @@ def test_kp_frozen():
     assert kp_generating_function(CHAIN2) == M(1, 1) + M(2)
     assert kp_generating_function(ANTI2) == M(1, 1).scaled(2) + M(2)
     assert kp_generating_function(CHAIN3) == M(1, 1, 1) + M(1, 2) + M(2, 1) + M(3)
-    assert universal_to_qsym(poset_provider(), zeta_ones, CHAIN2) == kp_generating_function(CHAIN2)
+    assert universal_to_qsym(poset_provider(), zeta_ones)(CHAIN2) == kp_generating_function(CHAIN2)
 
 
 def _linear_extension_count(p: SmallPoset) -> int:
@@ -333,9 +351,16 @@ def test_providers_and_multiplicativity():
 def test_char_bijection_roundtrips_on_graphs_and_posets(name):
     f = builtin(name)
     graphs, posets = graph_provider(), poset_provider()
-    zeta_graphs = infchar_to_char(char_to_infchar(zeta_no_edges, f, graphs), f, graphs)
-    zeta_posets = infchar_to_char(char_to_infchar(zeta_ones, f, posets), f, posets)
-    xi_posets = char_to_infchar(infchar_to_char(xi_unique_min, f, posets), f, posets)
+
+    def char_round_trip(provider, zeta):
+        return infchar_to_char(universal_to_sh(provider, char_to_infchar(universal_to_qsym(provider, zeta), f)), f)
+
+    def infchar_round_trip(provider, xi):
+        return char_to_infchar(universal_to_qsym(provider, infchar_to_char(universal_to_sh(provider, xi), f)), f)
+
+    zeta_graphs = char_round_trip(graphs, zeta_no_edges)
+    zeta_posets = char_round_trip(posets, zeta_ones)
+    xi_posets = infchar_round_trip(posets, xi_unique_min)
     for n in range(5):
         for g in all_graphs(n):
             assert zeta_graphs(g) == zeta_no_edges(g), (name, g)

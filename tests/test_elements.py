@@ -356,6 +356,29 @@ def test_tensor_element_evaluate():
     assert val == 1
 
 
+def test_hash_repr_and_support_of_elements():
+    a = M(2, 1) + M(1).scaled(Fraction(1, 2))
+    b = GradedElement(MONOMIAL, [((1,), Fraction(1, 2)), ((2, 1), 1)])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == "<1/2 M[1] + M[2,1]>"
+    t = coproduct(M(2, 1))
+    assert t.support() == [(EMPTY, C((2, 1))), (C((2,)), C((1,))), (C((2, 1)), EMPTY)]
+    assert repr(t) == "<1 M[-](x)M[2,1] + 1 M[2](x)M[1] + 1 M[2,1](x)M[-]>"
+    assert repr(TensorElement(WORD)) == "<0 (x) 0>"
+
+
+def test_operands_outside_the_element_types_and_bases():
+    # another operand type is left to its own __radd__, so a plain number does not add
+    assert M(1).__add__(1) is NotImplemented
+    with pytest.raises(TypeError):
+        M(1) + 1
+    # coproduct and antipode are wired for M and X only
+    with pytest.raises(BasisMismatch, match="no coproduct for basis 'P'"):
+        coproduct(GradedElement.basis_element("P", (1,)))
+    with pytest.raises(BasisMismatch, match="no antipode for basis 'P'"):
+        antipode_by_recursion("P", (1,))
+
+
 def test_power_sum():
     assert power_sum(C((2,))) == M(2)
     assert power_sum(C((2, 1))) == M(2, 1) + M(1, 2) + M(3)

@@ -70,6 +70,7 @@ from qshuffle.elements import (
     coproduct,
     product,
 )
+from qshuffle.errors import NotACharacter, NotAnInfinitesimalCharacter
 from qshuffle.functionals import Functional, exp_functional, log_functional
 from qshuffle.universal import CharacterPowerEvaluator, canonical, qsym_provider, theta
 from qshuffle.verify import check_integral_nonneg
@@ -442,21 +443,24 @@ def test_labels_share_one_induced_structure_per_key(structures, masks_of):
 
 
 def test_evaluator_value_matches_the_recursion_off_the_table():
+    # phi(unit) = 2 makes neither a character nor an infinitesimal one: no morphism is made
     with_unit_two = Functional(2, lambda c: Fraction(c[0], c.length))
+    with pytest.raises(NotACharacter):
+        CharacterPowerEvaluator(qsym_provider(), with_unit_two, MONOMIAL)
+    with pytest.raises(NotAnInfinitesimalCharacter):
+        CharacterPowerEvaluator(qsym_provider(), with_unit_two, WORD)
     cases = [
-        (graph_provider(), zeta_no_edges, [g for n in range(5) for g in all_graphs(n)]),
-        (poset_provider(), zeta_ones, [p for n in range(4) for p in all_posets(n)]),
-        (poset_provider(), xi_unique_min, [p for n in range(4) for p in all_posets(n)]),
-        (qsym_provider(), canonical("zetaQ"), list(compositions_up_to(5))),
-        (qsym_provider(), canonical("xiS"), list(compositions_up_to(5))),
-        # phi(unit) = 2, which no image reads
-        (qsym_provider(), with_unit_two, list(compositions_up_to(5))),
+        (graph_provider(), zeta_no_edges, MONOMIAL, [g for n in range(5) for g in all_graphs(n)]),
+        (poset_provider(), zeta_ones, MONOMIAL, [p for n in range(4) for p in all_posets(n)]),
+        (poset_provider(), xi_unique_min, WORD, [p for n in range(4) for p in all_posets(n)]),
+        (qsym_provider(), canonical("zetaQ"), MONOMIAL, list(compositions_up_to(5))),
+        (qsym_provider(), canonical("xiS"), WORD, list(compositions_up_to(5))),
     ]
-    for provider, phi, labels in cases:
-        evaluator, memo = CharacterPowerEvaluator(provider, phi), {}
+    for provider, phi, basis, labels in cases:
+        evaluator, memo = CharacterPowerEvaluator(provider, phi, basis), {}
         for label in labels:
             n = provider.degree(label)
             # the table holds compositions of the degree only, so no other sizes reach an image
             assert set(evaluator._table(label)) <= set(compositions_of(n)), label
-            image = evaluator.image({label: 1}, MONOMIAL)
-            assert image == oracles.power_image(provider, phi, label, memo), label
+            slow = oracles.power_image(provider, phi, label, memo)
+            assert evaluator(label) == GradedElement(basis, slow.terms), label

@@ -42,6 +42,8 @@ def test_functional_call_and_elements():
     assert zeta((3,)) == 1  # coerced
     elem = GradedElement.basis_element(MONOMIAL, (2,)).scaled(3) + GradedElement.unit(MONOMIAL)
     assert zeta.of_element(elem) == 4
+    assert repr(zeta) == "<zetaQ: empty -> 1>"
+    assert repr(Functional(0, lambda c: 0)) == "<functional: empty -> 0>"
 
 
 def test_convolution_unit():
@@ -200,8 +202,10 @@ def test_product_sweep_needs_a_product_rule_from_the_first_pair():
 def test_value_at_empty_violations():
     ok, violation = is_character(_random_functional(13, 0), 3, MONOMIAL)
     assert not ok and violation.kind == "value-at-empty"
+    assert str(violation) == "value at empty composition is 0, expected 1"
     ok, violation = is_infinitesimal_character(_random_functional(14, 1), 3, WORD)
     assert not ok and violation.kind == "value-at-empty"
+    assert str(violation) == "value at empty composition is 1, expected 0"
 
 
 def test_lie_bracket_is_commutator_and_alternating():

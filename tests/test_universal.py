@@ -64,23 +64,23 @@ def test_power_evaluator_values():
     assert power_value(q, zeta, EMPTY, ()) == 1
     # wrong total degree projects to nothing
     assert power_value(q, zeta, C((2, 1)), (2, 2)) == 0
-    # the evaluator's image collects these values over the compositions of the degree
-    ev = CharacterPowerEvaluator(q, zeta)
-    assert ev.image({C((2, 1)): 1}, MONOMIAL) == M(2, 1)
-    assert ev.image({EMPTY: 1}, MONOMIAL) == GradedElement.unit(MONOMIAL)
+    # the morphism collects these values over the compositions of the degree
+    phi = CharacterPowerEvaluator(q, zeta, MONOMIAL)
+    assert phi({C((2, 1)): 1}) == phi(C((2, 1))) == M(2, 1)
+    assert phi({EMPTY: 1}) == GradedElement.unit(MONOMIAL)
 
 
 def test_universal_identity_maps():
-    zeta = canonical("zetaQ")
-    xi = canonical("xiS")
+    phi = universal_to_qsym(qsym_provider(), canonical("zetaQ"))
+    psi = universal_to_sh(qsym_provider(), canonical("xiS"))
     for comp in compositions_up_to(6):
-        assert universal_to_qsym(qsym_provider(), zeta, comp) == M(*comp)
-        assert universal_to_sh(qsym_provider(), xi, comp) == X(*comp)
+        assert phi(comp) == M(*comp)
+        assert psi(comp) == X(*comp)
 
 
 def test_universal_on_qsym_example():
     xi = log_functional(canonical("zetaQ"))
-    got = universal_to_sh(qsym_provider(), xi, C((1, 1)))
+    got = universal_to_sh(qsym_provider(), xi)(C((1, 1)))
     assert got == X(1, 1) - X(2).scaled(Fraction(1, 2))
     assert format_element(got) == "X[1,1] - 1/2 X[2]"
 
@@ -88,29 +88,26 @@ def test_universal_on_qsym_example():
 def test_universal_is_algebra_map_here():
     # on QSym with zetaQ the map is the identity, so in particular it
     # carries quasi-shuffle products to quasi-shuffle products
-    zeta = canonical("zetaQ")
+    phi = universal_to_qsym(qsym_provider(), canonical("zetaQ"))
     for alpha in compositions_of(2):
         for beta in compositions_of(2):
-            lhs = universal_to_qsym(qsym_provider(), zeta, product(M(*alpha), M(*beta)).terms)
-            rhs = product(
-                universal_to_qsym(qsym_provider(), zeta, alpha),
-                universal_to_qsym(qsym_provider(), zeta, beta),
-            )
-            assert lhs == rhs
+            assert phi(product(M(*alpha), M(*beta)).terms) == product(phi(alpha), phi(beta))
 
 
 def test_universal_preconditions():
+    # phi's value at the unit is checked when the morphism is made, before any label
     with pytest.raises(NotACharacter):
-        universal_to_qsym(qsym_provider(), canonical("xiS"), C((1,)))
+        universal_to_qsym(qsym_provider(), canonical("xiS"))
     with pytest.raises(NotAnInfinitesimalCharacter):
-        universal_to_sh(qsym_provider(), canonical("zetaQ"), C((1,)))
+        universal_to_sh(qsym_provider(), canonical("zetaQ"))
+    with pytest.raises(BasisMismatch):
+        CharacterPowerEvaluator(qsym_provider(), canonical("zetaQ"), "P")
+    phi = universal_to_qsym(qsym_provider(), canonical("zetaQ"))
     with pytest.raises(DegreeMismatch):
-        universal_to_qsym(
-            qsym_provider(), canonical("zetaQ"), {C((1,)): Fraction(1), C((2,)): Fraction(1)}
-        )
+        phi({C((1,)): Fraction(1), C((2,)): Fraction(1)})
     # a float coefficient is refused, as the element constructors refuse it
     with pytest.raises(TypeError):
-        universal_to_qsym(qsym_provider(), canonical("zetaQ"), {C((1,)): 0.1})
+        phi({C((1,)): 0.1})
 
 
 def test_canonical_values_frozen():
@@ -215,7 +212,7 @@ def test_theta_eigencheck_custom_even_block():
 
 def test_infchar_to_char_is_exp_for_factorial_basis():
     xi = canonical("xiS")
-    zeta = infchar_to_char(xi, builtin("type2"), qsym_provider())
+    zeta = infchar_to_char(universal_to_sh(qsym_provider(), xi), builtin("type2"))
     expected = exp_functional(xi)
     for comp in compositions_up_to(6):
         assert zeta(comp) == expected(comp), comp
@@ -223,7 +220,7 @@ def test_infchar_to_char_is_exp_for_factorial_basis():
 
 def test_char_to_infchar_is_log_for_factorial_basis():
     zeta = canonical("zetaQ")
-    xi = char_to_infchar(zeta, builtin("type2"), qsym_provider())
+    xi = char_to_infchar(universal_to_qsym(qsym_provider(), zeta), builtin("type2"))
     expected = log_functional(zeta)
     for comp in compositions_up_to(6):
         assert xi(comp) == expected(comp), comp
@@ -233,8 +230,8 @@ def test_char_bijection_roundtrip_other_bases():
     for name in ("type1", "even-odd"):
         f = builtin(name)
         xi = canonical("xiS")
-        zeta = infchar_to_char(xi, f, qsym_provider())
-        back = char_to_infchar(zeta, f, qsym_provider())
+        zeta = infchar_to_char(universal_to_sh(qsym_provider(), xi), f)
+        back = char_to_infchar(universal_to_qsym(qsym_provider(), zeta), f)
         for comp in compositions_up_to(5):
             assert back(comp) == xi(comp), (name, comp)
 
@@ -242,29 +239,39 @@ def test_char_bijection_roundtrip_other_bases():
 def test_char_bijection_roundtrip_from_char_side():
     f = builtin("type1")
     zeta = canonical("zetaQ")
-    xi = char_to_infchar(zeta, f, qsym_provider())
-    back = infchar_to_char(xi, f, qsym_provider())
+    xi = char_to_infchar(universal_to_qsym(qsym_provider(), zeta), f)
+    back = infchar_to_char(universal_to_sh(qsym_provider(), xi), f)
     for comp in compositions_up_to(5):
         assert back(comp) == zeta(comp), comp
 
 
 def test_char_bijection_preconditions():
     with pytest.raises(NotAnInfinitesimalCharacter):
-        infchar_to_char(canonical("zetaQ"), builtin("type2"), qsym_provider())
+        infchar_to_char(universal_to_sh(qsym_provider(), canonical("zetaQ")), builtin("type2"))
     with pytest.raises(NotACharacter):
-        char_to_infchar(canonical("xiS"), builtin("type2"), qsym_provider())
+        char_to_infchar(universal_to_qsym(qsym_provider(), canonical("xiS")), builtin("type2"))
     raw = prefix_sum_character(lambda n: Fraction(n))
-    mapped = infchar_to_char(canonical("xiS"), raw, qsym_provider())
+    psi = universal_to_sh(qsym_provider(), canonical("xiS"))
+    mapped = infchar_to_char(psi, raw)
     with pytest.raises(NotNormalized):
         mapped(C((2,)))
+    # f o Psi reads a word image and g o Phi a monomial one; the other basis is refused
+    phi = universal_to_qsym(qsym_provider(), canonical("zetaQ"))
+    with pytest.raises(BasisMismatch):
+        infchar_to_char(phi, builtin("type1"))
+    with pytest.raises(BasisMismatch):
+        char_to_infchar(psi, builtin("type1"))
 
 
 def test_transfers_evaluate_each_label_once():
     base = qsym_provider()
     seen = []
     provider = replace(base, degree=lambda label: seen.append(label) or base.degree(label))
-    for transfer, phi in ((infchar_to_char, canonical("eta")), (char_to_infchar, canonical("zetaQ"))):
-        fn = transfer(phi, builtin("type1"), provider)
+    for transfer, morphism in (
+        (infchar_to_char, universal_to_sh(provider, canonical("eta"))),
+        (char_to_infchar, universal_to_qsym(provider, canonical("zetaQ"))),
+    ):
+        fn = transfer(morphism, builtin("type1"))
         label = C((2, 1, 1))
         value = fn(label)
         calls = len(seen)
