@@ -1,9 +1,11 @@
 """Exhaustive verification: the suites of ``qshuffle verify`` and the predicates behind them.
 
 Every check is an exhaustive search: it walks its cases in canonical order
-and stops at the first counterexample, the witness.  ``first_witness`` is
-that search, and ``VerifyReport.sweep`` records its outcome as one check.
-``SUITES`` maps each suite name to its ``--basis`` rule and its body.
+and stops at the first counterexample, the witness, or finds none.
+``first_witness`` is that search.  A predicate returns its witness or None,
+and ``VerifyReport.sweep``, the only way into a report, records a named
+search as one check.  ``SUITES`` maps each suite name to its ``--basis``
+rule and its body.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, Iterable
 
 from .characters import (
@@ -37,11 +40,14 @@ def first_witness(cases: Iterable, witness_of: Callable):
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
-    witness: str | None = None
+    witness: str | None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def line(self) -> str:
         if self.passed:
@@ -55,13 +61,10 @@ class VerifyReport:
     title: str
     checks: list[CheckResult] = field(default_factory=list)
 
-    def add(self, name: str, witness=None) -> None:
-        """Add the check name: it passes when witness is None and fails showing str(witness) otherwise."""
-        self.checks.append(CheckResult(name, witness is None, None if witness is None else str(witness)))
-
-    def sweep(self, name: str, cases: Iterable, witness_of: Callable[..., str | None]) -> None:
-        """Add the check name: it fails with the first witness found over cases."""
-        self.add(name, first_witness(cases, witness_of))
+    def sweep(self, name: str, cases: Iterable, witness_of: Callable) -> None:
+        """Add the check name: it passes when no case has a witness and fails showing str(the first) otherwise."""
+        witness = first_witness(cases, witness_of)
+        self.checks.append(CheckResult(name, None if witness is None else str(witness)))
 
     @property
     def passed(self) -> bool:
@@ -88,48 +91,44 @@ class Violation:
     def __str__(self) -> str:
         if self.kind == "value-at-empty":
             return f"value at empty composition is {self.actual}, expected {self.expected}"
-        return (
-            f"pair alpha={self.alpha}, beta={self.beta}: "
-            f"got {self.actual}, expected {self.expected}"
-        )
+        return f"pair alpha={self.alpha}, beta={self.beta}: got {self.actual}, expected {self.expected}"
 
 
-def _product_sweep(phi: Functional, max_degree: int, basis: str, value_at_empty: int):
-    """phi(b b') must be phi(b) phi(b') for a character (value 1 at empty), 0 for an infinitesimal one."""
-    if phi.value_at_empty != value_at_empty:
-        return False, Violation("value-at-empty", None, None, Fraction(value_at_empty), phi.value_at_empty)
-
-    def violation(pair) -> Violation | None:
-        alpha, beta = pair
-        lhs = sum(mult * phi(word) for word, mult in product_rule(basis)(alpha, beta).items())
-        rhs = phi(alpha) * phi(beta) if value_at_empty else Fraction(0)
-        return None if lhs == rhs else Violation("product", alpha, beta, rhs, lhs)
-
-    witness = first_witness(pairs_up_to(max_degree), violation)
-    return witness is None, witness
-
-
-def is_character(
-    phi: Functional, max_degree: int, basis: str = "M"
-) -> tuple[bool, Violation | None]:
-    """Multiplicative with value 1 at the unit, checked exhaustively.
-
-    Products of basis elements are taken in the stated basis, pairs swept in
-    canonical order up to total degree max_degree; returns the first
-    violation found.  In the word basis this is the shuffle-character
-    property f(alpha) f(beta) = sum of f over the shuffles.
+def _product_witness(phi: Functional, rule, value_at_empty: int, case) -> Violation | None:
+    """At the case None, the unit, phi must be value_at_empty.  At a pair, phi(alpha beta) must be
+    phi(alpha) phi(beta) for a character (value 1 at empty), 0 for an infinitesimal one (value 0).
     """
-    return _product_sweep(phi, max_degree, basis, 1)
+    if case is None:
+        holds = phi.value_at_empty == value_at_empty
+        return None if holds else Violation("value-at-empty", None, None, Fraction(value_at_empty), phi.value_at_empty)
+    alpha, beta = case
+    lhs = sum(mult * phi(word) for word, mult in rule(alpha, beta).items())
+    rhs = phi(alpha) * phi(beta) if value_at_empty else Fraction(0)
+    return None if lhs == rhs else Violation("product", alpha, beta, rhs, lhs)
 
 
-def is_infinitesimal_character(
-    phi: Functional, max_degree: int, basis: str = "M"
-) -> tuple[bool, Violation | None]:
-    """Vanishes at the unit and on every product of positive-degree elements.
+def _product_check(phi: Functional, max_degree: int, basis: str, value_at_empty: int):
+    """The cases (the unit, then the pairs up to max_degree) and witness_of; the rule is read before any value."""
+    witness_of = partial(_product_witness, phi, product_rule(basis), value_at_empty)
+    return chain((None,), pairs_up_to(max_degree)), witness_of
+
+
+def is_character(phi: Functional, max_degree: int, basis: str = "M") -> Violation | None:
+    """Multiplicative with value 1 at the unit, checked exhaustively: the first violation, or None.
+
+    Products are taken in the stated basis, the pairs swept in canonical order up to total degree max_degree.
+    In the word basis this is the shuffle-character property f(alpha) f(beta) = sum of f over the shuffles.
+    Kept: the public form of the check that the shuffle-character suite sweeps.
+    """
+    return first_witness(*_product_check(phi, max_degree, basis, 1))
+
+
+def is_infinitesimal_character(phi: Functional, max_degree: int, basis: str = "M") -> Violation | None:
+    """Vanishes at the unit and on every product of positive-degree elements; the first violation, or None.
 
     Kept: the g side of the paper's characterization of shuffle characters, for a suite that checks it.
     """
-    return _product_sweep(phi, max_degree, basis, 0)
+    return first_witness(*_product_check(phi, max_degree, basis, 0))
 
 
 @dataclass(frozen=True)
@@ -142,46 +141,43 @@ class IntegralityWitness:
         return f"aut({self.alpha}) f({self.alpha}, {self.beta}) = {self.value}"
 
 
-def check_integral_nonneg(
-    f: Functional, max_degree: int
-) -> tuple[bool, IntegralityWitness | None]:
+def _integrality_witness(f: Functional, alpha: Composition) -> IntegralityWitness | None:
+    """The first coarsening beta of alpha at which aut(alpha) f(alpha, beta) is not in Z>=0, or None."""
+    aut = stats(alpha).aut_count
+    for beta, num, den in coarsening_products(f, alpha):
+        value = rational(aut * num, den)
+        if value.denominator != 1 or value < 0:
+            return IntegralityWitness(alpha, beta, value)
+    return None
+
+
+def _integrality_check(f: Functional, max_degree: int):
+    """The cases (the nonempty compositions up to max_degree) and the witness of each; f must be normalized."""
+    require_normalized(f, max_degree)
+    return compositions_up_to(max_degree)[1:], partial(_integrality_witness, f)
+
+
+def check_integral_nonneg(f: Functional, max_degree: int) -> IntegralityWitness | None:
     """Do all monomial coefficients of the P_alpha lie in the nonnegative integers?
 
-    Sweeps aut(alpha) f(alpha, beta) over refinement pairs up to max_degree
-    and returns the first witness in canonical order.
+    Sweeps aut(alpha) f(alpha, beta) over refinement pairs up to max_degree; the first witness, or None.
+    Kept: the public form of the check that the integrality suite sweeps.
     """
-    require_normalized(f, max_degree)
-
-    def refinement_witness(alpha: Composition) -> IntegralityWitness | None:
-        aut = stats(alpha).aut_count
-
-        def witness_of(term) -> IntegralityWitness | None:
-            beta, num, den = term
-            value = rational(aut * num, den)
-            return None if value.denominator == 1 and value >= 0 else IntegralityWitness(alpha, beta, value)
-
-        return first_witness(coarsening_products(f, alpha), witness_of)
-
-    witness = first_witness(compositions_up_to(max_degree)[1:], refinement_witness)
-    return witness is None, witness
+    return first_witness(*_integrality_check(f, max_degree))
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def verify_qps(
-    f: Functional, max_degree: int, partition_degree: int | None = None
-) -> VerifyReport:
-    """Check the three power sum axioms exhaustively.
+def verify_qps(f: Functional, max_degree: int) -> VerifyReport:
+    """Check the three power sum axioms exhaustively through max_degree.
 
     (i) products against z-scaled shuffles for |alpha|+|beta| <= max_degree,
     (ii) deconcatenation coproducts with z-value scalings for |alpha| <=
     max_degree, (iii) rearrangement classes summing to p_lambda for
-    partitions of n <= partition_degree (defaults to max_degree).
+    partitions of n <= max_degree.
     """
-    if partition_degree is None:
-        partition_degree = max_degree
     label = f.name or "f"
     report = VerifyReport(f"qps axioms for {label}")
     # P_alpha for each composition once; the memo goes when the sweep ends
@@ -235,8 +231,8 @@ def verify_qps(
     report.sweep(
         f"coproduct rule through degree {max_degree}", compositions_up_to(max_degree), coproduct_rule
     )
-    partitions = (lam for n in range(1, partition_degree + 1) for lam in partitions_of(n))
-    report.sweep(f"power sum refinement through degree {partition_degree}", partitions, refinement_rule)
+    partitions = (lam for n in range(1, max_degree + 1) for lam in partitions_of(n))
+    report.sweep(f"power sum refinement through degree {max_degree}", partitions, refinement_rule)
     return report
 
 
@@ -271,15 +267,17 @@ def theta_eigencheck(f_even: Functional | None, max_degree: int) -> VerifyReport
 
 def _shuffle_character(basis: str, degree: int) -> VerifyReport:
     report = VerifyReport(f"shuffle-character for {basis}")
-    _, violation = is_character(resolve_basis(basis), degree, WORD)
-    report.add(f"f(a)f(b) = sum over shuffles through degree {degree}", violation)
+    report.sweep(
+        f"f(a)f(b) = sum over shuffles through degree {degree}", *_product_check(resolve_basis(basis), degree, WORD, 1)
+    )
     return report
 
 
 def _integrality(basis: str, degree: int) -> VerifyReport:
     report = VerifyReport(f"integrality for {basis}")
-    _, witness = check_integral_nonneg(resolve_basis(basis), degree)
-    report.add(f"monomial coefficients in Z>=0 through degree {degree}", witness)
+    report.sweep(
+        f"monomial coefficients in Z>=0 through degree {degree}", *_integrality_check(resolve_basis(basis), degree)
+    )
     return report
 
 

@@ -339,15 +339,13 @@ def qps_expand(f: Functional, alpha) -> GradedElement:
     return basis_expand(f, alpha).scaled(stats(alpha).aut_count)
 
 
-def check_integral_nonneg(
-    f: Functional, max_degree: int
-) -> tuple[bool, IntegralityWitness | None]:
+def check_integral_nonneg(f: Functional, max_degree: int) -> IntegralityWitness | None:
     """Do all monomial coefficients of the P_alpha lie in the nonnegative integers?
 
     Sweeps aut(alpha) f(alpha, beta) over refinement pairs up to max_degree
     (test A) and, independently, the single-block values aut(alpha) f(alpha)
     (test B, which is equivalent); both are run and must agree.  Returns the
-    first test-A witness in canonical order.
+    first test-A witness in canonical order, or None.
     """
     require_normalized(f, max_degree)
 
@@ -379,7 +377,7 @@ def check_integral_nonneg(
 
     if (witness is None) != single_block_ok:
         raise AssertionError("refinement-pair and single-block integrality tests disagree")
-    return witness is None, witness
+    return witness
 
 
 def refines(fine: Composition, coarse: Composition) -> bool:

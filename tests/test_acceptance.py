@@ -20,12 +20,15 @@ from qshuffle.characters import (
     g_to_f,
     order_basis_character,
     prefix_sum_character,
+    qps_expand,
 )
 from qshuffle.compositions import (
     Composition,
     compositions_of,
     compositions_up_to,
+    partitions_of,
     quasi_shuffle,
+    rearrangements,
 )
 from qshuffle import elements
 from qshuffle.demos import all_graphs, all_posets, eta_check, graph_infchar_two_ways
@@ -37,6 +40,7 @@ from qshuffle.elements import (
     antipode_word,
     coproduct,
     counit,
+    power_sum,
     product,
 )
 from qshuffle.functionals import Functional, exp_functional, log_functional
@@ -71,8 +75,8 @@ def test_criterion_01_shuffle_character_axioms(announce):
     bases.extend(order_basis_character(order) for order in _random_orders())
     failures = []
     for f in bases:
-        ok, violation = is_character(f, 8, WORD)
-        if not ok:
+        violation = is_character(f, 8, WORD)
+        if violation is not None:
             failures.append(f"{f.name}: {violation}")
     detail = f"9 bases, pairs to degree 8, {time.time() - started:.1f}s"
     announce(1, "shuffle-character axioms", not failures, "; ".join(failures) or detail)
@@ -82,9 +86,16 @@ def test_criterion_01_shuffle_character_axioms(announce):
 def test_criterion_02_qps_axioms(announce):
     failures = []
     for name in ("type1", "type2", "even-odd", "combinatorial"):
-        report = verify_qps(builtin(name), 6, partition_degree=8)
+        f = builtin(name)
+        report = verify_qps(f, 6)
         if not report.passed:
             failures.append(f"{name}: {report.render()}")
+        # the refinement axiom further out: the P_alpha over the rearrangements of lambda sum to p_lambda
+        for n in range(1, 9):
+            for lam in partitions_of(n):
+                total = sum((qps_expand(f, alpha) for alpha in rearrangements(lam)), GradedElement.zero(MONOMIAL))
+                if total != power_sum(lam):
+                    failures.append(f"{name}: power sum refinement fails at lambda={lam}")
     perturbed = Functional(
         1,
         lambda c: Fraction(1) if c == C((1, 1)) else builtin("type2")(c),
@@ -239,13 +250,13 @@ def test_criterion_08_integrality(announce):
     passing = [builtin("combinatorial"), builtin("reverse-combinatorial")]
     passing.extend(order_basis_character(order) for order in _random_orders())
     for f in passing:
-        ok, witness = check_integral_nonneg(f, 7)
-        if not ok:
+        witness = check_integral_nonneg(f, 7)
+        if witness is not None:
             failures.append(f"{f.name}: unexpected witness {witness}")
     witnesses = []
     for name in ("type1", "type2"):
-        ok, witness = check_integral_nonneg(builtin(name), 7)
-        if ok or witness.value.denominator == 1:
+        witness = check_integral_nonneg(builtin(name), 7)
+        if witness is None or witness.value.denominator == 1:
             failures.append(f"{name}: expected a non-integer witness, got {witness}")
         else:
             witnesses.append(f"{name}: {witness}")

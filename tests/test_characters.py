@@ -126,8 +126,7 @@ def test_all_builtins_are_normalized_shuffle_characters():
     for name in BUILTIN_NAMES:
         f = builtin(name)
         assert is_normalized(f, 7), name
-        ok, violation = is_character(f, 6, WORD)
-        assert ok, (name, violation)
+        assert is_character(f, 6, WORD) is None, name
 
 
 def test_prefix_sum_character_values():
@@ -135,8 +134,7 @@ def test_prefix_sum_character_values():
     assert f(C((1, 2))) == Fraction(1, 5)
     assert f(C((2, 1, 1))) == Fraction(1, 4 * 5 * 6)
     assert f(EMPTY) == 1
-    ok, violation = is_character(f, 6, WORD)
-    assert ok, violation
+    assert is_character(f, 6, WORD) is None
 
 
 def test_prefix_sum_zero_raises():
@@ -202,8 +200,7 @@ def test_order_basis_character():
     assert order_basis_character(["2", "1", "3"])(C((2, 2, 1))) == Fraction(1, 2)
     # the axiom sweep needs the order declared out to the largest part touched
     wide = order_basis_character([2, 1, 3, 5, 4, 6])
-    ok, violation = is_character(wide, 6, WORD)
-    assert ok, violation
+    assert is_character(wide, 6, WORD) is None
 
 
 @pytest.mark.parametrize("order", [[True, 2.0], [2, 1.0], [True, 2], ["+2", "1"], ["2", ""], ["\u0662", "1"]])
@@ -224,15 +221,13 @@ def test_ordered_partition_spec_custom():
     assert f(C((2, 1))) == 1
     assert f(C((2, 2, 1, 1))) == Fraction(1, 4)
     assert f(C((1, 2))) == 0
-    ok, violation = is_character(f, 6, WORD)
-    assert ok, violation
+    assert is_character(f, 6, WORD) is None
 
 
 def test_is_shuffle_character_negative():
     table = {C((1, 1)): Fraction(1, 3)}
     f = Functional(1, lambda comp: table.get(comp, builtin("type2")(comp)))
-    ok, violation = is_character(f, 4, WORD)
-    assert not ok
+    violation = is_character(f, 4, WORD)
     assert (violation.alpha, violation.beta) == (C((1,)), C((1,)))
     assert violation.actual == Fraction(2, 3)
     assert violation.expected == 1
@@ -409,12 +404,6 @@ def test_verify_qps_passes_for_builtins():
         assert len(report.checks) == 3
 
 
-def test_verify_qps_partition_degree_override():
-    report = verify_qps(builtin("type2"), 3, partition_degree=5)
-    assert report.passed
-    assert "degree 5" in report.checks[2].name
-
-
 def test_verify_qps_negative_control():
     table = {C((1, 1)): Fraction(1)}
     broken = Functional(
@@ -459,20 +448,16 @@ def test_render_report_lines():
 
 def test_integrality_positive():
     for name in ("combinatorial", "reverse-combinatorial"):
-        ok, witness = check_integral_nonneg(builtin(name), 6)
-        assert ok and witness is None, (name, witness)
-    ok, witness = check_integral_nonneg(order_basis_character([3, 1, 2, 6, 5, 4]), 6)
-    assert ok, witness
+        assert check_integral_nonneg(builtin(name), 6) is None, name
+    assert check_integral_nonneg(order_basis_character([3, 1, 2, 6, 5, 4]), 6) is None
 
 
 def test_integrality_negative_frozen():
-    ok, witness = check_integral_nonneg(builtin("type1"), 4)
-    assert not ok
+    witness = check_integral_nonneg(builtin("type1"), 4)
     assert witness.alpha == C((1, 2)) and witness.beta == C((3,))
     assert witness.value == Fraction(2, 3)
     assert str(witness) == "aut(C[1,2]) f(C[1,2], C[3]) = 2/3"
-    ok, witness = check_integral_nonneg(builtin("type2"), 4)
-    assert not ok
+    witness = check_integral_nonneg(builtin("type2"), 4)
     assert witness.value.denominator > 1
 
 
@@ -495,5 +480,4 @@ def test_even_odd_with_custom_even_part():
     # even block gets the inverse prefix product, odd block the 1/length!
     assert custom(C((2, 4, 1, 1))) == Fraction(1, 2 * 6) * Fraction(1, 2)
     assert custom(C((1, 2))) == 0
-    ok, violation = is_character(custom, 6, WORD)
-    assert ok, violation
+    assert is_character(custom, 6, WORD) is None

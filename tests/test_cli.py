@@ -17,9 +17,9 @@ import pytest
 
 from qshuffle import characters, cli, elements, verify
 from qshuffle.cli import MAX_DEGREE, SUITES, run
-from qshuffle.compositions import MAX_DIGITS, MAX_SHOWN, quasi_shuffle
+from qshuffle.compositions import MAX_DIGITS, MAX_SHOWN, Composition, quasi_shuffle
 from qshuffle.elements import MONOMIAL, WORD, GradedElement
-from qshuffle.functionals import MAX_BITS
+from qshuffle.functionals import MAX_BITS, Functional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,8 +146,24 @@ def test_verify_integrality_fails_for_type1(capsys):
         capsys, "verify", "--suite", "integrality", "--basis", "type1", "--degree", "3"
     )
     assert code == 2
-    assert "[FAIL]" in out
-    assert "aut(C[1,2]) f(C[1,2], C[3]) = 2/3" in out
+    assert out == (
+        "[FAIL] monomial coefficients in Z>=0 through degree 3: aut(C[1,2]) f(C[1,2], C[3]) = 2/3\n"
+        "integrality for type1: 1 checks, 1 failed\n"
+    )
+
+
+def test_verify_shuffle_character_reports_its_first_failing_pair(capsys, monkeypatch):
+    # no basis the CLI accepts fails the suite, so resolve to type2 with f(C[1,1]) = 1
+    type2 = characters.builtin("type2")
+    one_one = Composition((1, 1))
+    broken = Functional(1, lambda comp: Fraction(1) if comp == one_one else type2(comp), name="type2")
+    monkeypatch.setattr(verify, "resolve_basis", lambda spec: broken)
+    code, out, err = invoke(capsys, "verify", "--suite", "shuffle-character", "--basis", "type2", "--degree", "3")
+    assert (code, err) == (2, "")
+    assert out == (
+        "[FAIL] f(a)f(b) = sum over shuffles through degree 3: pair alpha=C[1], beta=C[1]: got 2, expected 1\n"
+        "shuffle-character for type2: 1 checks, 1 failed\n"
+    )
 
 
 def test_verify_integrality_passes_for_combinatorial(capsys):
@@ -985,6 +1001,27 @@ def test_library_modules_read_no_private_attributes_of_each_others_names():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported
             and node.attr.startswith("_") and not node.attr.startswith("__")
         ]
+    assert found == []
+
+
+def test_only_the_report_sweep_makes_a_check_result():
+    # a check enters a report one way: VerifyReport.sweep names it and records its first witness or None,
+    # so no other code of the package reads the name CheckResult outside a type annotation
+    found = []
+
+    def walk(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        named = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if named == "CheckResult" and (path.name, scope) != ("verify.py", "VerifyReport.sweep"):
+            found.append((path.name, node.lineno, scope))
+        annotations = {getattr(node, "annotation", None), getattr(node, "returns", None)}
+        for child in ast.iter_child_nodes(node):
+            if child not in annotations:
+                walk(child, path, scope)
+
+    for path in sorted((REPO_ROOT / "src" / "qshuffle").glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path, "")
     assert found == []
 
 
