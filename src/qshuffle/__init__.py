@@ -1,7 +1,7 @@
 """Exact-arithmetic engine for the quasisymmetric and shuffle Hopf algebras.
 
 Composition combinatorics, quasi-shuffle and shuffle products,
-deconcatenation coproducts and antipodes, the convolution calculus of
+deconcatenation coproducts and antipodes, convolution exp and log of
 functionals, shuffle characters with their triangular f <-> g data,
 quasisymmetric power sum bases, universal morphisms from arbitrary
 connected graded Hopf algebras (with graph and poset demos), and a batch
@@ -35,14 +35,7 @@ from .elements import (
     power_sum,
     product,
 )
-from .functionals import (
-    Functional,
-    convolve,
-    exp_functional,
-    functional_inverse,
-    lie_bracket,
-    log_functional,
-)
+from .functionals import Functional, exp_functional, log_functional
 from .characters import (
     BUILTIN_NAMES,
     OrderedPartitionSpec,
@@ -100,13 +93,11 @@ from .verify import (
 )
 from .errors import (
     BasisMismatch,
-    DegreeMismatch,
     EngineError,
     NonvanishingAtEmpty,
     NotACharacter,
     NotAnInfinitesimalCharacter,
     NotAPartition,
-    NotInvertible,
     NotNormalized,
     PartOutOfRange,
     SingularCharacter,
@@ -121,8 +112,7 @@ __all__ = [
     "GradedElement", "MONOMIAL", "TensorElement", "WORD", "antipode_by_recursion",
     "antipode_monomial", "antipode_word", "coproduct", "counit", "format_element", "power_sum",
     "product",
-    "Functional", "convolve", "exp_functional", "functional_inverse", "lie_bracket",
-    "log_functional",
+    "Functional", "exp_functional", "log_functional",
     "BUILTIN_NAMES", "OrderedPartitionSpec", "basis_contract", "basis_expand", "builtin",
     "even_odd_character", "f_to_g", "g_to_f", "normalize", "order_basis_character",
     "ordered_partition_character", "prefix_sum_character", "qps_expand", "resolve_basis",
@@ -135,9 +125,8 @@ __all__ = [
     "xi_unique_min", "zeta_no_edges", "zeta_ones",
     "CheckResult", "VerifyReport", "check_integral_nonneg", "is_character",
     "is_infinitesimal_character", "theta_eigencheck", "verify_qps",
-    "BasisMismatch", "DegreeMismatch", "EngineError", "NonvanishingAtEmpty",
-    "NotACharacter", "NotAnInfinitesimalCharacter", "NotAPartition", "NotInvertible",
-    "NotNormalized", "PartOutOfRange", "SingularCharacter", "WrongValueAtEmpty",
-    "ZeroPrefixSum",
+    "BasisMismatch", "EngineError", "NonvanishingAtEmpty", "NotACharacter",
+    "NotAnInfinitesimalCharacter", "NotAPartition", "NotNormalized", "PartOutOfRange",
+    "SingularCharacter", "WrongValueAtEmpty", "ZeroPrefixSum",
 ]
 __version__ = "0.1.0"

@@ -413,9 +413,5 @@ def run(argv=None) -> int:
         return 1
 
 
-def main() -> int:
-    return run()
-
-
 if __name__ == "__main__":
     sys.exit(run())

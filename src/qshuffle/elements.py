@@ -48,6 +48,7 @@ from .compositions import (
     coarsenings,
     deconcatenations,
     rational,
+    shown,
 )
 from .errors import BasisMismatch, NotAPartition
 
@@ -138,6 +139,16 @@ def _json_object(data, what: str, keys: tuple[str, ...]) -> dict:
     missing = [key for key in keys if key not in data]
     if missing:
         raise ValueError(f"{what} is missing {missing}")
+    return data
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; ValueError on a repeated key, where json.loads keeps the last."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {shown(key)} is repeated")
+        data[key] = value
     return data
 
 
@@ -255,9 +266,10 @@ class GradedElement(_TermMap):
 
         Anything but an object with a basis and a list of terms, each an object
         with a list comp and a coef, raises ValueError, as does a composition
-        listed twice or a number longer than MAX_DIGITS.
+        listed twice, a key repeated in one object or a number longer than
+        MAX_DIGITS.
         """
-        data = json.loads(text, parse_int=lambda digits: int(check_length(digits)))
+        data = json.loads(text, parse_int=lambda digits: int(check_length(digits)), object_pairs_hook=_unique_keys)
         data = _json_object(data, "element", ("basis", "terms"))
         terms: dict[Composition, Fraction] = {}
         for t in _json_list(data, "terms"):

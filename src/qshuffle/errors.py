@@ -13,16 +13,8 @@ class BasisMismatch(EngineError):
     """Operands live in different bases, or in a basis with no product rule."""
 
 
-class DegreeMismatch(EngineError):
-    """An operand is not homogeneous of the required degree."""
-
-
 class NotAPartition(EngineError):
     """Parts are not weakly decreasing."""
-
-
-class NotInvertible(EngineError):
-    """Functional vanishes on the empty composition, so no convolution inverse."""
 
 
 class NonvanishingAtEmpty(EngineError):

@@ -1,17 +1,22 @@
-"""Linear functionals on a deconcatenation basis and their convolution calculus.
+"""Linear functionals on a deconcatenation basis, with convolution exp and log.
 
 A functional is determined by its value on the empty composition plus a
 function on nonempty compositions; values are memoized, so functionals stay
 lazy and degree bounds can grow without recomputation.  Characters (value
 1 at empty) and infinitesimal characters (value 0) are both Functionals.
-Convolution is
+exp and log are power series under the convolution product, and the m-th
+convolution power of a functional, off the empty composition, is
 
-    (phi * psi)(b_gamma) = sum over gamma = alpha beta of phi(b_alpha) psi(b_beta)
+    phi^{*m}(b_gamma) = sum over the splits of gamma into m nonempty blocks
+                        of the product of phi on the blocks,
 
-and only uses deconcatenation, so the same calculus serves both algebras;
-whether a given functional is a character depends on which product (quasi-
-shuffle or shuffle) the basis carries, hence the basis argument on the
-predicates in ``verify``.
+so each series is one walk over the coarsenings of gamma.  That uses only
+deconcatenation, so the same calculus serves both algebras; whether a given
+functional is a character depends on which product (quasi-shuffle or
+shuffle) the basis carries, hence the basis argument on the predicates in
+``verify``.  The convolution product itself, the convolution inverse and
+the Lie bracket have no reader in the package; they live with the test
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .compositions import Composition, coarsening_products, deconcatenations, rational_sum
+from .compositions import Composition, coarsening_products, rational_sum
 from .compositions import nonempty_splits  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
 from .elements import GradedElement
-from .errors import NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
+from .errors import NonvanishingAtEmpty, WrongValueAtEmpty
 
 
 # the most bits the numerator or the denominator of a computed value may have; a wider
@@ -70,37 +75,6 @@ class Functional:
         return f"<{label}: empty -> {self.value_at_empty}>"
 
 
-def convolve(phi: Functional, psi: Functional) -> Functional:
-    """The convolution phi * psi: phi (x) psi on the deconcatenations.
-
-    Kept: the convolution product that the calculus of functionals is named for; lie_bracket builds on it.
-    """
-
-    def value(comp: Composition) -> Fraction:
-        total = Fraction(0)
-        for left, right in deconcatenations(comp):
-            total += phi(left) * psi(right)
-        return total
-
-    return Functional(phi.value_at_empty * psi.value_at_empty, value)
-
-
-def functional_inverse(phi: Functional) -> Functional:
-    """Convolution inverse: with a = phi(empty), the series 1/a + sum over m >= 1 of (-1)^m / a^(m+1) phi^{*m}.
-
-    phi = a (counit + phi'/a), where phi' is phi off the empty composition,
-    so the inverse is 1/a times the geometric series in -phi'/a.  Exists
-    exactly when a is not 0; the inverse is two-sided since convolution is
-    associative.
-
-    Kept: the convolution inverse, by which canonical("nuQ") is defined.
-    """
-    a = phi.value_at_empty
-    if a == 0:
-        raise NotInvertible("functional vanishes on the empty composition")
-    return _split_series(phi, lambda m: (-1) ** m / a ** (m + 1), 1 / a)
-
-
 def _split_series(phi: Functional, weight, value_at_empty) -> Functional:
     """value_at_empty plus the sum over m >= 1 of weight(m) phi^{*m}.
 
@@ -132,16 +106,3 @@ def log_functional(zeta: Functional) -> Functional:
     if zeta.value_at_empty != 1:
         raise WrongValueAtEmpty(f"log needs value 1 on the empty composition, got {zeta.value_at_empty}")
     return _split_series(zeta, lambda m: Fraction(-1 if m % 2 == 0 else 1, m), 0)
-
-
-def lie_bracket(xi1: Functional, xi2: Functional) -> Functional:
-    """Convolution commutator xi1 * xi2 - xi2 * xi1.
-
-    Kept: the Lie bracket of the infinitesimal characters, closing the convolution calculus.
-    """
-    left = convolve(xi1, xi2)
-    right = convolve(xi2, xi1)
-    return Functional(
-        left.value_at_empty - right.value_at_empty,
-        lambda comp: left(comp) - right(comp),
-    )

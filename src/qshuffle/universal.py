@@ -8,11 +8,11 @@ QSym by reading off the multidegree components of iterated coproducts:
 
 and an infinitesimal character xi likewise maps H into the shuffle algebra
 with x_alpha in place of M_alpha.  universal_to_qsym and universal_to_sh
-return that morphism as one object, checked at the unit when it is made
-and memoised per label for as long as it is held.  H enters through a
-HopfProvider: its coproduct as ((left, right), coefficient) pairs over
-basis labels, its grading and its unit label; the counit is derived from
-the grading.
+return that morphism as one object on basis labels, checked at the unit
+when it is made and memoised per label for as long as it is held.  H
+enters through a HopfProvider: its coproduct as ((left, right),
+coefficient) pairs over basis labels, its grading and its unit label; the
+counit is derived from the grading.
 qsym_provider() serves both QSym and the shuffle algebra, since both have
 the same deconcatenation coproduct on composition labels.  Reading a
 morphism's images with a shuffle basis or its dual triangular data turns
@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable
 
 from .characters import basis_expand, f_to_g, require_normalized
 from .compositions import Composition, EMPTY, compositions_of, deconcatenations
-from .elements import GradedElement, MONOMIAL, WORD, as_coefficient, linear_image
-from .errors import BasisMismatch, DegreeMismatch, NotACharacter, NotAnInfinitesimalCharacter
+from .elements import GradedElement, MONOMIAL, WORD, linear_image
+from .errors import BasisMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional
 
 Label = Hashable
@@ -74,9 +74,10 @@ class CharacterPowerEvaluator:
     Into basis M for a character phi (phi(unit) = 1), into X for an
     infinitesimal one (phi(unit) = 0); phi's value at the unit label is
     checked when the morphism is made, the rest is the caller's job.  The
-    morphism maps a label or a homogeneous label -> coefficient mapping h
-    of degree n to the sum over the compositions alpha of n of the value at
-    h and alpha times b_alpha.  That value is the scalar obtained by
+    morphism maps a basis label h of degree n to the sum over the
+    compositions alpha of n of the value at h and alpha times b_alpha, as
+    the universal property fixes it on labels; elements.linear_image
+    extends it to elements.  That value is the scalar obtained by
     iterating the provider's two-fold coproduct left to right, projecting
     to the multidegree alpha, and applying phi to every tensor slot; it is
     read off one multidegree table per label, built in one pass over the
@@ -124,18 +125,10 @@ class CharacterPowerEvaluator:
         self._cache[label] = table
         return table
 
-    def __call__(self, h) -> GradedElement:
-        if isinstance(h, Mapping):
-            h = {label: as_coefficient(coef) for label, coef in h.items()}
-        else:
-            h = {h: 1}
-        degrees = {self.provider.degree(label) for label, coef in h.items() if coef != 0}
-        if len(degrees) > 1:
-            raise DegreeMismatch(f"element spans degrees {sorted(degrees)}")
-        alphas = compositions_of(degrees.pop() if degrees else 0)
-        tables = [(self._table(label), coef) for label, coef in h.items()]
-        terms = ((alpha, coef * table[alpha]) for alpha in alphas for table, coef in tables if alpha in table)
-        return GradedElement(self.basis, terms)
+    def __call__(self, label: Label) -> GradedElement:
+        table = self._table(label)
+        alphas = compositions_of(self.provider.degree(label))
+        return GradedElement(self.basis, ((alpha, table[alpha]) for alpha in alphas if alpha in table))
 
 
 def universal_to_qsym(provider: HopfProvider, zeta: Callable[[Label], Fraction]) -> CharacterPowerEvaluator:

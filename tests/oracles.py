@@ -71,8 +71,10 @@ the polynomial truncation ``expand_polynomial`` with ``polynomial_product``,
 the disjoint-union sweep ``check_provider_multiplicativity``, the count of
 ordered stable-set partitions ``ordered_stable_partitions``, the simple
 tensor ``tensor_outer``, the componentwise product of two tensors
-``tensor_product``, the normalization predicate ``is_normalized`` and
-nu as a convolution, ``nu_via_convolution``.
+``tensor_product``, the normalization predicate ``is_normalized``, the
+convolution product ``convolve`` with the convolution inverse
+``functional_inverse`` (a series on this module's ``_split_series``) and the
+bracket ``lie_bracket``, and nu as a convolution, ``nu_via_convolution``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ from qshuffle.compositions import (
     canonical_key,
     compositions_of,
     compositions_up_to,
+    deconcatenations,
     nonempty_splits,
     stats,
 )
@@ -99,8 +102,8 @@ from qshuffle.elements import (
     MONOMIAL, _PRODUCT_RULES, GradedElement, TensorElement, _composition, _composition_pair, _summed, product,
     product_rule,
 )
-from qshuffle.errors import BasisMismatch, DegreeMismatch, EngineError, SingularCharacter, ZeroPrefixSum
-from qshuffle.functionals import Functional, convolve, functional_inverse
+from qshuffle.errors import BasisMismatch, EngineError, SingularCharacter, ZeroPrefixSum
+from qshuffle.functionals import Functional
 from qshuffle.universal import canonical, qsym_provider, universal_to_qsym
 from qshuffle.verify import IntegralityWitness, first_witness
 
@@ -184,6 +187,14 @@ def theta(h: GradedElement) -> GradedElement:
 
 class NotARefinement(EngineError):
     """The first composition does not refine the second."""
+
+
+class DegreeMismatch(EngineError):
+    """An operand is not homogeneous of the required degree."""
+
+
+class NotInvertible(EngineError):
+    """Functional vanishes on the empty composition, so no convolution inverse."""
 
 
 def refinement_split(fine: Composition, coarse: Composition) -> tuple[Composition, ...]:
@@ -284,7 +295,7 @@ def _triangular_dual(h: Functional, value_at_empty: int, letter: str) -> Functio
     return k
 
 
-def _split_series(phi: Functional, weight, value_at_empty: int) -> Functional:
+def _split_series(phi: Functional, weight, value_at_empty) -> Functional:
     """Sum over m >= 1 of weight(m) phi^{*m}, one term per split into m nonempty blocks.
 
     Finite on every composition, so exact at all degrees.
@@ -316,6 +327,42 @@ def exp_functional(xi: Functional) -> Functional:
 
 def log_functional(zeta: Functional) -> Functional:
     return _split_series(zeta, lambda m: Fraction(-1 if m % 2 == 0 else 1, m), 0)
+
+
+def convolve(phi: Functional, psi: Functional) -> Functional:
+    """The convolution phi * psi: phi (x) psi on the deconcatenations."""
+
+    def value(comp: Composition) -> Fraction:
+        total = Fraction(0)
+        for left, right in deconcatenations(comp):
+            total += phi(left) * psi(right)
+        return total
+
+    return Functional(phi.value_at_empty * psi.value_at_empty, value)
+
+
+def functional_inverse(phi: Functional) -> Functional:
+    """Convolution inverse: with a = phi(empty), the series 1/a + sum over m >= 1 of (-1)^m / a^(m+1) phi^{*m}.
+
+    phi = a (counit + phi'/a), where phi' is phi off the empty composition,
+    so the inverse is 1/a times the geometric series in -phi'/a.  Exists
+    exactly when a is not 0; the inverse is two-sided since convolution is
+    associative.
+    """
+    a = phi.value_at_empty
+    if a == 0:
+        raise NotInvertible("functional vanishes on the empty composition")
+    return _split_series(phi, lambda m: (-1) ** m / a ** (m + 1), 1 / a)
+
+
+def lie_bracket(xi1: Functional, xi2: Functional) -> Functional:
+    """Convolution commutator xi1 * xi2 - xi2 * xi1."""
+    left = convolve(xi1, xi2)
+    right = convolve(xi2, xi1)
+    return Functional(
+        left.value_at_empty - right.value_at_empty,
+        lambda comp: left(comp) - right(comp),
+    )
 
 
 def basis_contract(g: Functional, alpha) -> dict[Composition, Fraction]:

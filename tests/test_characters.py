@@ -29,13 +29,13 @@ from qshuffle.characters import (
 from qshuffle.compositions import EMPTY, Composition, compositions_up_to, stats
 from qshuffle import verify
 from qshuffle.elements import MONOMIAL, WORD, GradedElement, TensorElement, coproduct, format_element
-from qshuffle.functionals import Functional, convolve, exp_functional, log_functional
+from qshuffle.functionals import Functional, exp_functional, log_functional
 from qshuffle.universal import canonical
 from qshuffle.verify import check_integral_nonneg, is_character, verify_qps
 from qshuffle.errors import NotNormalized, PartOutOfRange, SingularCharacter, ZeroPrefixSum
 
 import oracles
-from oracles import EvenSizeUnsupported, even_odd_g, extend_over_refinement, is_normalized
+from oracles import EvenSizeUnsupported, convolve, even_odd_g, extend_over_refinement, is_normalized
 
 C = Composition
 

@@ -479,8 +479,14 @@ def test_inexact_rationals_are_rejected(capsys, argv, shown):
         ('{"basis":"M","terms":[5]}', "term must be a JSON object, got 5"),
         ('{"basis":"M","terms":[{"comp":[1]}]}', "term is missing ['coef']"),
         ('{"basis":"M","terms":[{"comp":5,"coef":"1"}]}', "'comp' must be a JSON list, got 5"),
+        ('{"basis":"M","terms":[{"comp":[3],"coef":"1","comp":[2]}]}', "key 'comp' is repeated"),
+        ('{"basis":"M","terms":[{"comp":[3],"coef":"1"}],"terms":[]}', "key 'terms' is repeated"),
+        ('{"basis":"M","terms":[{"comp":[3],"coef":"1"}],"basis":"X"}', "key 'basis' is repeated"),
     ],
-    ids=("list", "string", "no-terms", "no-basis", "terms-object", "term-int", "no-coef", "comp-int"),
+    ids=(
+        "list", "string", "no-terms", "no-basis", "terms-object", "term-int", "no-coef", "comp-int", "repeated-comp",
+        "repeated-terms", "repeated-basis",
+    ),
 )
 def test_malformed_elem_json_is_rejected(capsys, elem, shown):
     code, out, err = invoke(capsys, "theta", "--elem", elem)
@@ -1096,8 +1102,10 @@ def test_every_public_name_has_a_caller_or_a_kept_reason():
                 public += [(f"{cls.__name__}.{n}", obj) for n, obj in vars(base).items() if not n.startswith("_")]
     assert len(public) > len(qshuffle.__all__)
     references = _library_references()
-    uncalled = [label for label, obj in public if label.rpartition(".")[2] not in references and not _kept(obj)]
-    assert uncalled == []
+    uncalled = [(label, obj) for label, obj in public if label.rpartition(".")[2] not in references]
+    assert [label for label, obj in uncalled if not _kept(obj)] == []
+    # the Kept: lines only get fewer; a method both demo classes inherit from one base is one line
+    assert len({getattr(obj, "__func__", obj) for label, obj in uncalled if _kept(obj)}) <= 9
 
 
 def test_demo_graph_at_the_cap_finishes():

@@ -20,11 +20,11 @@ from qshuffle.elements import (
     power_sum,
     product,
 )
-from qshuffle.errors import BasisMismatch, DegreeMismatch, NotAPartition
+from qshuffle.errors import BasisMismatch, NotAPartition
 
 from oracles import (
-    degrees, delta_alpha, evaluate, expand_polynomial, homogeneous_component, homogeneous_degree, polynomial_product,
-    tensor_outer, tensor_product,
+    DegreeMismatch, degrees, delta_alpha, evaluate, expand_polynomial, homogeneous_component, homogeneous_degree,
+    polynomial_product, tensor_outer, tensor_product,
 )
 
 C = Composition
@@ -126,6 +126,20 @@ def test_json_roundtrip():
     assert GradedElement.from_json(a.to_json()) == a
     coefs = {tuple(t["comp"]): t["coef"] for t in data["terms"]}
     assert coefs[(2, 1)] == "-5/7"
+
+
+REPEATED_KEYS = {
+    "comp": '{"basis": "M", "terms": [{"comp": [3], "coef": "1", "comp": [2]}]}',
+    "terms": '{"basis": "M", "terms": [{"comp": [3], "coef": "1"}], "terms": []}',
+    "basis": '{"basis": "M", "terms": [{"comp": [3], "coef": "1"}], "basis": "X"}',
+}
+
+
+@pytest.mark.parametrize("key", REPEATED_KEYS)
+def test_from_json_rejects_a_repeated_key(key):
+    # json.loads alone keeps the last of two equal keys, which would change the element silently
+    with pytest.raises(ValueError, match=f"^key '{key}' is repeated$"):
+        GradedElement.from_json(REPEATED_KEYS[key])
 
 
 def test_monomial_product_examples():

@@ -8,17 +8,12 @@ import pytest
 
 from qshuffle.compositions import EMPTY, Composition, compositions_up_to
 from qshuffle.elements import MONOMIAL, WORD, GradedElement
-from qshuffle.errors import BasisMismatch, NonvanishingAtEmpty, NotInvertible, WrongValueAtEmpty
-from qshuffle.functionals import (
-    Functional,
-    convolve,
-    exp_functional,
-    functional_inverse,
-    lie_bracket,
-    log_functional,
-)
+from qshuffle.errors import BasisMismatch, NonvanishingAtEmpty, WrongValueAtEmpty
+from qshuffle.functionals import Functional, exp_functional, log_functional
 from qshuffle.universal import canonical
 from qshuffle.verify import is_character, is_infinitesimal_character
+
+from oracles import NotInvertible, convolve, functional_inverse, lie_bracket
 
 C = Composition
 DEGREE = 6

@@ -7,9 +7,8 @@ import pytest
 
 from qshuffle.characters import builtin, prefix_sum_character
 from qshuffle.compositions import EMPTY, Composition, compositions_of, compositions_up_to
-from qshuffle.elements import MONOMIAL, WORD, GradedElement, format_element, product
+from qshuffle.elements import MONOMIAL, WORD, GradedElement, format_element, linear_image, product
 from qshuffle.errors import (
-    DegreeMismatch,
     BasisMismatch,
     NotACharacter,
     NotAnInfinitesimalCharacter,
@@ -66,8 +65,8 @@ def test_power_evaluator_values():
     assert power_value(q, zeta, C((2, 1)), (2, 2)) == 0
     # the morphism collects these values over the compositions of the degree
     phi = CharacterPowerEvaluator(q, zeta, MONOMIAL)
-    assert phi({C((2, 1)): 1}) == phi(C((2, 1))) == M(2, 1)
-    assert phi({EMPTY: 1}) == GradedElement.unit(MONOMIAL)
+    assert phi(C((2, 1))) == M(2, 1)
+    assert phi(EMPTY) == GradedElement.unit(MONOMIAL)
 
 
 def test_universal_identity_maps():
@@ -91,7 +90,7 @@ def test_universal_is_algebra_map_here():
     phi = universal_to_qsym(qsym_provider(), canonical("zetaQ"))
     for alpha in compositions_of(2):
         for beta in compositions_of(2):
-            assert phi(product(M(*alpha), M(*beta)).terms) == product(phi(alpha), phi(beta))
+            assert linear_image(product(M(*alpha), M(*beta)), phi) == product(phi(alpha), phi(beta))
 
 
 def test_universal_preconditions():
@@ -102,12 +101,6 @@ def test_universal_preconditions():
         universal_to_sh(qsym_provider(), canonical("zetaQ"))
     with pytest.raises(BasisMismatch):
         CharacterPowerEvaluator(qsym_provider(), canonical("zetaQ"), "P")
-    phi = universal_to_qsym(qsym_provider(), canonical("zetaQ"))
-    with pytest.raises(DegreeMismatch):
-        phi({C((1,)): Fraction(1), C((2,)): Fraction(1)})
-    # a float coefficient is refused, as the element constructors refuse it
-    with pytest.raises(TypeError):
-        phi({C((1,)): 0.1})
 
 
 def test_canonical_values_frozen():
