@@ -39,13 +39,12 @@ from .compositions import (
     check_length,
     coarsenings,  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
     is_numeral,
-    rational,
     rational_sum,
     shown,
     shown_number,
     stats,
 )
-from .elements import GradedElement, MONOMIAL, coarsening_sum, parse_rational
+from .elements import GradedElement, MONOMIAL, WORD, coarsening_sum, parse_rational
 from .errors import NotNormalized, PartOutOfRange, SingularCharacter, ZeroPrefixSum
 from .functionals import Functional
 
@@ -145,7 +144,7 @@ def g_to_f(g: Functional) -> Functional:
 
 def basis_contract(g: Functional, alpha) -> dict[Composition, Fraction]:
     """Coordinates of M_alpha over the X basis: coarsenings weighted by g(alpha, .), zeros left out."""
-    return {beta: rational(num, den) for beta, num, den in coarsening_products(g, alpha)}
+    return coarsening_sum(WORD, g, alpha).terms
 
 
 def basis_expand(f: Functional, alpha) -> GradedElement:
@@ -279,11 +278,11 @@ def order_basis_character(order) -> Functional:
     order = list(order)
     for p in order:
         if type(p) is not int and not is_numeral(p):
-            raise ValueError(f"order entries must be ints or ASCII digits, got {p!r}")
+            raise ValueError(f"order entries must be ints or ASCII digits, got {shown(p)}")
     order = [int(p) for p in order]
     k = len(order)
     if sorted(order) != list(range(1, k + 1)):
-        raise ValueError(f"order must be a permutation of 1..{k}, got {order}")
+        raise ValueError(f"order must be a permutation of 1..{k}, got {shown(order)}")
     position = {p: i for i, p in enumerate(order)}
     return _singleton_order_character(
         position.__getitem__,
@@ -343,7 +342,7 @@ def resolve_basis(spec_text: str) -> Functional:
         body = spec_text[len("prefix-sum:") :]
         if not body.strip():
             raise ValueError("prefix-sum: needs at least one tau value")
-        values = [parse_rational(chunk.strip()) for chunk in body.split(",")]
+        values = list(map(parse_rational, map(str.strip, body.split(","))))
 
         def tau(n: int, table=tuple(values)) -> Fraction:
             if n > len(table):

@@ -132,7 +132,7 @@ def _check_degree(degree: int) -> int:
 
 def _check_size(comp: Composition, what: str) -> Composition:
     if comp.size > MAX_DEGREE:
-        raise CliUsageError(f"{what} has size {comp.size}; sizes are capped at {MAX_DEGREE}")
+        raise CliUsageError(f"{what} has size {shown_number(comp.size)}; sizes are capped at {MAX_DEGREE}")
     return comp
 
 
@@ -144,7 +144,7 @@ def _parse_literal(parse, text: str):
     """A graph or poset --input through parse, its size capped before parse takes any closure."""
     count = text.partition(";")[0].strip()
     if is_numeral(count) and int(count) > MAX_DEGREE:
-        raise CliUsageError(f"--input has size {int(count)}; sizes are capped at {MAX_DEGREE}")
+        raise CliUsageError(f"--input has size {shown_number(int(count))}; sizes are capped at {MAX_DEGREE}")
     return parse(text)
 
 

@@ -42,7 +42,7 @@ class Composition(tuple):
         parts = tuple(parts)
         for p in parts:
             if type(p) is not int or p < 1:
-                raise ValueError(f"composition parts must be positive ints, got {p!r}")
+                raise ValueError(f"composition parts must be positive ints, got {shown(p)}")
         return tuple.__new__(cls, parts)
 
     @property
@@ -114,9 +114,18 @@ def check_length(text: str, what: str | None = None) -> str:
 MAX_SHOWN = 200
 
 
-def shown(text: str) -> str:
-    """text as an error message quotes it: its repr when short, otherwise its length, not its content."""
-    return repr(text) if len(text) <= MAX_SHOWN else f"a text of {len(text)} characters"
+def shown(value) -> str:
+    """An outside value as an error message quotes it: its repr when short, otherwise its kind and size.
+
+    A text is sized by its characters, a list or dict by its entries (no repr is formed past MAX_SHOWN of them).
+    """
+    if type(value) is int:
+        return shown_number(value)
+    if isinstance(value, str):
+        return repr(value) if len(value) <= MAX_SHOWN else f"a text of {len(value)} characters"
+    if not isinstance(value, (tuple, list, dict)) or len(value) <= MAX_SHOWN and len(repr(value)) <= MAX_SHOWN:
+        return repr(value)
+    return f"a {type(value).__name__} of {len(value)} entr{'y' if len(value) == 1 else 'ies'}"
 
 
 def shown_number(value) -> str:

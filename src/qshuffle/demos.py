@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .compositions import check_length, is_numeral, shown
+from .compositions import check_length, is_numeral, shown, shown_number
 from .elements import GradedElement
 from .universal import HopfProvider, canonical, char_to_infchar, universal_to_qsym
 from .functionals import Functional
@@ -54,7 +54,7 @@ class _LabelledPairs(tuple):
 
     def __new__(cls, count: int, pairs=()):
         if type(count) is not int or count < 0:
-            raise ValueError(f"count must be an int >= 0, got {count!r}")
+            raise ValueError(f"count must be an int >= 0, got {shown(count)}")
         return cls._trusted(count, tuple(sorted(cls._normalise(cls._checked(count, pairs)))))
 
     @classmethod
@@ -67,11 +67,10 @@ class _LabelledPairs(tuple):
         out = []
         for u, v in pairs:
             if type(u) is not int or type(v) is not int:
-                raise ValueError(f"pair ends must be ints, got {u!r}{cls._sep}{v!r}")
-            if u == v:
-                raise ValueError(f"pair {u}{cls._sep}{v} has equal ends")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"pair {u}{cls._sep}{v} outside 1..{n}")
+                raise ValueError(f"pair ends must be ints, got {shown(u)}{cls._sep}{shown(v)}")
+            if u == v or not (1 <= u <= n and 1 <= v <= n):
+                problem = "has equal ends" if u == v else f"outside 1..{shown_number(n)}"
+                raise ValueError(f"pair {shown_number(u)}{cls._sep}{shown_number(v)} {problem}")
             out.append((u, v))
         return out
 

@@ -26,9 +26,9 @@ The results computed here (products, coproducts, antipodes, linear
 images, the basis expansions of ``coarsening_sum``, and sums, negatives
 and scalings of elements) are built from terms already in normal form,
 so they skip that check: ``_TermMap._normal`` stores such a dict as it
-is, and ``_TermMap._sum_of`` stores a dict of sums of normal-form
-coefficients after ``_finished``, the last step that ``_summed`` shares
-(zero sums dropped, integral sums made ints).
+is.  Every sum of scaled term maps in the package is built by
+``add_terms``, the one accumulator, and ends in ``finished``, the one
+finisher (zero sums dropped, integral sums made ints).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def parse_rational(value) -> Fraction:
         den = value.partition("/")[2]
         if not den or int(den):
             return Fraction(value)
-    raise ValueError(f"not an exact rational (an int, or text like -2/3 or 1.5): {value!r}")
+    raise ValueError(f"not an exact rational (an int, or text like -2/3 or 1.5): {shown(value)}")
 
 
 def as_coefficient(value) -> int | Fraction:
@@ -112,30 +112,40 @@ def _composition_pair(pair) -> tuple[Composition, Composition]:
     return _composition(left), _composition(right)
 
 
-def _finished(acc: dict) -> dict:
+def add_terms(acc: dict, terms, scale=1) -> dict:
+    """Add scale times each exact (key, coefficient) of terms into the term dict acc, in place; returns acc.
+
+    The one accumulator: a sum of scaled term maps is one call per map, then finished; 1s are not multiplied in.
+    """
+    get, scaled = acc.get, scale != 1
+    for key, value in terms:
+        if scaled:
+            value = scale if value == 1 else scale * value
+        prev = get(key)
+        acc[key] = value if prev is None else prev + value
+    return acc
+
+
+def finished(acc: dict) -> dict:
     """A dict of sums of normal-form coefficients in normal form: zero sums dropped, integral sums made ints."""
     return {k: v if type(v) is int or v.denominator != 1 else v.numerator for k, v in acc.items() if v}
 
 
 def _summed(terms, key_of) -> dict:
     """Terms from outside (a dict or (key, coef) pairs) in normal form: each key
-    through key_of, exact coefficients, repeated keys summed, then _finished.
+    through key_of, exact coefficients, repeated keys summed, then finished.
     """
-    acc = {}
-    for key, coef in terms.items() if isinstance(terms, dict) else terms:
-        key, coef = key_of(key), as_coefficient(coef)
-        prev = acc.get(key)
-        acc[key] = coef if prev is None else prev + coef
-    return _finished(acc)
+    pairs = terms.items() if isinstance(terms, dict) else terms
+    return finished(add_terms({}, ((key_of(key), as_coefficient(coef)) for key, coef in pairs)))
 
 
 def _json_object(data, what: str, keys: tuple[str, ...]) -> dict:
     """data as a JSON object with exactly these keys; ValueError otherwise."""
     if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+        raise ValueError(f"{what} must be a JSON object, got {shown(data)}")
     unknown = sorted(set(data) - set(keys))
     if unknown:
-        raise ValueError(f"unknown keys {unknown}; expected only {list(keys)}")
+        raise ValueError(f"unknown keys {shown(unknown)}; expected only {list(keys)}")
     missing = [key for key in keys if key not in data]
     if missing:
         raise ValueError(f"{what} is missing {missing}")
@@ -152,9 +162,9 @@ def _unique_keys(pairs: list) -> dict:
     return data
 
 
-def _json_list(data: dict, key: str) -> list:
-    if not isinstance(data[key], list):
-        raise ValueError(f"{key!r} must be a JSON list, got {data[key]!r}")
+def _json_value(data: dict, key: str, kind: type = list):
+    if not isinstance(data[key], kind):
+        raise ValueError(f"{key!r} must be a JSON {'list' if kind is list else 'string'}, got {shown(data[key])}")
     return data[key]
 
 
@@ -182,8 +192,8 @@ class _TermMap:
 
     @classmethod
     def _sum_of(cls, basis: str, acc: dict):
-        """An element of acc, valid keys each mapped to a sum of normal-form coefficients, after _finished."""
-        return cls._normal(basis, _finished(acc))
+        """An element of acc, valid keys each mapped to a sum of normal-form coefficients, after finished."""
+        return cls._normal(basis, finished(acc))
 
     def _require_same_basis(self, other) -> None:
         if self.basis != other.basis:
@@ -196,11 +206,7 @@ class _TermMap:
         if type(other) is not type(self):
             return NotImplemented
         self._require_same_basis(other)
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            prev = acc.get(k)
-            acc[k] = v if prev is None else prev + v
-        return self._sum_of(self.basis, acc)
+        return self._sum_of(self.basis, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return self._normal(self.basis, {k: -v for k, v in self.terms.items()})
@@ -264,7 +270,7 @@ class GradedElement(_TermMap):
     def from_json(cls, text: str) -> "GradedElement":
         """The inverse of to_json.
 
-        Anything but an object with a basis and a list of terms, each an object
+        Anything but an object with a string basis and a list of terms, each an object
         with a list comp and a coef, raises ValueError, as does a composition
         listed twice, a key repeated in one object or a number longer than
         MAX_DIGITS.
@@ -272,13 +278,13 @@ class GradedElement(_TermMap):
         data = json.loads(text, parse_int=lambda digits: int(check_length(digits)), object_pairs_hook=_unique_keys)
         data = _json_object(data, "element", ("basis", "terms"))
         terms: dict[Composition, Fraction] = {}
-        for t in _json_list(data, "terms"):
+        for t in _json_value(data, "terms"):
             _json_object(t, "term", ("comp", "coef"))
-            comp = Composition(_json_list(t, "comp"))
+            comp = Composition(_json_value(t, "comp"))
             if comp in terms:
-                raise ValueError(f"composition {list(comp)} is listed twice")
+                raise ValueError(f"composition {shown(list(comp))} is listed twice")
             terms[comp] = parse_rational(t["coef"])
-        return cls(data["basis"], terms)
+        return cls(_json_value(data, "basis", str), terms)
 
 
 def format_coefficient(coef: Fraction, lead: bool) -> str:
@@ -311,11 +317,7 @@ def accumulate_product(acc: dict, a: GradedElement, b_terms) -> dict:
     rule = product_rule(a.basis)
     for ca, va in a.terms.items():
         for cb, vb in b_terms:
-            coef = va * vb
-            for word, mult in rule(ca, cb).items():
-                term = coef if mult == 1 else coef * mult
-                prev = acc.get(word)
-                acc[word] = term if prev is None else prev + term
+            add_terms(acc, rule(ca, cb).items(), va * vb)
     return acc
 
 
@@ -377,10 +379,7 @@ def linear_image(h: GradedElement, image_of) -> GradedElement:
     """The linear extension of image_of (a composition -> element map) to h, in h's basis."""
     acc = {}
     for comp, coef in h.terms.items():
-        for image, value in image_of(comp).terms.items():
-            term = coef * value
-            prev = acc.get(image)
-            acc[image] = term if prev is None else prev + term
+        add_terms(acc, image_of(comp).terms.items(), coef)
     return GradedElement._sum_of(h.basis, acc)
 
 

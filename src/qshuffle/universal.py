@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Hashable, Iterable
 
 from .characters import basis_expand, f_to_g, require_normalized
-from .compositions import Composition, EMPTY, compositions_of, deconcatenations
+from .compositions import Composition, EMPTY, compositions_of, deconcatenations, shown
 from .elements import GradedElement, MONOMIAL, WORD, linear_image
 from .errors import BasisMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional
@@ -192,7 +192,7 @@ def theta(h: GradedElement) -> GradedElement:
     zeta = nuQ; inhomogeneous input is handled degreewise.
     """
     if h.basis != MONOMIAL:
-        raise BasisMismatch(f"theta acts on the {MONOMIAL!r} basis, got {h.basis!r}")
+        raise BasisMismatch(f"theta acts on the {MONOMIAL!r} basis, got {shown(h.basis)}")
     return linear_image(h, _theta_of_monomial)
 
 

@@ -24,8 +24,8 @@ from .compositions import (
     rational, rearrangements, shuffle, stats,
 )
 from .elements import (
-    GradedElement, MONOMIAL, WORD, accumulate_product, antipode_by_recursion, antipode_monomial,
-    antipode_word, coproduct, power_sum, product, product_rule,
+    GradedElement, MONOMIAL, WORD, accumulate_product, add_terms, antipode_by_recursion, antipode_monomial,
+    antipode_word, coproduct, finished, power_sum, product, product_rule,
 )
 from .functionals import Functional
 from .universal import theta
@@ -189,11 +189,8 @@ def verify_qps(f: Functional, max_degree: int) -> VerifyReport:
         lhs = product(qps(alpha), qps(beta)).terms
         acc = {}
         for gamma, mult in shuffle(alpha, beta).items():
-            for comp, coef in qps(gamma).terms.items():
-                term = coef if mult == 1 else coef * mult
-                prev = acc.get(comp)
-                acc[comp] = term if prev is None else prev + term
-        rhs = {comp: v for comp, v in acc.items() if v}
+            add_terms(acc, qps(gamma).terms.items(), mult)
+        rhs = finished(acc)
         z_lhs, z_rhs = stats(alpha + beta).z_value, stats(alpha).z_value * stats(beta).z_value
         holds = lhs.keys() == rhs.keys() and all(
             z_lhs * v.numerator * rhs[comp].denominator == z_rhs * rhs[comp].numerator * v.denominator
@@ -221,11 +218,8 @@ def verify_qps(f: Functional, max_degree: int) -> VerifyReport:
         return None if matched == len(lhs) else f"alpha={alpha}"
 
     def refinement_rule(lam: Composition) -> str | None:
-        # the constructor sums the terms of equal compositions
-        total = GradedElement(
-            MONOMIAL, (term for alpha in rearrangements(lam) for term in qps(alpha).terms.items())
-        )
-        return None if total == power_sum(lam) else f"lambda={lam}"
+        total = finished(add_terms({}, chain.from_iterable(qps(alpha).terms.items() for alpha in rearrangements(lam))))
+        return None if total == power_sum(lam).terms else f"lambda={lam}"
 
     report.sweep(f"product rule through degree {max_degree}", pairs_up_to(max_degree), product_rule)
     report.sweep(
@@ -308,7 +302,7 @@ def _antipode(_basis: None, degree: int) -> VerifyReport:
         acc = {}
         for left, right in deconcatenations(comp):
             accumulate_product(acc, image(right), ((left, 1),))
-        return None if {k: v for k, v in acc.items() if v} == target.terms else f"alpha={comp}"
+        return None if finished(acc) == target.terms else f"alpha={comp}"
 
     # S in M by its closed form, each image built once (the memo goes when the sweep ends); S in X by the recursion
     def monomial_image(comp: Composition) -> GradedElement:

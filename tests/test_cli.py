@@ -579,6 +579,46 @@ def test_short_bad_inputs_are_still_quoted(capsys):
     assert invoke(capsys, "expand", "--basis", "type1", "--comp", comp)[2] == f"error: bad composition part 'x' in {comp!r}\n"
 
 
+def _elem(**fields) -> str:
+    return json.dumps({"basis": "M", "terms": [], **fields})
+
+
+NINES = "9" * (MAX_DIGITS - 1)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("theta", "--elem", json.dumps([1] * 30_000)), "element must be a JSON object, got a list of 30000 entries"),
+        (("theta", "--elem", '{"basis":"M","terms":[],"%s":1}' % ("k" * 100_000)), "unknown keys a list of 1 entry;"),
+        (("theta", "--elem", _elem(terms="t" * 300)), "'terms' must be a JSON list, got a text of 300 characters"),
+        (("theta", "--elem", _elem(terms=[{"comp": [1], "coef": [1] * 30_000}])), "1.5): a list of 30000 entries"),
+        (("theta", "--elem", _elem(terms=[{"comp": ["p" * 30_000], "coef": "1"}])), "ints, got a text of 30000 characters"),
+        (("theta", "--elem", _elem(terms=[{"comp": [1] * 20_000, "coef": "1"}] * 2)), "a list of 20000 entries is listed"),
+        (("expand", "--basis", "order:" + ",".join(["1"] * 50_000), "--comp", "1"), "got a list of 50000 entries"),
+        (("expand", "--basis", "order:" + "x" * 999, "--comp", "1"), "got a text of 999 characters"),
+        (("theta", "--elem", _elem(basis="b" * 30_000)), "theta acts on the 'M' basis, got a text of 30000 characters"),
+        (("theta", "--comp", NINES), "--comp has size a number of 999 digits; sizes are capped"),
+        (("theta", "--elem", _elem(terms=[{"comp": [int(NINES)], "coef": "1"}])), "size a number of 999 digits;"),
+        (("phi", "--hopf", "graph", "--input", f"{NINES}; "), "--input has size a number of 999 digits;"),
+        (("phi", "--hopf", "graph", "--input", f"3; 1-{NINES}"), "pair 1-a number of 999 digits outside 1..3"),
+        (("phi", "--hopf", "graph", "--input", f"3; {NINES}-{NINES}"), "of 999 digits has equal ends"),
+        (("theta", "--elem", '{"basis": 5, "terms": []}'), "bad element JSON: 'basis' must be a JSON string, got 5"),
+        (("theta", "--elem", _elem(basis=None, terms=[{"comp": [1], "coef": "1"}])), "JSON string, got None"),
+        (("theta", "--elem", _elem(basis=["M" * 300])), "'basis' must be a JSON string, got a list of 1 entry"),
+    ],
+    ids=(
+        "elem-list", "unknown-key", "terms-text", "coef-list", "comp-text-part", "listed-twice", "order-entries",
+        "order-text", "theta-basis", "comp-size", "elem-size", "graph-count", "graph-pair", "graph-equal-ends",
+        "basis-int", "basis-null", "basis-list",
+    ),
+)
+def test_outside_values_and_numbers_in_messages_are_bounded(capsys, argv, expected):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200 and expected in err
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

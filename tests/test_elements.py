@@ -11,11 +11,13 @@ from qshuffle.elements import (
     WORD,
     GradedElement,
     TensorElement,
+    add_terms,
     antipode_by_recursion,
     antipode_monomial,
     antipode_word,
     coproduct,
     counit,
+    finished,
     format_element,
     power_sum,
     product,
@@ -78,7 +80,7 @@ def test_constructor_prunes_and_validates():
 
 
 def test_trusted_arithmetic_finishes_the_normal_form():
-    # the finishing step shared with _summed: cancelled sums dropped, integral sums stored as ints
+    # finished, shared with _summed: cancelled sums dropped, integral sums stored as ints
     half = Fraction(1, 2)
     for cls, key in ((GradedElement, lambda c: C(c)), (TensorElement, lambda c: (C(c), EMPTY))):
         x = cls(MONOMIAL, {key((1,)): half, key((2, 1)): Fraction(-2, 3), key((3,)): 5})
@@ -91,6 +93,33 @@ def test_trusted_arithmetic_finishes_the_normal_form():
         assert x.scaled(0).terms == {} and x.scaled(0) == cls(MONOMIAL)
         assert type(x + x) is type(-x) is type(x.scaled(3)) is cls
         assert x * 3 == 3 * x == x.scaled(3)
+
+
+@pytest.mark.parametrize(
+    "scale, expected",
+    [
+        (1, {C((2,)): 1, C((4,)): Fraction(3, 2)}),
+        (3, {C((2,)): 3, C((4,)): Fraction(9, 2)}),
+        (Fraction(2, 3), {C((2,)): Fraction(2, 3), C((4,)): 1}),
+    ],
+    ids=("one", "int", "fraction"),
+)
+def test_add_terms_and_finished_match_chained_sums(scale, expected):
+    half = Fraction(1, 2)
+    pieces = [
+        GradedElement(MONOMIAL, {C((1,)): 1, C((2,)): half, C((4,)): 1}),  # value-1 terms
+        GradedElement(MONOMIAL, {C((2,)): half, C((3,)): -1, C((4,)): half}),  # M[2]'s halves sum to 1
+        GradedElement(MONOMIAL, {C((1,)): -1, C((3,)): 1}),  # cancels M[1] and M[3]
+    ]
+    acc = {}
+    for piece in pieces:
+        assert add_terms(acc, piece.terms.items(), scale) is acc
+    assert acc[C((1,))] == acc[C((3,))] == 0
+    total = finished(acc)
+    assert total == expected and {k: type(v) for k, v in total.items()} == {k: type(v) for k, v in expected.items()}
+    assert total == (pieces[0] + pieces[1] + pieces[2]).scaled(scale).terms
+    assert total == (pieces[0].scaled(scale) + pieces[1].scaled(scale) + pieces[2].scaled(scale)).terms
+    assert finished({}) == {} and add_terms({}, (), scale) == {}
 
 
 def test_arithmetic_and_grading():
