@@ -204,7 +204,7 @@ def _emit(text: str, out_path: str | None) -> None:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CliUsageError(f"cannot write --out {out_path}: {exc.strerror}")
+            raise CliUsageError(f"cannot write --out {shown(out_path)}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

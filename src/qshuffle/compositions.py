@@ -298,10 +298,23 @@ def rational(num: int, den: int) -> int | Fraction:
 
 
 def rational_sum(terms) -> int | Fraction:
-    """The sum of num/den over (key, num, den) terms, keys unread, over one common denominator, in normal form."""
-    pairs = [(num, den) for _, num, den in terms]
-    common = lcm(*(den for _, den in pairs))
-    return rational(sum(num * (common // den) for num, den in pairs), common)
+    """The sum of num/den over (key, num, den) terms, keys unread, in normal form.
+
+    One pass over one common denominator: a numerator over that denominator
+    adds as an int, one over a divisor of it is scaled up, and the common
+    denominator widens to the lcm only when a denominator outside it appears.
+    """
+    total, common = 0, 1
+    for _, num, den in terms:
+        if den == common:
+            total += num
+        elif common % den == 0:
+            total += num * (common // den)
+        else:
+            wider = lcm(common, den)
+            total = total * (wider // common) + num * (wider // den)
+            common = wider
+    return rational(total, common)
 
 
 def deconcatenations(comp: Composition) -> list[tuple[Composition, Composition]]:

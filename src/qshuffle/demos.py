@@ -364,9 +364,6 @@ class SmallPoset(_LabelledPairs):
             rel |= missing
         return cls(n, rel)
 
-    def below(self, b: int) -> set[int]:
-        return {a for a, bb in self.strict if bb == b}
-
     def ideal_masks(self) -> list[int]:
         """The downward closed subsets as bitmasks, element i + 1 as bit i, in increasing order.
 
@@ -388,7 +385,9 @@ class SmallPoset(_LabelledPairs):
         return out
 
     def minimal_elements(self) -> list[int]:
-        return [v for v in range(1, self.element_count + 1) if not self.below(v)]
+        """The elements with nothing below them, ascending: those that are no pair's upper end."""
+        above = {b for _, b in self.strict}
+        return [v for v in range(1, self.element_count + 1) if v not in above]
 
     def has_unique_minimal(self) -> bool:
         return len(self.minimal_elements()) == 1

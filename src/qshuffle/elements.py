@@ -26,9 +26,13 @@ The results computed here (products, coproducts, antipodes, linear
 images, the basis expansions of ``coarsening_sum``, and sums, negatives
 and scalings of elements) are built from terms already in normal form,
 so they skip that check: ``_TermMap._normal`` stores such a dict as it
-is.  Every sum of scaled term maps in the package is built by
-``add_terms``, the one accumulator, and ends in ``finished``, the one
-finisher (zero sums dropped, integral sums made ints).
+is.  So do the images of the universal morphisms in ``universal``, whose
+keys come from ``compositions_of`` and whose coefficients are finished
+sums of checked character values; they enter through ``normal_element``,
+the trusted builder for other modules.  Every sum of scaled term maps in
+the package is built by ``add_terms``, the one accumulator, and ends in
+``finished``, the one finisher (zero sums dropped, integral sums made
+ints).
 """
 
 from __future__ import annotations
@@ -319,6 +323,16 @@ def accumulate_product(acc: dict, a: GradedElement, b_terms) -> dict:
         for cb, vb in b_terms:
             add_terms(acc, rule(ca, cb).items(), va * vb)
     return acc
+
+
+def normal_element(basis: str, terms: dict) -> GradedElement:
+    """The element of basis storing terms as it is: the trusted builder for results computed outside this module.
+
+    terms must already be in normal form, built from valid Composition keys
+    and checked coefficients: each an int or a Fraction with denominator > 1,
+    none zero.  Nothing is checked again.
+    """
+    return GradedElement._normal(basis, terms)
 
 
 def product(a: GradedElement, b: GradedElement) -> GradedElement:

@@ -9,10 +9,12 @@ QSym by reading off the multidegree components of iterated coproducts:
 and an infinitesimal character xi likewise maps H into the shuffle algebra
 with x_alpha in place of M_alpha.  universal_to_qsym and universal_to_sh
 return that morphism as one object on basis labels, checked at the unit
-when it is made and memoised per label for as long as it is held.  H
-enters through a HopfProvider: its coproduct as ((left, right),
-coefficient) pairs over basis labels, its grading and its unit label; the
-counit is derived from the grading.
+when it is made and memoised per label for as long as it is held; every
+other value of the character is checked to be exact where the label's
+table reads it, so each image is built in normal form once.  H enters
+through a HopfProvider: its coproduct as ((left, right), coefficient)
+pairs over basis labels, its grading and its unit label; the counit is
+derived from the grading.
 qsym_provider() serves both QSym and the shuffle algebra, since both have
 the same deconcatenation coproduct on composition labels.  Reading a
 morphism's images with a shuffle basis or its dual triangular data turns
@@ -34,7 +36,7 @@ from typing import Callable, Hashable, Iterable
 
 from .characters import basis_expand, f_to_g, require_normalized
 from .compositions import Composition, EMPTY, compositions_of, deconcatenations, shown
-from .elements import GradedElement, MONOMIAL, WORD, linear_image
+from .elements import GradedElement, MONOMIAL, WORD, as_coefficient, finished, linear_image, normal_element
 from .errors import BasisMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional
 
@@ -46,9 +48,10 @@ class HopfProvider:
     """A connected graded Hopf algebra presented by its coproduct and grading.
 
     coproduct(label) returns the two-fold coproduct as ((left, right),
-    coefficient) pairs over basis labels; degree(label) is the grading, and
-    unit_label the one label of degree 0.  The counit is fixed by the
-    grading: 1 on the unit label, 0 on every label of positive degree.
+    coefficient) pairs over basis labels, each coefficient an int or a
+    Fraction; degree(label) is the grading, and unit_label the one label
+    of degree 0.  The counit is fixed by the grading: 1 on the unit label,
+    0 on every label of positive degree.
     """
 
     coproduct: Callable[[Label], Iterable[tuple[tuple[Label, Label], Fraction]]]
@@ -73,15 +76,20 @@ class CharacterPowerEvaluator:
 
     Into basis M for a character phi (phi(unit) = 1), into X for an
     infinitesimal one (phi(unit) = 0); phi's value at the unit label is
-    checked when the morphism is made, the rest is the caller's job.  The
-    morphism maps a basis label h of degree n to the sum over the
-    compositions alpha of n of the value at h and alpha times b_alpha, as
-    the universal property fixes it on labels; elements.linear_image
-    extends it to elements.  That value is the scalar obtained by
-    iterating the provider's two-fold coproduct left to right, projecting
-    to the multidegree alpha, and applying phi to every tensor slot; it is
-    read off one multidegree table per label, built in one pass over the
-    label's coproduct and kept for the morphism's lifetime.
+    checked when the morphism is made, and every other value of phi and
+    every coefficient of the provider's coproduct where a table reads it,
+    through elements.as_coefficient (a float raises TypeError); that phi
+    is a character is the caller's job.  The morphism
+    maps a basis label h of degree n to the sum over the compositions
+    alpha of n of the value at h and alpha times b_alpha, as the universal
+    property fixes it on labels; elements.linear_image extends it to
+    elements.  That value is the scalar obtained by iterating the
+    provider's two-fold coproduct left to right, projecting to the
+    multidegree alpha, and applying phi to every tensor slot; it is read
+    off one multidegree table per label, built in one pass over the
+    label's coproduct, finished into normal form and kept for the
+    morphism's lifetime.  The image is stored as the table gives it, in
+    compositions_of order, with no second check.
     """
 
     def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction], basis: str):
@@ -100,8 +108,9 @@ class CharacterPowerEvaluator:
     def _table(self, label: Label) -> dict[tuple[int, ...], Fraction]:
         """{alpha: the value at label and alpha} over the compositions alpha of label's degree, zeros left out.
 
-        A left factor of degree k > 0 weighs coef * phi(left) once and puts k
-        in front of every entry of the right factor's table.
+        A left factor of degree k > 0 weighs coef * phi(left) once, both
+        checked as they are read, and puts k in front of every entry of the
+        right factor's table; the sums end in elements.finished.
         """
         table = self._cache.get(label)
         if table is not None:
@@ -115,20 +124,20 @@ class CharacterPowerEvaluator:
                 k = degree(left)
                 if k == 0:
                     continue
-                weight = coef * self.phi(left)
+                weight = as_coefficient(coef) * as_coefficient(self.phi(left))
                 if not weight:
                     continue
                 for sizes, tail in self._table(right).items():
                     key = (k, *sizes)
                     table[key] = table.get(key, 0) + weight * tail
-            table = {sizes: value for sizes, value in table.items() if value}
+            table = finished(table)
         self._cache[label] = table
         return table
 
     def __call__(self, label: Label) -> GradedElement:
-        table = self._table(label)
+        get = self._table(label).get
         alphas = compositions_of(self.provider.degree(label))
-        return GradedElement(self.basis, ((alpha, table[alpha]) for alpha in alphas if alpha in table))
+        return normal_element(self.basis, {alpha: value for alpha in alphas if (value := get(alpha))})
 
 
 def universal_to_qsym(provider: HopfProvider, zeta: Callable[[Label], Fraction]) -> CharacterPowerEvaluator:

@@ -45,6 +45,9 @@ the tests can require both to agree:
 * ``order_ideals``: the ideals of a poset by scanning ``below`` for every
   chosen element of every subset (the library reads each element's
   down-set into a bitmask once per poset);
+* ``below``: the elements strictly below one element of a poset, one scan
+  of its strict pairs per element (the library reads the minimal elements
+  off the set of upper ends of the pairs, built once per poset);
 * ``power_value``: one multidegree of the phi-power of an iterated
   coproduct by recursion on the sizes, scanning the whole coproduct once
   per (label, sizes), and ``power_image``, the universal image read off
@@ -54,9 +57,18 @@ the tests can require both to agree:
   an induced structure, on every label subset and on its complement (the
   library looks each bitmask's induced structure up in a table shared by
   all labels, building it from the ranks of the kept labels on a miss);
+* ``validated_image``: the universal image of a label as the evaluator
+  built it before, its table summed from phi's values as phi returns them,
+  then every term put through the validating ``GradedElement``
+  constructor in ``compositions_of`` order (the library checks each value
+  of phi where its table reads it and stores the image unchecked);
 * ``of_element``: a functional paired with an element by chained
   ``Fraction`` additions (the library adds int ratios over one common
   denominator);
+* ``rational_sum``: a sum of (key, num, den) terms over the lcm of all
+  their denominators, read in one ``lcm`` call (the library adds
+  equal denominators as ints in one pass and widens its common
+  denominator only at a new one);
 * ``validates_unchanged``: an element's terms put through ``_summed``, the
   validating path of the public constructors, must come back as they are
   (the library builds its own results in normal form where their terms
@@ -83,7 +95,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from qshuffle.characters import basis_expand, require_normalized, single
 from qshuffle.compositions import (
@@ -95,6 +107,7 @@ from qshuffle.compositions import (
     compositions_up_to,
     deconcatenations,
     nonempty_splits,
+    rational,
     stats,
 )
 from qshuffle.demos import SmallGraph, SmallPoset, all_graphs, all_posets, xi_unique_min, zeta_no_edges, zeta_ones
@@ -537,6 +550,11 @@ def _proper_coloring_count(g: SmallGraph, colors: int) -> int:
     return count
 
 
+def below(p: SmallPoset, b: int) -> set[int]:
+    """The elements strictly below b in p."""
+    return {a for a, bb in p.strict if bb == b}
+
+
 def order_ideals(p: SmallPoset) -> list[tuple[int, ...]]:
     """All downward closed subsets, as sorted tuples."""
     n = p.element_count
@@ -544,7 +562,7 @@ def order_ideals(p: SmallPoset) -> list[tuple[int, ...]]:
     elements = list(range(1, n + 1))
     for mask in range(1 << n):
         chosen = {elements[i] for i in range(n) if mask >> i & 1}
-        if all(p.below(b) <= chosen for b in chosen):
+        if all(below(p, b) <= chosen for b in chosen):
             out.append(tuple(sorted(chosen)))
     return out
 
@@ -642,6 +660,41 @@ def power_image(provider, phi, label, memo: dict | None = None) -> GradedElement
     return GradedElement(MONOMIAL, ((alpha, power_value(provider, phi, label, alpha, memo)) for alpha in alphas))
 
 
+def validated_image(provider, phi, basis: str, label, memo: dict | None = None) -> GradedElement:
+    """The universal image of label in basis: its multidegree table, every term then validated by GradedElement.
+
+    memo, if given, keeps the tables across calls that share provider and phi.
+    """
+    memo = {} if memo is None else memo
+
+    def table_of(label) -> dict:
+        table = memo.get(label)
+        if table is not None:
+            return table
+        degree = provider.degree
+        if degree(label) == 0:
+            table = {(): 1}
+        else:
+            table = {}
+            for (left, right), coef in provider.coproduct(label):
+                k = degree(left)
+                if k == 0:
+                    continue
+                weight = coef * phi(left)
+                if not weight:
+                    continue
+                for sizes, tail in table_of(right).items():
+                    key = (k, *sizes)
+                    table[key] = table.get(key, 0) + weight * tail
+            table = {sizes: value for sizes, value in table.items() if value}
+        memo[label] = table
+        return table
+
+    table = table_of(label)
+    alphas = compositions_of(provider.degree(label))
+    return GradedElement(basis, ((alpha, table[alpha]) for alpha in alphas if alpha in table))
+
+
 def split_coproduct(x, subsets) -> tuple:
     """The coproduct of a graph or poset x: induced(x, S) (x) induced(x, rest) summed over the label subsets S."""
     labels = range(1, x[0] + 1)
@@ -657,6 +710,13 @@ def of_element(f: Functional, elem: GradedElement) -> Fraction:
     for comp, coef in elem.terms.items():
         total += coef * f(comp)
     return total
+
+
+def rational_sum(terms) -> int | Fraction:
+    """The sum of num/den over (key, num, den) terms, keys unread, over one common denominator, in normal form."""
+    pairs = [(num, den) for _, num, den in terms]
+    common = lcm(*(den for _, den in pairs))
+    return rational(sum(num * (common // den) for num, den in pairs), common)
 
 
 class EvenSizeUnsupported(EngineError):

@@ -415,7 +415,7 @@ def test_out_path_that_cannot_be_written_is_an_error(tmp_path, capsys, target):
     path = tmp_path / target
     code, out, err = invoke(capsys, "expand", "--basis", "type1", "--comp", "2,1", "--out", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write --out {str(path)!r}: ") and err.count("\n") == 1
 
 
 def test_usage_errors(capsys):
@@ -606,11 +606,12 @@ NINES = "9" * (MAX_DIGITS - 1)
         (("theta", "--elem", '{"basis": 5, "terms": []}'), "bad element JSON: 'basis' must be a JSON string, got 5"),
         (("theta", "--elem", _elem(basis=None, terms=[{"comp": [1], "coef": "1"}])), "JSON string, got None"),
         (("theta", "--elem", _elem(basis=["M" * 300])), "'basis' must be a JSON string, got a list of 1 entry"),
+        (("theta", "--comp", "1", "--out", "no-such-dir/" + "x" * 5000), "cannot write --out a text of 5012 characters: "),
     ],
     ids=(
         "elem-list", "unknown-key", "terms-text", "coef-list", "comp-text-part", "listed-twice", "order-entries",
         "order-text", "theta-basis", "comp-size", "elem-size", "graph-count", "graph-pair", "graph-equal-ends",
-        "basis-int", "basis-null", "basis-list",
+        "basis-int", "basis-null", "basis-list", "out-path",
     ),
 )
 def test_outside_values_and_numbers_in_messages_are_bounded(capsys, argv, expected):

@@ -32,8 +32,8 @@ from qshuffle.elements import MONOMIAL, GradedElement, product
 from qshuffle.universal import char_to_infchar, infchar_to_char, universal_to_qsym, universal_to_sh
 
 from oracles import (
-    _proper_coloring_count, check_provider_multiplicativity, expand_polynomial, induced, order_ideals, power_value,
-    relabel,
+    _proper_coloring_count, below, check_provider_multiplicativity, expand_polynomial, induced, order_ideals,
+    power_value, relabel,
 )
 
 C = Composition
@@ -290,11 +290,11 @@ def test_kp_frozen():
 
 def _linear_extension_count(p: SmallPoset) -> int:
     n = p.element_count
-    below = {b: p.below(b) for b in range(1, n + 1)}
+    down = {b: below(p, b) for b in range(1, n + 1)}
     count = 0
     for perm in permutations(range(1, n + 1)):
         position = {v: i for i, v in enumerate(perm)}
-        if all(position[a] < position[b] for b in range(1, n + 1) for a in below[b]):
+        if all(position[a] < position[b] for b in range(1, n + 1) for a in down[b]):
             count += 1
     return count
 

@@ -13,6 +13,7 @@ from itertools import combinations
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qshuffle.characters import (
     BUILTIN_NAMES,
@@ -72,7 +73,9 @@ from qshuffle.elements import (
 )
 from qshuffle.errors import NotACharacter, NotAnInfinitesimalCharacter
 from qshuffle.functionals import Functional, exp_functional, log_functional
-from qshuffle.universal import CharacterPowerEvaluator, canonical, qsym_provider, theta
+from qshuffle.universal import (
+    CharacterPowerEvaluator, canonical, qsym_provider, theta, universal_to_qsym, universal_to_sh,
+)
 from qshuffle.verify import check_integral_nonneg
 
 import oracles
@@ -337,6 +340,29 @@ def test_coarsening_products_read_order_and_normal_form():
     assert three_halves == Fraction(3, 2) and type(three_halves) is Fraction
 
 
+# (num, den) lists: zero and negative numerators, denominators repeated, mixed and large
+RATIO_LISTS = st.lists(
+    st.tuples(st.integers(-40, 40), st.integers(1, 12) | st.sampled_from([2**61 - 1, 3**40, 2**70])), max_size=12
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(RATIO_LISTS)
+@example([])
+@example([(0, 3), (0, 5)])
+@example([(-1, 2), (1, 2)])
+@example([(1, 6), (1, 6), (1, 6)])
+@example([(1, 2), (1, 3), (-5, 6)])
+@example([(3, 4), (1, 2), (-7, 8), (1, 8)])
+def test_one_pass_rational_sum_matches_one_lcm(pairs):
+    terms = [(EMPTY, num, den) for num, den in pairs]
+    fast, slow = rational_sum(terms), oracles.rational_sum(terms)
+    assert fast == slow == sum((Fraction(num, den) for num, den in pairs), Fraction(0))
+    assert type(fast) is type(slow) and (type(fast) is int or fast.denominator > 1)
+    # the terms are read in one pass, so a generator serves as well as a list
+    assert rational_sum(iter(terms)) == fast
+
+
 def _outcome(check, *args):
     """The value of check(*args), or the type and text of the error it raises."""
     try:
@@ -464,3 +490,37 @@ def test_evaluator_value_matches_the_recursion_off_the_table():
             assert set(evaluator._table(label)) <= set(compositions_of(n)), label
             slow = oracles.power_image(provider, phi, label, memo)
             assert evaluator(label) == GradedElement(basis, slow.terms), label
+
+
+def test_images_match_the_validated_build():
+    # every graph and poset on at most 4 labels, into M and into X: the same terms in the same
+    # order with the same types as when every term went through the validating constructor
+    type1 = graph_infchar(builtin("type1"))
+
+    def halves(unit):
+        # Fraction values whose sums and products come out integral in some table entries
+        return lambda x: Fraction(1, 2) if x[0] else unit
+
+    cases = [
+        (graph_provider(), zeta_no_edges, MONOMIAL, all_graphs),
+        (graph_provider(), type1, WORD, all_graphs),
+        (graph_provider(), halves(1), MONOMIAL, all_graphs),
+        (poset_provider(), zeta_ones, MONOMIAL, all_posets),
+        (poset_provider(), xi_unique_min, WORD, all_posets),
+        (poset_provider(), halves(0), WORD, all_posets),
+    ]
+    def typed(elem):
+        return [(key, type(key), value, type(value)) for key, value in elem.terms.items()]
+
+    for provider, phi, basis, structures in cases:
+        morphism = (universal_to_qsym if basis == MONOMIAL else universal_to_sh)(provider, phi)
+        memo = {}
+        for label in (x for n in range(5) for x in structures(n)):
+            fast, slow = morphism(label), oracles.validated_image(provider, phi, basis, label, memo)
+            assert fast.basis == basis and typed(fast) == typed(slow), label
+
+
+def test_minimal_elements_match_the_below_scan():
+    for n in range(5):
+        for p in all_posets(n):
+            assert p.minimal_elements() == [v for v in range(1, n + 1) if not oracles.below(p, v)], p

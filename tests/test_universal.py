@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qshuffle.characters import builtin, prefix_sum_character
-from qshuffle.compositions import EMPTY, Composition, compositions_of, compositions_up_to
+from qshuffle.compositions import EMPTY, Composition, compositions_of, compositions_up_to, deconcatenations
+from qshuffle.demos import SmallPoset, all_graphs, all_posets, graph_provider, poset_provider
 from qshuffle.elements import MONOMIAL, WORD, GradedElement, format_element, linear_image, product
 from qshuffle.errors import (
     BasisMismatch,
@@ -101,6 +102,56 @@ def test_universal_preconditions():
         universal_to_sh(qsym_provider(), canonical("zetaQ"))
     with pytest.raises(BasisMismatch):
         CharacterPowerEvaluator(qsym_provider(), canonical("zetaQ"), "P")
+
+
+def test_float_values_are_refused_on_the_first_label():
+    # 1.0 and 0.0 pass the unit checks, which compare by value; the table reads every other value exactly
+    reads = []
+
+    def floats(unit_value):
+        def phi(label):
+            reads.append(label)
+            return unit_value if label in (EMPTY, SmallPoset(0)) else 1.0
+
+        return phi
+
+    cases = [
+        (universal_to_qsym, qsym_provider(), 1.0, C((2, 1))),
+        (universal_to_sh, qsym_provider(), 0.0, C((1,))),
+        (universal_to_qsym, poset_provider(), 1.0, SmallPoset(2, [(1, 2)])),
+        (universal_to_sh, poset_provider(), 0.0, SmallPoset(1)),
+    ]
+    for make, provider, unit_value, label in cases:
+        reads.clear()
+        morphism = make(provider, floats(unit_value))
+        assert len(reads) == 1
+        with pytest.raises(TypeError, match="not an exact rational: 1.0"):
+            morphism(label)
+        # refused at the first value of positive degree the table read
+        assert len(reads) == 2 and provider.degree(reads[1]) > 0
+    # so is a float coefficient of the provider's coproduct
+    halves = replace(qsym_provider(), coproduct=lambda label: [(pair, 0.5) for pair in deconcatenations(label)])
+    with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+        universal_to_qsym(halves, canonical("zetaQ"))(C((2, 1)))
+
+
+def test_integral_fraction_values_of_phi_give_normal_form_images():
+    # phi = Fraction(2, 1) off the unit: every coefficient comes back an int, equal to the image of phi = 2
+    for provider, labels in (
+        (qsym_provider(), compositions_up_to(5)),
+        (graph_provider(), [g for n in range(5) for g in all_graphs(n)]),
+        (poset_provider(), [p for n in range(5) for p in all_posets(n)]),
+    ):
+        for make, unit_value in ((universal_to_qsym, 1), (universal_to_sh, 0)):
+
+            def two(label, kind=int):
+                return kind(2) if provider.degree(label) else kind(unit_value)
+
+            morphism, in_ints = make(provider, lambda label: two(label, Fraction)), make(provider, two)
+            for label in labels:
+                image = morphism(label)
+                assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in image.terms.values())
+                assert image == in_ints(label) and not image.is_zero(), label
 
 
 def test_canonical_values_frozen():
