@@ -26,12 +26,11 @@ combinatorial) are instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import gcd
-from typing import Callable, Hashable
+from typing import Callable, Hashable, NamedTuple
 
 from .compositions import (
     Composition,
@@ -194,9 +193,8 @@ def prefix_sum_character(tau: Callable[[int], Fraction], name: str | None = None
     return Functional(1, value, name=name)
 
 
-@dataclass(frozen=True)
-class OrderedPartitionSpec:
-    """An ordered set partition of the positive integers, as decision procedures.
+class OrderedPartitionSpec(NamedTuple):
+    """An ordered set partition of the positive integers, as decision procedures: a read-only record.
 
     classify maps a part to its class identifier; class_key realizes the
     strict total order on classes (distinct classes must get distinct,

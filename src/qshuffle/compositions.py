@@ -14,11 +14,11 @@ order, which is what makes tables reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, permutations
 from math import factorial, lcm
+from typing import NamedTuple
 
 
 class Composition(tuple):
@@ -193,14 +193,14 @@ def rearrangements(comp: Composition) -> list[Composition]:
     return [_trusted(p) for p in seen]
 
 
-@dataclass(frozen=True)
-class CompositionStats:
-    """The two counts of a composition that the power sums scale by.
+class CompositionStats(NamedTuple):
+    """The two counts of a composition that the power sums scale by, as a read-only record.
 
     aut_count is the product of the factorials of the part multiplicities,
     and z_value is the product of the parts times aut_count: the familiar
     z_lambda when the parts are sorted into a partition.  Both are 1 for the
-    empty composition.
+    empty composition.  A NamedTuple, like the package's other value
+    records, which keeps the start-up of every command short.
     """
 
     aut_count: int

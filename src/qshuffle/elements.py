@@ -107,6 +107,20 @@ def as_coefficient(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+def exact_value(value, at) -> int | Fraction:
+    """A value that code returned for at (a composition or a label), as as_coefficient gives it.
+
+    The check for values from callables: an int or a Fraction comes back in
+    normal form and a bool as an int, but text is not parsed; text, like a
+    float, raises TypeError naming at.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {shown(value)} (at {at})")
+    return value.numerator if value.denominator == 1 else value
+
+
 def _composition(comp) -> Composition:
     return comp if type(comp) is Composition else Composition(comp)
 

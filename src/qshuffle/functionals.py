@@ -25,9 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .compositions import Composition, coarsening_products, rational_sum
+from .compositions import EMPTY, Composition, coarsening_products, rational_sum
 from .compositions import nonempty_splits  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
-from .elements import GradedElement
+from .elements import GradedElement, exact_value
 from .errors import NonvanishingAtEmpty, WrongValueAtEmpty
 
 
@@ -37,12 +37,17 @@ MAX_BITS = 14_300
 
 
 class Functional:
-    """value_at_empty plus a memoized function on nonempty compositions."""
+    """value_at_empty plus a memoized function on nonempty compositions.
+
+    Each value is checked once, when it is made or first computed, through
+    elements.exact_value: an int or a Fraction is kept as a Fraction, and a
+    float or text raises TypeError naming the composition.
+    """
 
     __slots__ = ("value_at_empty", "name", "_fn", "_memo")
 
     def __init__(self, value_at_empty, on_nonempty, name: str | None = None):
-        self.value_at_empty = Fraction(value_at_empty)
+        self.value_at_empty = Fraction(exact_value(value_at_empty, EMPTY))
         self._fn = on_nonempty
         self._memo: dict[Composition, Fraction] = {}
         self.name = name
@@ -56,7 +61,7 @@ class Functional:
         if value is None:
             value = self._fn(comp)
             if type(value) is not Fraction:
-                value = Fraction(value)
+                value = Fraction(exact_value(value, comp))
             if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_BITS:
                 raise ValueError(f"the value at {comp} has more than {MAX_BITS} bits")
             self._memo[comp] = value

@@ -29,21 +29,19 @@ the resulting map theta, whose eigenbasis is an even-odd shuffle basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable
 
 from .characters import basis_expand, f_to_g, require_normalized
 from .compositions import Composition, EMPTY, compositions_of, deconcatenations, shown
-from .elements import GradedElement, MONOMIAL, WORD, as_coefficient, finished, linear_image, normal_element
+from .elements import GradedElement, MONOMIAL, WORD, exact_value, finished, linear_image, normal_element
 from .errors import BasisMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional
 
 Label = Hashable
 
 
-@dataclass(frozen=True)
 class HopfProvider:
     """A connected graded Hopf algebra presented by its coproduct and grading.
 
@@ -52,11 +50,36 @@ class HopfProvider:
     Fraction; degree(label) is the grading, and unit_label the one label
     of degree 0.  The counit is fixed by the grading: 1 on the unit label,
     0 on every label of positive degree.
+
+    A read-only record: assigning or deleting a field raises AttributeError,
+    and two providers with equal fields are equal.  It is a plain class with
+    an instance __dict__, not a tuple, so that code which wraps the functions
+    an object holds (a tracer, through vars() and object.__setattr__) reaches
+    coproduct and degree; it generates no code at import, which keeps the
+    start-up of every command short.
     """
 
-    coproduct: Callable[[Label], Iterable[tuple[tuple[Label, Label], Fraction]]]
-    degree: Callable[[Label], int]
-    unit_label: Label
+    def __init__(
+        self,
+        coproduct: Callable[[Label], Iterable[tuple[tuple[Label, Label], Fraction]]],
+        degree: Callable[[Label], int],
+        unit_label: Label,
+    ):
+        vars(self).update(coproduct=coproduct, degree=degree, unit_label=unit_label)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"HopfProvider.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is HopfProvider else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"HopfProvider({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
 
 _DECONCATENATION = HopfProvider(
@@ -78,8 +101,8 @@ class CharacterPowerEvaluator:
     infinitesimal one (phi(unit) = 0); phi's value at the unit label is
     checked when the morphism is made, and every other value of phi and
     every coefficient of the provider's coproduct where a table reads it,
-    through elements.as_coefficient (a float raises TypeError); that phi
-    is a character is the caller's job.  The morphism
+    through elements.exact_value (a float or text raises TypeError); that
+    phi is a character is the caller's job.  The morphism
     maps a basis label h of degree n to the sum over the compositions
     alpha of n of the value at h and alpha times b_alpha, as the universal
     property fixes it on labels; elements.linear_image extends it to
@@ -124,7 +147,7 @@ class CharacterPowerEvaluator:
                 k = degree(left)
                 if k == 0:
                     continue
-                weight = as_coefficient(coef) * as_coefficient(self.phi(left))
+                weight = exact_value(coef, label) * exact_value(self.phi(left), left)
                 if not weight:
                     continue
                 for sizes, tail in self._table(right).items():

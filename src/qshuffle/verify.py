@@ -10,11 +10,10 @@ rule and its body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .characters import (
     basis_expand, even_odd_character, f_to_g, g_to_f, qps_expand, require_normalized, resolve_basis
@@ -40,8 +39,9 @@ def first_witness(cases: Iterable, witness_of: Callable):
     return None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One named check of a report: its name and str(its first witness), None when it passed; read-only."""
+
     name: str
     witness: str | None
 
@@ -56,10 +56,33 @@ class CheckResult:
         return f"[FAIL] {self.name}{suffix}"
 
 
-@dataclass
 class VerifyReport:
-    title: str
-    checks: list[CheckResult] = field(default_factory=list)
+    """A titled list of CheckResults, filled by sweep and rendered as one line per check plus a verdict.
+
+    A plain class, which generates no code at import and so keeps the
+    start-up of every command short.  title and checks are fixed when it is
+    made (assigning or deleting either raises AttributeError), and two
+    reports are equal when both are.
+    """
+
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title: str, checks: list[CheckResult] | None = None):
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "checks", [] if checks is None else checks)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"VerifyReport.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not VerifyReport:
+            return NotImplemented
+        return (self.title, self.checks) == (other.title, other.checks)
+
+    def __repr__(self) -> str:
+        return f"VerifyReport(title={self.title!r}, checks={self.checks!r})"
 
     def sweep(self, name: str, cases: Iterable, witness_of: Callable) -> None:
         """Add the check name: it passes when no case has a witness and fails showing str(the first) otherwise."""
@@ -78,9 +101,8 @@ class VerifyReport:
         return "\n".join(out)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First failure found by a predicate sweep."""
+class Violation(NamedTuple):
+    """First failure found by a predicate sweep, as a read-only record."""
 
     kind: str
     alpha: Composition | None
@@ -131,8 +153,9 @@ def is_infinitesimal_character(phi: Functional, max_degree: int, basis: str = "M
     return first_witness(*_product_check(phi, max_degree, basis, 0))
 
 
-@dataclass(frozen=True)
-class IntegralityWitness:
+class IntegralityWitness(NamedTuple):
+    """A coarsening beta of alpha at which aut(alpha) f(alpha, beta), the value, is not in Z>=0."""
+
     alpha: Composition
     beta: Composition
     value: Fraction

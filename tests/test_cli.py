@@ -1088,6 +1088,48 @@ def test_algebra_layers_import_no_verification_code():
     assert found == []
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays for its imports in a fresh process; the package's records need neither module
+    code = "import sys; before = set(sys.modules); import qshuffle.cli; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "qshuffle.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_records_are_read_only_values():
+    # each record, built positionally and by keyword: equal fields give equal records, and no field can be assigned
+    from qshuffle.characters import OrderedPartitionSpec, builtin
+    from qshuffle.compositions import EMPTY, CompositionStats
+    from qshuffle.universal import HopfProvider, qsym_provider
+    from qshuffle.verify import CheckResult, IntegralityWitness, Violation, VerifyReport
+
+    alpha, beta = Composition((1, 2)), Composition((3,))
+    coproduct, degree = qsym_provider().coproduct, qsym_provider().degree
+    records = [
+        (CompositionStats(2, 8), CompositionStats(aut_count=2, z_value=8)),
+        (OrderedPartitionSpec(abs, abs, builtin), OrderedPartitionSpec(classify=abs, class_key=abs, character_for=builtin)),
+        (HopfProvider(coproduct, degree, EMPTY), HopfProvider(coproduct=coproduct, degree=degree, unit_label=EMPTY)),
+        (CheckResult("c", None), CheckResult(name="c", witness=None)),
+        (VerifyReport("t", []), VerifyReport(title="t")),
+        (Violation("product", alpha, beta, 1, 2), Violation(kind="product", alpha=alpha, beta=beta, expected=1, actual=2)),
+        (IntegralityWitness(alpha, beta, Fraction(2, 3)), IntegralityWitness(alpha=alpha, beta=beta, value=Fraction(2, 3))),
+    ]
+    fields = ["aut_count", "max_part", "unit_label", "witness", "title", "actual", "value"]
+    for (positional, by_keyword), field in zip(records, fields):
+        assert positional == by_keyword, type(positional).__name__
+        with pytest.raises(AttributeError):
+            setattr(positional, field, getattr(positional, field))
+        assert positional == by_keyword
+    assert OrderedPartitionSpec(abs, abs, builtin).max_part is None
+    assert str(records[-1][0]) == "aut(C[1,2]) f(C[1,2], C[3]) = 2/3"
+    # a provider keeps an instance __dict__, so code that wraps the functions an object holds reaches them
+    assert {"coproduct", "degree", "unit_label"} <= set(vars(qsym_provider()))
+
+
 def test_all_lists_importable_names_and_no_modules():
     import qshuffle
 

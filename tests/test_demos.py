@@ -1,7 +1,6 @@
 """Graph and poset demo algebras against brute-force oracles."""
 
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 
@@ -29,7 +28,7 @@ from qshuffle.demos import (
     zeta_ones,
 )
 from qshuffle.elements import MONOMIAL, GradedElement, product
-from qshuffle.universal import char_to_infchar, infchar_to_char, universal_to_qsym, universal_to_sh
+from qshuffle.universal import HopfProvider, char_to_infchar, infchar_to_char, universal_to_qsym, universal_to_sh
 
 from oracles import (
     _proper_coloring_count, below, check_provider_multiplicativity, expand_polynomial, induced, order_ideals,
@@ -146,7 +145,7 @@ def test_chromatic_symmetric_matches_generic_universal():
     # one Phi for the no-edges character, read against chromatic_symmetric and by the
     # transfers of both bases: each label's coproduct is read once across all three
     base, reads = graph_provider(), Counter()
-    provider = replace(base, coproduct=lambda g: reads.update([g]) or base.coproduct(g))
+    provider = HopfProvider(lambda g: reads.update([g]) or base.coproduct(g), base.degree, base.unit_label)
     phi = universal_to_qsym(provider, zeta_no_edges)
     transfers = [(char_to_infchar(phi, builtin(name)), graph_infchar(builtin(name))) for name in ("type1", "type2")]
     labels = [g for n in range(5) for g in all_graphs(n)]

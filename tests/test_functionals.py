@@ -41,6 +41,20 @@ def test_functional_call_and_elements():
     assert repr(Functional(0, lambda c: 0)) == "<functional: empty -> 0>"
 
 
+def test_floats_and_text_are_refused_not_converted():
+    # a float or a text, at the empty composition or from the function, raises TypeError naming the composition
+    for bad in (0.1, 0.5, 1.0, "1/3", "1"):
+        with pytest.raises(TypeError, match=r"not an exact rational: .* \(at C\[-\]\)"):
+            Functional(bad, lambda comp: 1)
+        phi = Functional(1, lambda comp: bad)
+        with pytest.raises(TypeError, match=r"not an exact rational: .* \(at C\[2,1\]\)"):
+            phi(C((2, 1)))
+    # ints, bools and Fractions are kept as Fractions
+    phi = Functional(True, lambda comp: Fraction(len(comp), 2) if len(comp) > 1 else len(comp))
+    assert [type(v) for v in (phi.value_at_empty, phi(C((3,))), phi(C((1, 1))))] == [Fraction] * 3
+    assert (phi.value_at_empty, phi(C((3,))), phi(C((1, 1, 1)))) == (1, 1, Fraction(3, 2))
+
+
 def test_convolution_unit():
     eps = canonical("counit")
     phi = _random_functional(11, 1)

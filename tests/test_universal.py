@@ -1,6 +1,6 @@
 """Universal morphisms, canonical functionals, theta, character bijections."""
 
-from dataclasses import replace
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +19,7 @@ from qshuffle.functionals import exp_functional, log_functional
 from qshuffle.universal import (
     CANONICAL_NAMES,
     CharacterPowerEvaluator,
+    HopfProvider,
     canonical,
     char_to_infchar,
     infchar_to_char,
@@ -130,9 +131,28 @@ def test_float_values_are_refused_on_the_first_label():
         # refused at the first value of positive degree the table read
         assert len(reads) == 2 and provider.degree(reads[1]) > 0
     # so is a float coefficient of the provider's coproduct
-    halves = replace(qsym_provider(), coproduct=lambda label: [(pair, 0.5) for pair in deconcatenations(label)])
+    halves = HopfProvider(lambda label: [(pair, 0.5) for pair in deconcatenations(label)], qsym_provider().degree, EMPTY)
     with pytest.raises(TypeError, match="not an exact rational: 0.5"):
         universal_to_qsym(halves, canonical("zetaQ"))(C((2, 1)))
+
+
+def test_text_values_are_refused_not_parsed():
+    # a value of phi, or a coproduct coefficient, that is text raises TypeError naming its label
+    def text(unit_value):
+        return lambda label: unit_value if label in (EMPTY, SmallPoset(0)) else "1/2"
+
+    cases = [
+        (universal_to_qsym, qsym_provider(), 1, C((2, 1)), "C[2]"),
+        (universal_to_sh, qsym_provider(), 0, C((1,)), "C[1]"),
+        (universal_to_qsym, poset_provider(), 1, SmallPoset(2, [(1, 2)]), str(SmallPoset(1))),
+        (universal_to_sh, poset_provider(), 0, SmallPoset(1), str(SmallPoset(1))),
+    ]
+    for make, provider, unit_value, label, first_read in cases:
+        with pytest.raises(TypeError, match=re.escape(f"not an exact rational: '1/2' (at {first_read})")):
+            make(provider, text(unit_value))(label)
+    ones = HopfProvider(lambda label: [(pair, "1") for pair in deconcatenations(label)], qsym_provider().degree, EMPTY)
+    with pytest.raises(TypeError, match=re.escape("not an exact rational: '1' (at C[2,1])")):
+        universal_to_qsym(ones, canonical("zetaQ"))(C((2, 1)))
 
 
 def test_integral_fraction_values_of_phi_give_normal_form_images():
@@ -309,7 +329,7 @@ def test_char_bijection_preconditions():
 def test_transfers_evaluate_each_label_once():
     base = qsym_provider()
     seen = []
-    provider = replace(base, degree=lambda label: seen.append(label) or base.degree(label))
+    provider = HopfProvider(base.coproduct, lambda label: seen.append(label) or base.degree(label), base.unit_label)
     for transfer, morphism in (
         (infchar_to_char, universal_to_sh(provider, canonical("eta"))),
         (char_to_infchar, universal_to_qsym(provider, canonical("zetaQ"))),
