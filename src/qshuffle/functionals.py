@@ -68,12 +68,21 @@ class Functional:
         return value
 
     def of_element(self, elem: GradedElement) -> Fraction:
-        """The sum of coef * self(comp) over elem's terms, added as int ratios over one common denominator."""
-        terms = []
-        for comp, coef in elem.terms.items():
-            value = self(comp)
-            terms.append((comp, coef.numerator * value.numerator, coef.denominator * value.denominator))
-        return Fraction(rational_sum(terms))
+        """The sum of coef * self(comp) over elem's terms, added as int ratios over one common denominator.
+
+        Each value is read from the memo; only a miss (the empty composition,
+        or a value not yet computed) goes through __call__.
+        """
+        memo, call = self._memo, self.__call__
+
+        def products():
+            for comp, coef in elem.terms.items():
+                value = memo.get(comp)
+                if value is None:
+                    value = call(comp)
+                yield comp, coef.numerator * value.numerator, coef.denominator * value.denominator
+
+        return Fraction(rational_sum(products()))
 
     def __repr__(self) -> str:
         label = self.name or "functional"

@@ -11,7 +11,12 @@ with x_alpha in place of M_alpha.  universal_to_qsym and universal_to_sh
 return that morphism as one object on basis labels, checked at the unit
 when it is made and memoised per label for as long as it is held; every
 other value of the character is checked to be exact where the label's
-table reads it, so each image is built in normal form once.  H enters
+table reads it.  A label's table is a dense vector of values indexed like
+compositions_of(n): the first tensor slot of the iterated coproduct fixes
+alpha's first part k, and the compositions of n that begin with k are
+those of n - k, in the same order, in one block starting at 2^(n-1) -
+2^(n-k), so a coproduct term adds the right factor's whole table into one
+block.  Each image is built from its table in normal form once.  H enters
 through a HopfProvider: its coproduct as ((left, right), coefficient)
 pairs over basis labels, its grading and its unit label; the counit is
 derived from the grading.
@@ -108,11 +113,15 @@ class CharacterPowerEvaluator:
     property fixes it on labels; elements.linear_image extends it to
     elements.  That value is the scalar obtained by iterating the
     provider's two-fold coproduct left to right, projecting to the
-    multidegree alpha, and applying phi to every tensor slot; it is read
-    off one multidegree table per label, built in one pass over the
-    label's coproduct, finished into normal form and kept for the
-    morphism's lifetime.  The image is stored as the table gives it, in
-    compositions_of order, with no second check.
+    multidegree alpha, and applying phi to every tensor slot.  Each
+    label's values form one dense table, a list of exact sums indexed like
+    compositions_of(n), zeros kept, built in one pass over the label's
+    coproduct and kept for the morphism's lifetime; the compositions that
+    begin with k fill one contiguous block of it, so each coproduct term
+    adds into one block (_table).  The image zips compositions_of(n) with
+    the table, drops the zeros and makes integral sums ints in
+    elements.finished, and is stored in compositions_of order with no
+    second check.
     """
 
     def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction], basis: str):
@@ -126,23 +135,31 @@ class CharacterPowerEvaluator:
         self.provider = provider
         self.phi = phi
         self.basis = basis
-        self._cache: dict[Label, dict[tuple[int, ...], Fraction]] = {}
+        self._cache: dict[Label, list] = {}
 
-    def _table(self, label: Label) -> dict[tuple[int, ...], Fraction]:
-        """{alpha: the value at label and alpha} over the compositions alpha of label's degree, zeros left out.
+    def _table(self, label: Label) -> list:
+        """The values at label and each composition of its degree n, in compositions_of(n) order.
 
-        A left factor of degree k > 0 weighs coef * phi(left) once, both
-        checked as they are read, and puts k in front of every entry of the
-        right factor's table; the sums end in elements.finished.
+        A list of 2^(n-1) exact raw sums ([1] at degree 0), zeros kept.  The
+        compositions of n that begin with k are (k, *beta) for beta in
+        compositions_of(n - k), in that order, in the block that starts at
+        2^(n-1) - 2^(n-k); so a left factor of degree k > 0 weighs coef *
+        phi(left) once, both checked as they are read, and adds that weight
+        times each nonzero entry of the right factor's table into the block
+        (a zero is skipped, so a Fraction weight costs no Fraction sums on
+        the zeros of a sparse table).
         """
-        table = self._cache.get(label)
+        cache = self._cache
+        table = cache.get(label)
         if table is not None:
             return table
         degree = self.provider.degree
-        if degree(label) == 0:
-            table = {(): 1}
+        n = degree(label)
+        if n == 0:
+            table = [1]
         else:
-            table = {}
+            size = 1 << (n - 1)
+            table = [0] * size
             for (left, right), coef in self.provider.coproduct(label):
                 k = degree(left)
                 if k == 0:
@@ -150,17 +167,18 @@ class CharacterPowerEvaluator:
                 weight = exact_value(coef, label) * exact_value(self.phi(left), left)
                 if not weight:
                     continue
-                for sizes, tail in self._table(right).items():
-                    key = (k, *sizes)
-                    table[key] = table.get(key, 0) + weight * tail
-            table = finished(table)
-        self._cache[label] = table
+                tail = cache.get(right)
+                if tail is None:
+                    tail = self._table(right)
+                for i, value in enumerate(tail, size - (size >> (k - 1))):
+                    if value:
+                        table[i] += weight * value
+        cache[label] = table
         return table
 
     def __call__(self, label: Label) -> GradedElement:
-        get = self._table(label).get
         alphas = compositions_of(self.provider.degree(label))
-        return normal_element(self.basis, {alpha: value for alpha in alphas if (value := get(alpha))})
+        return normal_element(self.basis, finished(dict(zip(alphas, self._table(label)))))
 
 
 def universal_to_qsym(provider: HopfProvider, zeta: Callable[[Label], Fraction]) -> CharacterPowerEvaluator:

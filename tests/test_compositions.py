@@ -67,6 +67,17 @@ def test_enumeration_counts_and_order():
     assert up == sorted(up, key=lambda c: (c.size, tuple(c)))
 
 
+def test_compositions_beginning_with_k_form_one_block():
+    # the block rule of the universal evaluator's dense tables: the compositions of n that begin
+    # with k are (k, *beta) for beta in compositions_of(n - k), in that order, from 2^(n-1) - 2^(n-k) on
+    for n in range(1, 11):
+        listed = compositions_of(n)
+        for k in range(1, n + 1):
+            block = [(k, *beta) for beta in compositions_of(n - k)]
+            start = 2 ** (n - 1) - 2 ** (n - k)
+            assert list(listed[start : start + len(block)]) == block, (n, k)
+
+
 def test_pairs_up_to_order():
     # each pair of nonempty compositions once: by total size, then |alpha|, then canonical order
     pairs = [

@@ -13,6 +13,7 @@ from qshuffle.functionals import Functional, exp_functional, log_functional
 from qshuffle.universal import canonical
 from qshuffle.verify import is_character, is_infinitesimal_character
 
+import oracles
 from oracles import NotInvertible, convolve, functional_inverse, lie_bracket
 
 C = Composition
@@ -53,6 +54,26 @@ def test_floats_and_text_are_refused_not_converted():
     phi = Functional(True, lambda comp: Fraction(len(comp), 2) if len(comp) > 1 else len(comp))
     assert [type(v) for v in (phi.value_at_empty, phi(C((3,))), phi(C((1, 1))))] == [Fraction] * 3
     assert (phi.value_at_empty, phi(C((3,))), phi(C((1, 1, 1)))) == (1, 1, Fraction(3, 2))
+
+
+def test_of_element_reads_the_memo_and_calls_only_on_a_miss():
+    # a term at the empty composition, a memoised zero, a memoised nonzero value and one not yet computed
+    class Counted(Functional):
+        __slots__ = ("called",)
+
+        def __call__(self, comp):
+            self.called.append(comp)
+            return super().__call__(comp)
+
+    f = Counted(Fraction(2, 3), lambda c: Fraction(c[0], c.length) if c.length > 1 else 0)
+    f.called = []
+    assert (f(C((4,))), f(C((3, 2)))) == (0, Fraction(3, 2))
+    f.called.clear()
+    elem = GradedElement(MONOMIAL, {(): Fraction(1, 2), (4,): 5, (3, 2): Fraction(-1, 4), (2, 1, 1): 7})
+    total = f.of_element(elem)
+    # only the misses went through __call__: the empty composition and the value not yet computed
+    assert f.called == [EMPTY, C((2, 1, 1))]
+    assert type(total) is Fraction and total == oracles.of_element(f, elem) == Fraction(1, 3) - Fraction(3, 8) + Fraction(14, 3)
 
 
 def test_convolution_unit():

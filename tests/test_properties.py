@@ -21,6 +21,7 @@ from qshuffle.demos import (
     graph_provider,
     kp_generating_function,
     poset_provider,
+    xi_unique_min,
     zeta_no_edges,
     zeta_ones,
 )
@@ -28,7 +29,7 @@ from qshuffle.elements import (
     MONOMIAL, WORD, GradedElement, antipode_by_recursion, antipode_monomial, antipode_word, coproduct, product
 )
 from qshuffle.functionals import exp_functional
-from qshuffle.universal import canonical, theta
+from qshuffle.universal import canonical, theta, universal_to_qsym, universal_to_sh
 from qshuffle.verify import check_integral_nonneg
 
 import oracles
@@ -153,3 +154,52 @@ def test_poset_fast_paths_match_their_oracles_past_the_sweeps(p):
     image = kp_generating_function(p)
     assert image == oracles.power_image(poset_provider(), zeta_ones, p, POSET_MEMO)
     assert ETA.of_element(image) == oracles.of_element(ETA, image)
+
+
+@st.composite
+def posets_on_six_or_seven_elements(draw) -> SmallPoset:
+    n = draw(st.integers(6, 7))
+    perm = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(st.sets(st.sampled_from(list(combinations(range(1, n + 1), 2)))))
+    return SmallPoset.from_cover_text(f"{n}; " + ",".join(f"{perm[a - 1]}<{perm[b - 1]}" for a, b in sorted(pairs)))
+
+
+def _halves(unit):
+    # Fraction values whose sums and products come out integral in some table entries
+    return lambda x: Fraction(1, 2) if x[0] else unit
+
+
+# each morphism with its oracle's table memo, both held across examples; the characters
+# that vanish on some labels leave whole blocks of a dense table zero
+GRAPH_IMAGES = [
+    (universal_to_qsym(graph_provider(), zeta_no_edges), {}),
+    (universal_to_qsym(graph_provider(), _halves(1)), {}),
+]
+POSET_IMAGES = [
+    (universal_to_qsym(poset_provider(), zeta_ones), {}),
+    (universal_to_sh(poset_provider(), xi_unique_min), {}),
+    (universal_to_sh(poset_provider(), _halves(0)), {}),
+]
+
+
+def _typed(elem):
+    return [(key, type(key), value, type(value)) for key, value in elem.terms.items()]
+
+
+def _assert_images_match_the_validated_build(morphisms, label):
+    # the same terms in the same order with the same types as the dict recursion, every term validated
+    for morphism, memo in morphisms:
+        slow = oracles.validated_image(morphism.provider, morphism.phi, morphism.basis, label, memo)
+        assert _typed(morphism(label)) == _typed(slow), (morphism.phi, label)
+
+
+@PROFILE
+@given(graphs_on_six_or_seven_vertices())
+def test_graph_images_match_the_validated_build_past_the_sweeps(g):
+    _assert_images_match_the_validated_build(GRAPH_IMAGES, g)
+
+
+@PROFILE
+@given(posets_on_six_or_seven_elements())
+def test_poset_images_match_the_validated_build_past_the_sweeps(p):
+    _assert_images_match_the_validated_build(POSET_IMAGES, p)

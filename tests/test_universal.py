@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle.characters import builtin, prefix_sum_character
+from qshuffle.characters import BUILTIN_NAMES, basis_contract, basis_expand, builtin, f_to_g, prefix_sum_character
 from qshuffle.compositions import EMPTY, Composition, compositions_of, compositions_up_to, deconcatenations
 from qshuffle.demos import SmallPoset, all_graphs, all_posets, graph_provider, poset_provider
 from qshuffle.elements import MONOMIAL, WORD, GradedElement, format_element, linear_image, product
@@ -84,6 +84,18 @@ def test_universal_on_qsym_example():
     got = universal_to_sh(qsym_provider(), xi)(C((1, 1)))
     assert got == X(1, 1) - X(2).scaled(Fraction(1, 2))
     assert format_element(got) == "X[1,1] - 1/2 X[2]"
+
+
+def test_universal_morphisms_of_qsym_are_the_basis_expansions():
+    # the paper's theorem on QSym itself: Phi_f(M_alpha) is X^f_alpha in the monomial basis, and
+    # Psi_g(x_alpha) for g = f_to_g(f) is its contraction, on all five stock bases through size 8
+    for name in BUILTIN_NAMES:
+        f = builtin(name)
+        g = f_to_g(f)
+        phi, psi = universal_to_qsym(qsym_provider(), f), universal_to_sh(qsym_provider(), g)
+        for alpha in compositions_up_to(8):
+            assert phi(alpha).terms == basis_expand(f, alpha).terms, (name, alpha)
+            assert psi(alpha).terms == basis_contract(g, alpha), (name, alpha)
 
 
 def test_universal_is_algebra_map_here():
