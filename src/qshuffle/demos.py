@@ -451,5 +451,9 @@ _eta = canonical("eta")
 
 
 def eta_check(p: SmallPoset) -> tuple[Fraction, int]:
-    """Pair the flag generating function with eta, against the unique-minimal indicator."""
-    return _eta.of_element(kp_generating_function(p)), xi_unique_min(p)
+    """Pair the flag generating function with eta, against the unique-minimal indicator.
+
+    The pairing reads p's table in the constant character's morphism
+    (CharacterPowerEvaluator.pair); it builds no image.
+    """
+    return _kp_evaluator.pair(_eta, p), xi_unique_min(p)

@@ -14,20 +14,20 @@ so each series is one walk over the coarsenings of gamma.  That uses only
 deconcatenation, so the same calculus serves both algebras; whether a given
 functional is a character depends on which product (quasi-shuffle or
 shuffle) the basis carries, hence the basis argument on the predicates in
-``verify``.  The convolution product itself, the convolution inverse and
-the Lie bracket have no reader in the package; they live with the test
-oracles in ``tests/oracles.py``.
+``verify``.  The convolution product itself, the convolution inverse, the
+Lie bracket and the term-by-term pairing with an element have no reader in
+the package; they live with the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from .compositions import EMPTY, Composition, coarsening_products, rational_sum
+from .compositions import EMPTY, Composition, coarsening_products, compositions_of, rational_sum
 from .compositions import nonempty_splits  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
-from .elements import GradedElement, exact_value
+from .elements import exact_value
 from .errors import NonvanishingAtEmpty, WrongValueAtEmpty
 
 
@@ -41,15 +41,19 @@ class Functional:
 
     Each value is checked once, when it is made or first computed, through
     elements.exact_value: an int or a Fraction is kept as a Fraction, and a
-    float or text raises TypeError naming the composition.
+    float or text raises TypeError naming the composition.  dense(n) keeps
+    the values at the compositions of n as one vector of int numerators, so
+    a universal morphism pairs with the functional in one integer dot
+    product (CharacterPowerEvaluator.pair).
     """
 
-    __slots__ = ("value_at_empty", "name", "_fn", "_memo")
+    __slots__ = ("value_at_empty", "name", "_fn", "_memo", "_dense")
 
     def __init__(self, value_at_empty, on_nonempty, name: str | None = None):
         self.value_at_empty = Fraction(exact_value(value_at_empty, EMPTY))
         self._fn = on_nonempty
         self._memo: dict[Composition, Fraction] = {}
+        self._dense: dict[int, tuple[list[int], int]] = {}
         self.name = name
 
     def __call__(self, comp) -> Fraction:
@@ -67,22 +71,20 @@ class Functional:
             self._memo[comp] = value
         return value
 
-    def of_element(self, elem: GradedElement) -> Fraction:
-        """The sum of coef * self(comp) over elem's terms, added as int ratios over one common denominator.
+    def dense(self, n: int) -> tuple[list[int], int]:
+        """The values at compositions_of(n), in that order, as int numerators over one common denominator.
 
-        Each value is read from the memo; only a miss (the empty composition,
-        or a value not yet computed) goes through __call__.
+        The denominator is the lcm of the values' denominators; degree 0
+        gives [value_at_empty].  Each value is read through __call__, so a
+        value not yet computed is checked there, and the vector is built
+        once per degree and kept for as long as the functional is held.
         """
-        memo, call = self._memo, self.__call__
-
-        def products():
-            for comp, coef in elem.terms.items():
-                value = memo.get(comp)
-                if value is None:
-                    value = call(comp)
-                yield comp, coef.numerator * value.numerator, coef.denominator * value.denominator
-
-        return Fraction(rational_sum(products()))
+        vector = self._dense.get(n)
+        if vector is None:
+            values = [self(comp) for comp in compositions_of(n)]
+            common = lcm(*(value.denominator for value in values))
+            vector = self._dense[n] = ([value.numerator * (common // value.denominator) for value in values], common)
+        return vector
 
     def __repr__(self) -> str:
         label = self.name or "functional"

@@ -16,7 +16,10 @@ compositions_of(n): the first tensor slot of the iterated coproduct fixes
 alpha's first part k, and the compositions of n that begin with k are
 those of n - k, in the same order, in one block starting at 2^(n-1) -
 2^(n-k), so a coproduct term adds the right factor's whole table into one
-block.  Each image is built from its table in normal form once.  H enters
+block.  Each image is built from its table in normal form once, and a
+functional is paired with a label's image without building it: the table
+dotted with the functional's values at compositions_of(n), kept as int
+numerators over one denominator (CharacterPowerEvaluator.pair).  H enters
 through a HopfProvider: its coproduct as ((left, right), coefficient)
 pairs over basis labels, its grading and its unit label; the counit is
 derived from the grading.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Hashable, Iterable
 
 from .characters import basis_expand, f_to_g, require_normalized
@@ -121,7 +125,8 @@ class CharacterPowerEvaluator:
     adds into one block (_table).  The image zips compositions_of(n) with
     the table, drops the zeros and makes integral sums ints in
     elements.finished, and is stored in compositions_of order with no
-    second check.
+    second check.  pair(weight, label) reads a functional on the image
+    from the table alone, building no image.
     """
 
     def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction], basis: str):
@@ -143,7 +148,8 @@ class CharacterPowerEvaluator:
         A list of 2^(n-1) exact raw sums ([1] at degree 0), zeros kept.  The
         compositions of n that begin with k are (k, *beta) for beta in
         compositions_of(n - k), in that order, in the block that starts at
-        2^(n-1) - 2^(n-k); so a left factor of degree k > 0 weighs coef *
+        2^(n-1) - 2^(n-k); so a left factor of degree k > 0, whose right
+        factor must have degree n - k (else ValueError), weighs coef *
         phi(left) once, both checked as they are read, and adds that weight
         times each nonzero entry of the right factor's table into the block
         (a zero is skipped, so a Fraction weight costs no Fraction sums on
@@ -164,6 +170,10 @@ class CharacterPowerEvaluator:
                 k = degree(left)
                 if k == 0:
                     continue
+                if degree(right) != n - k:
+                    raise ValueError(
+                        f"the coproduct of {shown(label)} (degree {n}) has a term of degrees {k} and {degree(right)}"
+                    )
                 weight = exact_value(coef, label) * exact_value(self.phi(left), left)
                 if not weight:
                     continue
@@ -179,6 +189,18 @@ class CharacterPowerEvaluator:
     def __call__(self, label: Label) -> GradedElement:
         alphas = compositions_of(self.provider.degree(label))
         return normal_element(self.basis, finished(dict(zip(alphas, self._table(label)))))
+
+    def pair(self, weight: Functional, label: Label) -> Fraction:
+        """weight applied to the image of label, with no image built.
+
+        The label's table dotted with weight.dense(n), over its common
+        denominator: with an int table (every demo character's) one C-level
+        int dot product, and with Fraction entries the same exact sum.
+        weight is read at every composition of the label's degree, not only
+        where the image is nonzero.
+        """
+        numerators, common = weight.dense(self.provider.degree(label))
+        return Fraction(sum(map(mul, self._table(label), numerators)), common)
 
 
 def universal_to_qsym(provider: HopfProvider, zeta: Callable[[Label], Fraction]) -> CharacterPowerEvaluator:
@@ -253,14 +275,18 @@ def theta(h: GradedElement) -> GradedElement:
 def _transfer(
     morphism: CharacterPowerEvaluator, basis: str, weight: Functional, f: Functional
 ) -> Callable[[Label], Fraction]:
-    """h -> weight applied to morphism(h), memoized; morphism must map into basis."""
+    """h -> weight applied to morphism(h), memoized; morphism must map into basis.
+
+    Each value is morphism.pair(weight, h), which reads h's table and
+    builds no image; f is checked normalized up to h's degree first.
+    """
     if morphism.basis != basis:
         raise BasisMismatch(f"the transfer reads a morphism into {basis!r}, got one into {morphism.basis!r}")
 
     @lru_cache(maxsize=None)
     def transferred(label: Label) -> Fraction:
         require_normalized(f, morphism.provider.degree(label))
-        return weight.of_element(morphism(label))
+        return morphism.pair(weight, label)
 
     return transferred
 

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from qshuffle.characters import builtin
+from qshuffle.characters import builtin, f_to_g
 from qshuffle.compositions import Composition
 from qshuffle.demos import (
     SmallGraph,
@@ -28,11 +28,14 @@ from qshuffle.demos import (
     zeta_ones,
 )
 from qshuffle.elements import MONOMIAL, GradedElement, product
-from qshuffle.universal import HopfProvider, char_to_infchar, infchar_to_char, universal_to_qsym, universal_to_sh
+from qshuffle.universal import (
+    CharacterPowerEvaluator, HopfProvider, canonical, char_to_infchar, infchar_to_char, universal_to_qsym,
+    universal_to_sh,
+)
 
 from oracles import (
-    _proper_coloring_count, below, check_provider_multiplicativity, expand_polynomial, induced, order_ideals,
-    power_value, relabel,
+    _proper_coloring_count, below, check_provider_multiplicativity, expand_polynomial, induced, of_element,
+    order_ideals, power_image, power_value, relabel,
 )
 
 C = Composition
@@ -329,6 +332,32 @@ def test_eta_check_sweep():
         for p in all_posets(n):
             got, expected = eta_check(p)
             assert got == expected, p
+
+
+def test_transfers_build_no_image(monkeypatch):
+    # the oracle's values first; then every image build raises, and a fresh transfer over the held graph morphism
+    # (graph_infchar's body, without its cache) and eta_check still give them
+    weights = {name: f_to_g(builtin(name)) for name in ("type1", "type2")}
+    memo, eta = {}, canonical("eta")
+    graph_values = []
+    for g in (g for n in range(5) for g in all_graphs(n)):
+        image = power_image(graph_provider(), zeta_no_edges, g, memo)
+        graph_values.append((g, {name: of_element(weight, image) for name, weight in weights.items()}))
+    memo = {}
+    poset_values = [
+        (p, (of_element(eta, power_image(poset_provider(), zeta_ones, p, memo)), xi_unique_min(p)))
+        for p in (p for n in range(5) for p in all_posets(n))
+    ]
+
+    def built(self, label):
+        raise AssertionError(f"an image of {label} was built")
+
+    monkeypatch.setattr(CharacterPowerEvaluator, "__call__", built)
+    transfers = {name: graph_infchar.__wrapped__(builtin(name)) for name in weights}
+    for g, values in graph_values:
+        assert {name: transfer(g) for name, transfer in transfers.items()} == values, g
+    for p, values in poset_values:
+        assert eta_check(p) == values, p
 
 
 def test_providers_and_multiplicativity():

@@ -43,9 +43,11 @@ from qshuffle.compositions import (
 )
 from qshuffle.demos import (
     SmallPoset,
+    _chromatic_evaluator,
     _graph_coproduct,
     _induced_table,
     _inside,
+    _kp_evaluator,
     _poset_coproduct,
     _split_coproduct,
     all_graphs,
@@ -410,6 +412,21 @@ def test_transfers_match_the_fraction_oracles(f):
 DEMO_SIZE = 5
 
 
+def _halves(unit):
+    # Fraction values whose sums and products come out integral in some table entries
+    return lambda x: Fraction(1, 2) if x[0] else unit
+
+
+# the weights a pairing reads: the two closed-form duals, a solved dual with mixed denominators, and a character
+PAIRED = [f_to_g(builtin("type1")), f_to_g(builtin("type2")), f_to_g(builtin("combinatorial")), builtin("type1")]
+
+
+def _assert_pairings_match_the_oracle(morphism, label, image):
+    for weight in PAIRED:
+        value = morphism.pair(weight, label)
+        assert type(value) is Fraction and value == oracles.of_element(weight, image), (weight, label)
+
+
 def test_graph_fast_paths_match_their_oracles():
     # the two transferred infinitesimal characters, and their slow route: g on the oracle image
     transfers = [(graph_infchar(builtin(name)), f_to_g(builtin(name))) for name in ("type1", "type2")]
@@ -421,8 +438,8 @@ def test_graph_fast_paths_match_their_oracles():
             image = oracles.power_image(graph_provider(), zeta_no_edges, g, memo)
             assert chromatic_symmetric(g) == image, g
             for xi, weight in transfers:
-                value, slow = weight.of_element(image), oracles.of_element(weight, image)
-                assert xi(g) == slow and type(value) is Fraction and value == slow, g
+                assert xi(g) == oracles.of_element(weight, image), g
+            _assert_pairings_match_the_oracle(_chromatic_evaluator, g, image)
 
 
 def test_poset_fast_paths_match_their_oracles():
@@ -432,8 +449,24 @@ def test_poset_fast_paths_match_their_oracles():
             assert _poset_coproduct(p) == oracles.split_coproduct(p, oracles.order_ideals(p)), p
             image = oracles.power_image(poset_provider(), zeta_ones, p, memo)
             assert kp_generating_function(p) == image, p
-            value = eta.of_element(image)
+            value = _kp_evaluator.pair(eta, p)
             assert type(value) is Fraction and value == oracles.of_element(eta, image), p
+
+
+def test_pairings_with_fraction_tables_match_their_oracles():
+    # the halves phi's tables hold Fractions and zero blocks; the morphisms into the shuffle algebra are read by
+    # the character f itself, as infchar_to_char reads them
+    morphisms = [
+        (universal_to_qsym(graph_provider(), _halves(1)), all_graphs),
+        (universal_to_sh(poset_provider(), xi_unique_min), all_posets),
+        (universal_to_sh(poset_provider(), _halves(0)), all_posets),
+    ]
+    for morphism, structures in morphisms:
+        memo = {}
+        for label in (x for n in range(DEMO_SIZE) for x in structures(n)):
+            _assert_pairings_match_the_oracle(
+                morphism, label, oracles.power_image(morphism.provider, morphism.phi, label, memo)
+            )
 
 
 def test_inside_holds_the_pair_bits_of_each_mask():
@@ -496,18 +529,13 @@ def test_images_match_the_validated_build():
     # every graph and poset on at most 4 labels, into M and into X: the same terms in the same
     # order with the same types as when every term went through the validating constructor
     type1 = graph_infchar(builtin("type1"))
-
-    def halves(unit):
-        # Fraction values whose sums and products come out integral in some table entries
-        return lambda x: Fraction(1, 2) if x[0] else unit
-
     cases = [
         (graph_provider(), zeta_no_edges, MONOMIAL, all_graphs),
         (graph_provider(), type1, WORD, all_graphs),
-        (graph_provider(), halves(1), MONOMIAL, all_graphs),
+        (graph_provider(), _halves(1), MONOMIAL, all_graphs),
         (poset_provider(), zeta_ones, MONOMIAL, all_posets),
         (poset_provider(), xi_unique_min, WORD, all_posets),
-        (poset_provider(), halves(0), WORD, all_posets),
+        (poset_provider(), _halves(0), WORD, all_posets),
     ]
     def typed(elem):
         return [(key, type(key), value, type(value)) for key, value in elem.terms.items()]

@@ -6,11 +6,11 @@ from math import factorial
 
 import pytest
 
-from qshuffle.compositions import EMPTY, Composition, compositions_up_to
+from qshuffle.compositions import EMPTY, Composition, compositions_of, compositions_up_to
 from qshuffle.elements import MONOMIAL, WORD, GradedElement
 from qshuffle.errors import BasisMismatch, NonvanishingAtEmpty, WrongValueAtEmpty
 from qshuffle.functionals import Functional, exp_functional, log_functional
-from qshuffle.universal import canonical
+from qshuffle.universal import canonical, qsym_provider, universal_to_qsym
 from qshuffle.verify import is_character, is_infinitesimal_character
 
 import oracles
@@ -37,7 +37,7 @@ def test_functional_call_and_elements():
     assert zeta(C((2, 1))) == 0
     assert zeta((3,)) == 1  # coerced
     elem = GradedElement.basis_element(MONOMIAL, (2,)).scaled(3) + GradedElement.unit(MONOMIAL)
-    assert zeta.of_element(elem) == 4
+    assert oracles.of_element(zeta, elem) == 4
     assert repr(zeta) == "<zetaQ: empty -> 1>"
     assert repr(Functional(0, lambda c: 0)) == "<functional: empty -> 0>"
 
@@ -56,8 +56,10 @@ def test_floats_and_text_are_refused_not_converted():
     assert (phi.value_at_empty, phi(C((3,))), phi(C((1, 1, 1)))) == (1, 1, Fraction(3, 2))
 
 
-def test_of_element_reads_the_memo_and_calls_only_on_a_miss():
-    # a term at the empty composition, a memoised zero, a memoised nonzero value and one not yet computed
+def test_dense_vectors_read_each_value_once_through_call():
+    # the values at compositions_of(n) as int numerators over their lcm, built once per degree
+    computed = []
+
     class Counted(Functional):
         __slots__ = ("called",)
 
@@ -65,15 +67,31 @@ def test_of_element_reads_the_memo_and_calls_only_on_a_miss():
             self.called.append(comp)
             return super().__call__(comp)
 
-    f = Counted(Fraction(2, 3), lambda c: Fraction(c[0], c.length) if c.length > 1 else 0)
+    def fn(c):
+        computed.append(c)
+        return Fraction(c[0], c.length) if c.length > 1 else 0
+
+    f = Counted(Fraction(2, 3), fn)
     f.called = []
-    assert (f(C((4,))), f(C((3, 2)))) == (0, Fraction(3, 2))
+    assert f(C((2, 1))) == 1
     f.called.clear()
-    elem = GradedElement(MONOMIAL, {(): Fraction(1, 2), (4,): 5, (3, 2): Fraction(-1, 4), (2, 1, 1): 7})
-    total = f.of_element(elem)
-    # only the misses went through __call__: the empty composition and the value not yet computed
-    assert f.called == [EMPTY, C((2, 1, 1))]
-    assert type(total) is Fraction and total == oracles.of_element(f, elem) == Fraction(1, 3) - Fraction(3, 8) + Fraction(14, 3)
+    computed.clear()
+    numerators, common = f.dense(3)
+    # each composition of 3 went through __call__ once, and the memoised value at C[2,1] was not computed again
+    assert f.called == list(compositions_of(3))
+    assert computed == [c for c in compositions_of(3) if c != C((2, 1))]
+    assert all(type(num) is int for num in numerators) and common == 6
+    assert [Fraction(num, common) for num in numerators] == [Fraction(1, 3), Fraction(1, 2), 1, 0]
+    # a second pairing at the same degree calls nothing
+    morphism = universal_to_qsym(qsym_provider(), canonical("zetaQ"))
+    first = morphism.pair(f, C((1, 2)))
+    f.called.clear()
+    assert morphism.pair(f, C((1, 2))) == first and f.called == []
+    assert type(first) is Fraction and first == oracles.of_element(f, morphism(C((1, 2))))
+    # the degree-0 vector is [value_at_empty]
+    f.called.clear()
+    numerators, common = f.dense(0)
+    assert [Fraction(num, common) for num in numerators] == [f.value_at_empty] and f.called == [EMPTY]
 
 
 def test_convolution_unit():
@@ -130,7 +148,7 @@ def test_inverse_of_zeta_is_antipode_composite():
     zeta = canonical("zetaQ")
     inv = functional_inverse(zeta)
     for comp in compositions_up_to(DEGREE):
-        assert inv(comp) == zeta.of_element(antipode_by_recursion(MONOMIAL, comp))
+        assert inv(comp) == oracles.of_element(zeta, antipode_by_recursion(MONOMIAL, comp))
 
 
 def test_exp_log_preconditions():

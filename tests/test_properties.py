@@ -14,7 +14,9 @@ from qshuffle.compositions import compositions_of, pairs_up_to
 from qshuffle.demos import (
     SmallGraph,
     SmallPoset,
+    _chromatic_evaluator,
     _graph_coproduct,
+    _kp_evaluator,
     _poset_coproduct,
     chromatic_polynomial,
     chromatic_symmetric,
@@ -122,6 +124,14 @@ def test_integrality_matches_the_fraction_oracle_past_the_sweeps(name):
 GRAPH_MEMO: dict = {}
 POSET_MEMO: dict = {}
 ETA = canonical("eta")
+# the weights a pairing reads: eta, a closed-form dual, a solved dual with mixed denominators, and a character
+PAIRED = [ETA, G_TYPE1, f_to_g(builtin("combinatorial")), F_TYPE1]
+
+
+def _assert_pairings_match_the_oracle(morphism, label, image):
+    for weight in PAIRED:
+        value = morphism.pair(weight, label)
+        assert type(value) is Fraction and value == oracles.of_element(weight, image), (weight, label)
 
 
 @st.composite
@@ -144,7 +154,9 @@ def test_graph_fast_paths_match_their_oracles_past_the_sweeps(g):
     n = g.vertex_count
     subsets = [c for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
     assert _graph_coproduct(g) == oracles.split_coproduct(g, subsets)
-    assert chromatic_symmetric(g) == oracles.power_image(graph_provider(), zeta_no_edges, g, GRAPH_MEMO)
+    image = oracles.power_image(graph_provider(), zeta_no_edges, g, GRAPH_MEMO)
+    assert chromatic_symmetric(g) == image
+    _assert_pairings_match_the_oracle(_chromatic_evaluator, g, image)
 
 
 @PROFILE
@@ -153,7 +165,7 @@ def test_poset_fast_paths_match_their_oracles_past_the_sweeps(p):
     assert _poset_coproduct(p) == oracles.split_coproduct(p, oracles.order_ideals(p))
     image = kp_generating_function(p)
     assert image == oracles.power_image(poset_provider(), zeta_ones, p, POSET_MEMO)
-    assert ETA.of_element(image) == oracles.of_element(ETA, image)
+    _assert_pairings_match_the_oracle(_kp_evaluator, p, image)
 
 
 @st.composite
@@ -191,6 +203,7 @@ def _assert_images_match_the_validated_build(morphisms, label):
     for morphism, memo in morphisms:
         slow = oracles.validated_image(morphism.provider, morphism.phi, morphism.basis, label, memo)
         assert _typed(morphism(label)) == _typed(slow), (morphism.phi, label)
+        _assert_pairings_match_the_oracle(morphism, label, slow)
 
 
 @PROFILE

@@ -353,3 +353,29 @@ def test_transfers_evaluate_each_label_once():
         assert calls > 0
         assert fn(label) == value
         assert len(seen) == calls, transfer.__name__
+
+
+def test_a_coproduct_term_off_the_grading_is_refused():
+    # label b of degree 3 with a term (a, a), a of degree 1: the degrees 1 + 1 do not add up to 3, which used to
+    # write a's table into the wrong block (<M[1,1,1] + M[3]>); c of degree 3 on the right of a in the coproduct
+    # of a degree-2 label ran past the end of the table
+    degrees = {"e": 0, "a": 1, "b": 3, "c": 3, "d": 2}
+    terms = {
+        "e": [(("e", "e"), 1)],
+        "a": [(("e", "a"), 1), (("a", "e"), 1)],
+        "b": [(("e", "b"), 1), (("a", "a"), 1), (("b", "e"), 1)],
+        "c": [(("e", "c"), 1), (("c", "e"), 1)],
+        "d": [(("e", "d"), 1), (("a", "c"), 1), (("d", "e"), 1)],
+    }
+    provider = HopfProvider(terms.__getitem__, degrees.__getitem__, "e")
+    for make, phi in ((universal_to_qsym, lambda label: 1), (universal_to_sh, lambda label: int(label != "e"))):
+        morphism = make(provider, phi)
+        for label, left, right in (("b", 1, 1), ("d", 1, 3)):
+            n = degrees[label]
+            message = f"the coproduct of '{label}' (degree {n}) has a term of degrees {left} and {right}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                morphism(label)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                morphism.pair(canonical("zetaQ"), label)
+        # a provider that keeps the grading still maps
+        assert morphism("a") == GradedElement.basis_element(morphism.basis, (1,))

@@ -27,6 +27,8 @@ from qshuffle.demos import (
 from qshuffle.elements import MONOMIAL, TensorElement, coproduct, product
 from qshuffle.universal import canonical, universal_to_qsym, universal_to_sh
 
+import oracles
+
 MAX_LABELS = 4
 
 
@@ -36,7 +38,7 @@ def _labels(structures):
 
 def _factorization_failures(morphism, labels):
     read_back = canonical("zetaQ" if morphism.basis == MONOMIAL else "xiS")
-    return [x for x in labels if read_back.of_element(morphism(x)) != morphism.phi(x)]
+    return [x for x in labels if oracles.of_element(read_back, morphism(x)) != morphism.phi(x)]
 
 
 def _coalgebra_failures(morphism, labels):
