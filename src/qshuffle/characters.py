@@ -43,7 +43,7 @@ from .compositions import (
     shown_number,
     stats,
 )
-from .elements import GradedElement, MONOMIAL, WORD, coarsening_sum, parse_rational
+from .elements import GradedElement, MONOMIAL, WORD, coarsening_sum, exact_value, parse_rational
 from .errors import NotNormalized, PartOutOfRange, SingularCharacter, ZeroPrefixSum
 from .functionals import Functional
 
@@ -87,7 +87,7 @@ def _diagonal(f: Functional, comp: Composition) -> tuple[int, int]:
     for p in comp:
         n, d = f(single(p)).as_integer_ratio()
         if not n:
-            raise SingularCharacter(f"f(({p})) = 0")
+            raise SingularCharacter(f"f(({shown_number(p)})) = 0")
         num *= n
         den *= d
     return num, den
@@ -168,7 +168,8 @@ def qps_expand(f: Functional, alpha) -> GradedElement:
 def prefix_sum_character(tau: Callable[[int], Fraction], name: str | None = None) -> Functional:
     """f(alpha) = product over i of 1/(tau(a_1) + ... + tau(a_i)).
 
-    Raises ZeroPrefixSum if a prefix sum vanishes at evaluation time.
+    Each tau(p) is read through elements.exact_value, so a float or text
+    raises TypeError naming p; ZeroPrefixSum if a prefix sum vanishes.
     """
 
     def value(comp: Composition) -> Fraction:
@@ -177,7 +178,7 @@ def prefix_sum_character(tau: Callable[[int], Fraction], name: str | None = None
         num = den = 1
         run, run_den = 0, 1
         for i, p in enumerate(comp):
-            t, t_den = tau(p).as_integer_ratio()
+            t, t_den = exact_value(tau(p), p).as_integer_ratio()
             if t_den == run_den:
                 run += t
             else:
@@ -185,7 +186,7 @@ def prefix_sum_character(tau: Callable[[int], Fraction], name: str | None = None
                 common = gcd(run, run_den)
                 run, run_den = run // common, run_den // common
             if run == 0:
-                raise ZeroPrefixSum(f"prefix {Composition(comp[: i + 1])} has tau-sum 0")
+                raise ZeroPrefixSum(f"prefix {shown(Composition(comp[: i + 1]))} has tau-sum 0")
             num *= run_den
             den *= run
         return Fraction(num, den)
@@ -221,7 +222,7 @@ def ordered_partition_character(spec: OrderedPartitionSpec, name: str | None = N
         if spec.max_part is not None:
             for p in comp:
                 if p > spec.max_part:
-                    raise PartOutOfRange(f"part {p} exceeds declared bound {spec.max_part}")
+                    raise PartOutOfRange(f"part {shown_number(p)} exceeds declared bound {spec.max_part}")
         runs = [
             (cls, Composition(p for _, p in items))
             for cls, items in groupby(((spec.classify(p), p) for p in comp), key=lambda t: t[0])
@@ -323,7 +324,7 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 def builtin(name: str) -> Functional:
     """The five stock shuffle characters, by their registry names; one instance per name."""
     if name not in _BUILTINS:
-        raise ValueError(f"unknown basis {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+        raise ValueError(f"unknown basis {shown(name)}; known: {', '.join(BUILTIN_NAMES)}")
     return _BUILTINS[name][0]()
 
 
@@ -344,7 +345,7 @@ def resolve_basis(spec_text: str) -> Functional:
 
         def tau(n: int, table=tuple(values)) -> Fraction:
             if n > len(table):
-                raise PartOutOfRange(f"part {n} exceeds declared tau bound {len(table)}")
+                raise PartOutOfRange(f"part {shown_number(n)} exceeds declared tau bound {len(table)}")
             return table[n - 1]
 
         return prefix_sum_character(tau, name=spec_text)

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import demos
-from .characters import basis_contract, basis_expand, f_to_g, qps_expand, resolve_basis
+from .characters import basis_contract, basis_expand, f_to_g, qps_expand, require_normalized, resolve_basis
 from .compositions import (
     Composition, check_length, compositions_of, compositions_up_to, is_numeral, shown, shown_number, stats
 )
@@ -294,14 +294,11 @@ def _cmd_expand(args) -> tuple[str, int]:
 
 def _cmd_convert(args) -> tuple[str, int]:
     f, _, alpha = _basis_comp_args(args)
-    coords = basis_contract(f_to_g(f), alpha)
-    if args.kind == "qps":
-        tag = f"P({args.basis})"
-        terms = {beta: Fraction(coef, stats(beta).aut_count) for beta, coef in coords.items()}
-    else:
-        tag = f"X({args.basis})"
-        terms = coords
-    return _element_payload(GradedElement(tag, terms), args.format), 0
+    if args.kind == "shuffle":
+        return _element_payload(GradedElement(f"X({args.basis})", basis_contract(f_to_g(f), alpha)), args.format), 0
+    require_normalized(f, alpha.size)  # P_beta = aut(beta) X_beta is a power sum basis only for a normalized f
+    terms = {beta: Fraction(coef, stats(beta).aut_count) for beta, coef in basis_contract(f_to_g(f), alpha).items()}
+    return _element_payload(GradedElement(f"P({args.basis})", terms), args.format), 0
 
 
 def _cmd_table(args) -> tuple[str, int]:

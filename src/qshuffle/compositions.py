@@ -14,6 +14,7 @@ order, which is what makes tables reproducible byte for byte.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, permutations
@@ -115,22 +116,32 @@ MAX_SHOWN = 200
 
 
 def shown(value) -> str:
-    """An outside value as an error message quotes it: its repr when short, otherwise its kind and size.
+    """An outside value as an error message quotes it: its repr when short, otherwise its kind and size; never raises.
 
-    A text is sized by its characters, a list or dict by its entries (no repr is formed past MAX_SHOWN of them).
+    An int prints as shown_number prints it.  A text is sized by its characters, a tuple, list or dict by its entries
+    (no repr is formed past MAX_SHOWN of them), anything else by its repr, or by the digit limit its repr passed.
     """
     if type(value) is int:
         return shown_number(value)
     if isinstance(value, str):
         return repr(value) if len(value) <= MAX_SHOWN else f"a text of {len(value)} characters"
-    if not isinstance(value, (tuple, list, dict)) or len(value) <= MAX_SHOWN and len(repr(value)) <= MAX_SHOWN:
-        return repr(value)
-    return f"a {type(value).__name__} of {len(value)} entr{'y' if len(value) == 1 else 'ies'}"
+    kind, sized = type(value).__name__, isinstance(value, (tuple, list, dict))
+    entries = sized and f"a {kind} of {len(value)} entr{'y' if len(value) == 1 else 'ies'}"
+    if sized and len(value) > MAX_SHOWN:
+        return entries
+    try:
+        text = repr(value)
+    except ValueError:  # a number in value is past the interpreter's digit limit for str
+        return entries or f"a {kind} of more than {sys.get_int_max_str_digits()} digits"
+    return text if len(text) <= MAX_SHOWN else entries or f"a {kind} of {len(text)} characters"
 
 
 def shown_number(value) -> str:
-    """A number as an error message prints it: in full when short, otherwise by its digit count."""
-    text = str(value)
+    """A number as an error message prints it: in full when short, otherwise by its digit count; never raises."""
+    try:
+        text = str(value)
+    except ValueError:  # past the interpreter's digit limit for str
+        return f"a number of more than {sys.get_int_max_str_digits()} digits"
     return text if len(text) <= MAX_SHOWN else f"a number of {sum(c.isdigit() for c in text)} digits"
 
 
@@ -150,7 +161,7 @@ def canonical_key(comp: Composition) -> tuple:
 def compositions_of(n: int) -> tuple[Composition, ...]:
     """All compositions of n, lexicographic on parts.  2^(n-1) of them for n >= 1."""
     if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+        raise ValueError(f"need n >= 0, got {shown_number(n)}")
     if n == 0:
         return (EMPTY,)
     out = []

@@ -340,9 +340,9 @@ class SmallPoset(_LabelledPairs):
         rel = set(pairs)
         for a, b in rel:
             if (b, a) in rel:
-                raise ValueError(f"antisymmetry violated at {a},{b}")
+                raise ValueError(f"antisymmetry violated at {shown_number(a)},{shown_number(b)}")
         for a, b, d in _transitivity_gaps(rel):
-            raise ValueError(f"relation not transitively closed: {a}<{b}<{d}")
+            raise ValueError(f"relation not transitively closed: {shown_number(a)}<{shown_number(b)}<{shown_number(d)}")
         return rel
 
     @property
@@ -360,7 +360,7 @@ class SmallPoset(_LabelledPairs):
         rel = set(pairs)
         while missing := {(a, d) for a, _, d in _transitivity_gaps(rel)}:
             if cycle := [a for a, d in missing if a == d]:
-                raise ValueError(f"cover relations contain a cycle through {min(cycle)}")
+                raise ValueError(f"cover relations contain a cycle through {shown_number(min(cycle))}")
             rel |= missing
         return cls(n, rel)
 

@@ -44,6 +44,7 @@ from fractions import Fraction
 from .compositions import (
     EMPTY,
     Composition,
+    MAX_SHOWN,
     _quasi_shuffle_pairs,
     _shuffle_pairs,
     canonical_key,
@@ -70,7 +71,7 @@ def product_rule(basis: str):
     """
     rule = _PRODUCT_RULES.get(basis)
     if rule is None:
-        raise BasisMismatch(f"no product rule for basis {basis!r}")
+        raise BasisMismatch(f"no product rule for basis {shown(basis)}")
     return rule
 
 
@@ -92,32 +93,21 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"not an exact rational (an int, or text like -2/3 or 1.5): {shown(value)}")
 
 
-def as_coefficient(value) -> int | Fraction:
-    """An exact coefficient in normal form: an int, or a Fraction with denominator > 1.
-
-    A bool becomes an int and text goes through parse_rational; anything else
-    (a float) raises TypeError.
-    """
-    if type(value) is int:
-        return value
-    if isinstance(value, str):
-        value = parse_rational(value)
-    elif not isinstance(value, (int, Fraction)):
-        raise TypeError(f"not an exact rational: {value!r}")
-    return value.numerator if value.denominator == 1 else value
+def as_coefficient(value, at) -> int | Fraction:
+    """exact_value(value, at), with text parsed by parse_rational first."""
+    return exact_value(parse_rational(value) if isinstance(value, str) else value, at)
 
 
 def exact_value(value, at) -> int | Fraction:
-    """A value that code returned for at (a composition or a label), as as_coefficient gives it.
+    """A value read at at (a composition, a label or a part) in normal form: the one check of exact values.
 
-    The check for values from callables: an int or a Fraction comes back in
-    normal form and a bool as an int, but text is not parsed; text, like a
-    float, raises TypeError naming at.
+    An int or a Fraction comes back in normal form and a bool as an int.  Anything else, a float or a text
+    (which only as_coefficient parses), raises TypeError quoting the value and at through shown.
     """
     if type(value) is int:
         return value
     if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"not an exact rational: {shown(value)} (at {at})")
+        raise TypeError(f"not an exact rational: {shown(value)} (at {shown(at)})")
     return value.numerator if value.denominator == 1 else value
 
 
@@ -154,7 +144,8 @@ def _summed(terms, key_of) -> dict:
     through key_of, exact coefficients, repeated keys summed, then finished.
     """
     pairs = terms.items() if isinstance(terms, dict) else terms
-    return finished(add_terms({}, ((key_of(key), as_coefficient(coef)) for key, coef in pairs)))
+    keyed = ((key_of(key), coef) for key, coef in pairs)
+    return finished(add_terms({}, ((key, as_coefficient(coef, key)) for key, coef in keyed)))
 
 
 def _json_object(data, what: str, keys: tuple[str, ...]) -> dict:
@@ -215,7 +206,8 @@ class _TermMap:
 
     def _require_same_basis(self, other) -> None:
         if self.basis != other.basis:
-            raise BasisMismatch(f"{self.basis} vs {other.basis}")
+            bare = [b if isinstance(b, str) and len(b) <= MAX_SHOWN else shown(b) for b in (self.basis, other.basis)]
+            raise BasisMismatch(" vs ".join(bare))
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.basis == other.basis and self.terms == other.terms
@@ -233,7 +225,7 @@ class _TermMap:
         return self + (-other)
 
     def scaled(self, scalar):
-        s = as_coefficient(scalar)
+        s = as_coefficient(scalar, "scalar")
         return self._sum_of(self.basis, {k: s * v for k, v in self.terms.items()})
 
     __mul__ = __rmul__ = scaled
@@ -379,7 +371,7 @@ class TensorElement(_TermMap):
 def coproduct(h: GradedElement) -> TensorElement:
     """Deconcatenation coproduct, the same rule in both wired bases."""
     if h.basis not in _PRODUCT_RULES:
-        raise BasisMismatch(f"no coproduct for basis {h.basis!r}")
+        raise BasisMismatch(f"no coproduct for basis {shown(h.basis)}")
     # the splits of distinct compositions are distinct pairs, so no key repeats
     return TensorElement._normal(
         h.basis, {pair: coef for comp, coef in h.terms.items() for pair in deconcatenations(comp)}
@@ -397,7 +389,7 @@ def counit(h: GradedElement) -> int | Fraction:
 def antipode_word(h: GradedElement) -> GradedElement:
     """Antipode on the shuffle algebra: X[a1..al] -> (-1)^l X[al..a1]."""
     if h.basis != WORD:
-        raise BasisMismatch(f"closed-form word antipode needs basis {WORD!r}, got {h.basis!r}")
+        raise BasisMismatch(f"closed-form word antipode needs basis {WORD!r}, got {shown(h.basis)}")
     return GradedElement._normal(
         WORD, {comp.reverse(): -coef if comp.length % 2 else coef for comp, coef in h.terms.items()}
     )
@@ -434,7 +426,7 @@ def antipode_by_recursion(basis: str, comp) -> GradedElement:
     basis; this is the generic route with no closed form assumed.
     """
     if basis not in _PRODUCT_RULES:
-        raise BasisMismatch(f"no antipode for basis {basis!r}")
+        raise BasisMismatch(f"no antipode for basis {shown(basis)}")
     comp = Composition(comp)
     key = (basis, comp)
     cached = _antipode_cache.get(key)
@@ -460,7 +452,7 @@ def antipode_monomial(h: GradedElement) -> GradedElement:
     antipode_by_recursion is the generic route and this form's oracle.
     """
     if h.basis != MONOMIAL:
-        raise BasisMismatch(f"monomial antipode needs basis {MONOMIAL!r}, got {h.basis!r}")
+        raise BasisMismatch(f"monomial antipode needs basis {MONOMIAL!r}, got {shown(h.basis)}")
 
     def image(comp: Composition) -> GradedElement:
         return GradedElement._normal(MONOMIAL, dict.fromkeys(coarsenings(comp.reverse()), -1 if len(comp) % 2 else 1))
@@ -476,7 +468,7 @@ def power_sum(partition) -> GradedElement:
     """
     parts = list(partition)
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise NotAPartition(f"parts not weakly decreasing: {parts}")
+        raise NotAPartition(f"parts not weakly decreasing: {shown(parts)}")
     out = GradedElement.unit(MONOMIAL)
     for p in parts:
         out = product(out, GradedElement.basis_element(MONOMIAL, (p,)))

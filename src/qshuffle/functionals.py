@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .compositions import EMPTY, Composition, coarsening_products, compositions_of, rational_sum
+from .compositions import EMPTY, Composition, coarsening_products, compositions_of, rational_sum, shown, shown_number
 from .compositions import nonempty_splits  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
 from .elements import exact_value
 from .errors import NonvanishingAtEmpty, WrongValueAtEmpty
@@ -67,7 +67,7 @@ class Functional:
             if type(value) is not Fraction:
                 value = Fraction(exact_value(value, comp))
             if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_BITS:
-                raise ValueError(f"the value at {comp} has more than {MAX_BITS} bits")
+                raise ValueError(f"the value at {shown(comp)} has more than {MAX_BITS} bits")
             self._memo[comp] = value
         return value
 
@@ -109,7 +109,7 @@ def _split_series(phi: Functional, weight, value_at_empty) -> Functional:
 def exp_functional(xi: Functional) -> Functional:
     """exp under convolution: sum of xi^{*m} / m!; xi must vanish on the empty composition."""
     if xi.value_at_empty != 0:
-        raise NonvanishingAtEmpty(f"exp needs value 0 on the empty composition, got {xi.value_at_empty}")
+        raise NonvanishingAtEmpty(f"exp needs value 0 on the empty composition, got {shown_number(xi.value_at_empty)}")
     return _split_series(xi, lambda m: Fraction(1, factorial(m)), 1)
 
 
@@ -120,5 +120,5 @@ def log_functional(zeta: Functional) -> Functional:
     counit is zeta.
     """
     if zeta.value_at_empty != 1:
-        raise WrongValueAtEmpty(f"log needs value 1 on the empty composition, got {zeta.value_at_empty}")
+        raise WrongValueAtEmpty(f"log needs value 1 on the empty composition, got {shown_number(zeta.value_at_empty)}")
     return _split_series(zeta, lambda m: Fraction(-1 if m % 2 == 0 else 1, m), 0)

@@ -43,7 +43,7 @@ from operator import mul
 from typing import Callable, Hashable, Iterable
 
 from .characters import basis_expand, f_to_g, require_normalized
-from .compositions import Composition, EMPTY, compositions_of, deconcatenations, shown
+from .compositions import Composition, EMPTY, compositions_of, deconcatenations, shown, shown_number
 from .elements import GradedElement, MONOMIAL, WORD, exact_value, finished, linear_image, normal_element
 from .errors import BasisMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional
@@ -107,36 +107,35 @@ class CharacterPowerEvaluator:
     """The universal morphism of a Hopf algebra and a functional phi on it.
 
     Into basis M for a character phi (phi(unit) = 1), into X for an
-    infinitesimal one (phi(unit) = 0); phi's value at the unit label is
-    checked when the morphism is made, and every other value of phi and
-    every coefficient of the provider's coproduct where a table reads it,
-    through elements.exact_value (a float or text raises TypeError); that
-    phi is a character is the caller's job.  The morphism
-    maps a basis label h of degree n to the sum over the compositions
-    alpha of n of the value at h and alpha times b_alpha, as the universal
-    property fixes it on labels; elements.linear_image extends it to
-    elements.  That value is the scalar obtained by iterating the
-    provider's two-fold coproduct left to right, projecting to the
-    multidegree alpha, and applying phi to every tensor slot.  Each
-    label's values form one dense table, a list of exact sums indexed like
-    compositions_of(n), zeros kept, built in one pass over the label's
-    coproduct and kept for the morphism's lifetime; the compositions that
-    begin with k fill one contiguous block of it, so each coproduct term
-    adds into one block (_table).  The image zips compositions_of(n) with
-    the table, drops the zeros and makes integral sums ints in
-    elements.finished, and is stored in compositions_of order with no
-    second check.  pair(weight, label) reads a functional on the image
-    from the table alone, building no image.
+    infinitesimal one (phi(unit) = 0).  Every value of phi and every
+    coefficient of the provider's coproduct is checked by
+    elements.exact_value (a float or text raises TypeError): phi(unit)
+    when the morphism is made, the rest where a table reads them.  That
+    phi is a character is the caller's job.  The morphism maps a basis
+    label h of degree n to the sum over the compositions alpha of n of the
+    value at h and alpha times b_alpha, as the universal property fixes it
+    on labels; elements.linear_image extends it to elements.  That value
+    is the scalar obtained by iterating the provider's two-fold coproduct
+    left to right, projecting to the multidegree alpha, and applying phi
+    to every tensor slot.  Each label's values form one dense table, a
+    list of exact sums indexed like compositions_of(n), zeros kept, built
+    in one pass over the label's coproduct and kept for the morphism's
+    lifetime; the compositions that begin with k fill one contiguous block
+    of it, so each coproduct term adds into one block (_table).  The image
+    zips compositions_of(n) with the table, drops the zeros and makes
+    integral sums ints in elements.finished, and is stored in
+    compositions_of order with no second check.  pair(weight, label) reads
+    a functional on the image from the table alone, building no image.
     """
 
     def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction], basis: str):
         if basis not in (MONOMIAL, WORD):
-            raise BasisMismatch(f"a universal morphism maps into {MONOMIAL!r} or {WORD!r}, got {basis!r}")
-        value = phi(provider.unit_label)
+            raise BasisMismatch(f"a universal morphism maps into {MONOMIAL!r} or {WORD!r}, got {shown(basis)}")
+        value = exact_value(phi(provider.unit_label), provider.unit_label)
         if basis == MONOMIAL and value != 1:
-            raise NotACharacter(f"zeta(unit) = {value}, expected 1")
+            raise NotACharacter(f"zeta(unit) = {shown_number(value)}, expected 1")
         if basis == WORD and value != 0:
-            raise NotAnInfinitesimalCharacter(f"xi(unit) = {value}, expected 0")
+            raise NotAnInfinitesimalCharacter(f"xi(unit) = {shown_number(value)}, expected 0")
         self.provider = provider
         self.phi = phi
         self.basis = basis
@@ -171,9 +170,8 @@ class CharacterPowerEvaluator:
                 if k == 0:
                     continue
                 if degree(right) != n - k:
-                    raise ValueError(
-                        f"the coproduct of {shown(label)} (degree {n}) has a term of degrees {k} and {degree(right)}"
-                    )
+                    degrees = f"{shown_number(k)} and {shown_number(degree(right))}"
+                    raise ValueError(f"the coproduct of {shown(label)} (degree {n}) has a term of degrees {degrees}")
                 weight = exact_value(coef, label) * exact_value(self.phi(left), left)
                 if not weight:
                     continue
@@ -238,7 +236,7 @@ def canonical(name: str) -> Functional:
     """
     entry = _CANONICAL.get(name)
     if entry is None:
-        raise ValueError(f"unknown canonical functional {name!r}; known: {', '.join(CANONICAL_NAMES)}")
+        raise ValueError(f"unknown canonical functional {shown(name)}; known: {', '.join(CANONICAL_NAMES)}")
     return Functional(*entry, name=name)
 
 

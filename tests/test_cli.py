@@ -679,7 +679,7 @@ _ONES = ",".join(["1"] * MAX_DEGREE)
 @pytest.mark.parametrize(
     "argv",
     [
-        ("convert", "--basis", _WIDE_BASIS, "--comp", _ONES),
+        ("convert", "--basis", _WIDE_BASIS, "--comp", _ONES, "--kind", "shuffle"),
         ("psi", "--hopf", "qsym", "--basis", _WIDE_BASIS, "--input", _ONES),
         ("exp", "--functional", f"g:{_WIDE_BASIS}", "--degree", str(MAX_DEGREE)),
         ("log", "--functional", f"f:{_WIDE_BASIS}", "--degree", str(MAX_DEGREE)),
@@ -745,8 +745,23 @@ def test_reads_stop_where_the_parent_kernel_stopped(capsys):
     # for coarsening (3) the scale g((3)) is read before any block, and it is
     # past the declared tau bound; a walk that multiplied blocks first would
     # report the zero prefix sum of f((1,2)) instead
-    code, out, err = invoke(capsys, "convert", "--basis", "prefix-sum:-1,1", "--comp", "1,2")
+    code, out, err = invoke(capsys, "convert", "--basis", "prefix-sum:-1,1", "--comp", "1,2", "--kind", "shuffle")
     assert (code, out, err) == (1, "", "error: part 3 exceeds declared tau bound 2\n")
+
+
+@pytest.mark.parametrize(
+    "basis, comp, message",
+    [
+        ("prefix-sum:2", "1", "f((1)) = 1/2, expected 1"),
+        ("prefix-sum:-1,1", "1,2", "f((1)) = -1, expected 1"),
+        (_WIDE_BASIS, _ONES, f"f((2)) = a number of {MAX_DIGITS + 1} digits, expected 1"),
+    ],
+    ids=("half", "negative", "wide"),
+)
+def test_convert_to_power_sums_needs_a_normalized_basis(capsys, basis, comp, message):
+    # P_alpha = aut(alpha) X_alpha is a power sum basis only for a normalized f: convert refuses the rest as expand does
+    for command in ("expand", "convert"):
+        assert invoke(capsys, command, "--basis", basis, "--comp", comp) == (1, "", f"error: {message}\n"), command
 
 
 @pytest.mark.parametrize(
@@ -1126,6 +1141,14 @@ def test_records_are_read_only_values():
         assert positional == by_keyword
     assert OrderedPartitionSpec(abs, abs, builtin).max_part is None
     assert str(records[-1][0]) == "aut(C[1,2]) f(C[1,2], C[3]) = 2/3"
+    # equal providers hash equal, so they key one dict entry; a report equals no tuple of its fields
+    provider, same = records[2]
+    assert hash(provider) == hash(same) and len({provider: 1, same: 2}) == 1
+    report = VerifyReport("t", [CheckResult("c", None)])
+    assert report != ("t", report.checks) and ("t", report.checks) != report
+    # each repr names its fields
+    assert repr(provider) == f"HopfProvider(coproduct={coproduct!r}, degree={degree!r}, unit_label=C[-])"
+    assert repr(report) == "VerifyReport(title='t', checks=[CheckResult(name='c', witness=None)])"
     # a provider keeps an instance __dict__, so code that wraps the functions an object holds reaches them
     assert {"coproduct", "degree", "unit_label"} <= set(vars(qsym_provider()))
 

@@ -1,5 +1,6 @@
 """Composition combinatorics against independent enumeration oracles."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -22,6 +23,8 @@ from qshuffle.compositions import (
     partitions_of,
     quasi_shuffle,
     rearrangements,
+    shown,
+    shown_number,
     shuffle,
     stats,
 )
@@ -123,6 +126,20 @@ def test_composition_rejects_non_int_parts(parts):
         C(parts)
     with pytest.raises(ValueError):
         C((1,)) + list(parts)
+
+
+def test_shown_names_a_number_past_the_digit_limit_by_its_kind():
+    # str and repr refuse an int of more than sys.get_int_max_str_digits() digits; the message quotes none
+    past = f"more than {sys.get_int_max_str_digits()} digits"
+    huge = 10**5000
+    for value, phrase in ((huge, f"a number of {past}"), ([huge], "a list of 1 entry"), (Fraction(huge, 3), f"a Fraction of {past}")):
+        assert shown(value) == phrase
+        assert shown_number(value) == f"a number of {past}"
+    with pytest.raises(ValueError, match=f"^composition parts must be positive ints, got a number of {past}$"):
+        C([-huge])
+    # a value short enough to print prints as before: text and containers by their repr, numbers in full
+    assert [shown("nope"), shown([1, 2]), shown(Fraction(1, 2)), shown(True)] == ["'nope'", "[1, 2]", "Fraction(1, 2)", "True"]
+    assert [shown_number(-7), shown_number(Fraction(-3, 4))] == ["-7", "-3/4"]
 
 
 def test_composition_argument_passes_through_unchanged():

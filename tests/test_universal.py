@@ -1,6 +1,7 @@
 """Universal morphisms, canonical functionals, theta, character bijections."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,26 @@ import pytest
 from qshuffle.characters import BUILTIN_NAMES, basis_contract, basis_expand, builtin, f_to_g, prefix_sum_character
 from qshuffle.compositions import EMPTY, Composition, compositions_of, compositions_up_to, deconcatenations
 from qshuffle.demos import SmallPoset, all_graphs, all_posets, graph_provider, poset_provider
-from qshuffle.elements import MONOMIAL, WORD, GradedElement, format_element, linear_image, product
+from qshuffle.elements import (
+    MONOMIAL,
+    WORD,
+    GradedElement,
+    antipode_by_recursion,
+    antipode_monomial,
+    antipode_word,
+    coproduct,
+    format_element,
+    linear_image,
+    product,
+    product_rule,
+)
 from qshuffle.errors import (
     BasisMismatch,
     NotACharacter,
     NotAnInfinitesimalCharacter,
     NotNormalized,
 )
-from qshuffle.functionals import exp_functional, log_functional
+from qshuffle.functionals import Functional, exp_functional, log_functional
 from qshuffle.universal import (
     CANONICAL_NAMES,
     CharacterPowerEvaluator,
@@ -118,7 +131,7 @@ def test_universal_preconditions():
 
 
 def test_float_values_are_refused_on_the_first_label():
-    # 1.0 and 0.0 pass the unit checks, which compare by value; the table reads every other value exactly
+    # the unit value is checked exactly when the morphism is made; the table reads every other value exactly
     reads = []
 
     def floats(unit_value):
@@ -129,10 +142,10 @@ def test_float_values_are_refused_on_the_first_label():
         return phi
 
     cases = [
-        (universal_to_qsym, qsym_provider(), 1.0, C((2, 1))),
-        (universal_to_sh, qsym_provider(), 0.0, C((1,))),
-        (universal_to_qsym, poset_provider(), 1.0, SmallPoset(2, [(1, 2)])),
-        (universal_to_sh, poset_provider(), 0.0, SmallPoset(1)),
+        (universal_to_qsym, qsym_provider(), 1, C((2, 1))),
+        (universal_to_sh, qsym_provider(), 0, C((1,))),
+        (universal_to_qsym, poset_provider(), 1, SmallPoset(2, [(1, 2)])),
+        (universal_to_sh, poset_provider(), 0, SmallPoset(1)),
     ]
     for make, provider, unit_value, label in cases:
         reads.clear()
@@ -142,6 +155,9 @@ def test_float_values_are_refused_on_the_first_label():
             morphism(label)
         # refused at the first value of positive degree the table read
         assert len(reads) == 2 and provider.degree(reads[1]) > 0
+        # a float at the unit, equal in value to the exact one, is refused when the morphism is made
+        with pytest.raises(TypeError, match=re.escape(f"not an exact rational: {float(unit_value)} (at ")):
+            make(provider, lambda label: float(unit_value))
     # so is a float coefficient of the provider's coproduct
     halves = HopfProvider(lambda label: [(pair, 0.5) for pair in deconcatenations(label)], qsym_provider().degree, EMPTY)
     with pytest.raises(TypeError, match="not an exact rational: 0.5"):
@@ -165,6 +181,77 @@ def test_text_values_are_refused_not_parsed():
     ones = HopfProvider(lambda label: [(pair, "1") for pair in deconcatenations(label)], qsym_provider().degree, EMPTY)
     with pytest.raises(TypeError, match=re.escape("not an exact rational: '1' (at C[2,1])")):
         universal_to_qsym(ones, canonical("zetaQ"))(C((2, 1)))
+
+
+def _unit_value(value):
+    """phi with value at the unit label, and 1 everywhere else."""
+    return lambda label: value if label == EMPTY else 1
+
+
+_LONG = "x" * 100_000
+_LONG_TAG = GradedElement(_LONG, {(1,): 1})
+_PAST = f"a number of more than {sys.get_int_max_str_digits()} digits"
+# label a of degree 2 whose one coproduct term has a left factor of degree 10**5000
+_HUGE_LEFT_DEGREE = HopfProvider(lambda label: [(("l", "r"), 1)], {"u": 0, "a": 2, "l": 10**5000, "r": 5}.get, "u")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GradedElement(MONOMIAL, {(1,): [1] * 20000}), TypeError,
+         "not an exact rational: a list of 20000 entries (at C[1])"),
+        (lambda: M(1).scaled([1] * 20000), TypeError, "not an exact rational: a list of 20000 entries (at 'scalar')"),
+        (lambda: universal_to_qsym(qsym_provider(), _unit_value(1.0)), TypeError, "not an exact rational: 1.0 (at C[-])"),
+        (lambda: universal_to_sh(qsym_provider(), _unit_value(0.0)), TypeError, "not an exact rational: 0.0 (at C[-])"),
+        (lambda: universal_to_qsym(qsym_provider(), _unit_value("1")), TypeError, "not an exact rational: '1' (at C[-])"),
+        (lambda: universal_to_qsym(qsym_provider(), _unit_value(10**5000)), NotACharacter,
+         f"zeta(unit) = {_PAST}, expected 1"),
+        (lambda: universal_to_sh(qsym_provider(), _unit_value(10**5000)), NotAnInfinitesimalCharacter,
+         f"xi(unit) = {_PAST}, expected 0"),
+        (lambda: prefix_sum_character(lambda n: 0.1)((1,)), TypeError, "not an exact rational: 0.1 (at 1)"),
+        (lambda: prefix_sum_character(lambda n: "1")((2, 1)), TypeError, "not an exact rational: '1' (at 2)"),
+        (lambda: builtin(_LONG), ValueError, f"unknown basis a text of 100000 characters; known: {', '.join(BUILTIN_NAMES)}"),
+        (lambda: canonical(_LONG), ValueError,
+         f"unknown canonical functional a text of 100000 characters; known: {', '.join(CANONICAL_NAMES)}"),
+        (lambda: CharacterPowerEvaluator(qsym_provider(), canonical("zetaQ"), _LONG), BasisMismatch,
+         "a universal morphism maps into 'M' or 'X', got a text of 100000 characters"),
+        (lambda: product_rule(_LONG), BasisMismatch, "no product rule for basis a text of 100000 characters"),
+        (lambda: _LONG_TAG + M(1), BasisMismatch, "a text of 100000 characters vs M"),
+        (lambda: M(1) - _LONG_TAG, BasisMismatch, "M vs a text of 100000 characters"),
+        (lambda: product(_LONG_TAG, M(1)), BasisMismatch, "a text of 100000 characters vs M"),
+        (lambda: coproduct(_LONG_TAG), BasisMismatch, "no coproduct for basis a text of 100000 characters"),
+        (lambda: antipode_word(_LONG_TAG), BasisMismatch,
+         "closed-form word antipode needs basis 'X', got a text of 100000 characters"),
+        (lambda: antipode_by_recursion(_LONG, (1,)), BasisMismatch, "no antipode for basis a text of 100000 characters"),
+        (lambda: antipode_monomial(_LONG_TAG), BasisMismatch,
+         "monomial antipode needs basis 'M', got a text of 100000 characters"),
+        (lambda: Functional(1, lambda comp: 0.5)((1,) * 100_000), TypeError,
+         "not an exact rational: 0.5 (at a Composition of 100000 entries)"),
+        (lambda: Composition([-10**5000]), ValueError, f"composition parts must be positive ints, got {_PAST}"),
+        (lambda: universal_to_qsym(_HUGE_LEFT_DEGREE, _unit_value(1))("a"), ValueError,
+         f"the coproduct of 'a' (degree 2) has a term of degrees {_PAST} and 5"),
+    ],
+    ids=[
+        "coefficient", "scalar", "unit-float-qsym", "unit-float-sh", "unit-text", "unit-huge-qsym", "unit-huge-sh",
+        "tau-float", "tau-text", "builtin", "canonical", "evaluator-basis", "product-rule", "add", "subtract",
+        "product", "coproduct", "antipode-word", "antipode-by-recursion", "antipode-monomial", "functional-at",
+        "composition-part", "provider-degree",
+    ],
+)
+def test_outside_values_end_in_their_own_one_line_error(call, error, message):
+    # each quoted its value whole, accepted it, or raised another error, before every value went through
+    # exact_value and every quote through shown
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message and len(message) < 200 and "\n" not in message
+
+
+def test_short_values_print_as_before_and_exact_units_are_kept():
+    with pytest.raises(ValueError, match=re.escape(f"unknown basis 'nope'; known: {', '.join(BUILTIN_NAMES)}")):
+        builtin("nope")
+    # exact unit values are taken as they are, a bool as an int
+    assert universal_to_qsym(qsym_provider(), _unit_value(True))(C((2,))) == M(2)
+    assert universal_to_sh(qsym_provider(), _unit_value(Fraction(0)))(C((2,))) == GradedElement(WORD, {(2,): 1})
 
 
 def test_integral_fraction_values_of_phi_give_normal_form_images():
