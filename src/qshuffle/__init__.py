@@ -59,7 +59,6 @@ from .universal import (
     canonical,
     char_to_infchar,
     infchar_to_char,
-    qsym_provider,
     theta,
     universal_to_qsym,
     universal_to_sh,
@@ -117,8 +116,7 @@ __all__ = [
     "even_odd_character", "f_to_g", "g_to_f", "normalize", "order_basis_character",
     "ordered_partition_character", "prefix_sum_character", "qps_expand", "resolve_basis",
     "CANONICAL_NAMES", "CharacterPowerEvaluator", "HopfProvider", "canonical", "char_to_infchar",
-    "infchar_to_char", "qsym_provider", "theta", "universal_to_qsym",
-    "universal_to_sh",
+    "infchar_to_char", "theta", "universal_to_qsym", "universal_to_sh",
     "SmallGraph", "SmallPoset", "all_graphs", "all_posets", "chromatic_polynomial",
     "chromatic_symmetric", "eta_check", "format_polynomial", "graph_infchar",
     "graph_infchar_two_ways", "graph_provider", "kp_generating_function", "poset_provider",

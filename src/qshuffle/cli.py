@@ -23,12 +23,12 @@ from typing import Callable, NamedTuple
 from . import demos
 from .characters import basis_contract, basis_expand, f_to_g, qps_expand, require_normalized, resolve_basis
 from .compositions import (
-    Composition, check_length, compositions_of, compositions_up_to, is_numeral, shown, shown_number, stats
+    EMPTY, Composition, check_length, compositions_of, compositions_up_to, is_numeral, shown, shown_number, stats
 )
-from .elements import GradedElement, MONOMIAL, WORD, format_element
+from .elements import GradedElement, MONOMIAL, WORD, coarsening_sum, format_element
 from .errors import EngineError
 from .functionals import exp_functional, log_functional
-from .universal import CANONICAL_NAMES, canonical, qsym_provider, theta, universal_to_qsym, universal_to_sh
+from .universal import CANONICAL_NAMES, canonical, require_unit_value, theta, universal_to_sh
 from .verify import REQUIRED, SUITES
 
 MAX_DEGREE = 10
@@ -89,13 +89,13 @@ def build_parser() -> _Parser:
         s.add_argument("--functional", required=True, help="canonical name, f:<basis>, or g:<basis>")
 
     s = sub.add_parser("phi", help="universal morphism into the quasisymmetric algebra")
-    _add_common(s, partial(_cmd_morphism, flag="char", morphism=universal_to_qsym))
+    _add_common(s, partial(_cmd_morphism, flag="char"))
     s.add_argument("--hopf", choices=[name for name, entry in HOPF_INPUTS.items() if entry.phi], required=True)
     s.add_argument("--input", required=True, help="graph/poset literal or composition text")
     s.add_argument("--char", default=None, help="canonical character name (qsym only)")
 
     s = sub.add_parser("psi", help="universal morphism into the shuffle algebra")
-    _add_common(s, partial(_cmd_morphism, flag="basis", morphism=universal_to_sh), basis=True)
+    _add_common(s, partial(_cmd_morphism, flag="basis"), basis=True)
     s.add_argument("--hopf", choices=list(HOPF_INPUTS), required=True)
     s.add_argument("--input", required=True, help="graph/poset literal or composition text")
 
@@ -149,20 +149,23 @@ def _parse_literal(parse, text: str):
 
 
 def _canonical_char(name: str):
+    """The canonical functional that --char names, refused unless it is 1 at the unit, as a character is."""
     if name not in CANONICAL_NAMES:
         raise CliUsageError(f"--char must be one of {', '.join(CANONICAL_NAMES)}")
-    return canonical(name)
+    char = canonical(name)
+    require_unit_value(char, EMPTY, MONOMIAL)
+    return char
 
 
 class _HopfInput(NamedTuple):
-    """One --hopf name: its --input parser under the size cap, its provider, and the characters of phi and psi.
+    """One --hopf name: its --input parser under the size cap, and the morphisms of phi and psi.
 
-    Each character is (the default of the command's flag, or None where the flag does not apply,
-    and the maker called with the flag's value); phi is None where phi does not apply.
+    Each is (the default of the command's flag, or None where the flag does not apply, and the maker that
+    returns the label -> image map for the flag's value); phi is None where phi does not apply.  Graph and
+    poset phi are the morphisms demos holds; QSym's and Sh's are the coarsening walk, elements.coarsening_sum.
     """
 
     parse: Callable[[str], object]
-    provider: Callable[[], object]
     phi: tuple | None
     psi: tuple
 
@@ -170,17 +173,19 @@ class _HopfInput(NamedTuple):
 _COMP_INPUT = partial(_parse_comp, flag="--input")
 HOPF_INPUTS = {
     "graph": _HopfInput(
-        partial(_parse_literal, demos.SmallGraph.from_text), demos.graph_provider,
-        (None, lambda _: demos.zeta_no_edges), ("type1", lambda basis: demos.graph_infchar(resolve_basis(basis))),
+        partial(_parse_literal, demos.SmallGraph.from_text), (None, lambda _: demos.chromatic_symmetric),
+        ("type1", lambda basis: universal_to_sh(demos.graph_provider(), demos.graph_infchar(resolve_basis(basis)))),
     ),
     "poset": _HopfInput(
-        partial(_parse_literal, demos.SmallPoset.from_cover_text), demos.poset_provider,
-        (None, lambda _: demos.zeta_ones), (None, lambda _: demos.xi_unique_min),
+        partial(_parse_literal, demos.SmallPoset.from_cover_text), (None, lambda _: demos.kp_generating_function),
+        (None, lambda _: universal_to_sh(demos.poset_provider(), demos.xi_unique_min)),
     ),
     "qsym": _HopfInput(
-        _COMP_INPUT, qsym_provider, ("zetaQ", _canonical_char), ("type2", lambda basis: f_to_g(resolve_basis(basis)))
+        _COMP_INPUT,
+        ("zetaQ", lambda name: partial(coarsening_sum, MONOMIAL, _canonical_char(name))),
+        ("type2", lambda basis: partial(coarsening_sum, WORD, f_to_g(resolve_basis(basis)))),
     ),
-    "sh": _HopfInput(_COMP_INPUT, qsym_provider, None, (None, lambda _: canonical("xiS"))),
+    "sh": _HopfInput(_COMP_INPUT, None, (None, lambda _: partial(coarsening_sum, WORD, canonical("xiS")))),
 }
 
 
@@ -350,16 +355,15 @@ def _cmd_exp_log(args, apply) -> tuple[str, int]:
     return _functional_payload(side, values, args.format), 0
 
 
-def _cmd_morphism(args, flag, morphism) -> tuple[str, int]:
-    """phi or psi on the --hopf entry: refuse a flag that does not apply, parse --input, then make the character."""
+def _cmd_morphism(args, flag) -> tuple[str, int]:
+    """phi or psi on the --hopf entry: refuse a flag that does not apply, parse --input, then make the morphism."""
     entry = HOPF_INPUTS[args.hopf]
     default, make = getattr(entry, args.command)
     value = getattr(args, flag)
     if default is None:
         _refuse(value, f"--{flag}", f"--hopf {args.hopf}")
     h = entry.parse(args.input)
-    elem = morphism(entry.provider(), make(value or default))(h)
-    return _element_payload(elem, args.format), 0
+    return _element_payload(make(value or default)(h), args.format), 0
 
 
 def _demo_report(lines: list[str], left, right) -> tuple[str, int]:

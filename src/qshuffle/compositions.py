@@ -136,6 +136,11 @@ def shown(value) -> str:
     return text if len(text) <= MAX_SHOWN else entries or f"a {kind} of {len(text)} characters"
 
 
+def shown_name(value) -> str:
+    """A name or tag as an error message prints it: a short one-line text bare, anything else as shown quotes it."""
+    return value if isinstance(value, str) and len(value) <= MAX_SHOWN and value.isprintable() else shown(value)
+
+
 def shown_number(value) -> str:
     """A number as an error message prints it: in full when short, otherwise by its digit count; never raises."""
     try:

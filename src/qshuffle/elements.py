@@ -44,7 +44,6 @@ from fractions import Fraction
 from .compositions import (
     EMPTY,
     Composition,
-    MAX_SHOWN,
     _quasi_shuffle_pairs,
     _shuffle_pairs,
     canonical_key,
@@ -54,6 +53,7 @@ from .compositions import (
     deconcatenations,
     rational,
     shown,
+    shown_name,
 )
 from .errors import BasisMismatch, NotAPartition
 
@@ -206,8 +206,7 @@ class _TermMap:
 
     def _require_same_basis(self, other) -> None:
         if self.basis != other.basis:
-            bare = [b if isinstance(b, str) and len(b) <= MAX_SHOWN else shown(b) for b in (self.basis, other.basis)]
-            raise BasisMismatch(" vs ".join(bare))
+            raise BasisMismatch(f"{shown_name(self.basis)} vs {shown_name(other.basis)}")
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.basis == other.basis and self.terms == other.terms

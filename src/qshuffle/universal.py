@@ -8,26 +8,22 @@ QSym by reading off the multidegree components of iterated coproducts:
 
 and an infinitesimal character xi likewise maps H into the shuffle algebra
 with x_alpha in place of M_alpha.  universal_to_qsym and universal_to_sh
-return that morphism as one object on basis labels, checked at the unit
-when it is made and memoised per label for as long as it is held; every
-other value of the character is checked to be exact where the label's
-table reads it.  A label's table is a dense vector of values indexed like
-compositions_of(n): the first tensor slot of the iterated coproduct fixes
-alpha's first part k, and the compositions of n that begin with k are
-those of n - k, in the same order, in one block starting at 2^(n-1) -
-2^(n-k), so a coproduct term adds the right factor's whole table into one
-block.  Each image is built from its table in normal form once, and a
-functional is paired with a label's image without building it: the table
-dotted with the functional's values at compositions_of(n), kept as int
-numerators over one denominator (CharacterPowerEvaluator.pair).  H enters
-through a HopfProvider: its coproduct as ((left, right), coefficient)
-pairs over basis labels, its grading and its unit label; the counit is
-derived from the grading.
-qsym_provider() serves both QSym and the shuffle algebra, since both have
-the same deconcatenation coproduct on composition labels.  Reading a
-morphism's images with a shuffle basis or its dual triangular data turns
-characters into infinitesimal characters and back; with the 1/length!
-basis this is exactly convolution log and exp.
+return that morphism as one object on basis labels (CharacterPowerEvaluator),
+checked at the unit when it is made and memoised per label, as one dense
+table of values in compositions_of order, for as long as it is held; a
+functional is paired with a label's image from its table, with no image
+built.  H enters through a HopfProvider: its coproduct as ((left, right),
+coefficient) pairs over basis labels, its grading and its unit label; the
+counit is derived from the grading.
+
+On QSym and the shuffle algebra themselves, whose coproduct is
+deconcatenation, the value at alpha and beta is phi multiplied over the
+blocks of alpha that sum to the parts of beta: the change of basis that
+elements.coarsening_sum walks is their one universal morphism (for QSym
+and g, the inverse of the shuffle-basis isomorphism), and no provider for
+them is built here.  Reading a morphism's images with a shuffle basis or
+its dual triangular data turns characters into infinitesimal characters
+and back; with the 1/length! basis this is exactly convolution log and exp.
 
 The module also owns the canonical functionals on the two algebras (the
 unit-indicator character, its sign twist, their convolution quotient nu, the
@@ -43,7 +39,7 @@ from operator import mul
 from typing import Callable, Hashable, Iterable
 
 from .characters import basis_expand, f_to_g, require_normalized
-from .compositions import Composition, EMPTY, compositions_of, deconcatenations, shown, shown_number
+from .compositions import Composition, compositions_of, shown, shown_name, shown_number
 from .elements import GradedElement, MONOMIAL, WORD, exact_value, finished, linear_image, normal_element
 from .errors import BasisMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional
@@ -77,7 +73,7 @@ class HopfProvider:
         vars(self).update(coproduct=coproduct, degree=degree, unit_label=unit_label)
 
     def __setattr__(self, name, value=None):
-        raise AttributeError(f"HopfProvider.{name} is read-only")
+        raise AttributeError(f"HopfProvider.{shown_name(name)} is read-only")
 
     __delattr__ = __setattr__
 
@@ -91,16 +87,15 @@ class HopfProvider:
         return f"HopfProvider({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
 
-_DECONCATENATION = HopfProvider(
-    coproduct=lambda label: tuple((pair, 1) for pair in deconcatenations(label)),
-    degree=lambda label: Composition(label).size,
-    unit_label=EMPTY,
-)
-
-
-def qsym_provider() -> HopfProvider:
-    """QSym itself, monomial labels with deconcatenation; the shuffle algebra too, on word labels."""
-    return _DECONCATENATION
+def require_unit_value(phi: Callable[[Label], Fraction], unit_label: Label, basis: str) -> None:
+    """phi(unit_label), read through elements.exact_value, is 1 into M and 0 into X; BasisMismatch for another basis."""
+    if basis not in (MONOMIAL, WORD):
+        raise BasisMismatch(f"a universal morphism maps into {MONOMIAL!r} or {WORD!r}, got {shown(basis)}")
+    value = exact_value(phi(unit_label), unit_label)
+    if basis == MONOMIAL and value != 1:
+        raise NotACharacter(f"zeta(unit) = {shown_number(value)}, expected 1")
+    if basis == WORD and value != 0:
+        raise NotAnInfinitesimalCharacter(f"xi(unit) = {shown_number(value)}, expected 0")
 
 
 class CharacterPowerEvaluator:
@@ -110,32 +105,24 @@ class CharacterPowerEvaluator:
     infinitesimal one (phi(unit) = 0).  Every value of phi and every
     coefficient of the provider's coproduct is checked by
     elements.exact_value (a float or text raises TypeError): phi(unit)
-    when the morphism is made, the rest where a table reads them.  That
-    phi is a character is the caller's job.  The morphism maps a basis
+    when the morphism is made (require_unit_value), the rest where a table
+    reads them, and so is each degree where its label's table is made.
+    That phi is a character is the caller's job.  The morphism maps a basis
     label h of degree n to the sum over the compositions alpha of n of the
     value at h and alpha times b_alpha, as the universal property fixes it
     on labels; elements.linear_image extends it to elements.  That value
     is the scalar obtained by iterating the provider's two-fold coproduct
     left to right, projecting to the multidegree alpha, and applying phi
-    to every tensor slot.  Each label's values form one dense table, a
-    list of exact sums indexed like compositions_of(n), zeros kept, built
-    in one pass over the label's coproduct and kept for the morphism's
-    lifetime; the compositions that begin with k fill one contiguous block
-    of it, so each coproduct term adds into one block (_table).  The image
-    zips compositions_of(n) with the table, drops the zeros and makes
-    integral sums ints in elements.finished, and is stored in
-    compositions_of order with no second check.  pair(weight, label) reads
-    a functional on the image from the table alone, building no image.
+    to every tensor slot.  Each label's values form one dense table
+    (_table), built in one pass over its coproduct and kept for the
+    morphism's lifetime.  The image zips compositions_of(n) with the
+    table, drops the zeros and makes integral sums ints in
+    elements.finished, with no second check; pair(weight, label) reads a
+    functional on the image from the table alone, building no image.
     """
 
     def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction], basis: str):
-        if basis not in (MONOMIAL, WORD):
-            raise BasisMismatch(f"a universal morphism maps into {MONOMIAL!r} or {WORD!r}, got {shown(basis)}")
-        value = exact_value(phi(provider.unit_label), provider.unit_label)
-        if basis == MONOMIAL and value != 1:
-            raise NotACharacter(f"zeta(unit) = {shown_number(value)}, expected 1")
-        if basis == WORD and value != 0:
-            raise NotAnInfinitesimalCharacter(f"xi(unit) = {shown_number(value)}, expected 0")
+        require_unit_value(phi, provider.unit_label, basis)
         self.provider = provider
         self.phi = phi
         self.basis = basis
@@ -144,15 +131,16 @@ class CharacterPowerEvaluator:
     def _table(self, label: Label) -> list:
         """The values at label and each composition of its degree n, in compositions_of(n) order.
 
-        A list of 2^(n-1) exact raw sums ([1] at degree 0), zeros kept.  The
-        compositions of n that begin with k are (k, *beta) for beta in
-        compositions_of(n - k), in that order, in the block that starts at
-        2^(n-1) - 2^(n-k); so a left factor of degree k > 0, whose right
-        factor must have degree n - k (else ValueError), weighs coef *
-        phi(left) once, both checked as they are read, and adds that weight
-        times each nonzero entry of the right factor's table into the block
-        (a zero is skipped, so a Fraction weight costs no Fraction sums on
-        the zeros of a sparse table).
+        A list of 2^(n-1) exact raw sums ([1] at degree 0), zeros kept; n
+        must be an int >= 0 (else ValueError naming the label), checked once
+        here.  The compositions of n that begin with k are (k, *beta) for
+        beta in compositions_of(m), m = n - k, in that order, in the block
+        that starts at 2^(n-1) - 2^m; so a left factor of degree k > 0, whose
+        right factor must have degree m = n - k < n (else ValueError),
+        weighs coef * phi(left) once, both checked as they are read, and
+        adds that weight times each nonzero entry of the right factor's
+        table into the block (a zero is skipped, so a Fraction weight costs
+        no Fraction sums on the zeros of a sparse table).
         """
         cache = self._cache
         table = cache.get(label)
@@ -160,6 +148,8 @@ class CharacterPowerEvaluator:
             return table
         degree = self.provider.degree
         n = degree(label)
+        if type(n) is not int or n < 0:
+            raise ValueError(f"the degree of {shown(label)} must be an int >= 0, got {shown(n)}")
         if n == 0:
             table = [1]
         else:
@@ -169,8 +159,9 @@ class CharacterPowerEvaluator:
                 k = degree(left)
                 if k == 0:
                     continue
-                if degree(right) != n - k:
-                    degrees = f"{shown_number(k)} and {shown_number(degree(right))}"
+                m = degree(right)
+                if m != n - k or m >= n:
+                    degrees = f"{shown_number(k)} and {shown_number(m)}"
                     raise ValueError(f"the coproduct of {shown(label)} (degree {n}) has a term of degrees {degrees}")
                 weight = exact_value(coef, label) * exact_value(self.phi(left), left)
                 if not weight:
@@ -178,15 +169,16 @@ class CharacterPowerEvaluator:
                 tail = cache.get(right)
                 if tail is None:
                     tail = self._table(right)
-                for i, value in enumerate(tail, size - (size >> (k - 1))):
+                for i, value in enumerate(tail, size - (1 << m)):
                     if value:
                         table[i] += weight * value
         cache[label] = table
         return table
 
     def __call__(self, label: Label) -> GradedElement:
+        table = self._table(label)
         alphas = compositions_of(self.provider.degree(label))
-        return normal_element(self.basis, finished(dict(zip(alphas, self._table(label)))))
+        return normal_element(self.basis, finished(dict(zip(alphas, table))))
 
     def pair(self, weight: Functional, label: Label) -> Fraction:
         """weight applied to the image of label, with no image built.
@@ -197,8 +189,9 @@ class CharacterPowerEvaluator:
         weight is read at every composition of the label's degree, not only
         where the image is nonzero.
         """
+        table = self._table(label)
         numerators, common = weight.dense(self.provider.degree(label))
-        return Fraction(sum(map(mul, self._table(label), numerators)), common)
+        return Fraction(sum(map(mul, table, numerators)), common)
 
 
 def universal_to_qsym(provider: HopfProvider, zeta: Callable[[Label], Fraction]) -> CharacterPowerEvaluator:

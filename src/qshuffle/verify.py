@@ -20,7 +20,7 @@ from .characters import (
 )
 from .compositions import (
     Composition, coarsening_products, compositions_up_to, deconcatenations, pairs_up_to, partitions_of,
-    rational, rearrangements, shuffle, stats,
+    rational, rearrangements, shown_name, shuffle, stats,
 )
 from .elements import (
     GradedElement, MONOMIAL, WORD, accumulate_product, add_terms, antipode_by_recursion, antipode_monomial,
@@ -72,7 +72,7 @@ class VerifyReport:
         object.__setattr__(self, "checks", [] if checks is None else checks)
 
     def __setattr__(self, name, value=None):
-        raise AttributeError(f"VerifyReport.{name} is read-only")
+        raise AttributeError(f"VerifyReport.{shown_name(name)} is read-only")
 
     __delattr__ = __setattr__
 

@@ -72,7 +72,12 @@ the tests can require both to agree:
 * ``validates_unchanged``: an element's terms put through ``_summed``, the
   validating path of the public constructors, must come back as they are
   (the library builds its own results in normal form where their terms
-  are made, and stores them unchecked).
+  are made, and stores them unchecked);
+* ``qsym_provider``: QSym, or the shuffle algebra on word labels, as a
+  ``HopfProvider`` with deconcatenation, so that the generic universal
+  evaluator computes its universal morphisms (the library reads them off
+  the coarsening walk ``elements.coarsening_sum``, the change of basis
+  behind ``basis_expand`` and ``basis_contract``).
 
 The rest is code that only the tests use, kept out of the library with its
 body unchanged: ``refinement_split`` with the predicate ``refines``,
@@ -117,8 +122,20 @@ from qshuffle.elements import (
 )
 from qshuffle.errors import BasisMismatch, EngineError, SingularCharacter, ZeroPrefixSum
 from qshuffle.functionals import Functional
-from qshuffle.universal import canonical, qsym_provider, universal_to_qsym
+from qshuffle.universal import HopfProvider, canonical, universal_to_qsym
 from qshuffle.verify import IntegralityWitness, first_witness
+
+_DECONCATENATION = HopfProvider(
+    coproduct=lambda label: tuple((pair, 1) for pair in deconcatenations(label)),
+    degree=lambda label: Composition(label).size,
+    unit_label=EMPTY,
+)
+
+
+def qsym_provider() -> HopfProvider:
+    """QSym itself, monomial labels with deconcatenation; the shuffle algebra too, on word labels."""
+    return _DECONCATENATION
+
 
 _antipode_cache: dict[tuple[str, Composition], GradedElement] = {}
 

@@ -44,10 +44,10 @@ from qshuffle.elements import (
     product,
 )
 from qshuffle.functionals import Functional, exp_functional, log_functional
-from qshuffle.universal import canonical, infchar_to_char, qsym_provider, universal_to_sh
+from qshuffle.universal import canonical, infchar_to_char, universal_to_sh
 from qshuffle.verify import check_integral_nonneg, is_character, theta_eigencheck, verify_qps
 
-from oracles import even_odd_g, expand_polynomial, nu_via_convolution, polynomial_product
+from oracles import even_odd_g, expand_polynomial, nu_via_convolution, polynomial_product, qsym_provider
 
 C = Composition
 SEED = 20260823

@@ -357,6 +357,35 @@ def test_psi_commands(capsys):
     assert code == 0
 
 
+def test_phi_and_psi_on_qsym_and_sh_print_the_oracle_images(capsys):
+    # phi/psi --hopf qsym|sh run the coarsening walk; the generic evaluator on deconcatenation is its oracle
+    from qshuffle.characters import BUILTIN_NAMES, builtin, f_to_g
+    from qshuffle.compositions import compositions_up_to
+    from qshuffle.elements import format_element
+    from qshuffle.universal import canonical, universal_to_qsym, universal_to_sh
+    from oracles import qsym_provider
+
+    commands = [
+        (("phi", "--hopf", "qsym", "--char", name), universal_to_qsym(qsym_provider(), canonical(name)))
+        for name in ("zetaQ", "barZetaQ", "nuQ", "counit")
+    ]
+    commands += [
+        (("psi", "--hopf", "qsym", "--basis", name), universal_to_sh(qsym_provider(), f_to_g(builtin(name))))
+        for name in BUILTIN_NAMES
+    ]
+    commands.append((("psi", "--hopf", "sh"), universal_to_sh(qsym_provider(), canonical("xiS"))))
+    for alpha in compositions_up_to(4):
+        text = alpha.to_text()
+        for argv, oracle in commands:
+            assert invoke(capsys, *argv, "--input", text) == (0, format_element(oracle(alpha)) + "\n", ""), (argv, text)
+        # theta is the universal morphism of QSym with nuQ
+        assert invoke(capsys, "theta", "--comp", text) == invoke(capsys, "phi", "--hopf", "qsym", "--char", "nuQ", "--input", text)
+        # xiS and eta are 0 at the unit, so neither is a character
+        for name in ("xiS", "eta"):
+            got = invoke(capsys, "phi", "--hopf", "qsym", "--char", name, "--input", text)
+            assert got == (1, "", "error: zeta(unit) = 0, expected 1\n")
+
+
 def test_psi_graph_takes_every_basis_spec(capsys):
     graph = ("psi", "--hopf", "graph", "--input", "3; 1-2")
     expected = invoke(capsys, *graph, "--basis", "reverse-combinatorial")
@@ -1119,8 +1148,9 @@ def test_records_are_read_only_values():
     # each record, built positionally and by keyword: equal fields give equal records, and no field can be assigned
     from qshuffle.characters import OrderedPartitionSpec, builtin
     from qshuffle.compositions import EMPTY, CompositionStats
-    from qshuffle.universal import HopfProvider, qsym_provider
+    from qshuffle.universal import HopfProvider
     from qshuffle.verify import CheckResult, IntegralityWitness, Violation, VerifyReport
+    from oracles import qsym_provider
 
     alpha, beta = Composition((1, 2)), Composition((3,))
     coproduct, degree = qsym_provider().coproduct, qsym_provider().degree

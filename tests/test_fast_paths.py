@@ -76,11 +76,12 @@ from qshuffle.elements import (
 from qshuffle.errors import NotACharacter, NotAnInfinitesimalCharacter
 from qshuffle.functionals import Functional, exp_functional, log_functional
 from qshuffle.universal import (
-    CharacterPowerEvaluator, canonical, qsym_provider, theta, universal_to_qsym, universal_to_sh,
+    CharacterPowerEvaluator, canonical, theta, universal_to_qsym, universal_to_sh,
 )
 from qshuffle.verify import check_integral_nonneg
 
 import oracles
+from oracles import qsym_provider
 
 DEGREE = 8
 # a prefix-sum basis with non-integer tau, raw and normalized (qps_expand needs f((n)) = 1)

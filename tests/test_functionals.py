@@ -10,11 +10,11 @@ from qshuffle.compositions import EMPTY, Composition, compositions_of, compositi
 from qshuffle.elements import MONOMIAL, WORD, GradedElement
 from qshuffle.errors import BasisMismatch, NonvanishingAtEmpty, WrongValueAtEmpty
 from qshuffle.functionals import Functional, exp_functional, log_functional
-from qshuffle.universal import canonical, qsym_provider, universal_to_qsym
+from qshuffle.universal import canonical, universal_to_qsym
 from qshuffle.verify import is_character, is_infinitesimal_character
 
 import oracles
-from oracles import NotInvertible, convolve, functional_inverse, lie_bracket
+from oracles import NotInvertible, convolve, functional_inverse, lie_bracket, qsym_provider
 
 C = Composition
 DEGREE = 6

@@ -36,14 +36,13 @@ from qshuffle.universal import (
     canonical,
     char_to_infchar,
     infchar_to_char,
-    qsym_provider,
     theta,
     universal_to_qsym,
     universal_to_sh,
 )
-from qshuffle.verify import is_character, theta_eigencheck
+from qshuffle.verify import VerifyReport, is_character, theta_eigencheck
 
-from oracles import nu_via_convolution, power_value
+from oracles import nu_via_convolution, power_value, qsym_provider
 
 C = Composition
 
@@ -101,14 +100,17 @@ def test_universal_on_qsym_example():
 
 def test_universal_morphisms_of_qsym_are_the_basis_expansions():
     # the paper's theorem on QSym itself: Phi_f(M_alpha) is X^f_alpha in the monomial basis, and
-    # Psi_g(x_alpha) for g = f_to_g(f) is its contraction, on all five stock bases through size 8
-    for name in BUILTIN_NAMES:
-        f = builtin(name)
-        g = f_to_g(f)
-        phi, psi = universal_to_qsym(qsym_provider(), f), universal_to_sh(qsym_provider(), g)
+    # Psi_g(x_alpha) for g = f_to_g(f) is its contraction, on all five stock bases through size 8;
+    # the coarsening walk behind basis_expand and basis_contract is the one implementation of these maps in the
+    # library, so the generic evaluator on deconcatenation holds it to them, with the six canonical functionals too
+    into_m = [builtin(name) for name in BUILTIN_NAMES] + [canonical(n) for n in ("zetaQ", "barZetaQ", "nuQ", "counit")]
+    into_x = [f_to_g(builtin(name)) for name in BUILTIN_NAMES] + [canonical(n) for n in ("xiS", "eta")]
+    cases = [(universal_to_qsym, f, lambda f, alpha: basis_expand(f, alpha).terms) for f in into_m]
+    cases += [(universal_to_sh, g, basis_contract) for g in into_x]
+    for make, phi, walk in cases:
+        morphism = make(qsym_provider(), phi)
         for alpha in compositions_up_to(8):
-            assert phi(alpha).terms == basis_expand(f, alpha).terms, (name, alpha)
-            assert psi(alpha).terms == basis_contract(g, alpha), (name, alpha)
+            assert morphism(alpha).terms == walk(phi, alpha), (phi.name, alpha)
 
 
 def test_universal_is_algebra_map_here():
@@ -195,6 +197,11 @@ _PAST = f"a number of more than {sys.get_int_max_str_digits()} digits"
 _HUGE_LEFT_DEGREE = HopfProvider(lambda label: [(("l", "r"), 1)], {"u": 0, "a": 2, "l": 10**5000, "r": 5}.get, "u")
 
 
+def _graded(**degrees):
+    """A provider whose labels have these degrees, each label's coproduct the one term (l, r)."""
+    return HopfProvider(lambda label: [(("l", "r"), 1)], degrees.get, "u")
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -230,12 +237,29 @@ _HUGE_LEFT_DEGREE = HopfProvider(lambda label: [(("l", "r"), 1)], {"u": 0, "a": 
         (lambda: Composition([-10**5000]), ValueError, f"composition parts must be positive ints, got {_PAST}"),
         (lambda: universal_to_qsym(_HUGE_LEFT_DEGREE, _unit_value(1))("a"), ValueError,
          f"the coproduct of 'a' (degree 2) has a term of degrees {_PAST} and 5"),
+        # a right factor of degree -1 passes the grading check, -1 = 2 - 3
+        (lambda: universal_to_qsym(_graded(u=0, a=2, l=3, r=-1), _unit_value(1))("a"), ValueError,
+         "the degree of 'r' must be an int >= 0, got -1"),
+        (lambda: universal_to_qsym(_graded(u=0, a=2.0), _unit_value(1))("a"), ValueError,
+         "the degree of 'a' must be an int >= 0, got 2.0"),
+        (lambda: universal_to_qsym(_graded(u=0, a=2.0), _unit_value(1)).pair(canonical("eta"), "a"), ValueError,
+         "the degree of 'a' must be an int >= 0, got 2.0"),
+        (lambda: universal_to_qsym(_graded(u=0, a=True), _unit_value(1))("a"), ValueError,
+         "the degree of 'a' must be an int >= 0, got True"),
+        (lambda: universal_to_qsym(HopfProvider(lambda label: [], lambda label: -1, "u"), _unit_value(1))(_LONG),
+         ValueError, "the degree of a text of 100000 characters must be an int >= 0, got -1"),
+        (lambda: universal_to_qsym(_graded(u=0, a=2, l=-1, r=3), _unit_value(1))("a"), ValueError,
+         "the coproduct of 'a' (degree 2) has a term of degrees -1 and 3"),
+        (lambda: setattr(qsym_provider(), _LONG, 1), AttributeError, "HopfProvider.a text of 100000 characters is read-only"),
+        (lambda: delattr(VerifyReport("t"), _LONG), AttributeError, "VerifyReport.a text of 100000 characters is read-only"),
+        (lambda: setattr(VerifyReport("t"), "a\nb", 1), AttributeError, "VerifyReport.'a\\nb' is read-only"),
     ],
     ids=[
         "coefficient", "scalar", "unit-float-qsym", "unit-float-sh", "unit-text", "unit-huge-qsym", "unit-huge-sh",
         "tau-float", "tau-text", "builtin", "canonical", "evaluator-basis", "product-rule", "add", "subtract",
         "product", "coproduct", "antipode-word", "antipode-by-recursion", "antipode-monomial", "functional-at",
-        "composition-part", "provider-degree",
+        "composition-part", "provider-degree", "negative-degree", "float-degree", "float-degree-pair", "bool-degree",
+        "long-label-degree", "negative-left-degree", "provider-read-only", "report-read-only", "two-line-name",
     ],
 )
 def test_outside_values_end_in_their_own_one_line_error(call, error, message):
@@ -252,6 +276,11 @@ def test_short_values_print_as_before_and_exact_units_are_kept():
     # exact unit values are taken as they are, a bool as an int
     assert universal_to_qsym(qsym_provider(), _unit_value(True))(C((2,))) == M(2)
     assert universal_to_sh(qsym_provider(), _unit_value(Fraction(0)))(C((2,))) == GradedElement(WORD, {(2,): 1})
+    # a short attribute name stays bare in the read-only error
+    for record in (qsym_provider(), VerifyReport("t")):
+        with pytest.raises(AttributeError) as raised:
+            record.x = 1
+        assert str(raised.value) == f"{type(record).__name__}.x is read-only"
 
 
 def test_integral_fraction_values_of_phi_give_normal_form_images():
