@@ -45,7 +45,7 @@ from .compositions import (
 )
 from .elements import GradedElement, MONOMIAL, WORD, coarsening_sum, exact_value, parse_rational
 from .errors import NotNormalized, PartOutOfRange, SingularCharacter, ZeroPrefixSum
-from .functionals import Functional
+from .functionals import Functional, require_functional
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -60,6 +60,7 @@ def normalize(f: Functional) -> Functional:
     The rescaled character multiplies f(alpha) by 1/f((a_i)) for each part;
     SingularCharacter, when a value is read, if some f((a_i)) vanishes.
     """
+    require_functional(f, "normalize")
 
     def value(comp: Composition) -> Fraction:
         num, den = f(comp).as_integer_ratio()
@@ -125,6 +126,7 @@ def f_to_g(f: Functional) -> Functional:
     type2.  Every other f, equal-valued specs such as prefix-sum:1 among
     them, by the triangular solve.
     """
+    require_functional(f, "f_to_g")
     name = f.name
     if name in _BUILTINS and _BUILTINS[name][1] is not None and f is builtin(name):
         return _closed_form_dual(name)
@@ -138,16 +140,19 @@ def _closed_form_dual(name: str) -> Functional:
 
 def g_to_f(g: Functional) -> Functional:
     """The character f whose dual is g: the same triangular system, roles switched."""
+    require_functional(g, "g_to_f")
     return _triangular_dual(g, 1, "f")
 
 
 def basis_contract(g: Functional, alpha) -> dict[Composition, Fraction]:
     """Coordinates of M_alpha over the X basis: coarsenings weighted by g(alpha, .), zeros left out."""
+    require_functional(g, "basis_contract")
     return coarsening_sum(WORD, g, alpha).terms
 
 
 def basis_expand(f: Functional, alpha) -> GradedElement:
     """X_alpha in the monomial basis: coarsenings weighted by f(alpha, .)."""
+    require_functional(f, "basis_expand")
     return coarsening_sum(MONOMIAL, f, alpha)
 
 
@@ -156,6 +161,7 @@ def qps_expand(f: Functional, alpha) -> GradedElement:
 
     Requires f normalized on single parts up to |alpha|.
     """
+    require_functional(f, "qps_expand")
     alpha = Composition(alpha)
     require_normalized(f, alpha.size)
     return coarsening_sum(MONOMIAL, f, alpha, stats(alpha).aut_count)
@@ -291,9 +297,7 @@ def order_basis_character(order) -> Functional:
 
 
 def _type1() -> Functional:
-    f = normalize(prefix_sum_character(lambda n: Fraction(n), name="type1-raw"))
-    f.name = "type1"
-    return f
+    return Functional(1, normalize(prefix_sum_character(lambda n: Fraction(n), name="type1-raw")), name="type1")
 
 
 def _type1_g(alpha: Composition) -> Fraction:

@@ -136,9 +136,51 @@ def shown(value) -> str:
     return text if len(text) <= MAX_SHOWN else entries or f"a {kind} of {len(text)} characters"
 
 
+# the most characters of a name or tag that an error message prints, so one that quotes two stays one short line
+MAX_NAME = 80
+
+
 def shown_name(value) -> str:
-    """A name or tag as an error message prints it: a short one-line text bare, anything else as shown quotes it."""
-    return value if isinstance(value, str) and len(value) <= MAX_SHOWN and value.isprintable() else shown(value)
+    """A name or tag as an error message prints it: a printable text bare, anything else as shown quotes it,
+    and either one by its kind and length when that is longer than MAX_NAME characters.
+    """
+    text = value if isinstance(value, str) and value.isprintable() else shown(value)
+    if len(text) <= MAX_NAME:
+        return text
+    if isinstance(value, str):
+        return f"a text of {len(value)} characters"
+    return f"a {type(value).__name__} of {len(text)} characters"
+
+
+class ReadOnly:
+    """Set once by its constructor (object.__setattr__): assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{shown_name(type(self).__name__)}.{shown_name(name)} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Record(ReadOnly):
+    """A ReadOnly value of the attributes its class lists in _fields: equal to a record of the same exact type
+    with equal fields, hashed by them, and printed as ``Class(field=value, ...)``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in self._fields]
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._values()))})"
 
 
 def shown_number(value) -> str:

@@ -44,6 +44,7 @@ from fractions import Fraction
 from .compositions import (
     EMPTY,
     Composition,
+    Record,
     _quasi_shuffle_pairs,
     _shuffle_pairs,
     canonical_key,
@@ -177,19 +178,16 @@ def _json_value(data: dict, key: str, kind: type = list):
     return data[key]
 
 
-class _TermMap:
+class _TermMap(Record):
     """A finitely supported, basis-tagged map from keys to exact coefficients in normal form.
 
     The arithmetic shared by the two element classes; each subclass's
     ``__init__`` puts outside keys through ``_summed``, and the methods here
     build their results, already in normal form, through ``_normal`` and
-    ``_sum_of``.
+    ``_sum_of``.  A compositions.Record of basis and terms.
     """
 
-    __slots__ = ("basis", "terms")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    _fields = __slots__ = ("basis", "terms")
 
     @classmethod
     def _normal(cls, basis: str, terms: dict):
@@ -207,9 +205,6 @@ class _TermMap:
     def _require_same_basis(self, other) -> None:
         if self.basis != other.basis:
             raise BasisMismatch(f"{shown_name(self.basis)} vs {shown_name(other.basis)}")
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.basis == other.basis and self.terms == other.terms
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -395,11 +390,19 @@ def antipode_word(h: GradedElement) -> GradedElement:
 
 
 def linear_image(h: GradedElement, image_of) -> GradedElement:
-    """The linear extension of image_of (a composition -> element map) to h, in h's basis."""
-    acc = {}
+    """The linear extension of image_of (a composition -> element map) to h, in the basis of the images.
+
+    Images in two bases raise BasisMismatch; the image of the zero element is zero in h's basis.
+    """
+    acc, first = {}, None
     for comp, coef in h.terms.items():
-        add_terms(acc, image_of(comp).terms.items(), coef)
-    return GradedElement._sum_of(h.basis, acc)
+        image = image_of(comp)
+        if first is None:
+            first = image
+        else:
+            first._require_same_basis(image)
+        add_terms(acc, image.terms.items(), coef)
+    return GradedElement._sum_of(h.basis if first is None else first.basis, acc)
 
 
 def coarsening_sum(basis: str, fn, alpha, scale: int = 1) -> GradedElement:
@@ -409,6 +412,12 @@ def coarsening_sum(basis: str, fn, alpha, scale: int = 1) -> GradedElement:
     to the parts of beta, read off one walk of coarsening_products, which
     yields each coarsening once and leaves zero terms out; scale is a
     nonzero int.  So the terms are in normal form as they are built.
+
+    A trusted entry, like normal_element: the values of fn are read as
+    they are, unchecked, so fn must be a functionals.Functional, which checks
+    each value it gives.  The public entries that reach it from outside
+    (characters.basis_expand, basis_contract, qps_expand) refuse anything
+    else.
     """
     terms = {beta: rational(scale * num, den) for beta, num, den in coarsening_products(fn, alpha)}
     return GradedElement._normal(basis, terms)

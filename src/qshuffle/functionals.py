@@ -25,7 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .compositions import EMPTY, Composition, coarsening_products, compositions_of, rational_sum, shown, shown_number
+from .compositions import (
+    EMPTY, Composition, ReadOnly, coarsening_products, compositions_of, rational_sum, shown, shown_name, shown_number
+)
 from .compositions import nonempty_splits  # noqa: F401  (perfbench/tests/test_tracer.py looks it up in this module)
 from .elements import exact_value
 from .errors import NonvanishingAtEmpty, WrongValueAtEmpty
@@ -36,7 +38,7 @@ from .errors import NonvanishingAtEmpty, WrongValueAtEmpty
 MAX_BITS = 14_300
 
 
-class Functional:
+class Functional(ReadOnly):
     """value_at_empty plus a memoized function on nonempty compositions.
 
     Each value is checked once, when it is made or first computed, through
@@ -44,17 +46,17 @@ class Functional:
     float or text raises TypeError naming the composition.  dense(n) keeps
     the values at the compositions of n as one vector of int numerators, so
     a universal morphism pairs with the functional in one integer dot
-    product (CharacterPowerEvaluator.pair).
+    product (CharacterPowerEvaluator.pair).  Read-only, and equal only to itself, as memos keyed on it need.
     """
 
     __slots__ = ("value_at_empty", "name", "_fn", "_memo", "_dense")
 
     def __init__(self, value_at_empty, on_nonempty, name: str | None = None):
-        self.value_at_empty = Fraction(exact_value(value_at_empty, EMPTY))
-        self._fn = on_nonempty
-        self._memo: dict[Composition, Fraction] = {}
-        self._dense: dict[int, tuple[list[int], int]] = {}
-        self.name = name
+        object.__setattr__(self, "value_at_empty", Fraction(exact_value(value_at_empty, EMPTY)))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_fn", on_nonempty)
+        object.__setattr__(self, "_memo", {})  # composition -> its checked value
+        object.__setattr__(self, "_dense", {})  # degree -> dense(degree)
 
     def __call__(self, comp) -> Fraction:
         if type(comp) is not Composition:
@@ -91,6 +93,16 @@ class Functional:
         return f"<{label}: empty -> {self.value_at_empty}>"
 
 
+def require_functional(f, where: str) -> None:
+    """TypeError naming where unless f is a Functional, which checks every value it gives.
+
+    The one gate of the public entries that take a functional and read its
+    values through compositions.coarsening_products, which checks none.
+    """
+    if not isinstance(f, Functional):
+        raise TypeError(f"{where} takes a Functional, got an object of type {shown_name(type(f).__name__)}")
+
+
 def _split_series(phi: Functional, weight, value_at_empty) -> Functional:
     """value_at_empty plus the sum over m >= 1 of weight(m) phi^{*m}.
 
@@ -108,6 +120,7 @@ def _split_series(phi: Functional, weight, value_at_empty) -> Functional:
 
 def exp_functional(xi: Functional) -> Functional:
     """exp under convolution: sum of xi^{*m} / m!; xi must vanish on the empty composition."""
+    require_functional(xi, "exp_functional")
     if xi.value_at_empty != 0:
         raise NonvanishingAtEmpty(f"exp needs value 0 on the empty composition, got {shown_number(xi.value_at_empty)}")
     return _split_series(xi, lambda m: Fraction(1, factorial(m)), 1)
@@ -119,6 +132,7 @@ def log_functional(zeta: Functional) -> Functional:
     Requires value 1 on the empty composition; on nonempty blocks zeta -
     counit is zeta.
     """
+    require_functional(zeta, "log_functional")
     if zeta.value_at_empty != 1:
         raise WrongValueAtEmpty(f"log needs value 1 on the empty composition, got {shown_number(zeta.value_at_empty)}")
     return _split_series(zeta, lambda m: Fraction(-1 if m % 2 == 0 else 1, m), 0)

@@ -39,7 +39,7 @@ from operator import mul
 from typing import Callable, Hashable, Iterable
 
 from .characters import basis_expand, f_to_g, require_normalized
-from .compositions import Composition, compositions_of, shown, shown_name, shown_number
+from .compositions import Composition, ReadOnly, Record, compositions_of, shown, shown_number
 from .elements import GradedElement, MONOMIAL, WORD, exact_value, finished, linear_image, normal_element
 from .errors import BasisMismatch, NotACharacter, NotAnInfinitesimalCharacter
 from .functionals import Functional
@@ -47,7 +47,7 @@ from .functionals import Functional
 Label = Hashable
 
 
-class HopfProvider:
+class HopfProvider(Record):
     """A connected graded Hopf algebra presented by its coproduct and grading.
 
     coproduct(label) returns the two-fold coproduct as ((left, right),
@@ -56,13 +56,12 @@ class HopfProvider:
     of degree 0.  The counit is fixed by the grading: 1 on the unit label,
     0 on every label of positive degree.
 
-    A read-only record: assigning or deleting a field raises AttributeError,
-    and two providers with equal fields are equal.  It is a plain class with
-    an instance __dict__, not a tuple, so that code which wraps the functions
-    an object holds (a tracer, through vars() and object.__setattr__) reaches
-    coproduct and degree; it generates no code at import, which keeps the
-    start-up of every command short.
+    A compositions.Record of its three fields, with an instance __dict__,
+    not a tuple, so that code which wraps the functions an object holds (a
+    tracer, through vars() and object.__setattr__) reaches coproduct and degree.
     """
+
+    _fields = ("coproduct", "degree", "unit_label")
 
     def __init__(
         self,
@@ -71,20 +70,6 @@ class HopfProvider:
         unit_label: Label,
     ):
         vars(self).update(coproduct=coproduct, degree=degree, unit_label=unit_label)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"HopfProvider.{shown_name(name)} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is HopfProvider else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return f"HopfProvider({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
 
 def require_unit_value(phi: Callable[[Label], Fraction], unit_label: Label, basis: str) -> None:
@@ -98,7 +83,7 @@ def require_unit_value(phi: Callable[[Label], Fraction], unit_label: Label, basi
         raise NotAnInfinitesimalCharacter(f"xi(unit) = {shown_number(value)}, expected 0")
 
 
-class CharacterPowerEvaluator:
+class CharacterPowerEvaluator(ReadOnly):
     """The universal morphism of a Hopf algebra and a functional phi on it.
 
     Into basis M for a character phi (phi(unit) = 1), into X for an
@@ -118,35 +103,37 @@ class CharacterPowerEvaluator:
     morphism's lifetime.  The image zips compositions_of(n) with the
     table, drops the zeros and makes integral sums ints in
     elements.finished, with no second check; pair(weight, label) reads a
-    functional on the image from the table alone, building no image.
+    functional on the image from the table alone, building no image.  Read-only, as its tables assume.
     """
 
     def __init__(self, provider: HopfProvider, phi: Callable[[Label], Fraction], basis: str):
         require_unit_value(phi, provider.unit_label, basis)
-        self.provider = provider
-        self.phi = phi
-        self.basis = basis
-        self._cache: dict[Label, list] = {}
+        vars(self).update(provider=provider, phi=phi, basis=basis, _cache={}, _degrees={})
 
     def _table(self, label: Label) -> list:
         """The values at label and each composition of its degree n, in compositions_of(n) order.
 
         A list of 2^(n-1) exact raw sums ([1] at degree 0), zeros kept; n
-        must be an int >= 0 (else ValueError naming the label), checked once
-        here.  The compositions of n that begin with k are (k, *beta) for
-        beta in compositions_of(m), m = n - k, in that order, in the block
-        that starts at 2^(n-1) - 2^m; so a left factor of degree k > 0, whose
-        right factor must have degree m = n - k < n (else ValueError),
-        weighs coef * phi(left) once, both checked as they are read, and
-        adds that weight times each nonzero entry of the right factor's
-        table into the block (a zero is skipped, so a Fraction weight costs
-        no Fraction sums on the zeros of a sparse table).
+        must be an int >= 0 (else ValueError naming the label), read and
+        checked once, here, and kept beside the table in _degrees, where
+        every later reader takes it.  The compositions of n that begin with
+        k are (k, *beta) for beta in compositions_of(m), m = n - k, in that
+        order, in the block that starts at 2^(n-1) - 2^m; so a left factor
+        of degree k > 0, whose right factor must have degree m = n - k < n
+        (else ValueError, before that factor's table is made; m is asked of
+        the provider only until then), weighs coef * phi(left) once, both
+        checked as they are read, and adds that weight times each nonzero
+        entry of the right factor's table into the block (a zero is
+        skipped, so a Fraction weight costs no Fraction sums on the zeros
+        of a sparse table).  The degrees are a dict of their own, not a
+        pair per label, which would add one tracked object per table for
+        the garbage collector to sweep.
         """
         cache = self._cache
         table = cache.get(label)
         if table is not None:
             return table
-        degree = self.provider.degree
+        degree, degrees = self.provider.degree, self._degrees
         n = degree(label)
         if type(n) is not int or n < 0:
             raise ValueError(f"the degree of {shown(label)} must be an int >= 0, got {shown(n)}")
@@ -159,10 +146,12 @@ class CharacterPowerEvaluator:
                 k = degree(left)
                 if k == 0:
                     continue
-                m = degree(right)
+                m = degrees.get(right)
+                if m is None:
+                    m = degree(right)
                 if m != n - k or m >= n:
-                    degrees = f"{shown_number(k)} and {shown_number(m)}"
-                    raise ValueError(f"the coproduct of {shown(label)} (degree {n}) has a term of degrees {degrees}")
+                    both = f"{shown_number(k)} and {shown_number(m)}"
+                    raise ValueError(f"the coproduct of {shown(label)} (degree {n}) has a term of degrees {both}")
                 weight = exact_value(coef, label) * exact_value(self.phi(left), left)
                 if not weight:
                     continue
@@ -172,13 +161,13 @@ class CharacterPowerEvaluator:
                 for i, value in enumerate(tail, size - (1 << m)):
                     if value:
                         table[i] += weight * value
+        degrees[label] = n
         cache[label] = table
         return table
 
     def __call__(self, label: Label) -> GradedElement:
         table = self._table(label)
-        alphas = compositions_of(self.provider.degree(label))
-        return normal_element(self.basis, finished(dict(zip(alphas, table))))
+        return normal_element(self.basis, finished(dict(zip(compositions_of(self._degrees[label]), table))))
 
     def pair(self, weight: Functional, label: Label) -> Fraction:
         """weight applied to the image of label, with no image built.
@@ -190,7 +179,7 @@ class CharacterPowerEvaluator:
         where the image is nonzero.
         """
         table = self._table(label)
-        numerators, common = weight.dense(self.provider.degree(label))
+        numerators, common = weight.dense(self._degrees[label])
         return Fraction(sum(map(mul, table, numerators)), common)
 
 
@@ -269,14 +258,16 @@ def _transfer(
     """h -> weight applied to morphism(h), memoized; morphism must map into basis.
 
     Each value is morphism.pair(weight, h), which reads h's table and
-    builds no image; f is checked normalized up to h's degree first.
+    builds no image; f is checked normalized up to h's degree, kept beside
+    h's table, first.
     """
     if morphism.basis != basis:
         raise BasisMismatch(f"the transfer reads a morphism into {basis!r}, got one into {morphism.basis!r}")
 
     @lru_cache(maxsize=None)
     def transferred(label: Label) -> Fraction:
-        require_normalized(f, morphism.provider.degree(label))
+        morphism._table(label)
+        require_normalized(f, morphism._degrees[label])
         return morphism.pair(weight, label)
 
     return transferred

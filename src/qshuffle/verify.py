@@ -19,8 +19,8 @@ from .characters import (
     basis_expand, even_odd_character, f_to_g, g_to_f, qps_expand, require_normalized, resolve_basis
 )
 from .compositions import (
-    Composition, coarsening_products, compositions_up_to, deconcatenations, pairs_up_to, partitions_of,
-    rational, rearrangements, shown_name, shuffle, stats,
+    Composition, Record, coarsening_products, compositions_up_to, deconcatenations, pairs_up_to, partitions_of,
+    rational, rearrangements, shuffle, stats,
 )
 from .elements import (
     GradedElement, MONOMIAL, WORD, accumulate_product, add_terms, antipode_by_recursion, antipode_monomial,
@@ -56,33 +56,20 @@ class CheckResult(NamedTuple):
         return f"[FAIL] {self.name}{suffix}"
 
 
-class VerifyReport:
+class VerifyReport(Record):
     """A titled list of CheckResults, filled by sweep and rendered as one line per check plus a verdict.
 
-    A plain class, which generates no code at import and so keeps the
-    start-up of every command short.  title and checks are fixed when it is
-    made (assigning or deleting either raises AttributeError), and two
-    reports are equal when both are.
+    A compositions.Record of title and checks: assigning or deleting either
+    raises AttributeError, and two reports are equal when both are.  It is
+    not hashable, as its list of checks grows.
     """
 
-    __slots__ = ("title", "checks")
+    _fields = __slots__ = ("title", "checks")
+    __hash__ = None
 
     def __init__(self, title: str, checks: list[CheckResult] | None = None):
         object.__setattr__(self, "title", title)
         object.__setattr__(self, "checks", [] if checks is None else checks)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"VerifyReport.{shown_name(name)} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not VerifyReport:
-            return NotImplemented
-        return (self.title, self.checks) == (other.title, other.checks)
-
-    def __repr__(self) -> str:
-        return f"VerifyReport(title={self.title!r}, checks={self.checks!r})"
 
     def sweep(self, name: str, cases: Iterable, witness_of: Callable) -> None:
         """Add the check name: it passes when no case has a witness and fails showing str(the first) otherwise."""

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle.characters import BUILTIN_NAMES, basis_contract, basis_expand, builtin, f_to_g, prefix_sum_character
+from qshuffle.characters import (
+    BUILTIN_NAMES, basis_contract, basis_expand, builtin, f_to_g, g_to_f, normalize, prefix_sum_character, qps_expand
+)
 from qshuffle.compositions import EMPTY, Composition, compositions_of, compositions_up_to, deconcatenations
 from qshuffle.demos import SmallPoset, all_graphs, all_posets, graph_provider, poset_provider
 from qshuffle.elements import (
@@ -253,6 +255,11 @@ def _graded(**degrees):
         (lambda: setattr(qsym_provider(), _LONG, 1), AttributeError, "HopfProvider.a text of 100000 characters is read-only"),
         (lambda: delattr(VerifyReport("t"), _LONG), AttributeError, "VerifyReport.a text of 100000 characters is read-only"),
         (lambda: setattr(VerifyReport("t"), "a\nb", 1), AttributeError, "VerifyReport.'a\\nb' is read-only"),
+        # a name or tag longer than MAX_NAME (80) is named by its kind and length, so a message quoting two is short
+        (lambda: setattr(qsym_provider(), "x" * 190, 1), AttributeError, "HopfProvider.a text of 190 characters is read-only"),
+        (lambda: GradedElement("a" * 200, {(1,): 1}) + GradedElement("b" * 200, {(1,): 1}), BasisMismatch,
+         "a text of 200 characters vs a text of 200 characters"),
+        (lambda: M(1) + GradedElement(("t",) * 30, {(1,): 1}), BasisMismatch, "M vs a tuple of 150 characters"),
     ],
     ids=[
         "coefficient", "scalar", "unit-float-qsym", "unit-float-sh", "unit-text", "unit-huge-qsym", "unit-huge-sh",
@@ -260,6 +267,7 @@ def _graded(**degrees):
         "product", "coproduct", "antipode-word", "antipode-by-recursion", "antipode-monomial", "functional-at",
         "composition-part", "provider-degree", "negative-degree", "float-degree", "float-degree-pair", "bool-degree",
         "long-label-degree", "negative-left-degree", "provider-read-only", "report-read-only", "two-line-name",
+        "mid-length-name", "two-long-tags", "long-tuple-tag",
     ],
 )
 def test_outside_values_end_in_their_own_one_line_error(call, error, message):
@@ -495,3 +503,120 @@ def test_a_coproduct_term_off_the_grading_is_refused():
                 morphism.pair(canonical("zetaQ"), label)
         # a provider that keeps the grading still maps
         assert morphism("a") == GradedElement.basis_element(morphism.basis, (1,))
+
+
+def test_degrees_are_read_once_per_table():
+    # a label's degree is kept with its table: calling the morphism or pairing with it again reads no degree,
+    # and a right factor whose table is made is not asked its degree again
+    base, seen = qsym_provider(), []
+    provider = HopfProvider(base.coproduct, lambda label: seen.append(label) or base.degree(label), base.unit_label)
+    morphism = universal_to_qsym(provider, canonical("zetaQ"))
+    label = C((2, 1, 1))
+    image = morphism(label)
+    assert image == basis_expand(canonical("zetaQ"), label)
+    seen.clear()
+    assert morphism(label) == image and morphism.pair(canonical("eta"), label) == 1 and seen == []
+    # (3,1,1) shares the right factors (1,1), (1) and the unit with (2,1,1), whose tables keep their degrees: only
+    # the label and the left factors of its terms -|(3,1,1), (3)|(1,1), (3,1)|(1) and (3,1,1)|- are read
+    assert morphism(C((3, 1, 1))) == basis_expand(canonical("zetaQ"), (3, 1, 1))
+    assert seen == [C((3, 1, 1)), EMPTY, C((3,)), C((3, 1)), C((3, 1, 1))]
+
+
+def _graph_evaluator():
+    return universal_to_qsym(graph_provider(), lambda g: int(not g.edges))
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: M(1, 1).scaled(2), "terms"),
+        (lambda: coproduct(M(2, 1)), "basis"),
+        (qsym_provider, "degree"),
+        (lambda: VerifyReport("t"), "checks"),
+        (_graph_evaluator, "phi"),
+        (lambda: builtin("type1"), "value_at_empty"),
+        (lambda: canonical("zetaQ"), "_memo"),
+    ],
+    ids=["element", "tensor", "provider", "report", "evaluator", "functional", "functional-memo"],
+)
+def test_every_read_only_object_refuses_assignment_and_deletion(make, field):
+    # the one rule of compositions.ReadOnly: `del elem.terms` used to succeed and leave an element whose repr
+    # raised, an evaluator's phi could be swapped under its tables, and builtin("type1") rewritten for the process
+    obj = make()
+    value = getattr(obj, field)
+    for change in (lambda: setattr(obj, field, None), lambda: delattr(obj, field)):
+        with pytest.raises(AttributeError) as raised:
+            change()
+        message = str(raised.value)
+        assert message == f"{type(obj).__name__}.{field} is read-only" and len(message) < 200
+    assert getattr(obj, field) is value
+
+
+def test_the_old_holes_stay_closed():
+    elem = M(1, 1).scaled(2)
+    with pytest.raises(AttributeError, match=r"^GradedElement\.terms is read-only$"):
+        del elem.terms
+    assert repr(elem) == "<2 M[1,1]>"
+    evaluator = _graph_evaluator()
+    edge = all_graphs(2)[-1]
+    assert format_element(evaluator(edge)) == "2 M[1,1]"
+    with pytest.raises(AttributeError, match=r"^CharacterPowerEvaluator\.phi is read-only$"):
+        evaluator.phi = lambda g: 1
+    assert evaluator(edge) == _graph_evaluator()(edge)
+    with pytest.raises(AttributeError, match=r"^Functional\.value_at_empty is read-only$"):
+        builtin("type1").value_at_empty = 0
+    assert builtin("type1").value_at_empty == 1 and builtin("type1").name == "type1"
+
+
+def test_functionals_and_evaluators_compare_and_hash_as_themselves():
+    # memos keyed on functionals (demos.graph_infchar, characters._closed_form_dual) keep equal-looking ones apart
+    first, second = Functional(1, abs, name="f"), Functional(1, abs, name="f")
+    assert first == first and first != second and len({first: 1, second: 2}) == 2
+    assert hash(first) == object.__hash__(first)
+    left, right = _graph_evaluator(), _graph_evaluator()
+    assert left == left and left != right and hash(left) == object.__hash__(left)
+    # a report compares by its fields but is unhashable, as its list of checks grows
+    with pytest.raises(TypeError):
+        hash(VerifyReport("t"))
+
+
+_NOT_FUNCTIONALS = [lambda comp: Fraction(1, 10), lambda comp: 0.1, lambda comp: "1", "type1", None]
+
+
+@pytest.mark.parametrize(
+    "entry, call",
+    [
+        ("basis_expand", lambda f: basis_expand(f, (1,))),
+        ("basis_contract", lambda f: basis_contract(f, (1,))),
+        ("qps_expand", lambda f: qps_expand(f, (1,))),
+        ("f_to_g", f_to_g),
+        ("g_to_f", g_to_f),
+        ("normalize", normalize),
+        ("exp_functional", exp_functional),
+        ("log_functional", log_functional),
+    ],
+)
+def test_entries_that_take_a_functional_refuse_anything_else(entry, call):
+    # basis_expand(lambda c: 0.1, (1,)) used to return <3602879701896397/36028797018963968 M[1]>, and a text value
+    # ended in a bare AttributeError; an exact-valued plain function is refused as well, once per call
+    for value in _NOT_FUNCTIONALS:
+        with pytest.raises(TypeError) as raised:
+            call(value)
+        message = str(raised.value)
+        kind = type(value).__name__
+        assert message == f"{entry} takes a Functional, got an object of type {kind}" and len(message) < 200
+
+
+def test_linear_image_is_in_the_basis_of_the_images():
+    # psi maps QSym into the shuffle algebra: its extension to M[1,1] used to come back tagged M
+    psi = universal_to_sh(qsym_provider(), canonical("xiS"))
+    assert psi(C((1, 1))) == X(1, 1)
+    assert linear_image(M(1, 1), psi) == X(1, 1)
+    assert linear_image(M(1, 1) + M(2).scaled(3), psi) == X(1, 1) + X(2).scaled(3)
+    # the image of zero stays in h's basis, and images in two bases are refused
+    assert linear_image(GradedElement.zero(MONOMIAL), psi) == GradedElement.zero(MONOMIAL)
+    with pytest.raises(BasisMismatch, match="^X vs M$"):
+        linear_image(M(1) + M(2), lambda comp: X(*comp) if comp == C((1,)) else M(*comp))
+    # the maps from M to M are unchanged
+    h = M(2, 1) + M(1).scaled(Fraction(1, 2))
+    assert theta(h).basis == antipode_monomial(h).basis == MONOMIAL
