@@ -118,13 +118,17 @@ MAX_SHOWN = 200
 def shown(value) -> str:
     """An outside value as an error message quotes it: its repr when short, otherwise its kind and size; never raises.
 
-    An int prints as shown_number prints it.  A text is sized by its characters, a tuple, list or dict by its entries
+    An int prints as shown_number prints it.  A text is quoted when its quote holds at most MAX_SHOWN characters
+    between the quote marks, and is otherwise sized by its characters; a tuple, list or dict is sized by its entries
     (no repr is formed past MAX_SHOWN of them), anything else by its repr, or by the digit limit its repr passed.
     """
     if type(value) is int:
         return shown_number(value)
     if isinstance(value, str):
-        return repr(value) if len(value) <= MAX_SHOWN else f"a text of {len(value)} characters"
+        # the quote is bounded, not the text: repr escapes a control character to up to four characters
+        if len(value) <= MAX_SHOWN and len(text := repr(value)) <= MAX_SHOWN + 2:
+            return text
+        return f"a text of {len(value)} characters"
     kind, sized = type(value).__name__, isinstance(value, (tuple, list, dict))
     entries = sized and f"a {kind} of {len(value)} entr{'y' if len(value) == 1 else 'ies'}"
     if sized and len(value) > MAX_SHOWN:

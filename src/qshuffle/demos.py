@@ -14,8 +14,9 @@ weighted-last-part functional detects a unique minimal element.
 
 Both coproducts take their induced structures from ``_induced_table``, one
 table shared by every label and keyed by the class, the label count, the
-mask and the label's pairs inside the mask; it grows with the labels seen,
-like the two coproduct caches ``_graph_coproduct`` and ``_poset_coproduct``.
+mask and the label's pairs inside the mask; it grows with the labels seen.
+The coproducts themselves are not kept: each is read once, into its label's
+table in the held morphism.
 
 Everything stays labeled; the functionals used are isomorphism-invariant,
 which the tests check through relabelings.
@@ -207,7 +208,8 @@ def all_graphs(n: int) -> tuple[SmallGraph, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# maxsize=0 keeps nothing (each coproduct is read once, into its label's table); the misses count the coproducts formed
+@lru_cache(maxsize=0)
 def _graph_coproduct(g: SmallGraph) -> tuple[tuple[tuple[SmallGraph, SmallGraph], int], ...]:
     bits = [1 << i for i in range(g.vertex_count)]
     return _split_coproduct(g, (sum(c) for size in range(len(bits) + 1) for c in combinations(bits, size)))
@@ -239,11 +241,14 @@ def chromatic_symmetric(g: SmallGraph) -> GradedElement:
     return _chromatic_evaluator(g)
 
 
-def _stable_partition_counts(g: SmallGraph) -> list[int]:
-    """a_0..a_n, where a_j counts the partitions of the vertices into j stable sets.
+@lru_cache(maxsize=None)
+def _stable_partition_counts(g: SmallGraph) -> tuple[int, ...]:
+    """The tuple a_0..a_n, where a_j counts the partitions of the vertices into j stable sets.
 
     One block holds a mask's lowest vertex, so a mask's counts sum, over the
-    stable such blocks B, those of the mask without B shifted by one.  O(3^n).
+    stable such blocks B, those of the mask without B shifted by one.  O(3^n),
+    so it is kept per graph: the chromatic polynomial of a graph is asked for
+    once per functional by graph_infchar_two_ways, and again by demo-graph.
     """
     n = g.vertex_count
     neighbours = [0] * n
@@ -266,7 +271,7 @@ def _stable_partition_counts(g: SmallGraph) -> list[int]:
                 break
             sub = (sub - 1) & rest
         counts[mask] = total
-    return counts[-1]
+    return tuple(counts[-1])
 
 
 def chromatic_polynomial(g: SmallGraph) -> list[int]:
@@ -413,7 +418,8 @@ def all_posets(n: int) -> tuple[SmallPoset, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# as _graph_coproduct: nothing kept, and the misses count the coproducts formed
+@lru_cache(maxsize=0)
 def _poset_coproduct(p: SmallPoset) -> tuple[tuple[tuple[SmallPoset, SmallPoset], int], ...]:
     return _split_coproduct(p, p.ideal_masks())
 

@@ -649,7 +649,8 @@ def power_value(provider, phi, label, sizes: tuple[int, ...], memo: dict | None 
     """phi applied to every slot of the sizes-multidegree part of the iterated coproduct of label.
 
     With no sizes this is the counit.  memo, if given, keeps values across
-    calls that share provider and phi.
+    calls that share provider and phi, and each label's coproduct under the
+    key (label,), since the provider keeps none.
     """
     memo = {} if memo is None else memo
     degree = provider.degree
@@ -661,7 +662,10 @@ def power_value(provider, phi, label, sizes: tuple[int, ...], memo: dict | None 
         return cached
     out = 0
     head, rest = sizes[0], sizes[1:]
-    for (left, right), coef in provider.coproduct(label):
+    terms = memo.get((label,))
+    if terms is None:
+        terms = memo[(label,)] = provider.coproduct(label)
+    for (left, right), coef in terms:
         if degree(left) != head:
             continue
         tail = power_value(provider, phi, right, rest, memo)

@@ -636,11 +636,13 @@ NINES = "9" * (MAX_DIGITS - 1)
         (("theta", "--elem", _elem(basis=None, terms=[{"comp": [1], "coef": "1"}])), "JSON string, got None"),
         (("theta", "--elem", _elem(basis=["M" * 300])), "'basis' must be a JSON string, got a list of 1 entry"),
         (("theta", "--comp", "1", "--out", "no-such-dir/" + "x" * 5000), "cannot write --out a text of 5012 characters: "),
+        # each control character quotes as four, so the text is short but its quote is not
+        (("expand", "--basis", "type1", "--comp", "\x01" * 150), "part a text of 150 characters in a text of 150"),
     ],
     ids=(
         "elem-list", "unknown-key", "terms-text", "coef-list", "comp-text-part", "listed-twice", "order-entries",
         "order-text", "theta-basis", "comp-size", "elem-size", "graph-count", "graph-pair", "graph-equal-ends",
-        "basis-int", "basis-null", "basis-list", "out-path",
+        "basis-int", "basis-null", "basis-list", "out-path", "comp-control-characters",
     ),
 )
 def test_outside_values_and_numbers_in_messages_are_bounded(capsys, argv, expected):

@@ -142,6 +142,15 @@ def test_shown_names_a_number_past_the_digit_limit_by_its_kind():
     assert [shown_number(-7), shown_number(Fraction(-3, 4))] == ["-7", "-3/4"]
 
 
+@pytest.mark.parametrize("length", [150, 200])
+def test_a_text_is_quoted_only_when_its_quote_is_short(length):
+    # repr escapes each control character to four characters, so a short text can have a long quote
+    quoted = shown("\x01" * length)
+    assert quoted == f"a text of {length} characters" and "\n" not in quoted and len(quoted) < 200
+    # a printable text of as many characters is still quoted whole
+    assert shown("x" * length) == repr("x" * length)
+
+
 def test_composition_argument_passes_through_unchanged():
     comp = C((2, 1))
     assert C(comp) is comp

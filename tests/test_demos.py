@@ -12,6 +12,9 @@ from qshuffle.demos import (
     SmallGraph,
     SmallPoset,
     _chromatic_evaluator,
+    _graph_coproduct,
+    _poset_coproduct,
+    _stable_partition_counts,
     all_graphs,
     all_posets,
     chromatic_polynomial,
@@ -194,6 +197,13 @@ def test_chromatic_polynomial_frozen():
     assert chromatic_polynomial(SmallGraph(0)) == [1]
 
 
+def test_chromatic_polynomial_is_a_fresh_list():
+    coeffs = chromatic_polynomial(K3)
+    coeffs.append(7)
+    assert chromatic_polynomial(K3) == [0, 2, -3, 1]
+    assert type(_stable_partition_counts(K3)) is tuple
+
+
 def test_chromatic_polynomial_evaluates():
     for n in range(5):
         for g in all_graphs(n):
@@ -228,6 +238,33 @@ def test_graph_infchar_two_ways():
             for g in all_graphs(n):
                 left, right = graph_infchar_two_ways(g, f)
                 assert left == right, (g, f.name)
+
+
+def test_stable_partitions_are_counted_once_per_graph():
+    # the memo starts empty here, so each graph is one miss, and its second basis one hit
+    _stable_partition_counts.cache_clear()
+    graphs = [g for n in range(5) for g in all_graphs(n)]
+    for f in (builtin("type1"), builtin("type2")):
+        for g in graphs:
+            graph_infchar_two_ways(g, f)
+    info = _stable_partition_counts.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(graphs), len(graphs), len(graphs))
+
+
+def test_the_demo_sweep_keeps_no_coproduct():
+    # each coproduct is read once, into its label's table in the held morphism, which outlives this test:
+    # so the sweep forms at most one coproduct per label, and none is kept
+    graphs = [g for n in range(5) for g in all_graphs(n)]
+    posets = [p for n in range(5) for p in all_posets(n)]
+    before = _graph_coproduct.cache_info().misses + _poset_coproduct.cache_info().misses
+    for p in posets:
+        eta_check(p)
+    for f in (builtin("type1"), builtin("type2")):
+        for g in graphs:
+            graph_infchar_two_ways(g, f)
+    graph_info, poset_info = _graph_coproduct.cache_info(), _poset_coproduct.cache_info()
+    assert graph_info.currsize == poset_info.currsize == 0
+    assert graph_info.misses + poset_info.misses - before <= len(graphs) + len(posets)
 
 
 def test_poset_construction():
