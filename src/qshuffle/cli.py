@@ -6,19 +6,22 @@ maps (theta, phi, psi, convolution exp and log) and the two demo algebras.
 All output is exact rational text, JSON, or CSV; identical invocations
 produce identical bytes.  Exit codes: 0 on success, 1 on a parse or usage
 problem, 2 when a verification found a counterexample (printed witness).
-Each handler returns its text and exit code, and run() writes the text.
+Each handler returns its output, one text or an iterable of lines, and its
+exit code; run() writes the output as it comes, in the one place output is
+written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 from fractions import Fraction
-from functools import partial
-from typing import Callable, NamedTuple
+from functools import lru_cache, partial
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple
 
 from . import demos
 from .characters import basis_contract, basis_expand, f_to_g, qps_expand, require_normalized, resolve_basis
@@ -28,7 +31,10 @@ from .compositions import (
 from .elements import GradedElement, MONOMIAL, WORD, coarsening_sum, format_element
 from .errors import EngineError
 from .functionals import exp_functional, log_functional
-from .universal import CANONICAL_NAMES, canonical, require_unit_value, theta, universal_to_sh
+from .universal import (
+    CANONICAL_NAMES, HopfProvider, canonical, char_to_infchar, require_unit_value, theta, universal_to_qsym,
+    universal_to_sh
+)
 from .verify import REQUIRED, SUITES
 
 MAX_DEGREE = 10
@@ -170,11 +176,24 @@ class _HopfInput(NamedTuple):
     psi: tuple
 
 
+def _graph_psi(basis: str):
+    """Psi of the graph infinitesimal character of basis, g o Phi for the no-edges character.
+
+    Phi and Psi both read one provider, whose coproduct memo lives as long as
+    this Psi: each label's coproduct is formed once, where demos.graph_infchar
+    and a second provider would form it once per morphism.
+    """
+    graphs = demos.graph_provider()
+    provider = HopfProvider(lru_cache(maxsize=None)(graphs.coproduct), graphs.degree, graphs.unit_label)
+    xi = char_to_infchar(universal_to_qsym(provider, demos.zeta_no_edges), resolve_basis(basis))
+    return universal_to_sh(provider, xi)
+
+
 _COMP_INPUT = partial(_parse_comp, flag="--input")
 HOPF_INPUTS = {
     "graph": _HopfInput(
         partial(_parse_literal, demos.SmallGraph.from_text), (None, lambda _: demos.chromatic_symmetric),
-        ("type1", lambda basis: universal_to_sh(demos.graph_provider(), demos.graph_infchar(resolve_basis(basis)))),
+        ("type1", _graph_psi),
     ),
     "poset": _HopfInput(
         partial(_parse_literal, demos.SmallPoset.from_cover_text), (None, lambda _: demos.kp_generating_function),
@@ -201,17 +220,27 @@ def _refuse(value, flag: str, context: str) -> None:
         raise CliUsageError(f"{flag} does not apply to {context}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _write(output, stream) -> None:
+    """One text, with a newline written after it unless it ends in one, or each line of an iterable as it comes."""
+    if isinstance(output, str):
+        stream.write(output)
+        if not output.endswith("\n"):
+            stream.write("\n")
+    else:
+        stream.writelines(output)
+
+
+def _emit(output, out_path: str | None) -> None:
+    """output to --out, opened only now, or to stdout, flushed so that a closed pipe raises here."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write(output, fh)
         except OSError as exc:
             raise CliUsageError(f"cannot write --out {shown(out_path)}: {exc.strerror}")
     else:
-        sys.stdout.write(text)
+        _write(output, sys.stdout)
+        sys.stdout.flush()
 
 
 def _printed(value, what, *args) -> str:
@@ -223,15 +252,19 @@ def _printed(value, what, *args) -> str:
         raise CliUsageError(f"{what(*args)} has more than {limit} digits, too many to print")
 
 
-def _csv(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+class _Echo:
+    """The file of a csv writer whose writerow returns each formatted row, since it returns what write returns."""
+
+    def write(self, line: str) -> str:
+        return line
 
 
-def _element_payload(elem: GradedElement, fmt: str) -> str:
+def _csv(header: list[str], rows):
+    """The header and then each row as csv lines, each formatted as it is read."""
+    return map(csv.writer(_Echo(), lineterminator="\n").writerow, chain([header], rows))
+
+
+def _element_payload(elem: GradedElement, fmt: str) -> str | Iterable[str]:
     for comp, coef in elem.terms.items():
         _printed(coef, "the coefficient of {} in basis {}".format, comp, elem.basis)
     if fmt == "json":
@@ -241,7 +274,7 @@ def _element_payload(elem: GradedElement, fmt: str) -> str:
     return format_element(elem)
 
 
-def _functional_payload(side: str, values: dict[Composition, Fraction], fmt: str) -> str:
+def _functional_payload(side: str, values: dict[Composition, Fraction], fmt: str) -> str | Iterable[str]:
     """values in canonical order, the empty composition first."""
     if fmt == "text":
         for comp, value in values.items():
@@ -292,12 +325,12 @@ def _basis_comp_args(args):
     return *_basis_args(args), _parse_comp(_need(args.comp, "--comp"), "--comp")
 
 
-def _cmd_expand(args) -> tuple[str, int]:
+def _cmd_expand(args) -> tuple[str | Iterable[str], int]:
     _, expand, alpha = _basis_comp_args(args)
     return _element_payload(expand(alpha), args.format), 0
 
 
-def _cmd_convert(args) -> tuple[str, int]:
+def _cmd_convert(args) -> tuple[str | Iterable[str], int]:
     f, _, alpha = _basis_comp_args(args)
     if args.kind == "shuffle":
         return _element_payload(GradedElement(f"X({args.basis})", basis_contract(f_to_g(f), alpha)), args.format), 0
@@ -306,7 +339,15 @@ def _cmd_convert(args) -> tuple[str, int]:
     return _element_payload(GradedElement(f"P({args.basis})", terms), args.format), 0
 
 
-def _cmd_table(args) -> tuple[str, int]:
+def _cmd_table(args) -> tuple[str | Iterable[str], int]:
+    """The change-of-basis matrix, each row kept as its nonzero cells' texts by column index.
+
+    Every cell goes through _printed in row-major order before any line is
+    made, so a cell past the digit limit leaves stdout empty and --out
+    untouched.  json is one text, each row's list of cells made as the row
+    is printed; text and csv are lines, made as they are written, each row
+    filled from one shared zero cell.
+    """
     _, expand = _basis_args(args)
     degree = _check_degree(args.degree)
     comps = list(compositions_of(degree))
@@ -314,20 +355,35 @@ def _cmd_table(args) -> tuple[str, int]:
     rows = []
     for alpha in comps:
         terms = expand(alpha).terms
-        rows.append([_printed(terms[beta], cell, alpha, beta) if beta in terms else "0" for beta in comps])
+        row = {j: _printed(terms[beta], cell, alpha, beta) for j, beta in enumerate(comps) if beta in terms}
+        rows.append(_row_cells(row, "0", len(comps)) if args.format == "json" else row)
     labels = [c.to_text() for c in comps]
     if args.format == "json":
-        payload = json.dumps(
+        return json.dumps(
             {"basis": args.basis, "kind": args.kind, "degree": degree, "order": labels, "rows": rows},
             separators=(", ", ": "),
-        )
-    elif args.format == "csv":
-        payload = _csv(["alpha"] + labels, ([label] + row for label, row in zip(labels, rows)))
-    else:
-        width = max([len(s) for row in rows for s in row] + [len(label) for label in labels] + [1])
-        lines = [[" " * width] + labels] + [[label] + row for label, row in zip(labels, rows)]
-        payload = "\n".join(" | ".join(s.rjust(width) for s in line) for line in lines)
-    return payload, 0
+        ), 0
+    if args.format == "csv":
+        dense_rows = ([label] + _row_cells(row, "0", len(comps)) for label, row in zip(labels, rows))
+        return _csv(["alpha"] + labels, dense_rows), 0
+    width = max([len(s) for row in rows for s in row.values()] + [len(label) for label in labels] + [1])
+    return _text_table(labels, rows, width), 0
+
+
+def _row_cells(row: dict[int, str], zero: str, size: int, width: int = 1) -> list[str]:
+    """The size cells of a table row: its texts by column index, right-aligned to width, and zero in every other."""
+    cells = [zero] * size
+    for j, text in row.items():
+        cells[j] = text.rjust(width)
+    return cells
+
+
+def _text_table(labels: list[str], rows: list[dict[int, str]], width: int):
+    """The text table's lines: the labels, then each row under its label, every cell right-aligned to width."""
+    yield " | ".join([" " * width] + [label.rjust(width) for label in labels]) + "\n"
+    zero = "0".rjust(width)
+    for label, row in zip(labels, rows):
+        yield label.rjust(width) + " | " + " | ".join(_row_cells(row, zero, len(labels), width)) + "\n"
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -343,11 +399,11 @@ def _cmd_verify(args) -> tuple[str, int]:
     return report.render(), 0 if report.passed else 2
 
 
-def _cmd_theta(args) -> tuple[str, int]:
+def _cmd_theta(args) -> tuple[str | Iterable[str], int]:
     return _element_payload(theta(_parse_element(args)), args.format), 0
 
 
-def _cmd_exp_log(args, apply) -> tuple[str, int]:
+def _cmd_exp_log(args, apply) -> tuple[str | Iterable[str], int]:
     degree = _check_degree(args.degree)
     side, functional = _resolve_functional(args.functional)
     result = apply(functional)
@@ -355,7 +411,7 @@ def _cmd_exp_log(args, apply) -> tuple[str, int]:
     return _functional_payload(side, values, args.format), 0
 
 
-def _cmd_morphism(args, flag) -> tuple[str, int]:
+def _cmd_morphism(args, flag) -> tuple[str | Iterable[str], int]:
     """phi or psi on the --hopf entry: refuse a flag that does not apply, parse --input, then make the morphism."""
     entry = HOPF_INPUTS[args.hopf]
     default, make = getattr(entry, args.command)
@@ -402,13 +458,20 @@ def _cmd_demo_poset(args) -> tuple[str, int]:
 
 
 def run(argv=None) -> int:
-    """Parse argv, run its command, and write the command's text in the one place output is written."""
+    """Parse argv, run its command, and write the command's output in the one place output is written."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text, code = args.handler(args)
-        _emit(text, args.out)
+        output, code = args.handler(args)
+        _emit(output, args.out)
         return code
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): stdout's file descriptor now writes to os.devnull,
+        # so the interpreter's flush at exit does not raise again, and the command ends with exit 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (CliUsageError, EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

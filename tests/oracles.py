@@ -77,7 +77,10 @@ the tests can require both to agree:
   ``HopfProvider`` with deconcatenation, so that the generic universal
   evaluator computes its universal morphisms (the library reads them off
   the coarsening walk ``elements.coarsening_sum``, the change of basis
-  behind ``basis_expand`` and ``basis_contract``).
+  behind ``basis_expand`` and ``basis_contract``);
+* ``table_output``: what the ``table`` command writes, as one whole text
+  made from every cell of the dense matrix (the command keeps each row's
+  nonzero cells and writes its text and csv tables line by line).
 
 The rest is code that only the tests use, kept out of the library with its
 body unchanged: ``refinement_split`` with the predicate ``refines``,
@@ -96,12 +99,16 @@ bracket ``lie_bracket``, and nu as a convolution, ``nu_via_convolution``.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 from math import comb, factorial, lcm
 
+from qshuffle import cli
 from qshuffle.characters import basis_expand, require_normalized, single
 from qshuffle.compositions import (
     EMPTY,
@@ -798,3 +805,34 @@ def validates_unchanged(elem) -> bool:
         return [(type(key), [type(part) for part in key], type(coef)) for key, coef in terms.items()]
 
     return again == elem.terms and types(again) == types(elem.terms)
+
+
+def table_output(args) -> str:
+    """The bytes of the table command on parsed args, as one text with its final newline."""
+    _, expand = cli._basis_args(args)
+    degree = cli._check_degree(args.degree)
+    comps = list(compositions_of(degree))
+    cell = "the table cell at alpha={}, beta={}".format
+    rows = []
+    for alpha in comps:
+        terms = expand(alpha).terms
+        rows.append([cli._printed(terms[beta], cell, alpha, beta) if beta in terms else "0" for beta in comps])
+    labels = [c.to_text() for c in comps]
+    if args.format == "json":
+        payload = json.dumps(
+            {"basis": args.basis, "kind": args.kind, "degree": degree, "order": labels, "rows": rows},
+            separators=(", ", ": "),
+        )
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["alpha"] + labels)
+        writer.writerows([label] + row for label, row in zip(labels, rows))
+        payload = buf.getvalue()
+    else:
+        width = max([len(s) for row in rows for s in row] + [len(label) for label in labels] + [1])
+        lines = [[" " * width] + labels] + [[label] + row for label, row in zip(labels, rows)]
+        payload = "\n".join(" | ".join(s.rjust(width) for s in line) for line in lines)
+    if not payload.endswith("\n"):
+        payload += "\n"
+    return payload

@@ -1,6 +1,7 @@
 """Command line interface: outputs, formats, exit codes."""
 
 import ast
+import contextlib
 import csv
 import inspect
 import io
@@ -9,16 +10,20 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from qshuffle import characters, cli, elements, verify
+import oracles
+from qshuffle import characters, cli, demos, elements, verify
 from qshuffle.cli import MAX_DEGREE, SUITES, run
 from qshuffle.compositions import MAX_DIGITS, MAX_SHOWN, Composition, quasi_shuffle
 from qshuffle.elements import MONOMIAL, WORD, GradedElement
+from qshuffle.errors import EngineError
 from qshuffle.functionals import MAX_BITS, Functional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -439,6 +444,90 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == "M[2,1] + 1/3 M[3]\n"
 
 
+_TABLE_BASES = (
+    "type1", "type2", "even-odd", "combinatorial", "reverse-combinatorial", "prefix-sum:1,1/2,3", "order:2,1,3"
+)
+
+
+@pytest.fixture
+def repeated_tables(monkeypatch):
+    """The table command set up to run many times in one test: each row's expansion memoized, and one parser.
+
+    run() builds the same parser every time, which costs more than a table of degree 7.
+    """
+    for name in ("qps_expand", "basis_expand"):
+        monkeypatch.setattr(cli, name, lru_cache(maxsize=None)(getattr(characters, name)))
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    return parser
+
+
+# --kind qps only on the bases that are normalized; order:2,1,3 is through degree 3, and refuses parts past 3
+@pytest.mark.parametrize(
+    "basis, kind", [(b, k) for b in _TABLE_BASES for k in ("qps", "shuffle") if k == "shuffle" or b[0] != "p"]
+)
+def test_streamed_tables_match_the_whole_text_oracle(capsys, tmp_path, repeated_tables, basis, kind):
+    # degrees 0-7 in each format, on stdout and through --out: the oracle's bytes, or its one error line with no
+    # output and an --out file left as it was
+    target = tmp_path / "table.out"
+    for degree, fmt in product(range(8), ("text", "csv", "json")):
+        argv = ["table", "--basis", basis, "--kind", kind, "--degree", str(degree), "--format", fmt]
+        try:
+            expected = (0, oracles.table_output(repeated_tables.parse_args(argv)), "")
+        except (cli.CliUsageError, EngineError, ValueError) as exc:
+            expected = (1, "", f"error: {exc}\n")
+        assert invoke(capsys, *argv) == expected
+        target.write_bytes(b"before")
+        code, out, err = invoke(capsys, *argv, "--out", str(target))
+        assert (code, out, err) == (expected[0], "", expected[2])
+        assert target.read_bytes() == (expected[1].encode() if code == 0 else b"before")
+
+
+def test_the_table_at_the_cap_is_written_within_a_bounded_traced_peak(repeated_tables):
+    # the peak of making and writing the output, with the expansions made before tracing starts: held whole, the
+    # text table peaked at 16.6 MiB, csv at 4.4 and json at 7.6 (17.4, 5.2 and 8.4 with the expansions made
+    # under the trace); written as it is made, text and csv peak at about 2.4 MiB, and json is still one text
+    argv = ["table", "--basis", "type1", "--degree", "10", "--format"]
+    peaks = {}
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        assert run(argv + ["csv"]) == 0
+        for fmt in ("text", "csv", "json"):
+            tracemalloc.start()
+            try:
+                assert run(argv + [fmt]) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+    assert peaks["text"] < 6 and peaks["csv"] < 6 and peaks["json"] < 10, peaks
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=("buffered", "unbuffered"))
+def test_a_reader_that_closes_early_ends_the_command_with_exit_1_and_no_traceback(unbuffered):
+    # the type1 table at degree 9 is 1.3 MB, far more than a pipe holds, so its writer meets the closed pipe;
+    # unbuffered, one large write used to be cut short without an error, and buffered it ended in a traceback
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    argv = [sys.executable, "-m", "qshuffle.cli", "table", "--basis", "type1", "--degree", "9"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.endswith(b" 9\n") and first.count(b" | ") == 256
+    assert (code, err) == (1, b"")
+
+
+def test_psi_of_a_graph_forms_each_coproduct_once(capsys):
+    # the induced subgraphs of the 10-cycle give 221 distinct nonempty labels, each read by both Phi and Psi
+    before = demos._graph_coproduct.cache_info().misses
+    cycle = "10; 1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9,9-10,1-10"
+    code, out, _ = invoke(capsys, "psi", "--hopf", "graph", "--input", cycle)
+    assert code == 0 and out.startswith("3628800 X[1,1,1,1,1,1,1,1,1,1] - 403200 X[1,1,1,1,1,1,1,1,2] ")
+    assert demos._graph_coproduct.cache_info().misses - before == 221
+
+
 @pytest.mark.parametrize("target", ["missing/result.txt", "."], ids=("missing-parent", "directory"))
 def test_out_path_that_cannot_be_written_is_an_error(tmp_path, capsys, target):
     path = tmp_path / target
@@ -686,7 +775,7 @@ def test_short_names_and_numbers_in_messages_are_printed_whole(capsys):
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter prints ints of any length")
-def test_an_output_number_past_the_interpreters_digit_limit_names_its_table_cell(capsys):
+def test_an_output_number_past_the_interpreters_digit_limit_names_its_table_cell(capsys, tmp_path):
     # 1/(6 tau^5) at tau = <860 sevens> has more digits than str(int) prints, and fewer bits than a value may have
     assert sys.get_int_max_str_digits() == 4300
     basis = "prefix-sum:" + "7" * 860
@@ -695,6 +784,12 @@ def test_an_output_number_past_the_interpreters_digit_limit_names_its_table_cell
     assert err == (
         "error: the table cell at alpha=C[1,1,1,1,1], beta=C[1,1,3] has more than 4300 digits, too many to print\n"
     )
+    # every cell is printed before the first line is written, so an existing --out file is left as it was
+    target = tmp_path / "table.out"
+    target.write_bytes(b"an earlier table\n")
+    argv = ("table", "--basis", basis, "--degree", "5", "--kind", "shuffle", "--out", str(target))
+    assert invoke(capsys, *argv) == (1, "", err)
+    assert target.read_bytes() == b"an earlier table\n"
     # five prefix sums of 1000 digits pass MAX_BITS in f itself, before any cell is printed
     sevens = "7" * MAX_DIGITS
     basis = f"prefix-sum:1,{sevens},3,{sevens},5/{'3' * (MAX_DIGITS - 2)}"
